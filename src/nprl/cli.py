@@ -91,6 +91,10 @@ DEFAULTS: dict[str, dict[str, str]] = {
 }
 
 
+# Keys that change how a run executes but not what it computes.
+EXECUTION_ONLY = frozenset({("run", "workers"), ("run", "out")})
+
+
 class RunConfig:
     """Resolved configuration: defaults, then file, then --set overrides."""
 
@@ -159,10 +163,14 @@ class RunConfig:
             raise ConfigError(f"{section}.{key} must be a comma list of integers, got {raw!r}")
 
     def config_hash(self) -> str:
+        """Hash of every key that can change an artifact; execution-only keys
+        (worker count, output root) stay out so they never move the run
+        directory or the header line."""
         canon = "\n".join(
             f"{section}.{key}={self.values[section][key]}"
             for section in sorted(self.values)
             for key in sorted(self.values[section])
+            if (section, key) not in EXECUTION_ONLY
         )
         return hashlib.sha256(canon.encode()).hexdigest()
 

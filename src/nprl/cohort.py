@@ -439,7 +439,10 @@ def read_cohort(directory) -> list[PatientRecord]:
         pid = row[0]
         if pid not in patients:
             raise FormatError(f"sofa.csv:{lineno}: unknown patient {pid!r}")
-        score = int(row[2])
+        try:
+            score = int(row[2])
+        except ValueError:
+            raise FormatError(f"sofa.csv:{lineno}: bad SOFA score {row[2]!r}") from None
         if not 0 <= score <= 24:
             raise FormatError(f"sofa.csv:{lineno}: score {score} outside [0, 24]")
         patients[pid].sofa.append((_parse_ts(row[1], "sofa.csv", lineno), score))

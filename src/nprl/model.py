@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numgrad as ng
-from .errors import ConfigError, FormatError, InputError, ShapeError
+from .errors import ConfigError, FormatError, InputError, NumericError, ShapeError
 from .numgrad import Array, ParamSet, Tensor
 
 WINDOW_LEN = 9
@@ -126,48 +126,146 @@ def is_head(name: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _sigmoid_(a: Array) -> Array:
+    """Logistic function in place, computed as 1 / (1 + exp(-a))."""
+    np.negative(a, out=a)
+    np.exp(a, out=a)
+    a += 1.0
+    return np.divide(1.0, a, out=a)
+
+
+def _check_finite(a: Array, what: str) -> None:
+    if not np.isfinite(a).all():
+        raise NumericError(f"non-finite {what} pre-activation")
+
+
+def gru_layer(x: Tensor, params: ParamSet, direction: str, h0: Tensor | None = None) -> Tensor:
+    """One GRU direction over a time-major (steps, batch, T) input, as a single
+    tape node; returns the hidden states batch-major, (batch, steps, H).
+
+        z = sigmoid(x W_z + h U_z + b_z)      r = sigmoid(x W_r + h U_r + b_r)
+        c = tanh(x W_h + (r * h) U_h + b_h)   h' = (1 - z) * h + z * c
+
+    The "bwd" direction runs from the last step to the first; both start at
+    ``h0`` (zeros when omitted). The input GEMM for all steps is hoisted out of
+    the recurrence; each step runs one GEMM against [U_z | U_r] and one
+    against U_h. When a parent is on the tape the gates are cached, backward
+    runs BPTT in one closure, and the weight gradients are formed after the
+    loop as one GEMM each over all steps.
+    """
+    prefix = f"gru_{direction}"
+    weights = [params[f"{prefix}.{kind}_{gate}"] for kind in "WUb" for gate in GATES]
+    w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h = weights
+    steps, batch, t_features = x.dims
+    hidden = u_h.dims[0]
+    if w_z.dims != (t_features, hidden):
+        raise ShapeError(f"{prefix} expects {w_z.dims[0]} input features, got {t_features}")
+    w = np.concatenate([w_z.data, w_r.data, w_h.data], axis=1)
+    u_zr = np.concatenate([u_z.data, u_r.data], axis=1)
+    b_zr = np.concatenate([b_z.data, b_r.data])
+    proj = (x.data.reshape(steps * batch, t_features) @ w).reshape(steps, batch, 3 * hidden)
+    parents = (x, *weights) + ((h0,) if h0 is not None else ())
+    taped = any(p.requires_grad for p in parents)
+
+    # states[t + rev] is the state entering step t and states[t + 1 - rev] the
+    # one leaving it, so both the inputs and the outputs are contiguous runs.
+    rev = 1 if direction == "bwd" else 0
+    order = range(steps - 1, -1, -1) if rev else range(steps)
+    states = np.empty((steps + 1, batch, hidden))
+    states[steps if rev else 0] = 0.0 if h0 is None else h0.data
+    kept = steps if taped else 1  # forward-only passes reuse one slot
+    gates = np.empty((kept, batch, 2 * hidden))  # sigmoid outputs [z | r]
+    cands = np.empty((kept, batch, hidden))  # tanh candidates
+    reset = np.empty((kept, batch, hidden))  # r * h
+    for t in order:
+        k = t if taped else 0
+        h, zr, c, rh = states[t + rev], gates[k], cands[k], reset[k]
+        np.matmul(h, u_zr, out=zr)
+        zr += proj[t, :, : 2 * hidden]
+        zr += b_zr
+        _check_finite(zr, f"{prefix} gate")
+        _sigmoid_(zr)
+        z, r = zr[:, :hidden], zr[:, hidden:]
+        np.multiply(r, h, out=rh)
+        np.matmul(rh, u_h.data, out=c)
+        c += proj[t, :, 2 * hidden :]
+        c += b_h.data
+        _check_finite(c, f"{prefix} candidate")
+        np.tanh(c, out=c)
+        h_new = states[t + 1 - rev]
+        np.subtract(1.0, z, out=h_new)
+        h_new *= h
+        h_new += z * c
+    out = Tensor(states[1 - rev : steps + 1 - rev].transpose(1, 0, 2))
+
+    def _bw():
+        d_out = out.grad.transpose(1, 0, 2)
+        d_proj = np.empty((steps, batch, 3 * hidden))  # pre-activation grads [z | r | c]
+        work = np.empty((batch, 2 * hidden))
+        dh = np.zeros((batch, hidden))
+        for t in reversed(order):
+            h, zr, c = states[t + rev], gates[t], cands[t]
+            z, r = zr[:, :hidden], zr[:, hidden:]
+            d_zr, d_c = d_proj[t, :, : 2 * hidden], d_proj[t, :, 2 * hidden :]
+            d_z, d_r = d_zr[:, :hidden], d_zr[:, hidden:]
+            dh += d_out[t]
+            # through h' = (1 - z) * h + z * c and c = tanh(.)
+            np.subtract(c, h, out=d_z)
+            d_z *= dh
+            tanh_grad = work[:, :hidden]
+            np.multiply(c, c, out=tanh_grad)
+            np.subtract(1.0, tanh_grad, out=tanh_grad)
+            np.multiply(dh, z, out=d_c)
+            d_c *= tanh_grad
+            d_rh = d_c @ u_h.data.T
+            np.multiply(d_rh, h, out=d_r)
+            np.subtract(1.0, zr, out=work)  # sigmoid' = s * (1 - s), both gates
+            work *= zr
+            d_zr *= work
+            # the previous state feeds r * h, the carry term and both gates
+            dh_prev = d_rh
+            dh_prev *= r
+            carry = work[:, :hidden]
+            np.subtract(1.0, z, out=carry)
+            carry *= dh
+            dh_prev += carry
+            dh_prev += d_zr @ u_zr.T
+            dh = dh_prev
+        d_flat = d_proj.reshape(steps * batch, 3 * hidden)
+        prev_states = states[rev : steps + rev].reshape(steps * batch, hidden)
+        d_w = x.data.reshape(steps * batch, t_features).T @ d_flat
+        d_uzr = prev_states.T @ d_flat[:, : 2 * hidden]
+        d_uh = reset.reshape(steps * batch, hidden).T @ d_flat[:, 2 * hidden :]
+        d_b = d_flat.sum(axis=0)
+        grads = (
+            d_w[:, :hidden], d_w[:, hidden : 2 * hidden], d_w[:, 2 * hidden :],
+            d_uzr[:, :hidden], d_uzr[:, hidden:], d_uh,
+            d_b[:hidden], d_b[hidden : 2 * hidden], d_b[2 * hidden :],
+        )
+        for p, g in zip(weights, grads):
+            if p.requires_grad:
+                ng.accumulate(p, g)
+        if x.requires_grad:
+            ng.accumulate(x, (d_flat @ w.T).reshape(x.dims))
+        if h0 is not None and h0.requires_grad:
+            ng.accumulate(h0, dh)
+
+    return ng.attach(out, parents, _bw)
+
+
 def gru_cell(x_t: Tensor, h_prev: Tensor, params: ParamSet, direction: str = "fwd") -> Tensor:
-    """One recurrent step on vectors: z and r gates, candidate state, blend."""
-    x2 = ng.reshape(x_t, (1, x_t.dims[-1])) if x_t.data.ndim == 1 else x_t
-    h2 = ng.reshape(h_prev, (1, h_prev.dims[-1])) if h_prev.data.ndim == 1 else h_prev
-    out = _gru_step(x2, h2, params, f"gru_{direction}")
-    if x_t.data.ndim == 1:
-        return ng.reshape(out, (out.dims[1],))
-    return out
+    """One recurrent step on a vector or a (batch, T) row stack; returns the
+    new state with the dims of ``h_prev``."""
+    batch = 1 if x_t.data.ndim == 1 else x_t.dims[0]
+    x = ng.reshape(x_t, (1, batch, x_t.dims[-1]))
+    h = ng.reshape(h_prev, (batch, h_prev.dims[-1]))
+    return ng.reshape(gru_layer(x, params, direction, h0=h), h_prev.dims)
 
 
-def _gru_step(x: Tensor, h: Tensor, params: ParamSet, prefix: str) -> Tensor:
-    z = ng.elementwise(
-        ng.dual_affine(x, params[f"{prefix}.W_z"], h, params[f"{prefix}.U_z"], params[f"{prefix}.b_z"]),
-        "sigmoid",
-    )
-    r = ng.elementwise(
-        ng.dual_affine(x, params[f"{prefix}.W_r"], h, params[f"{prefix}.U_r"], params[f"{prefix}.b_r"]),
-        "sigmoid",
-    )
-    cand = ng.elementwise(
-        ng.dual_affine(
-            x, params[f"{prefix}.W_h"], ng.mul(r, h), params[f"{prefix}.U_h"], params[f"{prefix}.b_h"]
-        ),
-        "tanh",
-    )
-    return ng.gate_blend(z, h, cand)
-
-
-def _bigru_step_outputs(steps: list[Tensor], params: ParamSet, hidden: int) -> list[Tensor]:
-    """Per-hour [forward ; backward] states from zero initial states."""
-    batch = steps[0].dims[0]
-    h = Tensor(np.zeros((batch, hidden)))
-    fwd = []
-    for x in steps:
-        h = _gru_step(x, h, params, "gru_fwd")
-        fwd.append(h)
-    h = Tensor(np.zeros((batch, hidden)))
-    bwd: list[Tensor | None] = [None] * len(steps)
-    for t in range(len(steps) - 1, -1, -1):
-        h = _gru_step(steps[t], h, params, "gru_bwd")
-        bwd[t] = h
-    return [ng.concat_cols([f, b]) for f, b in zip(fwd, bwd)]
+def _bigru(x: Tensor, params: ParamSet) -> Tensor:
+    """Per-hour [forward ; backward] states, (batch, steps, 2H), from a
+    time-major input and zero initial states."""
+    return ng.concat_cols([gru_layer(x, params, "fwd"), gru_layer(x, params, "bwd")])
 
 
 def bigru_forward(window, params: ParamSet) -> Tensor:
@@ -178,10 +276,8 @@ def bigru_forward(window, params: ParamSet) -> Tensor:
     hidden = params["gru_fwd.W_z"].dims[1]
     if data.shape != (WINDOW_LEN, t_features):
         raise ShapeError(f"window must be {(WINDOW_LEN, t_features)}, got {data.shape}")
-    steps = [Tensor(data[t : t + 1, :]) for t in range(WINDOW_LEN)]
-    per_hour = _bigru_step_outputs(steps, params, hidden)
-    flat = ng.concat_cols(per_hour)  # hour-major layout, fixed for checkpoints
-    return ng.reshape(flat, (WINDOW_LEN, 2 * hidden))
+    per_hour = _bigru(Tensor(data[:, None, :]), params)
+    return ng.reshape(per_hour, (WINDOW_LEN, 2 * hidden))
 
 
 def forward_batch(
@@ -196,7 +292,6 @@ def forward_batch(
     """
     temporal = np.asarray(temporal, dtype=np.float64)
     statics = np.asarray(statics, dtype=np.float64)
-    hidden = config.gru_hidden
     t_features = params["gru_fwd.W_z"].dims[0]
     if temporal.ndim != 3 or temporal.shape[1:] != (WINDOW_LEN, t_features):
         raise ShapeError(
@@ -210,8 +305,9 @@ def forward_batch(
     if (n_static > 0) != has_static_params:
         raise ShapeError("static features do not match the model's static branch")
 
-    steps = [Tensor(np.ascontiguousarray(temporal[:, t, :])) for t in range(WINDOW_LEN)]
-    parts = _bigru_step_outputs(steps, params, hidden)
+    # hour-major layout [fwd_0, bwd_0, fwd_1, ...], fixed for checkpoints
+    per_hour = _bigru(Tensor(temporal.transpose(1, 0, 2)), params)
+    rep = ng.reshape(per_hour, (batch, WINDOW_LEN * per_hour.dims[2]))
     if n_static > 0:
         s = Tensor(statics)
         n_layers = len(config.static_widths)
@@ -219,8 +315,7 @@ def forward_batch(
             s = ng.affine(s, params[f"static.{i}.W"], params[f"static.{i}.b"])
             if i < n_layers - 1:  # final static unit stays linear
                 s = ng.elementwise(s, "relu")
-        parts = parts + [s]
-    rep = ng.concat_cols(parts)
+        rep = ng.concat_cols([rep, s])
     expected = rep_width(config, n_static)
     if rep.dims[1] != expected:
         raise ShapeError(f"representation width {rep.dims[1]} != expected {expected}")
@@ -237,7 +332,7 @@ def forward(instance, params: ParamSet, config: ModelConfig) -> tuple[Array, Arr
     """Single-instance forward; returns (logits vector, representation vector)."""
     temporal = np.asarray(instance.temporal, dtype=np.float64)[None, :, :]
     statics = np.asarray(instance.statics, dtype=np.float64).reshape(1, -1)
-    logits, rep = forward_batch(temporal, statics, params, config)
+    logits, rep = forward_batch(temporal, statics, ng.detach(params), config)
     return logits.data[0].copy(), rep.data[0].copy()
 
 
@@ -250,7 +345,9 @@ def softmax(logits: Array) -> Array:
 def predict_proba(
     temporal: Array, statics: Array, params: ParamSet, config: ModelConfig, batch_size: int = 512
 ) -> Array:
-    """Class probabilities for a stack of instances, evaluated in batches."""
+    """Class probabilities for a stack of instances, evaluated in batches
+    without recording a tape."""
+    params = ng.detach(params)
     outs = []
     for lo in range(0, temporal.shape[0], batch_size):
         logits, _ = forward_batch(
@@ -263,6 +360,9 @@ def predict_proba(
 def compute_representations(
     temporal: Array, statics: Array, params: ParamSet, config: ModelConfig, batch_size: int = 512
 ) -> Array:
+    """Representations for a stack of instances, evaluated in batches without
+    recording a tape."""
+    params = ng.detach(params)
     outs = []
     for lo in range(0, temporal.shape[0], batch_size):
         _, rep = forward_batch(

@@ -84,12 +84,12 @@ class Tensor:
         return f"Tensor(dims={self.dims}, requires_grad={self.requires_grad})"
 
 
-def _accum(t: Tensor, g: Array) -> None:
+def accumulate(t: Tensor, g: Array) -> None:
     # No in-place adds: closures may hand out views of a consumer's grad.
     t.grad = g if t.grad is None else t.grad + g
 
 
-def _attach(out: Tensor, parents: tuple[Tensor, ...], backward) -> Tensor:
+def attach(out: Tensor, parents: tuple[Tensor, ...], backward) -> Tensor:
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
@@ -115,39 +115,13 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def _bw():
         g = out.grad
         if x.requires_grad:
-            _accum(x, g @ w.data.T)
+            accumulate(x, g @ w.data.T)
         if w.requires_grad:
-            _accum(w, x.data.T @ g)
+            accumulate(w, x.data.T @ g)
         if b.requires_grad:
-            _accum(b, g.sum(axis=0))
+            accumulate(b, g.sum(axis=0))
 
-    return _attach(out, (x, w, b), _bw)
-
-
-def dual_affine(x: Tensor, wx: Tensor, h: Tensor, uh: Tensor, b: Tensor) -> Tensor:
-    """``x @ wx + h @ uh + b``, the fused preactivation of a recurrent gate."""
-    if x.dims[1] != wx.dims[0] or h.dims[1] != uh.dims[0]:
-        raise ShapeError(
-            f"dual_affine dims mismatch: {x.dims} @ {wx.dims}, {h.dims} @ {uh.dims}"
-        )
-    if wx.dims[1] != uh.dims[1] or b.dims != (wx.dims[1],):
-        raise ShapeError(f"dual_affine output dims mismatch: {wx.dims}, {uh.dims}, {b.dims}")
-    out = Tensor(x.data @ wx.data + h.data @ uh.data + b.data)
-
-    def _bw():
-        g = out.grad
-        if x.requires_grad:
-            _accum(x, g @ wx.data.T)
-        if wx.requires_grad:
-            _accum(wx, x.data.T @ g)
-        if h.requires_grad:
-            _accum(h, g @ uh.data.T)
-        if uh.requires_grad:
-            _accum(uh, h.data.T @ g)
-        if b.requires_grad:
-            _accum(b, g.sum(axis=0))
-
-    return _attach(out, (x, wx, h, uh, b), _bw)
+    return attach(out, (x, w, b), _bw)
 
 
 ACTIVATIONS = ("sigmoid", "tanh", "relu")
@@ -160,24 +134,24 @@ def elementwise(x: Tensor, kind: str) -> Tensor:
 
         def _bw():
             s = out.data
-            _accum(x, out.grad * s * (1.0 - s))
+            accumulate(x, out.grad * s * (1.0 - s))
 
     elif kind == "tanh":
         out = Tensor(np.tanh(x.data))
 
         def _bw():
             t = out.data
-            _accum(x, out.grad * (1.0 - t * t))
+            accumulate(x, out.grad * (1.0 - t * t))
 
     elif kind == "relu":
         out = Tensor(np.maximum(x.data, 0.0))
 
         def _bw():
-            _accum(x, out.grad * (x.data > 0.0))
+            accumulate(x, out.grad * (x.data > 0.0))
 
     else:
         raise InputError(f"unknown elementwise kind {kind!r}, expected one of {ACTIVATIONS}")
-    return _attach(out, (x,), _bw)
+    return attach(out, (x,), _bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -189,51 +163,34 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     def _bw():
         g = out.grad
         if a.requires_grad:
-            _accum(a, g * b.data)
+            accumulate(a, g * b.data)
         if b.requires_grad:
-            _accum(b, g * a.data)
+            accumulate(b, g * a.data)
 
-    return _attach(out, (a, b), _bw)
-
-
-def gate_blend(z: Tensor, h: Tensor, cand: Tensor) -> Tensor:
-    """``(1 - z) * h + z * cand``, the update-gate interpolation of a GRU."""
-    if not (z.dims == h.dims == cand.dims):
-        raise ShapeError(f"gate_blend dims mismatch: {z.dims}, {h.dims}, {cand.dims}")
-    out = Tensor((1.0 - z.data) * h.data + z.data * cand.data)
-
-    def _bw():
-        g = out.grad
-        if z.requires_grad:
-            _accum(z, g * (cand.data - h.data))
-        if h.requires_grad:
-            _accum(h, g * (1.0 - z.data))
-        if cand.requires_grad:
-            _accum(cand, g * z.data)
-
-    return _attach(out, (z, h, cand), _bw)
+    return attach(out, (a, b), _bw)
 
 
 def concat_cols(parts: list[Tensor]) -> Tensor:
-    """Concatenate 2-d tensors along the feature axis."""
+    """Concatenate tensors along the last (feature) axis; the leading dims
+    of every part must agree."""
     if not parts:
         raise InputError("concat_cols needs at least one tensor")
-    m = parts[0].dims[0]
+    lead = parts[0].dims[:-1]
     for p in parts:
-        if p.data.ndim != 2 or p.dims[0] != m:
+        if p.data.ndim < 2 or p.dims[:-1] != lead:
             raise ShapeError(f"concat_cols row mismatch: {[p.dims for p in parts]}")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=1))
-    widths = [p.dims[1] for p in parts]
+    out = Tensor(np.concatenate([p.data for p in parts], axis=-1))
+    widths = [p.dims[-1] for p in parts]
 
     def _bw():
         g = out.grad
         offset = 0
         for p, w in zip(parts, widths):
             if p.requires_grad:
-                _accum(p, g[:, offset : offset + w])
+                accumulate(p, g[..., offset : offset + w])
             offset += w
 
-    return _attach(out, tuple(parts), _bw)
+    return attach(out, tuple(parts), _bw)
 
 
 def reshape(x: Tensor, dims: tuple[int, ...]) -> Tensor:
@@ -242,9 +199,9 @@ def reshape(x: Tensor, dims: tuple[int, ...]) -> Tensor:
     out = Tensor(x.data.reshape(dims))
 
     def _bw():
-        _accum(x, out.grad.reshape(x.dims))
+        accumulate(x, out.grad.reshape(x.dims))
 
-    return _attach(out, (x,), _bw)
+    return attach(out, (x,), _bw)
 
 
 def l2_normalize_rows(x: Tensor) -> Tensor:
@@ -258,18 +215,18 @@ def l2_normalize_rows(x: Tensor) -> Tensor:
         g = out.grad
         y = out.data
         # d(x/|x|) projects the upstream gradient onto the tangent of the sphere
-        _accum(x, (g - y * (g * y).sum(axis=1, keepdims=True)) / norms)
+        accumulate(x, (g - y * (g * y).sum(axis=1, keepdims=True)) / norms)
 
-    return _attach(out, (x,), _bw)
+    return attach(out, (x,), _bw)
 
 
 def total_sum(x: Tensor) -> Tensor:
     out = Tensor(np.asarray(x.data.sum()))
 
     def _bw():
-        _accum(x, np.broadcast_to(out.grad, x.dims).copy())
+        accumulate(x, np.broadcast_to(out.grad, x.dims).copy())
 
-    return _attach(out, (x,), _bw)
+    return attach(out, (x,), _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +281,9 @@ def cross_entropy(logits: Tensor, labels, weights: Array | None = None) -> Tenso
     out = Tensor(np.asarray(loss))
 
     def _bw():
-        _accum(logits, out.grad * dlogits)
+        accumulate(logits, out.grad * dlogits)
 
-    return _attach(out, (logits,), _bw)
+    return attach(out, (logits,), _bw)
 
 
 def collect_grads(params: ParamSet) -> Gradients:
@@ -335,6 +292,12 @@ def collect_grads(params: ParamSet) -> Gradients:
         name: (p.grad if p.grad is not None else np.zeros(p.dims))
         for name, p in params.items()
     }
+
+
+def detach(params: ParamSet) -> ParamSet:
+    """The same arrays held by leaves off the tape, for forward-only passes:
+    ops on them record no graph and keep no backward state."""
+    return {name: Tensor(p.data) for name, p in params.items()}
 
 
 def reset_grads(params: ParamSet) -> None:

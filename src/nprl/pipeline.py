@@ -328,24 +328,27 @@ def _scale(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, params: ScalingPa
     span = hi - lo
     with np.errstate(invalid="ignore", divide="ignore"):
         scaled = np.where(span > 0.0, (values - lo) / np.where(span > 0.0, span, 1.0), 0.0)
-    return np.clip(scaled, params.clamp_lo, params.clamp_hi)
+    return np.clip(scaled, params.clamp_lo, params.clamp_hi, out=scaled)
 
 
 def apply_minmax(instances: list[NightInstance], params: ScalingParams) -> list[NightInstance]:
     """Map to [0, 1] by the fitted ranges; constant features go to 0; values
-    outside the fitted range (test folds) are clamped to [-0.5, 1.5]."""
-    out = []
-    for inst in instances:
-        out.append(
-            replace(
-                inst,
-                temporal=_scale(inst.temporal, params.temporal_min, params.temporal_max, params),
-                statics=_scale(inst.statics, params.static_min, params.static_max, params)
-                if inst.statics.size
-                else inst.statics.copy(),
-            )
-        )
-    return out
+    outside the fitted range (test folds) are clamped to [-0.5, 1.5].
+
+    Scales every instance in one stacked pass; the outputs are row views of
+    the two scaled stacks."""
+    if not instances:
+        return []
+    temporal = _scale(
+        np.array([inst.temporal for inst in instances]), params.temporal_min, params.temporal_max, params
+    )
+    statics = _scale(
+        np.array([inst.statics for inst in instances]), params.static_min, params.static_max, params
+    )
+    return [
+        NightInstance(inst.patient_id, inst.day_index, inst.instance_index, t, s, inst.label)
+        for inst, t, s in zip(instances, temporal, statics)
+    ]
 
 
 # ---------------------------------------------------------------------------

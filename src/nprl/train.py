@@ -182,6 +182,7 @@ def class_balanced_weights(
 
 
 def _evaluate(temporal, statics, labels, params, config) -> tuple[float, float]:
+    params = ng.detach(params)
     probs_loss = 0.0
     correct = 0
     n = temporal.shape[0]

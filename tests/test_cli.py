@@ -90,6 +90,11 @@ class TestRunConfig:
         b = cli.RunConfig.load(None, ["run.seed=8"])
         assert a.config_hash() != b.config_hash()
 
+    def test_hash_ignores_execution_only_keys(self):
+        a = cli.RunConfig.load(None, [])
+        b = cli.RunConfig.load(None, ["run.workers=4", "run.out=elsewhere"])
+        assert a.config_hash() == b.config_hash()
+
 
 class TestCommands:
     def test_unknown_command_usage_error(self, capsys):
@@ -140,6 +145,17 @@ class TestCommands:
         assert run_cli(args, tmp_path) == 0
         for name, blob in snapshots.items():
             assert (run_dir / name).read_bytes() == blob, f"{name} changed between reruns"
+
+    def test_eval_with_workers_reuses_serial_extract(self, tmp_path):
+        args = set_args(SMALL_OVERRIDES)
+        for command in ("gen", "extract", "eval"):
+            assert run_cli([command] + args, tmp_path) == 0
+        (run_dir,) = tmp_path.iterdir()
+        serial = {name: (run_dir / name).read_bytes() for name in ("report.csv", "roc.txt")}
+        assert run_cli(["eval", "--workers", "2"] + args, tmp_path) == 0
+        assert [p.name for p in tmp_path.iterdir()] == [run_dir.name]
+        for name, blob in serial.items():
+            assert (run_dir / name).read_bytes() == blob, f"{name} differs under --workers 2"
 
     def test_env_output_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NPRL_OUT", str(tmp_path / "envroot"))

@@ -145,6 +145,16 @@ class TestCsvRoundTrip:
         with pytest.raises(FormatError, match="hourly.csv:5"):
             C.read_cohort(tmp_path)
 
+    def test_non_integer_sofa_score_reports_line(self, tmp_path):
+        records = C.generate_cohort(tiny_config(n_patients=2, seed=1))
+        C.write_cohort(records, tmp_path)
+        path = tmp_path / "sofa.csv"
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0] + ",3.5"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="sofa.csv:2: bad SOFA score '3.5'"):
+            C.read_cohort(tmp_path)
+
     def test_header_comments_skipped(self, tmp_path):
         records = C.generate_cohort(tiny_config(n_patients=3, seed=2))
         C.write_cohort(records, tmp_path, header_comment="config_hash=abc seed=1")

@@ -3,7 +3,7 @@ import pytest
 
 from nprl import model as M
 from nprl import numgrad as ng
-from nprl.errors import ConfigError, FormatError, InputError, ShapeError
+from nprl.errors import ConfigError, FormatError, InputError, NumericError, ShapeError
 from nprl.numgrad import Tensor
 
 SMALL_SCHEMA = M.FeatureSchema(("a", "b", "c", "d", "e"), ("s1", "s2", "s3"))
@@ -97,6 +97,23 @@ class TestGruCell:
         out = M.gru_cell(Tensor([1.0]), Tensor([0.0]), params)
         assert abs(out.data[0] - 0.5 * np.tanh(1.0)) < 1e-9
         assert abs(out.data[0] - 0.380797) < 1e-6
+
+
+    def test_grad_check_through_inputs_and_state(self):
+        rng = np.random.default_rng(3)
+        params = {
+            f"gru_fwd.{kind}_{gate}": Tensor(rng.normal(size=shape) * 0.5, requires_grad=True)
+            for gate in ("z", "r", "h")
+            for kind, shape in (("W", (2, 3)), ("U", (3, 3)), ("b", (3,)))
+        }
+        params["x"] = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        params["h"] = Tensor(rng.uniform(-1.0, 1.0, size=(4, 3)), requires_grad=True)
+        weights = Tensor(rng.normal(size=(4, 3)))
+
+        def fn(p):
+            return ng.total_sum(ng.mul(M.gru_cell(p["x"], p["h"], p), weights))
+
+        assert ng.grad_check(fn, params, step=1e-5) < 1e-6
 
 
 class TestBigru:
@@ -196,6 +213,100 @@ class TestForward:
         temporal, _ = small_batch()
         logits, rep = M.forward_batch(temporal, np.zeros((3, 0)), params, config)
         assert rep.dims == (3, 72)
+
+
+def reference_gru_representation(temporal, params, hidden):
+    """Both GRU directions step by step from the gate equations, in plain
+    NumPy, laid out hour-major as [fwd_0, bwd_0, fwd_1, ...]."""
+
+    def sigmoid(a):
+        return 1.0 / (1.0 + np.exp(-a))
+
+    def run(prefix, hours):
+        p = {name.split(".", 1)[1]: t.data for name, t in params.items() if name.startswith(prefix)}
+        h = np.zeros((temporal.shape[0], hidden))
+        states = {}
+        for t in hours:
+            x = temporal[:, t, :]
+            z = sigmoid(x @ p["W_z"] + h @ p["U_z"] + p["b_z"])
+            r = sigmoid(x @ p["W_r"] + h @ p["U_r"] + p["b_r"])
+            cand = np.tanh(x @ p["W_h"] + (r * h) @ p["U_h"] + p["b_h"])
+            h = (1.0 - z) * h + z * cand
+            states[t] = h
+        return states
+
+    fwd = run("gru_fwd.", range(9))
+    bwd = run("gru_bwd.", range(8, -1, -1))
+    return np.concatenate([np.concatenate([fwd[t], bwd[t]], axis=1) for t in range(9)], axis=1)
+
+
+class TestFusedGru:
+    @pytest.mark.parametrize("hidden,batch", [(1, 1), (4, 3), (32, 64)])
+    def test_matches_per_step_reference(self, hidden, batch):
+        schema = M.FeatureSchema(("a", "b", "c", "d", "e"))
+        config = M.ModelConfig(gru_hidden=hidden, trunk_widths=(), head_classes=2)
+        params = M.init_params(config, schema, seed=hidden)
+        for name, p in params.items():  # nonzero biases exercise every term
+            if p.data.ndim == 1:
+                p.data[:] = np.random.default_rng(batch).normal(size=p.dims) * 0.3
+        temporal = np.random.default_rng(7).normal(size=(batch, 9, 5))
+        _, rep = M.forward_batch(temporal, np.zeros((batch, 0)), params, config)
+        expected = reference_gru_representation(temporal, params, hidden)
+        np.testing.assert_allclose(rep.data, expected, rtol=0.0, atol=1e-12)
+
+    def test_grad_check_with_weights_shared_across_directions(self):
+        # both directions read the same leaf tensors, so each leaf gathers
+        # gradient from two fused nodes; no relu anywhere, so the central
+        # differences can use a small step
+        schema = M.FeatureSchema(("a", "b", "c", "d", "e"))
+        config = M.ModelConfig(gru_hidden=4, trunk_widths=(), head_classes=2)
+        shared = {
+            n: t for n, t in M.init_params(config, schema, seed=0).items() if not n.startswith("gru_bwd.")
+        }
+        temporal = np.random.default_rng(0).normal(size=(4, 9, 5))
+        labels = np.array([0, 1, 1, 0])
+
+        def fn(p):
+            full = dict(p)
+            for name in p:
+                if name.startswith("gru_fwd."):
+                    full[name.replace("gru_fwd.", "gru_bwd.")] = p[name]
+            logits, _ = M.forward_batch(temporal, np.zeros((4, 0)), full, config)
+            return ng.cross_entropy(logits, labels)
+
+        assert ng.grad_check(fn, shared, step=1e-5, max_coords_per_tensor=8) < 1e-5
+
+    @pytest.mark.parametrize("gate", ["z", "r", "h"])
+    def test_preactivation_overflow_raises(self, gate):
+        params = small_params()
+        params[f"gru_fwd.W_{gate}"] = Tensor(np.full((5, 4), 1e308), requires_grad=True)
+        temporal = np.ones((2, 9, 5))
+        statics = np.ones((2, 3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError):
+                M.forward_batch(temporal, statics, params, SMALL_CONFIG)
+            with pytest.raises(NumericError):
+                M.predict_proba(temporal, statics, params, SMALL_CONFIG)
+
+    def test_predict_proba_equals_softmax_of_taped_logits(self):
+        params = small_params()
+        temporal, statics = small_batch(n=7, seed=2)
+        logits, _ = M.forward_batch(temporal, statics, params, SMALL_CONFIG)
+        assert logits.requires_grad
+        np.testing.assert_array_equal(
+            M.predict_proba(temporal, statics, params, SMALL_CONFIG), M.softmax(logits.data)
+        )
+
+    def test_detached_forward_records_nothing(self):
+        params = small_params()
+        detached = ng.detach(params)
+        assert all(detached[n].data is params[n].data for n in params)
+        assert not any(p.requires_grad for p in detached.values())
+        temporal, statics = small_batch()
+        logits, rep = M.forward_batch(temporal, statics, detached, SMALL_CONFIG)
+        for t in (logits, rep):
+            assert not t.requires_grad
+            assert t._backward is None and t._parents == ()
 
 
 class TestReplaceHead:

@@ -270,6 +270,33 @@ class TestMinMax:
             assert o.statics.min() >= 0.0 and o.statics.max() <= 1.0
 
 
+    @pytest.mark.parametrize("n_static", [0, 3])
+    def test_matches_per_instance_scaling(self, n_static):
+        rng = np.random.default_rng(n_static)
+        insts = []
+        for i in range(6):
+            temporal = rng.normal(size=(9, 4)) * 10
+            temporal[:, 2] = 5.0  # constant feature: zero span
+            statics = rng.normal(size=n_static)
+            if n_static:
+                statics[0] = -1.0
+            insts.append(P.NightInstance(f"p{i}", 3 + i, i, temporal, statics, i % 2))
+        params = P.fit_minmax(insts[:4])  # the last two fall partly outside the range
+        out = P.apply_minmax(insts, params)
+        for inst, o in zip(insts, out):
+            expected = P._scale(inst.temporal, params.temporal_min, params.temporal_max, params)
+            np.testing.assert_array_equal(o.temporal, expected)
+            if n_static:
+                expected = P._scale(inst.statics, params.static_min, params.static_max, params)
+                np.testing.assert_array_equal(o.statics, expected)
+            else:
+                assert o.statics.shape == (0,)
+            assert (o.patient_id, o.day_index, o.instance_index, o.label) == (
+                inst.patient_id, inst.day_index, inst.instance_index, inst.label
+            )
+        assert P.apply_minmax([], params) == []
+
+
 def synthetic_instances(n_pos, n_neg, seed=0):
     rng = np.random.default_rng(seed)
     out = []

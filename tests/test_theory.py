@@ -118,6 +118,21 @@ class TestCheckTheorem1:
         expected = min(d / 2.0 + 1.0 / 32.0 for d in d0)
         assert abs(worst - expected) < 1e-12
 
+    def test_blocked_pairs_match_one_pass(self):
+        instances = toy_instances(n=40, seed=6)  # 780 pairs, several blocks
+        theta0 = M.init_params(NORM_CONFIG, SCHEMA, seed=5)
+        theta_star = M.init_params(NORM_CONFIG, SCHEMA, seed=6)
+        temporal, statics = T.to_arrays(instances)
+        reps0 = M.compute_representations(temporal, statics, theta0, NORM_CONFIG)
+        reps_star = M.compute_representations(temporal, statics, theta_star, NORM_CONFIG)
+        pairs = TH._sample_pairs(len(instances), None, 0)
+        assert len(pairs) > TH.PAIR_BLOCK
+        d0 = np.linalg.norm(reps0[pairs[:, 0]] - reps0[pairs[:, 1]], axis=1)
+        d_star_sq = np.sum((reps_star[pairs[:, 0]] - reps_star[pairs[:, 1]]) ** 2, axis=1)
+        margins = d_star_sq - (d0 * d0 - d0 / 2.0 - 1.0 / 32.0)
+        result = TH.check_theorem1(theta0, theta_star, instances, NORM_CONFIG, n_pairs=None)
+        assert result == (len(pairs), int((margins < 0.0).sum()), float(margins.min()))
+
     def test_pair_sampling_counts(self):
         instances = toy_instances(n=30, seed=4)
         params = M.init_params(NORM_CONFIG, SCHEMA, seed=3)
