@@ -4,6 +4,7 @@ Subpackage map:
 
 - ``numgrad``: float64 tensors, tape autodiff, Adam, gradient checking
 - ``model``: bidirectional-GRU multi-modal classifier and parameter geometry
+- ``artifacts``: the text format of every run file, and atomic writes
 - ``cohort``: seeded synthetic EHR generator and its CSV formats
 - ``pipeline``: cleaning, night-window extraction, labeling, folds, resampling
 - ``train``: ERM, class-balanced loss, profile pretraining, fine-tuning

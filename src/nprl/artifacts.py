@@ -1,0 +1,120 @@
+"""The one text format of every run artifact, and atomic file writes.
+
+An artifact is optional ``# ...`` comment lines, allowed only before the
+first data line, then either a CSV table whose first row names the columns
+or ``key=value`` lines. Every read failure ends in :class:`FormatError` with
+a ``<path>:<line>:`` message (``<path>:`` where no line applies). Every write
+goes to ``<path>.tmp``, which then replaces ``path``, so no reader ever sees
+a half-written file.
+"""
+
+from __future__ import annotations
+
+import csv
+import itertools
+import os
+from contextlib import contextmanager
+from typing import Iterable, Sequence
+
+from .errors import FormatError
+
+
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Write to ``<path>.tmp`` and move it onto ``path`` only once the block
+    succeeds; if the block raises, the temporary file is removed."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, mode, **({} if "b" in mode else {"encoding": "utf-8", "newline": ""})) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def _write(path, header_comment: str | None, note: str | None, body) -> None:
+    with atomic_open(path) as fh:
+        if header_comment:
+            fh.write(f"# {header_comment}\n")
+        if note is not None:
+            fh.write(f"# {note}\n")
+        body(fh)
+
+
+def write_table(path, columns: Sequence[str], rows: Iterable[Sequence], header_comment: str | None = None) -> None:
+    """The comment line, the column row, then one CSV row per item of ``rows``."""
+    _write(path, header_comment, None, lambda fh: csv.writer(fh).writerows(itertools.chain([columns], rows)))
+
+
+def write_fields(path, items: Iterable[tuple], header_comment: str | None = None, note: str | None = None) -> None:
+    """The comment line, ``note`` as a second comment line, then ``key=value`` lines."""
+    _write(path, header_comment, note, lambda fh: fh.writelines(f"{k}={v}\n" for k, v in items))
+
+
+def write_text(path, lines: Iterable[str], header_comment: str | None = None) -> None:
+    """The comment line, then each of ``lines`` as is."""
+    _write(path, header_comment, None, lambda fh: fh.writelines(f"{line}\n" for line in lines))
+
+
+def _lines(path):
+    """The file's lines as text; I/O and decoding failures end in FormatError."""
+    try:
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                try:
+                    yield raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise FormatError(f"{path}:{lineno}: not UTF-8 ({exc.reason})") from None
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot read: {exc.strerror or exc}") from None
+
+
+def read_table(path, columns: Sequence[str]) -> list[tuple[int, list[str]]]:
+    """``(line number, cells)`` per data row of a table whose column row must
+    equal ``columns``; blank lines are skipped."""
+    columns, rows, header = list(columns), [], None
+    reader = csv.reader(_lines(path))
+    try:
+        for row in reader:
+            if not row or (header is None and row[0].startswith("#")):
+                continue
+            if header is None:
+                header = row
+                if row != columns:
+                    raise FormatError(f"{path}:{reader.line_num}: unexpected header {row}")
+            elif row[0].startswith("#"):
+                raise FormatError(f"{path}:{reader.line_num}: comment line after the data began")
+            elif len(row) != len(columns):
+                raise FormatError(f"{path}:{reader.line_num}: expected {len(columns)} cells, got {len(row)}")
+            else:
+                rows.append((reader.line_num, row))
+    except csv.Error as exc:
+        raise FormatError(f"{path}:{reader.line_num}: {exc}") from None
+    if header is None:
+        raise FormatError(f"{path}: missing header row")
+    return rows
+
+
+class Fields(dict):
+    """``key -> value``; ``line`` maps each key to its line number."""
+
+    line: dict[str, int]
+
+
+def read_fields(path) -> Fields:
+    """The ``key=value`` lines; blank lines are skipped, a repeated key is an error."""
+    out = Fields()
+    out.line = {}
+    for lineno, raw in enumerate(_lines(path), start=1):
+        line = raw.strip()
+        if not line or (not out and line.startswith("#")):
+            continue
+        if line.startswith("#") or "=" not in line:
+            raise FormatError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, value = line.split("=", 1)
+        if key in out:
+            raise FormatError(f"{path}:{lineno}: repeated key {key!r}")
+        out[key], out.line[key] = value, lineno
+    return out

@@ -174,14 +174,6 @@ class RunConfig:
         )
         return hashlib.sha256(canon.encode()).hexdigest()
 
-    def write_ini(self, path) -> None:
-        with open(path, "w") as fh:
-            for section in DEFAULTS:
-                fh.write(f"[{section}]\n")
-                for key in DEFAULTS[section]:
-                    fh.write(f"{key} = {self.values[section][key]}\n")
-                fh.write("\n")
-
 
 def _generator_config(cfg: RunConfig) -> GeneratorConfig:
     vitals = default_vitals()
@@ -316,14 +308,8 @@ class Runner:
         self.log(f"wrote cohort of {len(records)} patients to {self.run_dir / 'cohort'}")
         return records
 
-    def _load_records(self) -> list:
-        cohort_dir = self.run_dir / "cohort"
-        if not (cohort_dir / "patients.csv").exists():
-            raise ConfigError(f"no cohort under {cohort_dir}; run `gen` first")
-        return read_cohort(cohort_dir)
-
     def cmd_extract(self, records=None):
-        records = records if records is not None else self._load_records()
+        records = records if records is not None else read_cohort(self.run_dir / "cohort")
         instances = P.extract_instances(records)
         subsets = set(self.cfg.get_ints("features", "subsets"))
         instances, schema = P.select_features(instances, P.full_schema(), subsets)
@@ -339,10 +325,7 @@ class Runner:
         return instances, schema
 
     def _load_instances(self):
-        path = self.run_dir / "instances.csv"
-        if not path.exists():
-            raise ConfigError(f"no instances at {path}; run `extract` first")
-        return P.read_instances(path, self.run_dir / "instances.schema.txt")
+        return P.read_instances(self.run_dir / "instances.csv", self.run_dir / "instances.schema.txt")
 
     def cmd_pretrain(self, data=None):
         instances, schema = data if data is not None else self._load_instances()

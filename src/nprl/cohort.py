@@ -15,12 +15,14 @@ bit-reproducible.
 
 from __future__ import annotations
 
-import csv
+import math
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 
+from . import artifacts as A
 from .errors import FormatError, InputError
 from .util import derive_rng
 
@@ -323,143 +325,90 @@ def _fmt(value: float | None) -> str:
 
 def write_cohort(records: list[PatientRecord], directory, header_comment: str | None = None) -> None:
     """Write patients/hourly/sofa/cultures CSVs; empty cell means missing."""
-    from pathlib import Path
-
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
-
-    def open_csv(name, header):
-        fh = open(d / name, "w", newline="")
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        return fh, writer
-
-    fh_p, w_p = open_csv("patients.csv", PATIENTS_HEADER)
-    fh_h, w_h = open_csv("hourly.csv", HOURLY_HEADER)
-    fh_s, w_s = open_csv("sofa.csv", SOFA_HEADER)
-    fh_c, w_c = open_csv("cultures.csv", CULTURES_HEADER)
-    try:
-        for r in records:
-            w_p.writerow([r.patient_id, r.admit_ts.isoformat()] + [_fmt(v) for v in r.statics])
-            for obs in r.hourly:
-                w_h.writerow(
-                    [r.patient_id, obs.ts.isoformat()]
-                    + [_fmt(getattr(obs, name)) for name in HOURLY_FIELDS]
-                )
-            for ts, score in r.sofa:
-                w_s.writerow([r.patient_id, ts.isoformat(), str(int(score))])
-            for ts, positive in r.cultures:
-                w_c.writerow([r.patient_id, ts.isoformat(), "1" if positive else "0"])
-    finally:
-        for fh in (fh_p, fh_h, fh_s, fh_c):
-            fh.close()
-
-
-def _read_rows(path, expected_header) -> list[tuple[int, list[str]]]:
-    rows = []
-    with open(path, newline="") as fh:
-        header_seen = False
-        for lineno, line in enumerate(fh, start=1):
-            if line.startswith("#"):
-                continue
-            row = next(csv.reader([line]))
-            if not row:
-                continue
-            if not header_seen:
-                if tuple(row) != tuple(expected_header):
-                    raise FormatError(f"{path}:{lineno}: unexpected header {row}")
-                header_seen = True
-                continue
-            if len(row) != len(expected_header):
-                raise FormatError(
-                    f"{path}:{lineno}: expected {len(expected_header)} cells, got {len(row)}"
-                )
-            rows.append((lineno, row))
-        if not header_seen:
-            raise FormatError(f"{path}: missing header row")
-    return rows
+    patients = ([r.patient_id, r.admit_ts.isoformat()] + [_fmt(v) for v in r.statics] for r in records)
+    hourly = (
+        [r.patient_id, obs.ts.isoformat()] + [_fmt(getattr(obs, name)) for name in HOURLY_FIELDS]
+        for r in records
+        for obs in r.hourly
+    )
+    sofa = ([r.patient_id, ts.isoformat(), str(int(score))] for r in records for ts, score in r.sofa)
+    cultures = ([r.patient_id, ts.isoformat(), "1" if pos else "0"] for r in records for ts, pos in r.cultures)
+    A.write_table(d / "patients.csv", PATIENTS_HEADER, patients, header_comment)
+    A.write_table(d / "hourly.csv", HOURLY_HEADER, hourly, header_comment)
+    A.write_table(d / "sofa.csv", SOFA_HEADER, sofa, header_comment)
+    A.write_table(d / "cultures.csv", CULTURES_HEADER, cultures, header_comment)
 
 
 def _parse_ts(raw: str, path, lineno: int) -> datetime:
     try:
-        return datetime.fromisoformat(raw)
-    except ValueError as exc:
-        raise FormatError(f"{path}:{lineno}: bad timestamp {raw!r}") from exc
+        ts = datetime.fromisoformat(raw)
+    except ValueError:
+        ts = None
+    if ts is None or ts.tzinfo is not None:  # naive local times only
+        raise FormatError(f"{path}:{lineno}: bad timestamp {raw!r}")
+    return ts
 
 
 def _parse_opt(raw: str, path, lineno: int) -> float | None:
     if raw == "":
         return None
     try:
-        return float(raw)
-    except ValueError as exc:
-        raise FormatError(f"{path}:{lineno}: bad number {raw!r}") from exc
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise FormatError(f"{path}:{lineno}: bad number {raw!r}")
+    return value
+
+
+def _patient_rows(path, columns, patients: dict[str, PatientRecord]):
+    """``(path, line, cells, record)`` per row of a table keyed by patient_id."""
+    for lineno, row in A.read_table(path, columns):
+        if row[0] not in patients:
+            raise FormatError(f"{path}:{lineno}: unknown patient {row[0]!r}")
+        yield path, lineno, row, patients[row[0]]
 
 
 def read_cohort(directory) -> list[PatientRecord]:
     """Parse the four cohort CSVs back into records, validating row order."""
-    from pathlib import Path
-
     d = Path(directory)
     patients: dict[str, PatientRecord] = {}
-    order: list[str] = []
-    for lineno, row in _read_rows(d / "patients.csv", PATIENTS_HEADER):
-        pid = row[0]
-        if pid in patients:
-            raise FormatError(f"patients.csv:{lineno}: duplicate patient {pid!r}")
-        admit = _parse_ts(row[1], "patients.csv", lineno)
-        statics = []
-        for raw in row[2:]:
-            v = _parse_opt(raw, "patients.csv", lineno)
-            if v is None:
-                raise FormatError(f"patients.csv:{lineno}: missing static value")
-            statics.append(v)
-        patients[pid] = PatientRecord(pid, admit, 0, [], statics, [], [])
-        order.append(pid)
+    path = d / "patients.csv"
+    for lineno, row in A.read_table(path, PATIENTS_HEADER):
+        if row[0] in patients:
+            raise FormatError(f"{path}:{lineno}: duplicate patient {row[0]!r}")
+        statics = [_parse_opt(raw, path, lineno) for raw in row[2:]]
+        if None in statics:
+            raise FormatError(f"{path}:{lineno}: missing static value")
+        patients[row[0]] = PatientRecord(row[0], _parse_ts(row[1], path, lineno), 0, [], statics, [], [])
 
-    for lineno, row in _read_rows(d / "hourly.csv", HOURLY_HEADER):
-        pid = row[0]
-        if pid not in patients:
-            raise FormatError(f"hourly.csv:{lineno}: unknown patient {pid!r}")
-        ts = _parse_ts(row[1], "hourly.csv", lineno)
+    for path, lineno, row, rec in _patient_rows(d / "hourly.csv", HOURLY_HEADER, patients):
+        ts = _parse_ts(row[1], path, lineno)
         if ts.minute or ts.second or ts.microsecond:
-            raise FormatError(f"hourly.csv:{lineno}: timestamp not on the hour")
-        rec = patients[pid]
+            raise FormatError(f"{path}:{lineno}: timestamp not on the hour")
         if rec.hourly and ts <= rec.hourly[-1].ts:
-            raise FormatError(f"hourly.csv:{lineno}: out-of-order hourly row for {pid!r}")
-        values = {
-            name: _parse_opt(raw, "hourly.csv", lineno)
-            for name, raw in zip(HOURLY_FIELDS, row[2:])
-        }
+            raise FormatError(f"{path}:{lineno}: out-of-order hourly row for {row[0]!r}")
+        values = {name: _parse_opt(raw, path, lineno) for name, raw in zip(HOURLY_FIELDS, row[2:])}
         rec.hourly.append(HourlyObservation(ts=ts, **values))
 
-    for lineno, row in _read_rows(d / "sofa.csv", SOFA_HEADER):
-        pid = row[0]
-        if pid not in patients:
-            raise FormatError(f"sofa.csv:{lineno}: unknown patient {pid!r}")
+    for path, lineno, row, rec in _patient_rows(d / "sofa.csv", SOFA_HEADER, patients):
         try:
             score = int(row[2])
         except ValueError:
-            raise FormatError(f"sofa.csv:{lineno}: bad SOFA score {row[2]!r}") from None
+            raise FormatError(f"{path}:{lineno}: bad SOFA score {row[2]!r}") from None
         if not 0 <= score <= 24:
-            raise FormatError(f"sofa.csv:{lineno}: score {score} outside [0, 24]")
-        patients[pid].sofa.append((_parse_ts(row[1], "sofa.csv", lineno), score))
+            raise FormatError(f"{path}:{lineno}: score {score} outside [0, 24]")
+        rec.sofa.append((_parse_ts(row[1], path, lineno), score))
 
-    for lineno, row in _read_rows(d / "cultures.csv", CULTURES_HEADER):
-        pid = row[0]
-        if pid not in patients:
-            raise FormatError(f"cultures.csv:{lineno}: unknown patient {pid!r}")
+    for path, lineno, row, rec in _patient_rows(d / "cultures.csv", CULTURES_HEADER, patients):
         if row[2] not in ("0", "1"):
-            raise FormatError(f"cultures.csv:{lineno}: positive flag must be 0 or 1")
-        patients[pid].cultures.append((_parse_ts(row[1], "cultures.csv", lineno), row[2] == "1"))
+            raise FormatError(f"{path}:{lineno}: positive flag must be 0 or 1")
+        rec.cultures.append((_parse_ts(row[1], path, lineno), row[2] == "1"))
 
-    records = []
-    for pid in order:
-        rec = patients[pid]
+    for pid, rec in patients.items():
         if not rec.hourly:
-            raise FormatError(f"patient {pid!r} has no hourly rows")
+            raise FormatError(f"{d / 'hourly.csv'}: patient {pid!r} has no hourly rows")
         rec.los_hours = int((rec.hourly[-1].ts - rec.admit_ts) / HOUR) + 1
-        records.append(rec)
-    return records
+    return list(patients.values())

@@ -10,12 +10,12 @@ deviation.
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import artifacts as A
 from . import model as M
 from . import pipeline as P
 from . import train as T
@@ -370,33 +370,21 @@ def emit_report(
 def emit_combined_report(
     reports: dict[str, AggregateReport], csv_path, roc_path, header_comment: str | None = None
 ) -> None:
-    with open(csv_path, "w", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        for arm, report in reports.items():
-            for row in _report_rows(arm, report):
-                writer.writerow(row)
-    with open(roc_path, "w") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        for arm, report in reports.items():
-            fh.write(f"# arm={arm}\n")
-            pooled: list[ScorePair] = []
-            for f in report.folds:
-                pooled.extend(f.scores)
-            for fpr, tpr in roc_points(pooled):
-                fh.write(f"{fpr!r} {tpr!r}\n")
+    rows = (row for arm, report in reports.items() for row in _report_rows(arm, report))
+    A.write_table(csv_path, REPORT_COLUMNS, rows, header_comment)
+    A.write_text(roc_path, _roc_lines(reports), header_comment)
+
+
+def _roc_lines(reports: dict[str, AggregateReport]):
+    for arm, report in reports.items():
+        yield f"# arm={arm}"
+        for fpr, tpr in roc_points([pair for f in report.folds for pair in f.scores]):
+            yield f"{fpr!r} {tpr!r}"
 
 
 def read_report(csv_path) -> dict[str, dict[str, dict[str, str]]]:
     """Parse report.csv into {arm: {fold_id: {column: value}}}."""
     out: dict[str, dict[str, dict[str, str]]] = {}
-    with open(csv_path, newline="") as fh:
-        rows = [r for r in csv.reader(line for line in fh if not line.startswith("#"))]
-    header = rows[0]
-    for row in rows[1:]:
-        record = dict(zip(header, row))
-        out.setdefault(record["arm"], {})[record["fold_id"]] = record
+    for _, row in A.read_table(csv_path, REPORT_COLUMNS):
+        out.setdefault(row[0], {})[row[1]] = dict(zip(REPORT_COLUMNS, row))
     return out

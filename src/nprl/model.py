@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import artifacts as A
 from . import numgrad as ng
 from .errors import ConfigError, FormatError, InputError, NumericError, ShapeError
 from .numgrad import Array, ParamSet, Tensor
@@ -458,13 +459,16 @@ def save_checkpoint(params: ParamSet, path) -> None:
         chunks.append(struct.pack("<I", p.data.ndim))
         chunks.append(struct.pack(f"<{p.data.ndim}I", *p.dims))
         chunks.append(p.data.astype("<f8").tobytes())
-    with open(path, "wb") as fh:
+    with A.atomic_open(path, "wb") as fh:
         fh.write(b"".join(chunks))
 
 
 def load_checkpoint(path) -> ParamSet:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot read: {exc.strerror or exc}") from None
     if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise FormatError(f"bad checkpoint magic in {path}")
     offset = len(CHECKPOINT_MAGIC)
@@ -481,7 +485,12 @@ def load_checkpoint(path) -> ParamSet:
     params: ParamSet = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode("utf-8")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"tensor name is not UTF-8 in {path}") from None
+        if name in params:
+            raise FormatError(f"duplicate tensor {name!r} in {path}")
         (rank,) = struct.unpack("<I", take(4))
         if rank > 8:
             raise FormatError(f"implausible tensor rank {rank} in {path}")

@@ -14,12 +14,12 @@ live here too, along with the instances.csv round trip.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 
 import numpy as np
 
+from . import artifacts as A
 from .cohort import (
     CUMULATIVE_FIELDS,
     HOUR,
@@ -27,7 +27,7 @@ from .cohort import (
     PatientRecord,
     day_start,
 )
-from .errors import FormatError, InputError
+from .errors import ConfigError, FormatError, InputError
 from .model import FeatureSchema
 from .util import derive_rng
 
@@ -421,10 +421,12 @@ def undersample_negatives(
 # ---------------------------------------------------------------------------
 
 
-def _temporal_columns(schema: FeatureSchema) -> list[str]:
-    return [
-        f"{name}_h{hour}" for hour in range(schema.window_len) for name in schema.temporal_names
-    ]
+def _instance_columns(schema: FeatureSchema) -> list[str]:
+    return (
+        ["instance_index", "patient_id", "day_index", "label"]
+        + [f"{name}_h{hour}" for hour in range(schema.window_len) for name in schema.temporal_names]
+        + list(schema.static_names)
+    )
 
 
 def write_instances(
@@ -435,85 +437,47 @@ def write_instances(
     header_comment: str | None = None,
 ) -> None:
     """instances.csv plus a key=value sidecar describing columns and subsets."""
-    header = (
-        ["instance_index", "patient_id", "day_index", "label"]
-        + _temporal_columns(schema)
-        + list(schema.static_names)
+    rows = (
+        [inst.instance_index, inst.patient_id, inst.day_index, inst.label]
+        + [repr(float(v)) for part in (inst.temporal.reshape(-1), inst.statics) for v in part]
+        for inst in instances
     )
-    with open(csv_path, "w", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for inst in instances:
-            writer.writerow(
-                [inst.instance_index, inst.patient_id, inst.day_index, inst.label]
-                + [repr(float(v)) for v in inst.temporal.reshape(-1)]
-                + [repr(float(v)) for v in inst.statics]
-            )
-    with open(sidecar_path, "w") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write(f"window_len={schema.window_len}\n")
-        fh.write(f"temporal_names={','.join(schema.temporal_names)}\n")
-        fh.write(f"static_names={','.join(schema.static_names)}\n")
-        for name in schema.temporal_names + schema.static_names:
-            fh.write(f"subset.{name}={subset_of(name)}\n")
+    A.write_table(csv_path, _instance_columns(schema), rows, header_comment)
+    fields = [
+        ("window_len", schema.window_len),
+        ("temporal_names", ",".join(schema.temporal_names)),
+        ("static_names", ",".join(schema.static_names)),
+    ] + [(f"subset.{name}", subset_of(name)) for name in schema.temporal_names + schema.static_names]
+    A.write_fields(sidecar_path, fields, header_comment)
 
 
 def read_instances(csv_path, sidecar_path) -> tuple[list[NightInstance], FeatureSchema]:
-    keys: dict[str, str] = {}
-    with open(sidecar_path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise FormatError(f"{sidecar_path}: bad line {line!r}")
-            key, value = line.split("=", 1)
-            keys[key] = value
+    fields = A.read_fields(sidecar_path)
     try:
         schema = FeatureSchema(
-            temporal_names=tuple(n for n in keys["temporal_names"].split(",") if n),
-            static_names=tuple(n for n in keys["static_names"].split(",") if n),
-            window_len=int(keys["window_len"]),
+            temporal_names=tuple(n for n in fields["temporal_names"].split(",") if n),
+            static_names=tuple(n for n in fields["static_names"].split(",") if n),
+            window_len=int(fields["window_len"]),
         )
     except KeyError as exc:
-        raise FormatError(f"{sidecar_path}: missing key {exc}")
+        raise FormatError(f"{sidecar_path}: missing key {exc}") from None
+    except ValueError:
+        raise FormatError(f"{sidecar_path}:{fields.line['window_len']}: window_len is not an integer") from None
+    except ConfigError as exc:
+        raise FormatError(f"{sidecar_path}: {exc}") from None
 
-    expected = (
-        ["instance_index", "patient_id", "day_index", "label"]
-        + _temporal_columns(schema)
-        + list(schema.static_names)
-    )
-    t = schema.n_temporal
+    n_temporal = schema.window_len * schema.n_temporal
     instances = []
-    with open(csv_path, newline="") as fh:
-        header_seen = False
-        for lineno, line in enumerate(fh, start=1):
-            if line.startswith("#"):
-                continue
-            row = next(csv.reader([line]))
-            if not header_seen:
-                if row != expected:
-                    raise FormatError(f"{csv_path}:{lineno}: header does not match sidecar")
-                header_seen = True
-                continue
-            if len(row) != len(expected):
-                raise FormatError(f"{csv_path}:{lineno}: wrong cell count")
-            try:
-                temporal = np.array([float(v) for v in row[4 : 4 + 9 * t]]).reshape(9, t)
-                statics = np.array([float(v) for v in row[4 + 9 * t :]])
-                instances.append(
-                    NightInstance(
-                        patient_id=row[1],
-                        day_index=int(row[2]),
-                        instance_index=int(row[0]),
-                        temporal=temporal,
-                        statics=statics,
-                        label=int(row[3]),
-                    )
-                )
-            except ValueError as exc:
-                raise FormatError(f"{csv_path}:{lineno}: {exc}")
+    for lineno, row in A.read_table(csv_path, _instance_columns(schema)):
+        try:
+            instance_index, day_index, label = int(row[0]), int(row[2]), int(row[3])
+            values = np.array([float(v) for v in row[4:]])
+        except ValueError as exc:
+            raise FormatError(f"{csv_path}:{lineno}: {exc}") from None
+        if label not in (0, 1):
+            raise FormatError(f"{csv_path}:{lineno}: label must be 0 or 1, got {label}")
+        if not np.isfinite(values).all():
+            raise FormatError(f"{csv_path}:{lineno}: non-finite feature value")
+        temporal = values[:n_temporal].reshape(schema.window_len, schema.n_temporal)
+        instances.append(NightInstance(row[1], day_index, instance_index, temporal, values[n_temporal:], label))
     return instances, schema

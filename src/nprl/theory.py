@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import artifacts as A
 from . import model as M
 from . import train as T
 from .errors import ConfigError, DegenerateError, InputError, NumericError
@@ -276,33 +277,22 @@ def theory_protocol(
 
 
 def write_theory_report(report: TheoremCheckReport, path, header_comment: str | None = None) -> None:
-    with open(path, "w") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write(f"# {report.note}\n")
-        fh.write(f"l_hat={report.l_hat!r}\n")
-        fh.write(f"gamma={report.gamma!r}\n")
-        fh.write(f"pairs={report.pairs_checked}\n")
-        fh.write(f"violations={report.violations}\n")
-        fh.write(f"worst_margin={report.worst_margin!r}\n")
-        fh.write(f"m0={report.m0!r}\n")
-        fh.write(f"m_star={report.m_star!r}\n")
-        fh.write(f"bound_ok={int(report.bound_ok)}\n")
-        fh.write(f"bound_constant={report.bound_constant!r}\n")
-        fh.write(f"corollary_tol={report.corollary_tol!r}\n")
-        if report.pretrain_accuracy is not None:
-            fh.write(f"pretrain_accuracy={report.pretrain_accuracy!r}\n")
-        if report.pretrain_mean_abs_cosine is not None:
-            fh.write(f"pretrain_mean_abs_cosine={report.pretrain_mean_abs_cosine!r}\n")
+    items = [
+        ("l_hat", report.l_hat),
+        ("gamma", report.gamma),
+        ("pairs", report.pairs_checked),
+        ("violations", report.violations),
+        ("worst_margin", report.worst_margin),
+        ("m0", report.m0),
+        ("m_star", report.m_star),
+        ("bound_ok", int(report.bound_ok)),
+        ("bound_constant", report.bound_constant),
+        ("corollary_tol", report.corollary_tol),
+        ("pretrain_accuracy", report.pretrain_accuracy),
+        ("pretrain_mean_abs_cosine", report.pretrain_mean_abs_cosine),
+    ]
+    A.write_fields(path, [(k, repr(v)) for k, v in items if v is not None], header_comment, note=report.note)
 
 
 def read_theory_report(path) -> dict[str, str]:
-    out: dict[str, str] = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, value = line.split("=", 1)
-            out[key] = value
-    return out
+    return A.read_fields(path)

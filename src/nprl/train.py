@@ -9,12 +9,12 @@ initialization and resampling all derive from the config seed.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import artifacts as A
 from . import model as M
 from . import numgrad as ng
 from .errors import InputError
@@ -84,13 +84,8 @@ class TrainLog:
     def to_csv(self, path, header_comment: str | None = None) -> None:
         # Wall time is intentionally not written: emitted logs must be
         # byte-identical across reruns with the same seed.
-        with open(path, "w", newline="") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "loss", "acc", "frob_dist"])
-            for row in self.epochs:
-                writer.writerow([row.epoch, repr(row.loss), repr(row.accuracy), repr(row.frob_dist)])
+        rows = ([row.epoch, repr(row.loss), repr(row.accuracy), repr(row.frob_dist)] for row in self.epochs)
+        A.write_table(path, ["epoch", "loss", "acc", "frob_dist"], rows, header_comment)
 
 
 # ---------------------------------------------------------------------------

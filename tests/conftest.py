@@ -1,0 +1,5 @@
+from hypothesis import settings
+
+# CI runs with --hypothesis-profile=ci: the same examples on every run, and no
+# per-example deadline, so a property test cannot flake on a slow runner.
+settings.register_profile("ci", derandomize=True, deadline=None)

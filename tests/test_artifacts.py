@@ -1,0 +1,283 @@
+"""The run-file format: atomic writes, a FormatError with path:line for every
+bad input, and byte mutations of every artifact kind."""
+
+import shutil
+import struct
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nprl import artifacts as A
+from nprl import cli
+from nprl import cohort as C
+from nprl import evaluation as E
+from nprl import model as M
+from nprl import pipeline as P
+from nprl import theory as TH
+from nprl.errors import FormatError, NprlError
+
+HEADER = "config_hash=abc seed=1"
+COHORT_FILES = ("patients.csv", "hourly.csv", "sofa.csv", "cultures.csv")
+INSTANCE_FILES = ("instances.csv", "instances.schema.txt")
+
+
+def write_all(d: Path) -> None:
+    """One small artifact of every kind under ``d``."""
+    records = C.generate_cohort(C.GeneratorConfig(n_patients=3, seed=5, missing_rate=0.1, los_day_range=(5, 6)))
+    C.write_cohort(records, d, header_comment=HEADER)
+    instances, schema = P.select_features(P.extract_instances(records), P.full_schema(), {1, 2})
+    P.write_instances(instances[:4], schema, d / "instances.csv", d / "instances.schema.txt", HEADER)
+    scores = [(0.9, 1), (0.2, 0), (0.6, 1), (0.4, 0), (0.7, 0)]
+    report = E.aggregate([E.FoldReport.from_scores(i, scores, 0.5) for i in range(2)])
+    E.emit_combined_report({"baseline": report}, d / "report.csv", d / "roc.txt", HEADER)
+    theory = TH.TheoremCheckReport(
+        l_hat=1.5, gamma=0.04, pairs_checked=10, violations=0, worst_margin=0.25, m0=0.01, m_star=0.02,
+        bound_ok=True, bound_constant=0.37, corollary_tol=0.02, pretrain_accuracy=0.9,
+    )
+    TH.write_theory_report(theory, d / "theory_report.txt", HEADER)
+    config = M.ModelConfig(gru_hidden=2, static_widths=(2,), trunk_widths=(), head_classes=2)
+    M.save_checkpoint(M.init_params(config, M.FeatureSchema(("a",), ("s",)), seed=0), d / "model.ckpt")
+
+
+READERS = {
+    "cohort": (COHORT_FILES, C.read_cohort),
+    "instances": (INSTANCE_FILES, lambda d: P.read_instances(d / "instances.csv", d / "instances.schema.txt")),
+    "report": (("report.csv",), lambda d: E.read_report(d / "report.csv")),
+    "theory": (("theory_report.txt",), lambda d: TH.read_theory_report(d / "theory_report.txt")),
+    "checkpoint": (("model.ckpt",), lambda d: M.load_checkpoint(d / "model.ckpt")),
+}
+
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory) -> Path:
+    d = tmp_path_factory.mktemp("artifacts")
+    write_all(d)
+    return d
+
+
+@pytest.fixture
+def run(tmp_path, pristine) -> Path:
+    """A writable copy of the pristine artifacts."""
+    shutil.copytree(pristine, tmp_path, dirs_exist_ok=True)
+    return tmp_path
+
+
+def edit_line(path: Path, index: int, new: str) -> None:
+    lines = path.read_text().splitlines()
+    lines[index] = new
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestReaders:
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_pristine_artifacts_read_back(self, pristine, kind):
+        READERS[kind][1](pristine)
+
+    def test_table_round_trip_with_line_numbers(self, tmp_path):
+        A.write_table(tmp_path / "t.csv", ["a", "b"], [["1", "x,y"], ["2", ""]], HEADER)
+        assert A.read_table(tmp_path / "t.csv", ["a", "b"]) == [(3, ["1", "x,y"]), (4, ["2", ""])]
+
+    def test_fields_round_trip_with_line_numbers(self, tmp_path):
+        A.write_fields(tmp_path / "f.txt", [("a", 1), ("b", "x=y")], HEADER, note="second comment")
+        fields = A.read_fields(tmp_path / "f.txt")
+        assert fields == {"a": "1", "b": "x=y"}
+        assert fields.line == {"a": 3, "b": 4}
+
+    def test_repeated_key_rejected(self, tmp_path):
+        (tmp_path / "f.txt").write_text("a=1\na=2\n")
+        with pytest.raises(FormatError, match=r"f\.txt:2: repeated key 'a'"):
+            A.read_fields(tmp_path / "f.txt")
+
+    def test_wrong_header_reports_line(self, tmp_path):
+        (tmp_path / "t.csv").write_text("# c\na,c\n1,2\n")
+        with pytest.raises(FormatError, match=r"t\.csv:2: unexpected header"):
+            A.read_table(tmp_path / "t.csv", ["a", "b"])
+
+    def test_csv_syntax_error_reports_line(self, tmp_path):
+        (tmp_path / "t.csv").write_bytes(b"a,b\n1,2\n3,4\r5\n")
+        with pytest.raises(FormatError, match=r"t\.csv:3: "):
+            A.read_table(tmp_path / "t.csv", ["a", "b"])
+
+
+class TestRegressions:
+    """Each input here used to end in a traceback or in silently wrong data."""
+
+    def test_comment_only_report(self, tmp_path):  # was IndexError
+        (tmp_path / "report.csv").write_text(f"# {HEADER}\n")
+        with pytest.raises(FormatError, match=r"report\.csv: missing header row"):
+            E.read_report(tmp_path / "report.csv")
+
+    def test_theory_line_without_equals(self, run):  # was ValueError
+        edit_line(run / "theory_report.txt", 4, "violations 0")
+        with pytest.raises(FormatError, match=r"theory_report\.txt:5: expected key=value"):
+            TH.read_theory_report(run / "theory_report.txt")
+
+    def test_sidecar_window_len_not_an_integer(self, run):  # was ValueError
+        edit_line(run / "instances.schema.txt", 1, "window_len=abc")
+        with pytest.raises(FormatError, match=r"instances\.schema\.txt:2: window_len is not an integer"):
+            P.read_instances(run / "instances.csv", run / "instances.schema.txt")
+
+    def test_comment_only_instances(self, run):  # used to load as []
+        (run / "instances.csv").write_text(f"# {HEADER}\n")
+        with pytest.raises(FormatError, match=r"instances\.csv: missing header row"):
+            P.read_instances(run / "instances.csv", run / "instances.schema.txt")
+
+    @pytest.mark.parametrize("name", ["hourly.csv", "instances.csv"])
+    def test_commented_out_data_row(self, run, name):  # used to be dropped
+        path = run / name
+        line = path.read_text().splitlines()[3]
+        edit_line(path, 3, "#" + line)
+        with pytest.raises(FormatError, match=rf"{name}:4: comment line after the data began"):
+            if name == "hourly.csv":
+                C.read_cohort(run)
+            else:
+                P.read_instances(run / "instances.csv", run / "instances.schema.txt")
+
+    def test_missing_hourly_file(self, run):  # was FileNotFoundError
+        (run / "hourly.csv").unlink()
+        with pytest.raises(FormatError, match=r"hourly\.csv: cannot read"):
+            C.read_cohort(run)
+
+    @pytest.mark.parametrize("name", COHORT_FILES + INSTANCE_FILES + ("report.csv", "theory_report.txt"))
+    def test_byte_0xff_reports_line(self, run, name):  # was UnicodeDecodeError
+        path = run / name
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = b"\xff" + lines[2]
+        path.write_bytes(b"\n".join(lines))
+        read = next(reader for files, reader in READERS.values() if name in files)
+        with pytest.raises(FormatError, match=rf"{name}:3: not UTF-8"):
+            read(run)
+
+
+class TestValues:
+    @pytest.mark.parametrize("label", ["2", "-1"])
+    def test_instance_label_outside_0_1(self, run, label):
+        path = run / "instances.csv"
+        cells = path.read_text().splitlines()[2].split(",")
+        cells[3] = label
+        edit_line(path, 2, ",".join(cells))
+        with pytest.raises(FormatError, match=rf"instances\.csv:3: label must be 0 or 1, got {label}"):
+            P.read_instances(path, run / "instances.schema.txt")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+    def test_instance_value_not_finite(self, run, cell):
+        path = run / "instances.csv"
+        cells = path.read_text().splitlines()[2].split(",")
+        cells[-1] = cell
+        edit_line(path, 2, ",".join(cells))
+        with pytest.raises(FormatError, match=r"instances\.csv:3: non-finite"):
+            P.read_instances(path, run / "instances.schema.txt")
+
+    @pytest.mark.parametrize("name", ["hourly.csv", "patients.csv"])
+    def test_cohort_value_not_finite(self, run, name):
+        path = run / name
+        cells = path.read_text().splitlines()[2].split(",")
+        cells[-1] = "nan"
+        edit_line(path, 2, ",".join(cells))
+        with pytest.raises(FormatError, match=rf"{name}:3: bad number 'nan'"):
+            C.read_cohort(run)
+
+    def test_timestamp_with_utc_offset_rejected(self, run):
+        path = run / "hourly.csv"
+        cells = path.read_text().splitlines()[3].split(",")
+        cells[1] += "+00:00"
+        edit_line(path, 3, ",".join(cells))
+        with pytest.raises(FormatError, match=r"hourly\.csv:4: bad timestamp"):
+            C.read_cohort(run)
+
+
+class TestCheckpointBoundary:
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(FormatError, match=r"model\.ckpt: cannot read"):
+            M.load_checkpoint(tmp_path / "model.ckpt")
+
+    def checkpoint(self, *names: bytes) -> bytes:
+        blob = M.CHECKPOINT_MAGIC + struct.pack("<I", len(names))
+        for name in names:
+            blob += struct.pack("<I", len(name)) + name + struct.pack("<II", 1, 1) + struct.pack("<d", 0.5)
+        return blob
+
+    def test_name_not_utf8(self, tmp_path):
+        (tmp_path / "model.ckpt").write_bytes(self.checkpoint(b"\xffw"))
+        with pytest.raises(FormatError, match=r"model\.ckpt"):
+            M.load_checkpoint(tmp_path / "model.ckpt")
+
+    def test_duplicate_name(self, tmp_path):
+        (tmp_path / "model.ckpt").write_bytes(self.checkpoint(b"w", b"v", b"w"))
+        with pytest.raises(FormatError, match=r"duplicate tensor 'w' in .*model\.ckpt"):
+            M.load_checkpoint(tmp_path / "model.ckpt")
+
+    def test_well_formed_checkpoint_loads(self, tmp_path):
+        (tmp_path / "model.ckpt").write_bytes(self.checkpoint(b"w", b"v"))
+        assert list(M.load_checkpoint(tmp_path / "model.ckpt")) == ["w", "v"]
+
+
+class TestAtomicWrites:
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        A.write_table(path, ["a"], [["1"]], HEADER)
+        before = path.read_bytes()
+
+        def rows():
+            yield ["2"]
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError, match="interrupted"):
+            A.write_table(path, ["a"], rows(), HEADER)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+    def test_failed_binary_write_keeps_previous_file(self, tmp_path, pristine):
+        path = tmp_path / "model.ckpt"
+        M.save_checkpoint(M.load_checkpoint(pristine / "model.ckpt"), path)
+        assert path.read_bytes() == (pristine / "model.ckpt").read_bytes()
+        with pytest.raises(RuntimeError, match="interrupted"):
+            with A.atomic_open(path, "wb") as fh:
+                fh.write(b"NPRL1")
+                raise RuntimeError("interrupted")
+        assert path.read_bytes() == (pristine / "model.ckpt").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+
+def test_cli_reports_bad_artifact_without_traceback(tmp_path, capsys):
+    overrides = ["--set", "generator.n_patients=5", "--set", "generator.missing_rate=0.0"]
+    assert cli.main(["gen", "--out", str(tmp_path)] + overrides) == 0
+    (hourly,) = tmp_path.glob("run-*/cohort/hourly.csv")
+    hourly.write_bytes(hourly.read_bytes().replace(b"p00001", b"p0000\xff", 1))
+    capsys.readouterr()
+    assert cli.main(["extract", "--out", str(tmp_path)] + overrides) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "hourly.csv:" in err and "not UTF-8" in err
+    assert "Traceback" not in err
+
+
+def mutate(blob: bytes, op: str, at: int, value: int) -> bytes:
+    if op == "overwrite":
+        return blob[:at] + bytes([value]) + blob[at + 1 :]
+    if op == "delete":
+        return blob[:at] + blob[at + 1 :]
+    return blob[:at]
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_any_byte_mutation_returns_or_raises_nprl_error(pristine, kind, data):
+    files, read = READERS[kind]
+    name = data.draw(st.sampled_from(files), label="file")
+    blob = (pristine / name).read_bytes()
+    op = data.draw(st.sampled_from(["overwrite", "delete", "truncate"]), label="op")
+    at = data.draw(st.integers(0, len(blob) - (op != "truncate")), label="offset")
+    value = data.draw(st.integers(0, 255), label="byte")
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        for f in files:
+            shutil.copy(pristine / f, d / f)
+        (d / name).write_bytes(mutate(blob, op, at, value))
+        try:
+            read(d)
+        except NprlError:
+            pass
