@@ -3,7 +3,8 @@
 An artifact is optional ``# ...`` comment lines, allowed only before the
 first data line, then either a CSV table whose first row names the columns
 or ``key=value`` lines. Every read failure ends in :class:`FormatError` with
-a ``<path>:<line>:`` message (``<path>:`` where no line applies). Every write
+a ``<path>:<line>:`` message (``<path>:`` where no line applies); every
+number in one goes through :func:`number`. Every write
 goes to ``<path>.tmp``, which then replaces ``path``, so no reader ever sees
 a half-written file.
 """
@@ -14,9 +15,22 @@ import csv
 import itertools
 import os
 from contextlib import contextmanager
+from math import isfinite
 from typing import Iterable, Sequence
 
 from .errors import FormatError
+
+
+def number(raw: str, kind: type = float):
+    """``kind(raw)`` (``float`` or ``int``) for a finite number written without
+    ``_`` digit separators, which ``float`` and ``int`` would accept, so that
+    one changed byte cannot load as a different number; ValueError otherwise."""
+    if "_" in raw:
+        raise ValueError(f"bad number {raw!r}")
+    value = kind(raw)
+    if not isfinite(value):
+        raise ValueError(f"non-finite number {raw!r}")
+    return value
 
 
 @contextmanager

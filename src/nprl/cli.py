@@ -2,8 +2,9 @@
 the comparison arms under cross-validation, and run the geometry checks.
 
 Configuration is flat INI (section.key = value). Every value has a built-in
-default; a config file and repeatable ``--set section.key=value`` overrides
-layer on top. Each run writes its artifacts under ``<out>/run-<seed>-<hash>``,
+default in ``DEFAULTS``, the only copy of the defaults; a config file and
+repeatable ``--set section.key=value`` overrides layer on top. Loading parses
+and checks every value before any stage runs. Each run writes its artifacts under ``<out>/run-<seed>-<hash>``,
 where the hash covers the fully resolved configuration, and every text output
 starts with a comment line embedding that hash and the master seed, so rerun
 outputs are byte-identical.
@@ -16,16 +17,17 @@ import configparser
 import hashlib
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
+from . import artifacts as A
 from . import evaluation as E
 from . import pipeline as P
 from . import theory as TH
 from . import train as T
-from .cohort import GeneratorConfig, VitalParams, default_vitals, generate_cohort, read_cohort, write_cohort
-from .errors import ConfigError, NprlError
-from .model import ModelConfig, replace_head, save_checkpoint
+from .cohort import GeneratorConfig, default_vitals, generate_cohort, read_cohort, write_cohort
+from .errors import ConfigError, FieldError, InputError, NprlError
+from .model import ModelConfig, save_checkpoint
 from .util import derive_rng, derive_seed
 
 COMMANDS = ("gen", "extract", "pretrain", "train", "eval", "theory", "all")
@@ -95,11 +97,90 @@ DEFAULTS: dict[str, dict[str, str]] = {
 EXECUTION_ONLY = frozenset({("run", "workers"), ("run", "out")})
 
 
+def _bool(raw: str) -> bool:
+    if raw.lower() in ("true", "1", "yes", "on"):
+        return True
+    if raw.lower() in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(raw)
+
+
+# A config dataclass field's annotation -> the parser of its INI string, and
+# what that string must be.
+_PARSERS = {
+    "int": (lambda raw: A.number(raw, int), "an integer"),
+    "float": (A.number, "a finite number"),
+    "bool": (_bool, "a boolean"),
+    "str": (str, "a string"),
+    "tuple[int, ...]": (
+        lambda raw: tuple(A.number(v, int) for v in raw.split(",")) if raw else (),
+        "a comma list of integers",
+    ),
+}
+
+# The INI key of a field whose name differs from it. `lam` is read from
+# `lambda`; the generator's day ranges are read from their `_min`/`_max` keys
+# by hand, and an error about a range names its `_min` key.
+_KEYS = {"lam": "lambda", "onset_day_range": "onset_day_min", "los_day_range": "los_day_min"}
+
+
+def _require(ok: bool, key: str, message: str) -> None:
+    if not ok:
+        raise ConfigError(f"{key}: {message}")
+
+
 class RunConfig:
-    """Resolved configuration: defaults, then file, then --set overrides."""
+    """Resolved configuration: defaults, then file, then --set overrides.
+
+    Building one parses and checks every value and builds every stage's
+    config, so a bad value ends in ``ConfigError("<section>.<key>: ...")``
+    before any stage runs or any run directory exists.
+    """
 
     def __init__(self, values: dict[str, dict[str, str]]):
         self.values = values
+        self.seed = self.get_int("run", "seed")
+        self.workers = self.get_int("run", "workers")
+        _require(self.workers >= 1, "run.workers", f"must be >= 1, got {self.workers}")
+        self.generator = self._generator_config()
+        self.subsets = set(self.parse("features", "subsets", "tuple[int, ...]"))
+        try:
+            P.check_subsets(self.subsets)
+        except InputError as exc:
+            raise ConfigError(f"features.subsets: {exc}") from None
+        self.k_folds = self.get_int("eval", "k_folds")
+        _require(self.k_folds >= 2, "eval.k_folds", f"must be >= 2, got {self.k_folds}")
+        self.arms = tuple(a.strip() for a in self.get("eval", "arms").split(",") if a.strip())
+        _require(
+            0 < len(set(self.arms)) == len(self.arms) and set(self.arms) <= set(E.ARMS),
+            "eval.arms",
+            f"must list distinct arms out of {', '.join(E.ARMS)}, got {self.get('eval', 'arms')!r}",
+        )
+        self.arm_configs = self.bind(
+            E.ArmConfigs,
+            "eval",
+            model=self.bind(ModelConfig, "model"),
+            pretrain=self.bind(T.PretrainConfig, "pretrain"),
+            finetune=self.bind(T.FinetuneConfig, "finetune"),
+            baseline=self.bind(T.BaselineConfig, "baseline"),
+        )
+        self.max_instances = self.get_int("theory", "max_instances")
+        _require(self.max_instances >= 2, "theory.max_instances", f"must be >= 2, got {self.max_instances}")
+        self.theory = self.bind(
+            TH.TheoryConfig,
+            "theory",
+            # the head reads the normalized representation directly here
+            model=self.bind(ModelConfig, "theory", trunk_widths=(), normalize_representation=True),
+            pretrain=self.bind(T.PretrainConfig, "theory", prefix="pretrain_"),
+            finetune=self.bind(
+                T.FinetuneConfig,
+                "theory",
+                prefix="finetune_",
+                mode="projected",
+                gamma=1.0,  # placeholder, the protocol sets the real radius
+                batch_size=self.arm_configs.finetune.batch_size,
+            ),
+        )
 
     @classmethod
     def load(cls, config_path: str | None, overrides: list[str]) -> "RunConfig":
@@ -113,6 +194,8 @@ class RunConfig:
                 raise ConfigError(f"config file not found: {config_path}")
             except configparser.Error as exc:
                 raise ConfigError(f"cannot parse {config_path}: {exc}")
+            if parser.defaults():  # its keys would reach only the sections the file names
+                raise ConfigError(f"{config_path}: a [DEFAULT] section is not allowed")
             for section in parser.sections():
                 if section not in values:
                     raise ConfigError(f"{config_path}: unknown section [{section}]")
@@ -133,34 +216,63 @@ class RunConfig:
     def get(self, section: str, key: str) -> str:
         return self.values[section][key]
 
-    def get_int(self, section: str, key: str) -> int:
+    def parse(self, section: str, key: str, kind: str):
+        """``section.key`` parsed as the field annotation ``kind``."""
+        parser, what = _PARSERS[kind]
+        raw = self.get(section, key)
         try:
-            return int(self.get(section, key))
+            return parser(raw)
         except ValueError:
-            raise ConfigError(f"{section}.{key} must be an integer, got {self.get(section, key)!r}")
+            raise ConfigError(f"{section}.{key}: must be {what}, got {raw!r}") from None
 
-    def get_float(self, section: str, key: str) -> float:
-        try:
-            return float(self.get(section, key))
-        except ValueError:
-            raise ConfigError(f"{section}.{key} must be a number, got {self.get(section, key)!r}")
+    def get_int(self, section: str, key: str) -> int:
+        return self.parse(section, key, "int")
 
     def get_bool(self, section: str, key: str) -> bool:
-        raw = self.get(section, key).lower()
-        if raw in ("true", "1", "yes", "on"):
-            return True
-        if raw in ("false", "0", "no", "off"):
-            return False
-        raise ConfigError(f"{section}.{key} must be a boolean, got {raw!r}")
+        return self.parse(section, key, "bool")
 
-    def get_ints(self, section: str, key: str) -> tuple[int, ...]:
-        raw = self.get(section, key).strip()
-        if not raw:
-            return ()
+    def bind(self, cls, section: str, prefix: str = "", **fixed):
+        """The frozen dataclass ``cls`` built from ``[section]``: a field not in
+        ``fixed`` takes the value of key ``prefix + <field name>``, parsed by
+        the field's annotation, or its default when the section has no such
+        key. A value the dataclass rejects is reported under its key."""
+        kwargs = dict(fixed)
+        for f in fields(cls):
+            key = prefix + _KEYS.get(f.name, f.name)
+            if f.name not in fixed and key in self.values[section]:
+                kwargs[f.name] = self.parse(section, key, f.type)
         try:
-            return tuple(int(v) for v in raw.split(","))
-        except ValueError:
-            raise ConfigError(f"{section}.{key} must be a comma list of integers, got {raw!r}")
+            return cls(**kwargs)
+        except FieldError as exc:
+            raise ConfigError(f"{section}.{prefix}{_KEYS.get(exc.field, exc.field)}: {exc.message}") from None
+
+    def _generator_config(self) -> GeneratorConfig:
+        vitals = default_vitals()
+        for name in ("heart_rate", "temperature", "resp_rate"):
+            drift = self.parse("generator", f"drift_{name}", "float")
+            vitals[name] = replace(vitals[name], onset_drift=drift)
+        noise_mult = self.parse("generator", "noise_mult", "float")
+        # empty keeps the per-vital coefficients
+        ar_coeff = self.parse("generator", "ar_coeff", "float") if self.get("generator", "ar_coeff") else None
+        if ar_coeff is not None or noise_mult != 1.0:
+            for name, vp in vitals.items():
+                vitals[name] = replace(
+                    vp,
+                    ar_coeff=vp.ar_coeff if ar_coeff is None else ar_coeff,
+                    noise_scale=vp.noise_scale * noise_mult,
+                )
+
+        def day_range(what: str) -> tuple[int, int]:
+            return tuple(self.get_int("generator", f"{what}_day_{end}") for end in ("min", "max"))
+
+        return self.bind(
+            GeneratorConfig,
+            "generator",
+            onset_day_range=day_range("onset"),
+            los_day_range=day_range("los"),
+            seed=derive_seed(self.seed, "generator"),
+            vitals=vitals,
+        )
 
     def config_hash(self) -> str:
         """Hash of every key that can change an artifact; execution-only keys
@@ -175,116 +287,6 @@ class RunConfig:
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _generator_config(cfg: RunConfig) -> GeneratorConfig:
-    vitals = default_vitals()
-    vitals["heart_rate"] = replace(vitals["heart_rate"], onset_drift=cfg.get_float("generator", "drift_heart_rate"))
-    vitals["temperature"] = replace(vitals["temperature"], onset_drift=cfg.get_float("generator", "drift_temperature"))
-    vitals["resp_rate"] = replace(vitals["resp_rate"], onset_drift=cfg.get_float("generator", "drift_resp_rate"))
-    noise_mult = cfg.get_float("generator", "noise_mult")
-    ar_raw = cfg.get("generator", "ar_coeff").strip()
-    if ar_raw or noise_mult != 1.0:
-        for name, vp in vitals.items():
-            vitals[name] = replace(
-                vp,
-                ar_coeff=float(ar_raw) if ar_raw else vp.ar_coeff,
-                noise_scale=vp.noise_scale * noise_mult,
-            )
-    return GeneratorConfig(
-        n_patients=cfg.get_int("generator", "n_patients"),
-        sepsis_fraction=cfg.get_float("generator", "sepsis_fraction"),
-        missing_rate=cfg.get_float("generator", "missing_rate"),
-        onset_day_range=(cfg.get_int("generator", "onset_day_min"), cfg.get_int("generator", "onset_day_max")),
-        los_day_range=(cfg.get_int("generator", "los_day_min"), cfg.get_int("generator", "los_day_max")),
-        seed=derive_seed(cfg.get_int("run", "seed"), "generator"),
-        vitals=vitals,
-    )
-
-
-def _model_config(cfg: RunConfig, head_classes: int = 2) -> ModelConfig:
-    return ModelConfig(
-        gru_hidden=cfg.get_int("model", "gru_hidden"),
-        static_widths=cfg.get_ints("model", "static_widths"),
-        trunk_widths=cfg.get_ints("model", "trunk_widths"),
-        head_classes=head_classes,
-        normalize_representation=cfg.get_bool("model", "normalize_representation"),
-    )
-
-
-def _pretrain_config(cfg: RunConfig, seed: int) -> T.PretrainConfig:
-    return T.PretrainConfig(
-        epochs=cfg.get_int("pretrain", "epochs"),
-        batch_size=cfg.get_int("pretrain", "batch_size"),
-        learning_rate=cfg.get_float("pretrain", "learning_rate"),
-        seed=seed,
-    )
-
-
-def _finetune_config(cfg: RunConfig, seed: int) -> T.FinetuneConfig:
-    return T.FinetuneConfig(
-        mode=cfg.get("finetune", "mode"),
-        lam=cfg.get_float("finetune", "lambda"),
-        gamma=cfg.get_float("finetune", "gamma"),
-        learning_rate=cfg.get_float("finetune", "learning_rate"),
-        epochs=cfg.get_int("finetune", "epochs"),
-        batch_size=cfg.get_int("finetune", "batch_size"),
-        seed=seed,
-        loss=cfg.get("finetune", "loss"),
-        resample=cfg.get_bool("finetune", "resample"),
-    )
-
-
-def _baseline_config(cfg: RunConfig, seed: int) -> T.BaselineConfig:
-    return T.BaselineConfig(
-        epochs=cfg.get_int("baseline", "epochs"),
-        batch_size=cfg.get_int("baseline", "batch_size"),
-        learning_rate=cfg.get_float("baseline", "learning_rate"),
-        seed=seed,
-    )
-
-
-def _arm_configs(cfg: RunConfig) -> E.ArmConfigs:
-    return E.ArmConfigs(
-        model=_model_config(cfg),
-        pretrain=_pretrain_config(cfg, 0),
-        finetune=_finetune_config(cfg, 0),
-        baseline=_baseline_config(cfg, 0),
-        resample_target=cfg.get_int("eval", "resample_target"),
-        threshold=cfg.get_float("eval", "threshold"),
-        weight_scheme=cfg.get("eval", "weight_scheme"),
-        effective_beta=cfg.get_float("eval", "effective_beta"),
-    )
-
-
-def _theory_config(cfg: RunConfig) -> TH.TheoryConfig:
-    model = ModelConfig(
-        gru_hidden=cfg.get_int("theory", "gru_hidden"),
-        static_widths=cfg.get_ints("theory", "static_widths"),
-        trunk_widths=(),  # the head reads the representation directly here
-        head_classes=2,
-        normalize_representation=True,
-    )
-    return TH.TheoryConfig(
-        model=model,
-        pretrain=T.PretrainConfig(
-            epochs=cfg.get_int("theory", "pretrain_epochs"),
-            batch_size=cfg.get_int("theory", "pretrain_batch_size"),
-            learning_rate=cfg.get_float("theory", "pretrain_learning_rate"),
-        ),
-        finetune=T.FinetuneConfig(
-            mode="projected",
-            gamma=1.0,  # placeholder, the protocol sets the real radius
-            learning_rate=cfg.get_float("theory", "finetune_learning_rate"),
-            epochs=cfg.get_int("theory", "finetune_epochs"),
-            batch_size=cfg.get_int("finetune", "batch_size"),
-        ),
-        n_probes=cfg.get_int("theory", "n_probes"),
-        probe_scale=cfg.get_float("theory", "probe_scale"),
-        safety=cfg.get_float("theory", "safety"),
-        n_pairs=cfg.get_int("theory", "n_pairs"),
-        corollary_tol=cfg.get_float("theory", "corollary_tol"),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -293,7 +295,7 @@ def _theory_config(cfg: RunConfig) -> TH.TheoryConfig:
 class Runner:
     def __init__(self, cfg: RunConfig, out_root: str | None):
         self.cfg = cfg
-        self.seed = cfg.get_int("run", "seed")
+        self.seed = cfg.seed
         root = out_root or cfg.get("run", "out") or os.environ.get("NPRL_OUT") or "runs"
         self.run_dir = Path(root) / f"run-{self.seed}-{cfg.config_hash()[:8]}"
         self.run_dir.mkdir(parents=True, exist_ok=True)
@@ -303,7 +305,7 @@ class Runner:
         print(f"[nprl] {message}")
 
     def cmd_gen(self) -> list:
-        records = generate_cohort(_generator_config(self.cfg))
+        records = generate_cohort(self.cfg.generator)
         write_cohort(records, self.run_dir / "cohort", header_comment=self.header)
         self.log(f"wrote cohort of {len(records)} patients to {self.run_dir / 'cohort'}")
         return records
@@ -311,8 +313,7 @@ class Runner:
     def cmd_extract(self, records=None):
         records = records if records is not None else read_cohort(self.run_dir / "cohort")
         instances = P.extract_instances(records)
-        subsets = set(self.cfg.get_ints("features", "subsets"))
-        instances, schema = P.select_features(instances, P.full_schema(), subsets)
+        instances, schema = P.select_features(instances, P.full_schema(), self.cfg.subsets)
         P.write_instances(
             instances,
             schema,
@@ -331,8 +332,12 @@ class Runner:
         instances, schema = data if data is not None else self._load_instances()
         scaled = P.apply_minmax(instances, P.fit_minmax(instances))
         profiles = T.strip_labels(scaled)
+        configs = self.cfg.arm_configs
         params, log = T.nprl_pretrain(
-            profiles, _model_config(self.cfg), schema, _pretrain_config(self.cfg, derive_seed(self.seed, "pretrain"))
+            profiles,
+            configs.model,
+            schema,
+            replace(configs.pretrain, seed=derive_seed(self.seed, "pretrain")),
         )
         save_checkpoint(params, self.run_dir / "pretrain.ckpt")
         log.to_csv(self.run_dir / "pretrain_log.csv", header_comment=self.header)
@@ -345,32 +350,23 @@ class Runner:
     def cmd_train(self, data=None):
         instances, schema = data if data is not None else self._load_instances()
         scaled = P.apply_minmax(instances, P.fit_minmax(instances))
-        data_set = P.resample_training(
-            scaled, self.cfg.get_int("eval", "resample_target"), derive_seed(self.seed, "resample")
-        )
+        configs = self.cfg.arm_configs
+        data_set = P.resample_training(scaled, configs.resample_target, derive_seed(self.seed, "resample"))
         params, log = T.train_baseline(
-            data_set,
-            _model_config(self.cfg),
-            schema,
-            _baseline_config(self.cfg, derive_seed(self.seed, "train")),
+            data_set, configs.model, schema, replace(configs.baseline, seed=derive_seed(self.seed, "train"))
         )
         save_checkpoint(params, self.run_dir / "model.ckpt")
         log.to_csv(self.run_dir / "train_log.csv", header_comment=self.header)
         self.log(f"trained baseline on {len(data_set)} instances -> model.ckpt")
         return params
 
-    def cmd_eval(self, data=None, workers: int | None = None):
+    def cmd_eval(self, data=None):
         instances, schema = data if data is not None else self._load_instances()
-        split = P.stratified_kfold(
-            instances, self.cfg.get_int("eval", "k_folds"), derive_seed(self.seed, "folds")
-        )
-        arms = [a.strip() for a in self.cfg.get("eval", "arms").split(",") if a.strip()]
-        configs = _arm_configs(self.cfg)
-        n_workers = workers if workers is not None else self.cfg.get_int("run", "workers")
+        split = P.stratified_kfold(instances, self.cfg.k_folds, derive_seed(self.seed, "folds"))
         reports = {}
-        for arm in arms:
+        for arm in self.cfg.arms:
             reports[arm] = E.cross_validate(
-                instances, schema, split, arm, configs, self.seed, n_workers=n_workers
+                instances, schema, split, arm, self.cfg.arm_configs, self.seed, n_workers=self.cfg.workers
             )
             self.log(
                 f"arm {arm}: pooled AUROC {reports[arm].pooled_auroc:.4f}, "
@@ -385,12 +381,12 @@ class Runner:
 
     def cmd_theory(self, data=None):
         instances, schema = data if data is not None else self._load_instances()
-        cap = self.cfg.get_int("theory", "max_instances")
+        cap = self.cfg.max_instances
         if len(instances) > cap:
             keep = derive_rng(self.seed, "theory_subset").choice(len(instances), size=cap, replace=False)
             instances = [instances[i] for i in sorted(keep)]
         scaled = P.apply_minmax(instances, P.fit_minmax(instances))
-        report = TH.theory_protocol(scaled, schema, _theory_config(self.cfg), derive_seed(self.seed, "theory"))
+        report = TH.theory_protocol(scaled, schema, self.cfg.theory, derive_seed(self.seed, "theory"))
         TH.write_theory_report(report, self.run_dir / "theory_report.txt", header_comment=self.header)
         self.log(
             f"theory: l_hat={report.l_hat:.4f} gamma={report.gamma:.6f} "
@@ -399,10 +395,9 @@ class Runner:
         )
         return report
 
-    def cmd_all(self, workers: int | None = None):
-        records = self.cmd_gen()
-        data = self.cmd_extract(records)
-        self.cmd_eval(data, workers=workers)
+    def cmd_all(self):
+        data = self.cmd_extract(self.cmd_gen())
+        self.cmd_eval(data)
         self.cmd_theory(data)
 
 
@@ -428,29 +423,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # --seed and --workers set run.seed and run.workers, over any --set of them
+    flags = [f"run.{key}={getattr(args, key)}" for key in ("seed", "workers") if getattr(args, key) is not None]
     try:
-        cfg = RunConfig.load(args.config, args.overrides)
-        if args.seed is not None:
-            cfg.values["run"]["seed"] = str(args.seed)
-        if args.workers is not None:
-            cfg.values["run"]["workers"] = str(args.workers)
-        runner = Runner(cfg, args.out)
-        if args.command == "gen":
-            runner.cmd_gen()
-        elif args.command == "extract":
-            runner.cmd_extract()
-        elif args.command == "pretrain":
-            runner.cmd_pretrain()
-        elif args.command == "train":
-            runner.cmd_train()
-        elif args.command == "eval":
-            runner.cmd_eval(workers=args.workers)
-        elif args.command == "theory":
-            runner.cmd_theory()
-        elif args.command == "all":
-            runner.cmd_all(workers=args.workers)
+        runner = Runner(RunConfig.load(args.config, args.overrides + flags), args.out)
+        getattr(runner, f"cmd_{args.command}")()
     except NprlError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -15,7 +15,6 @@ bit-reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -23,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts as A
-from .errors import FormatError, InputError
+from .errors import FieldError, FormatError, InputError
 from .util import derive_rng
 
 VITAL_FIELDS = ("heart_rate", "sbp", "dbp", "resp_rate", "temperature", "fio2")
@@ -124,14 +123,25 @@ class GeneratorConfig:
     sofa_interval_hours: int = 6
 
     def __post_init__(self):
+        if self.n_patients < 1:
+            raise FieldError("n_patients", f"must be >= 1, got {self.n_patients}")
         if not 0.0 <= self.sepsis_fraction <= 1.0:
-            raise InputError(f"sepsis_fraction must be in [0, 1], got {self.sepsis_fraction}")
+            raise FieldError("sepsis_fraction", f"must be in [0, 1], got {self.sepsis_fraction}")
         if not 0.0 <= self.missing_rate < 1.0:
-            raise InputError(f"missing_rate must be in [0, 1), got {self.missing_rate}")
-        if self.los_day_range[0] < 5:
-            raise InputError("minimum length of stay is 5 days so night windows exist")
+            raise FieldError("missing_rate", f"must be in [0, 1), got {self.missing_rate}")
+        los_min, los_max = self.los_day_range
+        if not 5 <= los_min <= los_max:  # five days so that night windows exist
+            raise FieldError("los_day_range", f"must be (min, max), 5 <= min <= max, got {self.los_day_range}")
+        # onsets fall on days 3..los-2 (see _gen_patient), so the shortest stay
+        # must leave one day of the range
+        if max(3, self.onset_day_range[0]) > min(self.onset_day_range[1], los_min - 2):
+            raise FieldError(
+                "onset_day_range",
+                f"{self.onset_day_range} leaves no onset day in 3..{los_min - 2}, "
+                f"the days a {los_min}-day stay allows",
+            )
         if set(self.vitals) != set(VITAL_FIELDS):
-            raise InputError(f"vitals config must cover exactly {VITAL_FIELDS}")
+            raise FieldError("vitals", f"must cover exactly {VITAL_FIELDS}")
 
 
 def day_start(admit_ts: datetime, day: int) -> datetime:
@@ -258,8 +268,6 @@ def _gen_patient(position: int, septic: bool, config: GeneratorConfig) -> Patien
 def generate_cohort(config: GeneratorConfig) -> list[PatientRecord]:
     """Generate the full cohort; exactly the configured septic quota, then
     missingness injected at the configured rate."""
-    if config.n_patients <= 0:
-        raise InputError(f"n_patients must be positive, got {config.n_patients}")
     quota = _septic_quota(config)
     order = derive_rng(config.seed, "assignment").permutation(config.n_patients)
     septic_positions = set(int(i) for i in order[:quota])
@@ -355,12 +363,9 @@ def _parse_opt(raw: str, path, lineno: int) -> float | None:
     if raw == "":
         return None
     try:
-        value = float(raw)
+        return A.number(raw)
     except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise FormatError(f"{path}:{lineno}: bad number {raw!r}")
-    return value
+        raise FormatError(f"{path}:{lineno}: bad number {raw!r}") from None
 
 
 def _patient_rows(path, columns, patients: dict[str, PatientRecord]):
@@ -375,6 +380,7 @@ def read_cohort(directory) -> list[PatientRecord]:
     """Parse the four cohort CSVs back into records, validating row order."""
     d = Path(directory)
     patients: dict[str, PatientRecord] = {}
+    admit_line: dict[str, int] = {}
     path = d / "patients.csv"
     for lineno, row in A.read_table(path, PATIENTS_HEADER):
         if row[0] in patients:
@@ -383,6 +389,7 @@ def read_cohort(directory) -> list[PatientRecord]:
         if None in statics:
             raise FormatError(f"{path}:{lineno}: missing static value")
         patients[row[0]] = PatientRecord(row[0], _parse_ts(row[1], path, lineno), 0, [], statics, [], [])
+        admit_line[row[0]] = lineno
 
     for path, lineno, row, rec in _patient_rows(d / "hourly.csv", HOURLY_HEADER, patients):
         ts = _parse_ts(row[1], path, lineno)
@@ -395,7 +402,7 @@ def read_cohort(directory) -> list[PatientRecord]:
 
     for path, lineno, row, rec in _patient_rows(d / "sofa.csv", SOFA_HEADER, patients):
         try:
-            score = int(row[2])
+            score = A.number(row[2], int)
         except ValueError:
             raise FormatError(f"{path}:{lineno}: bad SOFA score {row[2]!r}") from None
         if not 0 <= score <= 24:
@@ -410,5 +417,10 @@ def read_cohort(directory) -> list[PatientRecord]:
     for pid, rec in patients.items():
         if not rec.hourly:
             raise FormatError(f"{d / 'hourly.csv'}: patient {pid!r} has no hourly rows")
+        if rec.hourly[0].ts < rec.admit_ts:
+            raise FormatError(
+                f"{d / 'patients.csv'}:{admit_line[pid]}: admit time {rec.admit_ts.isoformat()} is after "
+                f"the patient's first hourly row at {rec.hourly[0].ts.isoformat()}"
+            )
         rec.los_hours = int((rec.hourly[-1].ts - rec.admit_ts) / HOUR) + 1
     return list(patients.values())

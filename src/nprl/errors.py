@@ -25,6 +25,17 @@ class ConfigError(NprlError):
     """A configuration object or file is inconsistent."""
 
 
+class FieldError(InputError, ConfigError):
+    """A config dataclass was given a bad value; ``field`` names the field."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(field, message)
+        self.field, self.message = field, message
+
+    def __str__(self) -> str:
+        return f"{self.field}: {self.message}"
+
+
 class UndefinedMetricError(NprlError):
     """A metric is undefined for the given inputs (e.g. single-class AUROC)."""
 

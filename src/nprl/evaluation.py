@@ -19,7 +19,7 @@ from . import artifacts as A
 from . import model as M
 from . import pipeline as P
 from . import train as T
-from .errors import InputError, LeakageError, UndefinedMetricError
+from .errors import FieldError, InputError, LeakageError, UndefinedMetricError
 from .model import FeatureSchema, ModelConfig
 from .util import derive_seed
 
@@ -164,6 +164,18 @@ class ArmConfigs:
     threshold: float = 0.5
     weight_scheme: str = "inverse_frequency"
     effective_beta: float = 0.999
+
+    def __post_init__(self):
+        if self.resample_target < 1:
+            raise FieldError("resample_target", f"must be >= 1, got {self.resample_target}")
+        if not 0.0 <= self.threshold <= 1.0:
+            raise FieldError("threshold", f"must be in [0, 1], got {self.threshold}")
+        if self.weight_scheme not in ("inverse_frequency", "effective_number"):
+            raise FieldError(
+                "weight_scheme", f"must be inverse_frequency or effective_number, got {self.weight_scheme!r}"
+            )
+        if self.weight_scheme == "effective_number" and not 0.0 <= self.effective_beta < 1.0:
+            raise FieldError("effective_beta", f"must be in [0, 1), got {self.effective_beta}")
 
 
 def _fit_arm(

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import artifacts as A
 from . import numgrad as ng
-from .errors import ConfigError, FormatError, InputError, NumericError, ShapeError
+from .errors import ConfigError, FieldError, FormatError, InputError, NumericError, ShapeError
 from .numgrad import Array, ParamSet, Tensor
 
 WINDOW_LEN = 9
@@ -58,11 +58,12 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.gru_hidden < 1:
-            raise ConfigError(f"gru_hidden must be >= 1, got {self.gru_hidden}")
+            raise FieldError("gru_hidden", f"must be >= 1, got {self.gru_hidden}")
         if self.head_classes < 2:
-            raise ConfigError(f"head_classes must be >= 2, got {self.head_classes}")
-        if any(w < 1 for w in self.static_widths) or any(w < 1 for w in self.trunk_widths):
-            raise ConfigError("layer widths must be positive")
+            raise FieldError("head_classes", f"must be >= 2, got {self.head_classes}")
+        for name in ("static_widths", "trunk_widths"):
+            if any(w < 1 for w in getattr(self, name)):
+                raise FieldError(name, f"layer widths must be positive, got {getattr(self, name)}")
 
 
 def rep_width(config: ModelConfig, n_static: int) -> int:
@@ -502,7 +503,10 @@ def load_checkpoint(path) -> ParamSet:
             raise FormatError(f"tensor dims overflow in {path}: {dims}")
         payload = take(8 * n_elem)
         data = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
-        params[name] = Tensor(data, requires_grad=True)
+        try:
+            params[name] = Tensor(data, requires_grad=True)
+        except NumericError:
+            raise FormatError(f"non-finite values in tensor {name!r} in {path}") from None
     if offset != len(blob):
         raise FormatError(f"trailing bytes in checkpoint {path}")
     return params

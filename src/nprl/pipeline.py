@@ -266,6 +266,14 @@ def extract_instances(
 # ---------------------------------------------------------------------------
 
 
+def check_subsets(subsets: set[int]) -> None:
+    """InputError unless ``subsets`` names subset 1 and only subsets 1 to 3."""
+    if 1 not in subsets:
+        raise InputError("feature subset 1 is required")
+    if not subsets <= {1, 2, 3}:
+        raise InputError(f"unknown subsets {sorted(subsets - {1, 2, 3})}")
+
+
 def select_features(
     instances: list[NightInstance], schema: FeatureSchema, subsets: set[int]
 ) -> tuple[list[NightInstance], FeatureSchema]:
@@ -274,10 +282,7 @@ def select_features(
     Subset 1 (hourly vitals) is mandatory and anchors the window; subset 3
     adds the cumulative exposures; subset 2 toggles the static features.
     """
-    if 1 not in subsets:
-        raise InputError("feature subset 1 is required")
-    if not subsets <= {1, 2, 3}:
-        raise InputError(f"unknown subsets {sorted(subsets - {1, 2, 3})}")
+    check_subsets(subsets)
     temporal_names = tuple(
         n for n in schema.temporal_names if subset_of(n) == 1 or (subset_of(n) == 3 and 3 in subsets)
     )
@@ -457,7 +462,7 @@ def read_instances(csv_path, sidecar_path) -> tuple[list[NightInstance], Feature
         schema = FeatureSchema(
             temporal_names=tuple(n for n in fields["temporal_names"].split(",") if n),
             static_names=tuple(n for n in fields["static_names"].split(",") if n),
-            window_len=int(fields["window_len"]),
+            window_len=A.number(fields["window_len"], int),
         )
     except KeyError as exc:
         raise FormatError(f"{sidecar_path}: missing key {exc}") from None
@@ -470,14 +475,12 @@ def read_instances(csv_path, sidecar_path) -> tuple[list[NightInstance], Feature
     instances = []
     for lineno, row in A.read_table(csv_path, _instance_columns(schema)):
         try:
-            instance_index, day_index, label = int(row[0]), int(row[2]), int(row[3])
-            values = np.array([float(v) for v in row[4:]])
+            instance_index, day_index, label = (A.number(row[i], int) for i in (0, 2, 3))
+            values = np.array([A.number(v) for v in row[4:]])
         except ValueError as exc:
             raise FormatError(f"{csv_path}:{lineno}: {exc}") from None
         if label not in (0, 1):
             raise FormatError(f"{csv_path}:{lineno}: label must be 0 or 1, got {label}")
-        if not np.isfinite(values).all():
-            raise FormatError(f"{csv_path}:{lineno}: non-finite feature value")
         temporal = values[:n_temporal].reshape(schema.window_len, schema.n_temporal)
         instances.append(NightInstance(row[1], day_index, instance_index, temporal, values[n_temporal:], label))
     return instances, schema

@@ -26,7 +26,7 @@ import numpy as np
 from . import artifacts as A
 from . import model as M
 from . import train as T
-from .errors import ConfigError, DegenerateError, InputError, NumericError
+from .errors import ConfigError, DegenerateError, FieldError, InputError, NumericError
 from .model import FeatureSchema, ModelConfig
 from .numgrad import ParamSet
 from .util import derive_rng, derive_seed
@@ -218,9 +218,16 @@ class TheoryConfig:
 
     def __post_init__(self):
         if not self.model.normalize_representation:
-            raise ConfigError("theory runs need normalize_representation=True")
-        if self.safety < 1.0:
-            raise ConfigError(f"safety divisor must be >= 1, got {self.safety}")
+            raise FieldError("model", "theory runs need normalize_representation=True")
+        for name in ("n_probes", "n_pairs"):
+            if getattr(self, name) < 1:
+                raise FieldError(name, f"must be >= 1, got {getattr(self, name)}")
+        if not self.probe_scale > 0.0:
+            raise FieldError("probe_scale", f"must be positive, got {self.probe_scale}")
+        if not self.safety >= 1.0:
+            raise FieldError("safety", f"must be >= 1, got {self.safety}")
+        if not self.corollary_tol >= 0.0:
+            raise FieldError("corollary_tol", f"must be >= 0, got {self.corollary_tol}")
 
 
 def theory_protocol(

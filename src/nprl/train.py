@@ -17,11 +17,20 @@ import numpy as np
 from . import artifacts as A
 from . import model as M
 from . import numgrad as ng
-from .errors import InputError
+from .errors import FieldError, InputError
 from .model import FeatureSchema, ModelConfig
 from .numgrad import Array, ParamSet
 from .pipeline import ClassStats, NightInstance
 from .util import derive_rng
+
+
+def _check_schedule(config) -> None:
+    """The epochs, batch size and learning rate every training config has."""
+    for name in ("epochs", "batch_size"):
+        if getattr(config, name) < 1:
+            raise FieldError(name, f"must be >= 1, got {getattr(config, name)}")
+    if not config.learning_rate > 0:
+        raise FieldError("learning_rate", f"must be positive, got {config.learning_rate}")
 
 
 @dataclass(frozen=True)
@@ -32,8 +41,7 @@ class PretrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.epochs, self.batch_size) < 1 or self.learning_rate <= 0:
-            raise InputError("pretrain config values must be positive")
+        _check_schedule(self)
 
 
 @dataclass(frozen=True)
@@ -50,11 +58,16 @@ class FinetuneConfig:
 
     def __post_init__(self):
         if self.mode not in ("regularized", "projected"):
-            raise InputError(f"unknown finetune mode {self.mode!r}")
+            raise FieldError("mode", f"must be regularized or projected, got {self.mode!r}")
         if self.loss not in ("plain", "class_balanced"):
-            raise InputError(f"unknown loss {self.loss!r}")
-        if min(self.epochs, self.batch_size) < 1 or self.learning_rate <= 0:
-            raise InputError("finetune config values must be positive")
+            raise FieldError("loss", f"must be plain or class_balanced, got {self.loss!r}")
+        if not self.lam >= 0.0:
+            raise FieldError("lam", f"must be >= 0, got {self.lam}")
+        if not self.gamma >= 0.0:
+            raise FieldError("gamma", f"must be >= 0, got {self.gamma}")
+        if self.mode == "projected" and self.gamma == 0.0:
+            raise FieldError("gamma", "must be > 0 in projected mode, got 0.0")
+        _check_schedule(self)
 
 
 @dataclass(frozen=True)
@@ -63,6 +76,9 @@ class BaselineConfig:
     batch_size: int = 64
     learning_rate: float = 1e-3
     seed: int = 0
+
+    def __post_init__(self):
+        _check_schedule(self)
 
 
 @dataclass
@@ -324,8 +340,6 @@ def finetune(
     """
     if theta0["head.W"].dims[1] != model_config.head_classes:
         raise InputError("theta0 head does not match the configured class count; call replace_head first")
-    if config.mode == "projected" and config.gamma <= 0.0:
-        raise InputError(f"projected mode needs gamma > 0, got {config.gamma}")
     temporal, statics = to_arrays(instances)
     labels = labels_of(instances)
     class_weights = None

@@ -180,6 +180,24 @@ class TestValues:
         with pytest.raises(FormatError, match=rf"{name}:3: bad number 'nan'"):
             C.read_cohort(run)
 
+    @pytest.mark.parametrize("name", ["hourly.csv", "patients.csv", "instances.csv"])
+    def test_digit_separator_in_a_number(self, run, name):  # used to load as a different number
+        path = run / name
+        cells = path.read_text().splitlines()[2].split(",")
+        at = next(i for i, cell in enumerate(cells) if i > 1 and "." in cell)
+        cells[at] = cells[at].replace(".", "_", 1)
+        edit_line(path, 2, ",".join(cells))
+        with pytest.raises(FormatError, match=rf"{name}:3: bad number '{cells[at]}'"):
+            READERS["cohort" if name in COHORT_FILES else "instances"][1](run)
+
+    def test_admit_time_after_hourly_rows(self, run):  # used to load with a negative stay
+        path = run / "patients.csv"
+        cells = path.read_text().splitlines()[2].split(",")
+        cells[1] = "2030-01-01T00:00:00"
+        edit_line(path, 2, ",".join(cells))
+        with pytest.raises(FormatError, match=r"patients\.csv:3: admit time 2030-01-01T00:00:00 is after"):
+            C.read_cohort(run)
+
     def test_timestamp_with_utc_offset_rejected(self, run):
         path = run / "hourly.csv"
         cells = path.read_text().splitlines()[3].split(",")
@@ -208,6 +226,12 @@ class TestCheckpointBoundary:
     def test_duplicate_name(self, tmp_path):
         (tmp_path / "model.ckpt").write_bytes(self.checkpoint(b"w", b"v", b"w"))
         with pytest.raises(FormatError, match=r"duplicate tensor 'w' in .*model\.ckpt"):
+            M.load_checkpoint(tmp_path / "model.ckpt")
+
+    def test_non_finite_payload(self, tmp_path):  # was NumericError without path or tensor
+        blob = self.checkpoint(b"w").replace(struct.pack("<d", 0.5), struct.pack("<d", float("nan")))
+        (tmp_path / "model.ckpt").write_bytes(blob)
+        with pytest.raises(FormatError, match=r"non-finite values in tensor 'w' in .*model\.ckpt"):
             M.load_checkpoint(tmp_path / "model.ckpt")
 
     def test_well_formed_checkpoint_loads(self, tmp_path):

@@ -1,5 +1,3 @@
-import configparser
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -43,29 +41,16 @@ class TestRunConfig:
         cfg = cli.RunConfig.load(None, [])
         assert set(cfg.values) == set(cli.DEFAULTS)
 
-    def test_shipped_default_file_matches_builtins(self):
-        repo_config = Path(__file__).resolve().parents[1] / "configs" / "default.ini"
-        # A key left out of the file silently takes its builtin value, so the
-        # file must name every key for drift on any of them to show.
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-        with open(repo_config) as fh:
-            parser.read_file(fh)
-        missing = [
-            f"{section}.{key}"
-            for section, keys in cli.DEFAULTS.items()
-            for key in keys
-            if not parser.has_option(section, key)
-        ]
-        assert missing == []
-        cfg = cli.RunConfig.load(str(repo_config), [])
-        drifted = [
-            f"{section}.{key}: file={cfg.values[section][key]!r} builtin={value!r}"
-            for section, keys in cli.DEFAULTS.items()
-            for key, value in keys.items()
-            if cfg.values[section][key] != value
-        ]
-        assert drifted == []
-        assert cfg.values == cli.DEFAULTS
+    def test_config_hash_is_stable(self):
+        # The hash names the run directory and heads every artifact, so a
+        # change to it, or to a built-in default, changes every run's bytes.
+        theory_set = Path(__file__).resolve().parents[1] / "configs" / "theory_set.ini"
+        assert cli.RunConfig.load(None, []).config_hash() == (
+            "78013c200e382430b592f31bf427c0c49f76ea11ba90d0f17116f5c2d636359e"
+        )
+        assert cli.RunConfig.load(str(theory_set), []).config_hash() == (
+            "7b47dbe4b0848e1c5d0ef18cbbce4e178283b01bea3ac7ba35889aeedd6f38d4"
+        )
 
     def test_override_applies(self):
         cfg = cli.RunConfig.load(None, ["run.seed=99"])
@@ -85,6 +70,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             cli.RunConfig.load(str(path), [])
 
+    def test_default_section_rejected(self, tmp_path):  # its keys were silently dropped
+        path = tmp_path / "bad.ini"
+        path.write_text("[DEFAULT]\nseed = 8\n")
+        with pytest.raises(ConfigError, match=r"bad\.ini: a \[DEFAULT\] section is not allowed"):
+            cli.RunConfig.load(str(path), [])
+
     def test_hash_changes_with_values(self):
         a = cli.RunConfig.load(None, [])
         b = cli.RunConfig.load(None, ["run.seed=8"])
@@ -94,6 +85,58 @@ class TestRunConfig:
         a = cli.RunConfig.load(None, [])
         b = cli.RunConfig.load(None, ["run.workers=4", "run.out=elsewhere"])
         assert a.config_hash() == b.config_hash()
+
+    def test_seed_and_workers_flags_are_overrides(self, monkeypatch):
+        loaded = []
+
+        class Recorder:
+            def __init__(self, cfg, out_root):
+                loaded.append(cfg)
+
+            def cmd_gen(self):
+                pass
+
+        monkeypatch.setattr(cli, "Runner", Recorder)
+        assert cli.main(["gen", "--seed", "8", "--workers", "2"]) == 0
+        assert cli.main(["gen", "--set", "run.seed=8", "--set", "run.workers=2"]) == 0
+        assert cli.main(["gen", "--set", "run.seed=9", "--seed", "8", "--workers", "2"]) == 0
+        flags, sets, both = loaded
+        assert flags.values == sets.values == both.values
+        assert flags.config_hash() == sets.config_hash() == both.config_hash()
+        assert (flags.seed, flags.workers) == (8, 2)
+
+
+# Each bad value, as `--set` items or flags, and the key its error must name.
+BAD_VALUES = [
+    (["generator.ar_coeff=x"], "generator.ar_coeff"),
+    (["generator.onset_day_min=30"], "generator.onset_day_min"),
+    (["generator.los_day_min=10", "generator.los_day_max=6"], "generator.los_day_min"),
+    (["generator.n_patients=3_0"], "generator.n_patients"),
+    (["eval.resample_target=0"], "eval.resample_target"),
+    (["theory.n_pairs=0"], "theory.n_pairs"),
+    (["eval.threshold=nan"], "eval.threshold"),
+    (["eval.threshold=inf"], "eval.threshold"),
+    (["finetune.lambda=-1"], "finetune.lambda"),
+    (["eval.arms=baseline,baseline"], "eval.arms"),
+    (["eval.arms=foo"], "eval.arms"),
+    (["eval.weight_scheme=bogus"], "eval.weight_scheme"),
+    (["eval.k_folds=1"], "eval.k_folds"),
+    (["finetune.mode=projected", "finetune.gamma=0"], "finetune.gamma"),
+    (["theory.safety=0.5"], "theory.safety"),
+    (["features.subsets=9"], "features.subsets"),
+    (["model.normalize_representation=maybe"], "model.normalize_representation"),
+    (["--workers", "0"], "run.workers"),
+]
+
+
+@pytest.mark.parametrize("bad, key", BAD_VALUES, ids=[" ".join(bad) for bad, _ in BAD_VALUES])
+def test_bad_config_value_is_one_error_line_before_any_work(tmp_path, capsys, bad, key):
+    extra = bad if bad[0].startswith("--") else set_args(bad)
+    assert run_cli(["all"] + set_args(SMALL_OVERRIDES) + extra, tmp_path) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith(f"error: {key}: ") and out.err.count("\n") == 1, out.err
+    assert "Traceback" not in out.err and out.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestCommands:
