@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import errno
 import hashlib
 import os
 import sys
@@ -26,7 +27,7 @@ from . import pipeline as P
 from . import theory as TH
 from . import train as T
 from .cohort import GeneratorConfig, default_vitals, generate_cohort, read_cohort, write_cohort
-from .errors import ConfigError, FieldError, InputError, NprlError
+from .errors import ConfigError, FieldError, FormatError, InputError, NprlError
 from .model import ModelConfig, save_checkpoint
 from .util import derive_rng, derive_seed
 
@@ -326,7 +327,16 @@ class Runner:
         return instances, schema
 
     def _load_instances(self):
-        return P.read_instances(self.run_dir / "instances.csv", self.run_dir / "instances.schema.txt")
+        path = self.run_dir / "instances.csv"
+        try:
+            return P.read_instances(path, self.run_dir / "instances.schema.txt")
+        except FormatError:
+            if path.exists():
+                raise
+            # the sidecar is read first, so name the file the user knows
+            raise FormatError(
+                f"{path}: cannot read: {os.strerror(errno.ENOENT)}; run `nprl gen` and `nprl extract` first"
+            ) from None
 
     def cmd_pretrain(self, data=None):
         instances, schema = data if data is not None else self._load_instances()

@@ -368,20 +368,11 @@ def roc_points(scores: list[ScorePair]) -> list[tuple[float, float]]:
     return points
 
 
-def emit_report(
-    report: AggregateReport,
-    csv_path,
-    roc_path,
-    arm: str = "model",
-    header_comment: str | None = None,
-) -> None:
-    """One CSV row per fold plus an ALL row, and a pooled fpr/tpr point list."""
-    emit_combined_report({arm: report}, csv_path, roc_path, header_comment)
-
-
 def emit_combined_report(
     reports: dict[str, AggregateReport], csv_path, roc_path, header_comment: str | None = None
 ) -> None:
+    """Per arm, one CSV row per fold plus an ALL row, and a pooled fpr/tpr
+    point list."""
     rows = (row for arm, report in reports.items() for row in _report_rows(arm, report))
     A.write_table(csv_path, REPORT_COLUMNS, rows, header_comment)
     A.write_text(roc_path, _roc_lines(reports), header_comment)

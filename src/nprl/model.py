@@ -255,15 +255,6 @@ def gru_layer(x: Tensor, params: ParamSet, direction: str, h0: Tensor | None = N
     return ng.attach(out, parents, _bw)
 
 
-def gru_cell(x_t: Tensor, h_prev: Tensor, params: ParamSet, direction: str = "fwd") -> Tensor:
-    """One recurrent step on a vector or a (batch, T) row stack; returns the
-    new state with the dims of ``h_prev``."""
-    batch = 1 if x_t.data.ndim == 1 else x_t.dims[0]
-    x = ng.reshape(x_t, (1, batch, x_t.dims[-1]))
-    h = ng.reshape(h_prev, (batch, h_prev.dims[-1]))
-    return ng.reshape(gru_layer(x, params, direction, h0=h), h_prev.dims)
-
-
 def _bigru(x: Tensor, params: ParamSet) -> Tensor:
     """Per-hour [forward ; backward] states, (batch, steps, 2H), from a
     time-major input and zero initial states."""
@@ -328,14 +319,6 @@ def forward_batch(
         x = ng.elementwise(ng.affine(x, params[f"trunk.{i}.W"], params[f"trunk.{i}.b"]), "relu")
     logits = ng.affine(x, params["head.W"], params["head.b"])
     return logits, rep
-
-
-def forward(instance, params: ParamSet, config: ModelConfig) -> tuple[Array, Array]:
-    """Single-instance forward; returns (logits vector, representation vector)."""
-    temporal = np.asarray(instance.temporal, dtype=np.float64)[None, :, :]
-    statics = np.asarray(instance.statics, dtype=np.float64).reshape(1, -1)
-    logits, rep = forward_batch(temporal, statics, ng.detach(params), config)
-    return logits.data[0].copy(), rep.data[0].copy()
 
 
 def softmax(logits: Array) -> Array:

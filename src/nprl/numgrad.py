@@ -6,10 +6,19 @@ contributions. Calling ``backward()`` on a scalar output walks the recorded
 graph once in reverse topological order, accumulates gradients into the
 leaves, and frees the graph, so a graph lives for exactly one batch.
 
-Everything is 64-bit. Values are checked to be finite on construction;
-NaN/Inf anywhere is an error state, never a value. Gradient accumulation
+Everything is 64-bit. Values are checked to be finite on construction
+(reshapes and concatenations of checked tensors skip the rescan); NaN/Inf
+anywhere is an error state, never a value. Gradient accumulation
 never updates arrays in place, which keeps views produced by backward
 closures safe to hand out.
+
+Ownership: :func:`adam_step` is the one function that writes into arrays
+a tensor already holds. It overwrites ``.data`` of every tensor in the
+parameter set it is given and the moment arrays of its
+:class:`OptimizerState`, and only reads the gradients. Its caller must own
+that parameter set: ``train._train`` copies its starting parameters once,
+so a pretrained set, theta0 and any tensor they share stay fixed.
+:func:`detach` shares arrays, so a detached set sees later updates.
 """
 
 from __future__ import annotations
@@ -32,9 +41,11 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data, requires_grad: bool = False, *, checked: bool = False):
+        # ``checked``: data rearranges tensors that were checked when they
+        # were built, so the finiteness scan would find nothing new
         arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
-        if not np.isfinite(arr).all():
+        if not checked and not np.isfinite(arr).all():
             raise NumericError("non-finite values in tensor")
         self.data = arr
         self.grad: Array | None = None
@@ -154,22 +165,6 @@ def elementwise(x: Tensor, kind: str) -> Tensor:
     return attach(out, (x,), _bw)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Hadamard product of same-shaped tensors."""
-    if a.dims != b.dims:
-        raise ShapeError(f"mul dims mismatch: {a.dims} vs {b.dims}")
-    out = Tensor(a.data * b.data)
-
-    def _bw():
-        g = out.grad
-        if a.requires_grad:
-            accumulate(a, g * b.data)
-        if b.requires_grad:
-            accumulate(b, g * a.data)
-
-    return attach(out, (a, b), _bw)
-
-
 def concat_cols(parts: list[Tensor]) -> Tensor:
     """Concatenate tensors along the last (feature) axis; the leading dims
     of every part must agree."""
@@ -179,7 +174,7 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
     for p in parts:
         if p.data.ndim < 2 or p.dims[:-1] != lead:
             raise ShapeError(f"concat_cols row mismatch: {[p.dims for p in parts]}")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=-1))
+    out = Tensor(np.concatenate([p.data for p in parts], axis=-1), checked=True)
     widths = [p.dims[-1] for p in parts]
 
     def _bw():
@@ -196,7 +191,7 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
 def reshape(x: Tensor, dims: tuple[int, ...]) -> Tensor:
     if int(np.prod(dims)) != x.data.size:
         raise ShapeError(f"cannot reshape {x.dims} to {dims}")
-    out = Tensor(x.data.reshape(dims))
+    out = Tensor(x.data.reshape(dims), checked=True)
 
     def _bw():
         accumulate(x, out.grad.reshape(x.dims))
@@ -312,7 +307,8 @@ def reset_grads(params: ParamSet) -> None:
 
 @dataclass
 class OptimizerState:
-    """Functional Adam state; :func:`adam_step` returns a successor, never mutates."""
+    """Adam state. Its moment arrays belong to the optimizer: :func:`adam_step`
+    updates them in place and advances ``step_count``."""
 
     step_count: int
     first_moment: dict[str, Array]
@@ -340,33 +336,60 @@ def init_adam(
     return OptimizerState(0, zeros(), zeros(), learning_rate, beta1, beta2, epsilon)
 
 
+# Elements per block of the in-place update: the block of p, m, v, g and the
+# two scratch arrays (6 x 256 KiB) stay in cache across the update's passes.
+ADAM_BLOCK = 32768
+
+
 def adam_step(
     params: ParamSet, grads: Gradients, state: OptimizerState
 ) -> tuple[ParamSet, OptimizerState]:
-    """One bias-corrected adaptive-moment update; returns new params and state."""
+    """One bias-corrected adaptive-moment update, in place.
+
+    Overwrites every ``params[name].data`` and both moments of ``state``, and
+    returns the same ``(params, state)`` objects. The arithmetic runs in the
+    order of the out-of-place formula, so results are bit-identical to it:
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+    p -= lr*m/(1-b1^t) / (sqrt(v/(1-b2^t)) + eps).
+    """
     if set(params) != set(grads) or set(params) != set(state.first_moment):
         raise ShapeError("parameter, gradient and moment key sets differ")
-    t = state.step_count + 1
-    b1, b2 = state.beta1, state.beta2
-    new_params: ParamSet = {}
-    m_new: dict[str, Array] = {}
-    v_new: dict[str, Array] = {}
     for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.dims:
-            raise ShapeError(f"gradient shape {g.shape} != param {p.dims} for {name!r}")
-        m = b1 * state.first_moment[name] + (1.0 - b1) * g
-        v = b2 * state.second_moment[name] + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        new_data = p.data - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
-        m_new[name] = m
-        v_new[name] = v
-        new_params[name] = Tensor(new_data, requires_grad=True)
-    new_state = OptimizerState(
-        t, m_new, v_new, state.learning_rate, b1, b2, state.epsilon
-    )
-    return new_params, new_state
+        if grads[name].shape != p.dims:
+            raise ShapeError(f"gradient shape {grads[name].shape} != param {p.dims} for {name!r}")
+    state.step_count += 1
+    t = state.step_count
+    b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.epsilon
+    c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+    largest = max((p.data.size for p in params.values()), default=0)
+    scratch = np.empty(min(largest, ADAM_BLOCK)), np.empty(min(largest, ADAM_BLOCK))
+    for name, p in params.items():
+        # params and moments are C-contiguous, so these are views; a strided
+        # gradient (a column slice from backward) is copied once here
+        flat_p, flat_g = p.data.reshape(-1), grads[name].reshape(-1)
+        flat_m = state.first_moment[name].reshape(-1)
+        flat_v = state.second_moment[name].reshape(-1)
+        for lo in range(0, flat_p.size, ADAM_BLOCK):
+            hi = min(lo + ADAM_BLOCK, flat_p.size)
+            g, m, v = flat_g[lo:hi], flat_m[lo:hi], flat_v[lo:hi]
+            a, b = scratch[0][: hi - lo], scratch[1][: hi - lo]
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=a)
+            m += a
+            v *= b2
+            np.multiply(g, 1.0 - b2, out=a)
+            a *= g
+            v += a
+            np.divide(m, c1, out=a)
+            a *= lr
+            np.divide(v, c2, out=b)
+            np.sqrt(b, out=b)
+            b += eps
+            a /= b
+            flat_p[lo:hi] -= a
+        if not np.isfinite(p.data).all():
+            raise NumericError(f"non-finite values in parameter {name!r} after an Adam step")
+    return params, state
 
 
 # ---------------------------------------------------------------------------

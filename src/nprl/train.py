@@ -140,19 +140,10 @@ def labels_of(instances: list[NightInstance]) -> Array:
 # ---------------------------------------------------------------------------
 
 
-def erm_loss(
-    batch: tuple[Array, Array, Array],
-    params: ParamSet,
-    config: ModelConfig,
-    class_weights: Array | None = None,
-) -> tuple[float, ng.Gradients]:
-    """Mean (optionally class-weighted) cross-entropy over one batch and the
-    gradients of every parameter."""
-    loss, grads, _ = _loss_and_grads(batch, params, config, class_weights)
-    return loss, grads
-
-
 def _loss_and_grads(batch, params, config, class_weights):
+    """Mean (optionally class-weighted) cross-entropy over one batch of
+    (temporal, statics, labels), the gradients of every parameter, and the
+    number of correct predictions."""
     temporal, statics, labels = batch
     if temporal.shape[0] == 0:
         raise InputError("empty batch")
@@ -228,6 +219,9 @@ def _train(
     """
     started = time.perf_counter()
     reference = theta0 if theta0 is not None else params
+    # adam_step writes in place: train a copy, so the caller's parameters,
+    # theta0 and the reference (which may all share arrays) stay fixed
+    params = {name: ng.Tensor(p.data.copy(), requires_grad=True) for name, p in params.items()}
     state = ng.init_adam(params, learning_rate)
     log = TrainLog()
     n = temporal.shape[0]
@@ -243,7 +237,7 @@ def _train(
                 for name, p in params.items():
                     if not M.is_head(name):
                         grads[name] = grads[name] + lam * (p.data - theta0[name].data)
-            params, state = ng.adam_step(params, grads, state)
+            ng.adam_step(params, grads, state)
             if theta0 is not None and gamma is not None:
                 params = M.project_to_ball(params, theta0, gamma, exclude_head=True)
             epoch_loss += loss * len(idx)
@@ -345,12 +339,11 @@ def finetune(
     class_weights = None
     if config.loss == "class_balanced":
         class_weights = class_balanced_weights(ClassStats.from_instances(instances))
-    params = dict(theta0)
     return _train(
         temporal,
         statics,
         labels,
-        params,
+        theta0,
         model_config,
         epochs=config.epochs,
         batch_size=config.batch_size,
@@ -375,7 +368,7 @@ def train_baseline(
     temporal, statics = to_arrays(instances)
     labels = labels_of(instances)
     params = (
-        dict(initial_params)
+        initial_params
         if initial_params is not None
         else M.init_params(model_config, schema, seed=config.seed)
     )

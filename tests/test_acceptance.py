@@ -72,23 +72,21 @@ def test_c02_architecture_shapes():
     window = np.random.default_rng(0).uniform(size=(9, 11))
     gru_out = M.bigru_forward(window, params)
 
-    class Inst:
-        temporal = np.random.default_rng(1).uniform(size=(9, 11))
-        statics = np.random.default_rng(2).uniform(size=15)
-
-    _, rep = M.forward(Inst(), params, config)
+    temporal = np.random.default_rng(1).uniform(size=(1, 9, 11))
+    statics = np.random.default_rng(2).uniform(size=(1, 15))
+    _, rep = M.forward_batch(temporal, statics, params, config)
 
     schema0 = M.FeatureSchema(tuple(f"t{i}" for i in range(11)))
     ok = (
         gru_out.dims == (9, 512)
         and gru_out.data.size == 4608
-        and rep.shape == (4609,)
+        and rep.dims == (1, 4609)
         and M.rep_width(config, 0) == 4608
     )
     verdict(
         "C2 architecture shapes",
         ok,
-        f"bigru {gru_out.dims}, flatten {gru_out.data.size}, concat {rep.shape[0]}, no-static {M.rep_width(config, 0)}",
+        f"bigru {gru_out.dims}, flatten {gru_out.data.size}, concat {rep.dims[1]}, no-static {M.rep_width(config, 0)}",
     )
 
 

@@ -157,6 +157,25 @@ class TestCommands:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval", "pretrain", "train", "theory"])
+    def test_missing_instances_hints_at_gen_and_extract(self, tmp_path, capsys, command):
+        assert run_cli([command] + set_args(SMALL_OVERRIDES), tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "instances.csv: cannot read: " in err
+        assert err.rstrip().endswith("; run `nprl gen` and `nprl extract` first"), err
+        assert "Traceback" not in err
+
+    def test_unreadable_instances_keeps_its_own_error(self, tmp_path, capsys):
+        args = set_args(SMALL_OVERRIDES)
+        for command in ("gen", "extract"):
+            assert run_cli([command] + args, tmp_path) == 0
+        (run_dir,) = tmp_path.iterdir()
+        (run_dir / "instances.schema.txt").unlink()
+        assert run_cli(["eval"] + args, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert "instances.schema.txt: cannot read: " in err and "nprl gen" not in err, err
+
     def test_gen_extract_outputs(self, tmp_path):
         code = run_cli(["gen"] + set_args(SMALL_OVERRIDES), tmp_path)
         assert code == 0

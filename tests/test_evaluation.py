@@ -218,7 +218,7 @@ class TestEmitReport:
         instances, schema = tiny_dataset(seed=7)
         split = P.stratified_kfold(instances, k=4, seed=3)
         report = E.cross_validate(instances, schema, split, "baseline", tiny_configs(), seed=1)
-        E.emit_report(report, tmp_path / "report.csv", tmp_path / "roc.txt", arm="baseline")
+        E.emit_combined_report({"baseline": report}, tmp_path / "report.csv", tmp_path / "roc.txt")
         rows = (tmp_path / "report.csv").read_text().splitlines()
         assert len(rows) == 1 + 4 + 1  # header, folds, aggregate
         assert rows[-1].split(",")[1] == "ALL"
@@ -227,7 +227,7 @@ class TestEmitReport:
         instances, schema = tiny_dataset(seed=8)
         split = P.stratified_kfold(instances, k=4, seed=3)
         report = E.cross_validate(instances, schema, split, "baseline", tiny_configs(), seed=1)
-        E.emit_report(report, tmp_path / "report.csv", tmp_path / "roc.txt", arm="baseline")
+        E.emit_combined_report({"baseline": report}, tmp_path / "report.csv", tmp_path / "roc.txt")
         lines = [l for l in (tmp_path / "roc.txt").read_text().splitlines() if not l.startswith("#")]
         assert lines[0] == "0.0 0.0"
         assert lines[-1] == "1.0 1.0"
@@ -236,7 +236,7 @@ class TestEmitReport:
         instances, schema = tiny_dataset(seed=9)
         split = P.stratified_kfold(instances, k=4, seed=3)
         report = E.cross_validate(instances, schema, split, "baseline", tiny_configs(), seed=1)
-        E.emit_report(report, tmp_path / "report.csv", tmp_path / "roc.txt", arm="baseline")
+        E.emit_combined_report({"baseline": report}, tmp_path / "report.csv", tmp_path / "roc.txt")
         parsed = E.read_report(tmp_path / "report.csv")
         assert float(parsed["baseline"]["ALL"]["auroc"]) == report.pooled_auroc
         assert int(parsed["baseline"]["ALL"]["tp"]) == report.tp

@@ -19,12 +19,6 @@ def small_batch(n=3, seed=0):
     return rng.normal(size=(n, 9, 5)), rng.normal(size=(n, 3))
 
 
-class Instance:
-    def __init__(self, temporal, statics):
-        self.temporal = temporal
-        self.statics = statics
-
-
 class TestInitParams:
     def test_deterministic_per_seed(self):
         a = small_params(seed=3)
@@ -60,6 +54,24 @@ class TestInitParams:
             M.ModelConfig(head_classes=1)
 
 
+def one_step(x, h_prev, params):
+    """One forward GRU step through ``gru_layer``: x (batch, T) and h_prev
+    (batch, H) in, the new (batch, H) state out."""
+    batch = x.dims[0]
+    out = M.gru_layer(ng.reshape(x, (1, batch, x.dims[1])), params, "fwd", h0=h_prev)
+    return ng.reshape(out, h_prev.dims)
+
+
+def weighted_sum(x, weights):
+    """sum(x * weights) for a constant array ``weights``, as a tape node."""
+    out = Tensor(np.asarray((x.data * weights).sum()))
+
+    def _bw():
+        ng.accumulate(x, out.grad * weights)
+
+    return ng.attach(out, (x,), _bw)
+
+
 class TestGruCell:
     def test_zero_everything_gives_zero(self):
         params = {
@@ -67,8 +79,8 @@ class TestGruCell:
             for gate in ("z", "r", "h")
             for kind, shape in (("W", (2, 3)), ("U", (3, 3)), ("b", (3,)))
         }
-        out = M.gru_cell(Tensor(np.zeros(2)), Tensor(np.zeros(3)), params)
-        np.testing.assert_array_equal(out.data, np.zeros(3))
+        out = one_step(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 3))), params)
+        np.testing.assert_array_equal(out.data, np.zeros((1, 3)))
 
     def test_saturated_carry_gate_keeps_state(self):
         rng = np.random.default_rng(0)
@@ -78,8 +90,8 @@ class TestGruCell:
             params[f"gru_fwd.U_{gate}"] = Tensor(rng.normal(size=(3, 3)))
             params[f"gru_fwd.b_{gate}"] = Tensor(np.zeros(3))
         params["gru_fwd.b_z"] = Tensor(np.full(3, -50.0))  # update gate pinned shut
-        h_prev = rng.normal(size=3)
-        out = M.gru_cell(Tensor(rng.normal(size=2)), Tensor(h_prev), params)
+        h_prev = rng.normal(size=(1, 3))
+        out = one_step(Tensor(rng.normal(size=(1, 2))), Tensor(h_prev), params)
         np.testing.assert_allclose(out.data, h_prev, atol=1e-9)
 
     def test_scalar_hand_computation(self):
@@ -94,9 +106,9 @@ class TestGruCell:
             "gru_fwd.U_h": Tensor([[0.0]]),
             "gru_fwd.b_h": Tensor([0.0]),
         }
-        out = M.gru_cell(Tensor([1.0]), Tensor([0.0]), params)
-        assert abs(out.data[0] - 0.5 * np.tanh(1.0)) < 1e-9
-        assert abs(out.data[0] - 0.380797) < 1e-6
+        out = one_step(Tensor([[1.0]]), Tensor([[0.0]]), params)
+        assert abs(out.data[0, 0] - 0.5 * np.tanh(1.0)) < 1e-9
+        assert abs(out.data[0, 0] - 0.380797) < 1e-6
 
 
     def test_grad_check_through_inputs_and_state(self):
@@ -108,10 +120,10 @@ class TestGruCell:
         }
         params["x"] = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
         params["h"] = Tensor(rng.uniform(-1.0, 1.0, size=(4, 3)), requires_grad=True)
-        weights = Tensor(rng.normal(size=(4, 3)))
+        weights = rng.normal(size=(4, 3))
 
         def fn(p):
-            return ng.total_sum(ng.mul(M.gru_cell(p["x"], p["h"], p), weights))
+            return weighted_sum(one_step(p["x"], p["h"], p), weights)
 
         assert ng.grad_check(fn, params, step=1e-5) < 1e-6
 
@@ -166,9 +178,9 @@ class TestForward:
     def test_single_instance_surface(self):
         params = small_params()
         temporal, statics = small_batch(n=1)
-        logits, rep = M.forward(Instance(temporal[0], statics[0]), params, SMALL_CONFIG)
-        assert logits.shape == (2,)
-        assert rep.shape == (M.rep_width(SMALL_CONFIG, 3),)
+        logits, rep = M.forward_batch(temporal, statics, ng.detach(params), SMALL_CONFIG)
+        assert logits.dims == (1, 2)
+        assert rep.dims == (1, M.rep_width(SMALL_CONFIG, 3))
 
     def test_deterministic(self):
         params = small_params()

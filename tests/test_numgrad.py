@@ -6,6 +6,19 @@ from nprl.errors import InputError, NumericError, ShapeError
 from nprl.numgrad import Tensor
 
 
+def mul(a, b):
+    """Hadamard product of same-shaped tensors, as a tape node."""
+    out = Tensor(a.data * b.data)
+
+    def _bw():
+        if a.requires_grad:
+            ng.accumulate(a, out.grad * b.data)
+        if b.requires_grad:
+            ng.accumulate(b, out.grad * a.data)
+
+    return ng.attach(out, (a, b), _bw)
+
+
 def _naive_matmul(x, w):
     m, k = x.shape
     k2, p = w.shape
@@ -81,7 +94,7 @@ class TestElementwise:
 
         def fn(p):
             y = ng.elementwise(ng.reshape(p["x"], (1, 5)), kind)
-            return ng.total_sum(ng.mul(y, y))
+            return ng.total_sum(mul(y, y))
 
         assert ng.grad_check(fn, params) < 1e-4
 
@@ -133,7 +146,65 @@ class TestSoftmaxXent:
         assert ng.grad_check(fn, params, max_coords_per_tensor=12) < 1e-6
 
 
+def reference_adam(p, m, v, g, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """The out-of-place Adam update, written the textbook way."""
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * g * g
+    m_hat = m / (1.0 - b1**t)
+    v_hat = v / (1.0 - b2**t)
+    return p - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
 class TestAdam:
+    def test_in_place_matches_out_of_place_reference(self):
+        rng = np.random.default_rng(11)
+        dims = {
+            "head": (300, 251),  # three blocks, the last one partial
+            "w": (5, 7),
+            "b": (7,),
+            "slice": (6, 4),
+        }
+        assert 300 * 251 > 2 * ng.ADAM_BLOCK and 300 * 251 % ng.ADAM_BLOCK != 0
+        params = {name: Tensor(rng.normal(size=d), requires_grad=True) for name, d in dims.items()}
+        expected = {name: (p.data.copy(), np.zeros(p.dims), np.zeros(p.dims)) for name, p in params.items()}
+        state = ng.init_adam(params, learning_rate=3e-3)
+        for t in range(1, 6):
+            grads = {name: rng.normal(size=d) * 10.0 ** rng.integers(-4, 3) for name, d in dims.items()}
+            # a column slice of a wider gradient, as GRU backward hands out
+            grads["slice"] = rng.normal(size=(6, 12))[:, 4:8]
+            assert not grads["slice"].flags.c_contiguous
+            returned = ng.adam_step(params, grads, state)
+            assert returned[0] is params and returned[1] is state
+            for name, g in grads.items():
+                expected[name] = reference_adam(*expected[name], g, t, 3e-3)
+                assert np.array_equal(params[name].data, expected[name][0]), name
+                assert np.array_equal(state.first_moment[name], expected[name][1]), name
+                assert np.array_equal(state.second_moment[name], expected[name][2]), name
+        assert state.step_count == 5
+
+    @pytest.mark.parametrize("poison", [np.inf, np.nan])
+    def test_non_finite_update_names_the_tensor(self, poison):
+        params = {
+            "fine": Tensor(np.ones(3), requires_grad=True),
+            "trunk.0.W": Tensor(np.ones((2, 2)), requires_grad=True),
+        }
+        state = ng.init_adam(params, learning_rate=1e-3)
+        grads = {"fine": np.ones(3), "trunk.0.W": np.array([[1.0, poison], [1.0, 1.0]])}
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match=r"'trunk\.0\.W'"):
+            ng.adam_step(params, grads, state)
+
+    def test_shape_mismatch_updates_nothing(self):
+        params = {
+            "a": Tensor(np.ones(3), requires_grad=True),
+            "b": Tensor(np.ones(2), requires_grad=True),
+        }
+        state = ng.init_adam(params, learning_rate=0.1)
+        with pytest.raises(ShapeError):
+            ng.adam_step(params, {"a": np.ones(3), "b": np.ones(5)}, state)
+        np.testing.assert_array_equal(params["a"].data, np.ones(3))
+        np.testing.assert_array_equal(state.first_moment["a"], np.zeros(3))
+        assert state.step_count == 0
+
     def test_first_step_magnitude(self):
         params = {"w": Tensor(np.array([1.0]), requires_grad=True)}
         state = ng.init_adam(params, learning_rate=1e-3)
@@ -146,9 +217,10 @@ class TestAdam:
     def test_zero_gradient_is_identity(self):
         rng = np.random.default_rng(6)
         params = {"w": Tensor(rng.normal(size=(3, 2)), requires_grad=True)}
+        before = params["w"].data.copy()
         state = ng.init_adam(params, learning_rate=0.1)
         new_params, new_state = ng.adam_step(params, {"w": np.zeros((3, 2))}, state)
-        np.testing.assert_array_equal(new_params["w"].data, params["w"].data)
+        np.testing.assert_array_equal(new_params["w"].data, before)
         np.testing.assert_array_equal(new_state.first_moment["w"], np.zeros((3, 2)))
         np.testing.assert_array_equal(new_state.second_moment["w"], np.zeros((3, 2)))
 
@@ -182,7 +254,7 @@ class TestGradCheck:
         params = {"w": Tensor(rng.normal(size=(4, 3)), requires_grad=True)}
 
         def fn(p):
-            return ng.total_sum(ng.mul(p["w"], p["w"]))
+            return ng.total_sum(mul(p["w"], p["w"]))
 
         assert ng.grad_check(fn, params, max_coords_per_tensor=12) < 1e-8
 
@@ -228,7 +300,7 @@ class TestTensorInvariants:
 
     def test_rejects_inf_from_op(self):
         with np.errstate(over="ignore"), pytest.raises(NumericError):
-            ng.mul(Tensor([1e308]), Tensor([1e308]))
+            ng.affine(Tensor([[1e308]]), Tensor([[1e308]]), Tensor([0.0]))
 
     def test_dims_match_data(self):
         t = Tensor(np.zeros((2, 3)))
@@ -242,7 +314,7 @@ class TestTensorInvariants:
 
     def test_graph_freed_after_backward(self):
         x = Tensor(np.array([2.0]), requires_grad=True)
-        y = ng.total_sum(ng.mul(x, x))
+        y = ng.total_sum(mul(x, x))
         y.backward()
         assert y._parents == ()
         assert y._backward is None
@@ -271,7 +343,7 @@ class TestConcatReshapeNormalize:
         params = {"x": Tensor(rng.normal(size=(3, 5)), requires_grad=True)}
 
         def fn(p):
-            return ng.total_sum(ng.mul(ng.l2_normalize_rows(p["x"]), Tensor(direction)))
+            return ng.total_sum(mul(ng.l2_normalize_rows(p["x"]), Tensor(direction)))
 
         assert ng.grad_check(fn, params, max_coords_per_tensor=15) < 1e-6
 

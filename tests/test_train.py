@@ -41,11 +41,11 @@ class TestErmLoss:
         params = M.init_params(CONFIG, SCHEMA, seed=0)
         temporal, statics = T.to_arrays(instances)
         labels = T.labels_of(instances)
-        total, _ = T.erm_loss((temporal, statics, labels), params, CONFIG)
+        total, _, _ = T._loss_and_grads((temporal, statics, labels), params, CONFIG, None)
         by_class = 0.0
         for c in (0, 1):
             mask = labels == c
-            class_loss, _ = T.erm_loss((temporal[mask], statics[mask], labels[mask]), params, CONFIG)
+            class_loss, _, _ = T._loss_and_grads((temporal[mask], statics[mask], labels[mask]), params, CONFIG, None)
             by_class += mask.sum() / len(labels) * class_loss
         assert abs(total - by_class) < 1e-10
 
@@ -57,15 +57,15 @@ class TestErmLoss:
             for name, p in params.items()
         }
         temporal, statics = T.to_arrays(instances)
-        loss, _ = T.erm_loss((temporal, statics, np.array([1])), zeroed, CONFIG)
+        loss, _, _ = T._loss_and_grads((temporal, statics, np.array([1])), zeroed, CONFIG, None)
         assert abs(loss - np.log(2)) < 1e-12
 
     def test_unit_weights_match_unweighted(self):
         instances = toy_instances(4, 6, seed=3)
         params = M.init_params(CONFIG, SCHEMA, seed=1)
         batch = (*T.to_arrays(instances), T.labels_of(instances))
-        plain, grads_plain = T.erm_loss(batch, params, CONFIG)
-        weighted, grads_weighted = T.erm_loss(batch, params, CONFIG, class_weights=np.ones(2))
+        plain, grads_plain, _ = T._loss_and_grads(batch, params, CONFIG, None)
+        weighted, grads_weighted, _ = T._loss_and_grads(batch, params, CONFIG, np.ones(2))
         assert plain == weighted
         for name in grads_plain:
             np.testing.assert_array_equal(grads_plain[name], grads_weighted[name])
@@ -189,6 +189,23 @@ class TestFinetune:
             (e.loss, e.accuracy, e.frob_dist) for e in bl_log.epochs
         ]
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            T.FinetuneConfig(mode="regularized", lam=0.1, learning_rate=1e-2, epochs=2, seed=1),
+            T.FinetuneConfig(mode="projected", gamma=0.05, learning_rate=1e-2, epochs=2, seed=1),
+        ],
+        ids=["regularized", "projected"],
+    )
+    def test_theta0_left_unchanged(self, config):
+        instances = toy_instances(6, 10, seed=17)
+        theta0 = self._pretrained(instances, seed=6)
+        before = {name: p.data.tobytes() for name, p in theta0.items()}
+        params, log = T.finetune(instances, theta0, config, CONFIG, SCHEMA)
+        assert {name: p.data.tobytes() for name, p in theta0.items()} == before
+        distance = M.frobenius_distance(params, theta0, exclude_head=True)
+        assert distance > 0.0 and log.epochs[-1].frob_dist == distance
+
     def test_head_mismatch_rejected(self):
         instances = toy_instances(6, 10)
         profiles = T.strip_labels(instances)
@@ -220,7 +237,7 @@ class TestFinetune:
             return loss
 
         # production gradient: autodiff loss grads plus the analytic pull-back
-        _, grads = T.erm_loss((temporal, statics, labels), params, CONFIG)
+        _, grads, _ = T._loss_and_grads((temporal, statics, labels), params, CONFIG, None)
         for name, p in params.items():
             if not M.is_head(name):
                 grads[name] = grads[name] + lam * (p.data - theta0[name].data)
@@ -252,6 +269,16 @@ class TestBaseline:
         for name in a:
             np.testing.assert_array_equal(a[name].data, b[name].data)
         assert [e.loss for e in log_a.epochs] == [e.loss for e in log_b.epochs]
+
+    def test_initial_params_left_unchanged(self):
+        instances = toy_instances(6, 14, seed=18)
+        initial = M.init_params(CONFIG, SCHEMA, seed=5)
+        before = {name: p.data.tobytes() for name, p in initial.items()}
+        config = T.BaselineConfig(epochs=2, learning_rate=1e-2, seed=2)
+        params, log = T.train_baseline(instances, CONFIG, SCHEMA, config, initial_params=initial)
+        assert {name: p.data.tobytes() for name, p in initial.items()} == before
+        distance = M.frobenius_distance(params, initial, exclude_head=True)
+        assert distance > 0.0 and log.epochs[-1].frob_dist == distance
 
     def test_loss_decreases_on_separable_data(self):
         instances = toy_instances(20, 20, seed=14)
