@@ -4,19 +4,22 @@ An artifact is optional ``# ...`` comment lines, allowed only before the
 first data line, then either a CSV table whose first row names the columns
 or ``key=value`` lines. Every read failure ends in :class:`FormatError` with
 a ``<path>:<line>:`` message (``<path>:`` where no line applies); every
-number in one goes through :func:`number`. Every write
-goes to ``<path>.tmp``, which then replaces ``path``, so no reader ever sees
-a half-written file.
+number in one goes through :func:`number` or its bulk twin :func:`numbers`,
+which gives the same verdicts. Every write goes to ``<path>.tmp``, which
+then replaces ``path``, so no reader ever sees a half-written file.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import os
 from contextlib import contextmanager
 from math import isfinite
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import FormatError
 
@@ -31,6 +34,45 @@ def number(raw: str, kind: type = float):
     if not isfinite(value):
         raise ValueError(f"non-finite number {raw!r}")
     return value
+
+
+def numbers(cells: list[str], empty_is_missing: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`number` over many cells at once: the values, NaN where a cell is
+    rejected, and a mask of the accepted cells. With ``empty_is_missing`` an
+    empty cell is accepted as NaN (a literal ``nan`` is still rejected)."""
+    text = [c or "nan" for c in cells] if empty_is_missing else cells
+    try:
+        values = np.fromiter(map(float, text), np.float64, len(text))
+        if "_" in "".join(text):
+            raise ValueError("digit separator")
+    except ValueError:  # some cell is bad: find which, one at a time
+        values = np.array([_number_or_nan(c) for c in text], dtype=np.float64)
+    accepted = np.isfinite(values)
+    values[~accepted] = np.nan
+    if empty_is_missing:
+        accepted |= np.fromiter(map(len, cells), np.int64, len(cells)) == 0
+    return values, accepted
+
+
+def _number_or_nan(raw: str) -> float:
+    try:
+        return number(raw)
+    except ValueError:
+        return float("nan")
+
+
+def number_rows(values: np.ndarray) -> list[str]:
+    """Each row of the 2-D float array ``values`` as CSV cells: ``repr`` of
+    each number, an empty cell for NaN."""
+    return [",".join(map(repr, row)).replace("nan", "") for row in values.tolist()]
+
+
+def csv_row(cells: Sequence) -> str:
+    """``cells`` as :func:`write_table` writes them in one row, without the
+    line end."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(cells)
+    return buf.getvalue()
 
 
 @contextmanager
@@ -60,6 +102,13 @@ def _write(path, header_comment: str | None, note: str | None, body) -> None:
 def write_table(path, columns: Sequence[str], rows: Iterable[Sequence], header_comment: str | None = None) -> None:
     """The comment line, the column row, then one CSV row per item of ``rows``."""
     _write(path, header_comment, None, lambda fh: csv.writer(fh).writerows(itertools.chain([columns], rows)))
+
+
+def write_lines(path, columns: Sequence[str], lines: Iterable[str], header_comment: str | None = None) -> None:
+    """:func:`write_table` for data rows already joined by :func:`csv_row`
+    and :func:`number_rows`; lines end in CR LF, as csv.writer's do."""
+    rows = itertools.chain([csv_row(columns)], lines)
+    _write(path, header_comment, None, lambda fh: fh.writelines(f"{row}\r\n" for row in rows))
 
 
 def write_fields(path, items: Iterable[tuple], header_comment: str | None = None, note: str | None = None) -> None:

@@ -56,33 +56,30 @@ STATIC_FEATURES = (
 
 BASE_TS = datetime(2024, 1, 1, 0, 0)
 HOUR = timedelta(hours=1)
+EPOCH = datetime(1970, 1, 1)  # hour 0 of datetime64[h]
 
 
-@dataclass
-class HourlyObservation:
-    ts: datetime
-    heart_rate: float | None = None
-    sbp: float | None = None
-    dbp: float | None = None
-    resp_rate: float | None = None
-    temperature: float | None = None
-    fio2: float | None = None
-    iv_bolus_cum: float | None = None
-    rbc_units_cum: float | None = None
-    vent_days_cum: float | None = None
-    surgeries_cum: float | None = None
-    surgery_duration_cum: float | None = None
-
-
-@dataclass
+@dataclass(eq=False)
 class PatientRecord:
     patient_id: str
     admit_ts: datetime
     los_hours: int
-    hourly: list[HourlyObservation]
+    hours: np.ndarray  # (n_hours,) datetime64[h] stamps, strictly increasing
+    hourly: np.ndarray  # (n_hours, len(HOURLY_FIELDS)) float64; NaN marks a missing cell
     statics: list[float]
     sofa: list[tuple[datetime, int]]
     cultures: list[tuple[datetime, bool]]
+
+    def __eq__(self, other):
+        """Field by field; missing hourly cells match each other."""
+        if not isinstance(other, PatientRecord):
+            return NotImplemented
+        return (
+            np.array_equal(self.hours, other.hours)
+            and np.array_equal(self.hourly, other.hourly, equal_nan=True)
+            and (self.patient_id, self.admit_ts, self.los_hours, self.statics, self.sofa, self.cultures)
+            == (other.patient_id, other.admit_ts, other.los_hours, other.statics, other.sofa, other.cultures)
+        )
 
 
 @dataclass(frozen=True)
@@ -170,19 +167,17 @@ def _gen_patient(position: int, septic: bool, config: GeneratorConfig) -> Patien
         first_hour = 7 if onset_day == 3 else 0
         onset = day_start(admit, onset_day) + int(rng.integers(first_hour, 24)) * HOUR
 
-    hours = [admit + k * HOUR for k in range(los_hours)]
-
     vitals: dict[str, np.ndarray] = {}
     for name in VITAL_FIELDS:
         vp = config.vitals[name]
-        series = np.empty(los_hours)
         level = vp.baseline + vp.noise_scale * rng.standard_normal()
-        shocks = vp.noise_scale * rng.standard_normal(los_hours)
-        for k in range(los_hours):
-            level = vp.baseline + vp.ar_coeff * (level - vp.baseline) + shocks[k]
-            series[k] = level
+        steps = []
+        for shock in (vp.noise_scale * rng.standard_normal(los_hours)).tolist():  # floats step faster than np.float64
+            level = vp.baseline + vp.ar_coeff * (level - vp.baseline) + shock
+            steps.append(level)
+        series = np.array(steps)
         if onset is not None and vp.onset_drift != 0.0:
-            ages = np.array([(ts - onset) / HOUR for ts in hours])  # hours after onset
+            ages = np.arange(los_hours) - (onset - admit) / HOUR  # hours after onset
             ramp = np.clip((ages + config.drift_hours) / config.drift_hours, 0.0, 1.0)
             series = series + vp.onset_drift * ramp
         vitals[name] = np.clip(series, vp.lo, vp.hi)
@@ -196,23 +191,7 @@ def _gen_patient(position: int, septic: bool, config: GeneratorConfig) -> Patien
     surgeries = np.cumsum(surgery_events.astype(float))
     surgery_dur = np.cumsum(np.where(surgery_events, rng.uniform(1.0, 4.0, los_hours), 0.0))
 
-    hourly = [
-        HourlyObservation(
-            ts=hours[k],
-            heart_rate=float(vitals["heart_rate"][k]),
-            sbp=float(vitals["sbp"][k]),
-            dbp=float(vitals["dbp"][k]),
-            resp_rate=float(vitals["resp_rate"][k]),
-            temperature=float(vitals["temperature"][k]),
-            fio2=float(vitals["fio2"][k]),
-            iv_bolus_cum=float(iv[k]),
-            rbc_units_cum=float(rbc[k]),
-            vent_days_cum=float(vent[k]),
-            surgeries_cum=float(surgeries[k]),
-            surgery_duration_cum=float(surgery_dur[k]),
-        )
-        for k in range(los_hours)
-    ]
+    hourly = np.column_stack([vitals[name] for name in VITAL_FIELDS] + [iv, rbc, vent, surgeries, surgery_dur])
 
     # Organ-dysfunction score: bounded wiggle around a patient baseline, plus a
     # planted post-onset rise large enough to satisfy the labeling rule even
@@ -221,8 +200,8 @@ def _gen_patient(position: int, septic: bool, config: GeneratorConfig) -> Patien
     sofa: list[tuple[datetime, int]] = []
     level = sofa_base
     for k in range(0, los_hours, config.sofa_interval_hours):
-        ts = hours[k]
-        level = int(np.clip(level + rng.choice((-1, 0, 0, 0, 1)), max(0, sofa_base - 1), min(24, sofa_base + 1)))
+        ts = admit + k * HOUR
+        level = min(max(level + int(rng.choice((-1, 0, 0, 0, 1))), max(0, sofa_base - 1)), min(24, sofa_base + 1))
         score = level
         if onset is not None and ts > onset:
             frac = min(1.0, (ts - onset) / HOUR / config.sofa_ramp_hours)
@@ -258,6 +237,7 @@ def _gen_patient(position: int, septic: bool, config: GeneratorConfig) -> Patien
         patient_id=f"p{position:05d}",
         admit_ts=admit,
         los_hours=los_hours,
+        hours=np.datetime64(admit, "h") + np.arange(los_hours),
         hourly=hourly,
         statics=statics,
         sofa=sofa,
@@ -301,19 +281,11 @@ def inject_missingness(
         return records
     out: list[PatientRecord] = []
     for position, record in enumerate(records):
-        rng = derive_rng(seed, "missing", position)
-        mask = rng.random((len(record.hourly), len(HOURLY_FIELDS))) < rate
-        new_hourly = []
-        for i, obs in enumerate(record.hourly):
-            if i == 0:
-                new_hourly.append(replace(obs))
-                continue
-            values = {
-                name: (None if mask[i, j] else getattr(obs, name))
-                for j, name in enumerate(HOURLY_FIELDS)
-            }
-            new_hourly.append(HourlyObservation(ts=obs.ts, **values))
-        out.append(replace(record, hourly=new_hourly))
+        mask = derive_rng(seed, "missing", position).random(record.hourly.shape) < rate
+        mask[0] = False
+        hourly = record.hourly.copy()
+        hourly[mask] = np.nan
+        out.append(replace(record, hourly=hourly))
     return out
 
 
@@ -327,24 +299,21 @@ SOFA_HEADER = ("patient_id", "ts", "sofa")
 CULTURES_HEADER = ("patient_id", "ts", "positive")
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
-
-
 def write_cohort(records: list[PatientRecord], directory, header_comment: str | None = None) -> None:
     """Write patients/hourly/sofa/cultures CSVs; empty cell means missing."""
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
-    patients = ([r.patient_id, r.admit_ts.isoformat()] + [_fmt(v) for v in r.statics] for r in records)
+    patients = ([r.patient_id, r.admit_ts.isoformat()] + [repr(float(v)) for v in r.statics] for r in records)
     hourly = (
-        [r.patient_id, obs.ts.isoformat()] + [_fmt(getattr(obs, name)) for name in HOURLY_FIELDS]
+        f"{head}{ts},{values}"
         for r in records
-        for obs in r.hourly
+        for head in [A.csv_row([r.patient_id, ""])]  # the id cell and the comma after it
+        for ts, values in zip(np.datetime_as_string(r.hours, unit="s").tolist(), A.number_rows(r.hourly))
     )
     sofa = ([r.patient_id, ts.isoformat(), str(int(score))] for r in records for ts, score in r.sofa)
     cultures = ([r.patient_id, ts.isoformat(), "1" if pos else "0"] for r in records for ts, pos in r.cultures)
     A.write_table(d / "patients.csv", PATIENTS_HEADER, patients, header_comment)
-    A.write_table(d / "hourly.csv", HOURLY_HEADER, hourly, header_comment)
+    A.write_lines(d / "hourly.csv", HOURLY_HEADER, hourly, header_comment)
     A.write_table(d / "sofa.csv", SOFA_HEADER, sofa, header_comment)
     A.write_table(d / "cultures.csv", CULTURES_HEADER, cultures, header_comment)
 
@@ -388,17 +357,28 @@ def read_cohort(directory) -> list[PatientRecord]:
         statics = [_parse_opt(raw, path, lineno) for raw in row[2:]]
         if None in statics:
             raise FormatError(f"{path}:{lineno}: missing static value")
-        patients[row[0]] = PatientRecord(row[0], _parse_ts(row[1], path, lineno), 0, [], statics, [], [])
+        patients[row[0]] = PatientRecord(row[0], _parse_ts(row[1], path, lineno), 0, None, None, statics, [], [])
         admit_line[row[0]] = lineno
 
-    for path, lineno, row, rec in _patient_rows(d / "hourly.csv", HOURLY_HEADER, patients):
+    path = d / "hourly.csv"
+    rows = A.read_table(path, HOURLY_HEADER)
+    values, accepted = A.numbers([cell for _, row in rows for cell in row[2:]], empty_is_missing=True)
+    values, row_ok = values.reshape(-1, len(HOURLY_FIELDS)), accepted.reshape(-1, len(HOURLY_FIELDS)).all(axis=1)
+    rows_of: dict[str, tuple[list[datetime], list[int]]] = {pid: ([], []) for pid in patients}  # stamps, row indices
+    for i, ((lineno, row), ok) in enumerate(zip(rows, row_ok.tolist())):
+        if row[0] not in patients:
+            raise FormatError(f"{path}:{lineno}: unknown patient {row[0]!r}")
         ts = _parse_ts(row[1], path, lineno)
         if ts.minute or ts.second or ts.microsecond:
             raise FormatError(f"{path}:{lineno}: timestamp not on the hour")
-        if rec.hourly and ts <= rec.hourly[-1].ts:
+        seen, indices = rows_of[row[0]]
+        if seen and ts <= seen[-1]:
             raise FormatError(f"{path}:{lineno}: out-of-order hourly row for {row[0]!r}")
-        values = {name: _parse_opt(raw, path, lineno) for name, raw in zip(HOURLY_FIELDS, row[2:])}
-        rec.hourly.append(HourlyObservation(ts=ts, **values))
+        if not ok:
+            for raw in row[2:]:
+                _parse_opt(raw, path, lineno)  # raises at the first bad cell
+        seen.append(ts)
+        indices.append(i)
 
     for path, lineno, row, rec in _patient_rows(d / "sofa.csv", SOFA_HEADER, patients):
         try:
@@ -415,12 +395,15 @@ def read_cohort(directory) -> list[PatientRecord]:
         rec.cultures.append((_parse_ts(row[1], path, lineno), row[2] == "1"))
 
     for pid, rec in patients.items():
-        if not rec.hourly:
+        seen, indices = rows_of[pid]
+        if not seen:
             raise FormatError(f"{d / 'hourly.csv'}: patient {pid!r} has no hourly rows")
-        if rec.hourly[0].ts < rec.admit_ts:
+        if seen[0] < rec.admit_ts:
             raise FormatError(
                 f"{d / 'patients.csv'}:{admit_line[pid]}: admit time {rec.admit_ts.isoformat()} is after "
-                f"the patient's first hourly row at {rec.hourly[0].ts.isoformat()}"
+                f"the patient's first hourly row at {seen[0].isoformat()}"
             )
-        rec.los_hours = int((rec.hourly[-1].ts - rec.admit_ts) / HOUR) + 1
+        rec.los_hours = int((seen[-1] - rec.admit_ts) / HOUR) + 1
+        rec.hours = np.array([(ts - EPOCH) // HOUR for ts in seen]).astype("datetime64[h]")
+        rec.hourly = values[indices]
     return list(patients.values())

@@ -261,18 +261,6 @@ def _bigru(x: Tensor, params: ParamSet) -> Tensor:
     return ng.concat_cols([gru_layer(x, params, "fwd"), gru_layer(x, params, "bwd")])
 
 
-def bigru_forward(window, params: ParamSet) -> Tensor:
-    """Run both directions over a single 9 x T window; rows are hours, columns
-    the concatenated forward and backward hidden states (9 x 2H)."""
-    data = window.data if isinstance(window, Tensor) else np.asarray(window, dtype=np.float64)
-    t_features = params["gru_fwd.W_z"].dims[0]
-    hidden = params["gru_fwd.W_z"].dims[1]
-    if data.shape != (WINDOW_LEN, t_features):
-        raise ShapeError(f"window must be {(WINDOW_LEN, t_features)}, got {data.shape}")
-    per_hour = _bigru(Tensor(data[:, None, :]), params)
-    return ng.reshape(per_hour, (WINDOW_LEN, 2 * hidden))
-
-
 def forward_batch(
     temporal: Array, statics: Array, params: ParamSet, config: ModelConfig
 ) -> tuple[Tensor, Tensor]:

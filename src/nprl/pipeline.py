@@ -1,7 +1,7 @@
 """From raw cohort records to model-ready night instances.
 
-The chain is: collapse raw readings to an hourly grid, derive mean arterial
-pressure and drop systolic pressure, forward-fill gaps, find the infection
+The chain runs on each record's hourly array: derive mean arterial pressure
+and drop systolic pressure, forward-fill gaps, find the infection
 onset from cultures and organ-dysfunction scores, cut one 9-hour window per
 eligible night (22:00 through 06:00) for hospital days 3 to 14, label each
 window by whether the first onset falls in the following 24 hours, and drop
@@ -22,7 +22,7 @@ import numpy as np
 from . import artifacts as A
 from .cohort import (
     CUMULATIVE_FIELDS,
-    HOUR,
+    HOURLY_FIELDS,
     STATIC_FEATURES,
     PatientRecord,
     day_start,
@@ -88,24 +88,23 @@ class ClassStats:
 # ---------------------------------------------------------------------------
 
 
-def derive_map(dbp: float | None, sbp: float | None) -> float | None:
-    """Mean arterial pressure (2*DBP + SBP) / 3; missing if either input is."""
-    if dbp is None or sbp is None:
-        return None
-    if dbp <= 0.0 or sbp <= 0.0:
-        raise InputError(f"blood pressures must be positive, got dbp={dbp}, sbp={sbp}")
+def derive_map(dbp: np.ndarray, sbp: np.ndarray) -> np.ndarray:
+    """Mean arterial pressure (2*DBP + SBP) / 3; NaN where either input is."""
+    dbp, sbp = np.broadcast_arrays(np.asarray(dbp, dtype=np.float64), np.asarray(sbp, dtype=np.float64))
+    present = ~(np.isnan(dbp) | np.isnan(sbp))
+    bad = np.flatnonzero(present & ((dbp <= 0.0) | (sbp <= 0.0)))
+    if len(bad):
+        raise InputError(f"blood pressures must be positive, got dbp={dbp.flat[bad[0]]}, sbp={sbp.flat[bad[0]]}")
     return (2.0 * dbp + sbp) / 3.0
 
 
-def locf_impute(series: list[float | None]) -> list[float | None]:
-    """Forward-fill: each gap takes the latest earlier value; leading gaps stay."""
-    out: list[float | None] = []
-    last: float | None = None
-    for v in series:
-        if v is not None:
-            last = v
-        out.append(last)
-    return out
+def locf_impute(values: np.ndarray) -> np.ndarray:
+    """Forward-fill down axis 0: each NaN takes the latest earlier value;
+    leading NaNs stay."""
+    values = np.asarray(values, dtype=np.float64)
+    rows = np.arange(len(values)).reshape((-1,) + (1,) * (values.ndim - 1))
+    latest = np.maximum.accumulate(np.where(np.isnan(values), 0, rows), axis=0)
+    return np.take_along_axis(values, latest, axis=0)
 
 
 @dataclass
@@ -115,47 +114,19 @@ class CleanRecord:
     patient_id: str
     admit_ts: datetime
     statics: np.ndarray
-    hours: list[datetime]
+    hours: np.ndarray  # (n_hours,) datetime64[h], strictly increasing
     values: np.ndarray  # (n_hours, len(TEMPORAL_FEATURES))
-    row_of: dict[datetime, int]
 
 
 def clean_record(record: PatientRecord) -> CleanRecord:
-    # Multiple readings within one hour collapse to the last one of that hour.
-    by_hour: dict[datetime, dict[str, float | None]] = {}
-    order: list[datetime] = []
-    for obs in record.hourly:
-        slot = obs.ts.replace(minute=0, second=0, microsecond=0)
-        if slot not in by_hour:
-            by_hour[slot] = {}
-            order.append(slot)
-        row = by_hour[slot]
-        for name in ("heart_rate", "sbp", "dbp", "resp_rate", "temperature", "fio2") + CUMULATIVE_FIELDS:
-            value = getattr(obs, name)
-            if value is not None or name not in row:
-                row[name] = value
-
-    columns: dict[str, list[float | None]] = {name: [] for name in TEMPORAL_FEATURES}
-    for slot in order:
-        row = by_hour[slot]
-        for name in TEMPORAL_FEATURES:
-            if name == "map":
-                columns[name].append(derive_map(row.get("dbp"), row.get("sbp")))
-            else:
-                columns[name].append(row.get(name))
-
-    values = np.full((len(order), len(TEMPORAL_FEATURES)), np.nan)
-    for j, name in enumerate(TEMPORAL_FEATURES):
-        filled = locf_impute(columns[name])
-        values[:, j] = [np.nan if v is None else v for v in filled]
-
+    columns = dict(zip(HOURLY_FIELDS, record.hourly.T))
+    columns["map"] = derive_map(columns["dbp"], columns["sbp"])
     return CleanRecord(
         patient_id=record.patient_id,
         admit_ts=record.admit_ts,
         statics=np.asarray(record.statics, dtype=np.float64),
-        hours=order,
-        values=values,
-        row_of={ts: i for i, ts in enumerate(order)},
+        hours=record.hours,
+        values=locf_impute(np.column_stack([columns[name] for name in TEMPORAL_FEATURES])),
     )
 
 
@@ -221,16 +192,13 @@ def extract_night_instances(
     for day in range(FIRST_DAY, LAST_DAY + 1):
         if onset_day is not None and day > onset_day:
             break  # nights past the first onset are excluded
-        window_start = day_start(clean.admit_ts, day - 1) + timedelta(hours=NIGHT_START_HOUR)
-        rows = []
-        for k in range(schema.window_len):
-            row = clean.row_of.get(window_start + k * HOUR)
-            if row is None:
-                break
-            rows.append(row)
-        if len(rows) < schema.window_len:
+        start = np.datetime64(day_start(clean.admit_ts, day - 1), "h") + NIGHT_START_HOUR
+        first = int(np.searchsorted(clean.hours, start))
+        last = first + schema.window_len - 1
+        # hours strictly increase, so the window is whole when its last hour is where it should be
+        if last >= len(clean.hours) or clean.hours[last] != start + (schema.window_len - 1):
             continue  # window extends outside the stay
-        temporal = clean.values[np.asarray(rows)][:, col_idx]
+        temporal = clean.values[first : last + 1, col_idx]
         if np.isnan(temporal).any():
             continue  # gaps survived forward filling (leading-gap nights)
         label = 1 if onset_day is not None and day == onset_day else 0
@@ -239,7 +207,7 @@ def extract_night_instances(
                 patient_id=clean.patient_id,
                 day_index=day,
                 instance_index=-1,
-                temporal=temporal.copy(),
+                temporal=temporal,
                 statics=statics.copy(),
                 label=label,
             )
@@ -442,12 +410,12 @@ def write_instances(
     header_comment: str | None = None,
 ) -> None:
     """instances.csv plus a key=value sidecar describing columns and subsets."""
-    rows = (
-        [inst.instance_index, inst.patient_id, inst.day_index, inst.label]
-        + [repr(float(v)) for part in (inst.temporal.reshape(-1), inst.statics) for v in part]
-        for inst in instances
+    values = [np.concatenate([inst.temporal.reshape(-1), inst.statics]) for inst in instances]
+    lines = (
+        f"{A.csv_row([inst.instance_index, inst.patient_id, inst.day_index, inst.label])},{text}"
+        for inst, text in zip(instances, A.number_rows(np.array(values)))
     )
-    A.write_table(csv_path, _instance_columns(schema), rows, header_comment)
+    A.write_lines(csv_path, _instance_columns(schema), lines, header_comment)
     fields = [
         ("window_len", schema.window_len),
         ("temporal_names", ",".join(schema.temporal_names)),
@@ -472,15 +440,21 @@ def read_instances(csv_path, sidecar_path) -> tuple[list[NightInstance], Feature
         raise FormatError(f"{sidecar_path}: {exc}") from None
 
     n_temporal = schema.window_len * schema.n_temporal
+    rows = A.read_table(csv_path, _instance_columns(schema))
+    values, accepted = A.numbers([cell for _, row in rows for cell in row[4:]])
+    width = n_temporal + schema.n_static
+    values, row_ok = values.reshape(-1, width), accepted.reshape(-1, width).all(axis=1)
     instances = []
-    for lineno, row in A.read_table(csv_path, _instance_columns(schema)):
+    for (lineno, row), row_values, ok in zip(rows, values, row_ok.tolist()):
         try:
             instance_index, day_index, label = (A.number(row[i], int) for i in (0, 2, 3))
-            values = np.array([A.number(v) for v in row[4:]])
+            if not ok:
+                for raw in row[4:]:
+                    A.number(raw)  # raises at the first bad cell
         except ValueError as exc:
             raise FormatError(f"{csv_path}:{lineno}: {exc}") from None
         if label not in (0, 1):
             raise FormatError(f"{csv_path}:{lineno}: label must be 0 or 1, got {label}")
-        temporal = values[:n_temporal].reshape(schema.window_len, schema.n_temporal)
-        instances.append(NightInstance(row[1], day_index, instance_index, temporal, values[n_temporal:], label))
+        temporal = row_values[:n_temporal].reshape(schema.window_len, schema.n_temporal)
+        instances.append(NightInstance(row[1], day_index, instance_index, temporal, row_values[n_temporal:], label))
     return instances, schema

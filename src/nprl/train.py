@@ -183,17 +183,21 @@ def class_balanced_weights(
 # ---------------------------------------------------------------------------
 
 
-def _evaluate(temporal, statics, labels, params, config) -> tuple[float, float]:
+def _evaluate(temporal, statics, labels, params, config) -> tuple[float, float, Array]:
+    """Mean loss, accuracy and the representations, from one forward pass in
+    the same 512-row chunks as ``compute_representations``."""
     params = ng.detach(params)
     probs_loss = 0.0
     correct = 0
+    reps = []
     n = temporal.shape[0]
     for lo in range(0, n, 512):
-        logits, _ = M.forward_batch(temporal[lo : lo + 512], statics[lo : lo + 512], params, config)
+        logits, rep = M.forward_batch(temporal[lo : lo + 512], statics[lo : lo + 512], params, config)
         loss, _ = ng.softmax_xent(logits.data, labels[lo : lo + 512])
         probs_loss += loss * logits.data.shape[0]
         correct += int((logits.data.argmax(axis=1) == labels[lo : lo + 512]).sum())
-    return probs_loss / n, correct / n
+        reps.append(rep.data)
+    return probs_loss / n, correct / n, np.concatenate(reps, axis=0)
 
 
 def _train(
@@ -298,7 +302,7 @@ def nprl_pretrain(
     pretrain_model = replace(model_config, head_classes=n)
     params = M.init_params(pretrain_model, schema, seed=config.seed)
 
-    loss0, acc0 = _evaluate(temporal, statics, labels, params, pretrain_model)
+    loss0, acc0, _ = _evaluate(temporal, statics, labels, params, pretrain_model)
     params, log = _train(
         temporal,
         statics,
@@ -311,8 +315,7 @@ def nprl_pretrain(
         seed=config.seed,
     )
     log.epochs.insert(0, EpochStats(epoch=0, loss=loss0, accuracy=acc0, frob_dist=0.0))
-    _, log.final_accuracy = _evaluate(temporal, statics, labels, params, pretrain_model)
-    reps = M.compute_representations(temporal, statics, params, pretrain_model)
+    _, log.final_accuracy, reps = _evaluate(temporal, statics, labels, params, pretrain_model)
     log.final_mean_cosine, log.final_mean_abs_cosine = _pairwise_cosine_stats(reps, config.seed)
     return params, log
 

@@ -69,24 +69,27 @@ def test_c02_architecture_shapes():
     schema = M.FeatureSchema(tuple(f"t{i}" for i in range(11)), tuple(f"s{i}" for i in range(15)))
     config = M.ModelConfig()
     params = M.init_params(config, schema, seed=0)
-    window = np.random.default_rng(0).uniform(size=(9, 11))
-    gru_out = M.bigru_forward(window, params)
 
     temporal = np.random.default_rng(1).uniform(size=(1, 9, 11))
     statics = np.random.default_rng(2).uniform(size=(1, 15))
     _, rep = M.forward_batch(temporal, statics, params, config)
+    # the representation opens with the BiGRU states, hour-major: 9 hours x 2H
+    gru_out = rep.data[:, : 9 * 2 * config.gru_hidden].reshape(9, -1)
 
     schema0 = M.FeatureSchema(tuple(f"t{i}" for i in range(11)))
+    params0 = M.init_params(config, schema0, seed=0)
+    _, rep0 = M.forward_batch(temporal, np.empty((1, 0)), params0, config)
     ok = (
-        gru_out.dims == (9, 512)
-        and gru_out.data.size == 4608
+        gru_out.shape == (9, 512)
+        and gru_out.size == 4608
         and rep.dims == (1, 4609)
+        and rep0.dims == (1, 4608)
         and M.rep_width(config, 0) == 4608
     )
     verdict(
         "C2 architecture shapes",
         ok,
-        f"bigru {gru_out.dims}, flatten {gru_out.data.size}, concat {rep.dims[1]}, no-static {M.rep_width(config, 0)}",
+        f"bigru {gru_out.shape}, flatten {gru_out.size}, concat {rep.dims[1]}, no-static {rep0.dims[1]}",
     )
 
 
@@ -159,7 +162,7 @@ def test_c04_class_decomposition_identity():
 def _fixture_record(patient_id, admit, los_days, culture=None, sofa_post=None, missing=None):
     los_hours = 24 * los_days
     missing = missing or {}
-    hourly = []
+    hourly = np.empty((los_hours, len(C.HOURLY_FIELDS)))
     for k in range(los_hours):
         values = dict(
             heart_rate=78.0,
@@ -176,8 +179,8 @@ def _fixture_record(patient_id, admit, los_days, culture=None, sofa_post=None, m
         )
         for name, predicate in missing.items():
             if predicate(k):
-                values[name] = None
-        hourly.append(C.HourlyObservation(ts=admit + k * HOUR, **values))
+                values[name] = np.nan
+        hourly[k] = [values[name] for name in C.HOURLY_FIELDS]
     sofa = []
     for k in range(0, los_hours, 6):
         ts = admit + k * HOUR
@@ -189,6 +192,7 @@ def _fixture_record(patient_id, admit, los_days, culture=None, sofa_post=None, m
         patient_id=patient_id,
         admit_ts=admit,
         los_hours=los_hours,
+        hours=np.datetime64(admit, "h") + np.arange(los_hours),
         hourly=hourly,
         statics=[float(i) for i in range(15)],
         sofa=sofa,

@@ -1,13 +1,15 @@
 """The run-file format: atomic writes, a FormatError with path:line for every
 bad input, and byte mutations of every artifact kind."""
 
+import hashlib
 import shutil
 import struct
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nprl import artifacts as A
@@ -205,6 +207,99 @@ class TestValues:
         edit_line(path, 3, ",".join(cells))
         with pytest.raises(FormatError, match=r"hourly\.csv:4: bad timestamp"):
             C.read_cohort(run)
+
+
+class TestBulkNumbers:
+    """``numbers`` converts a table's cells at once; it must accept and reject
+    exactly the cells ``number`` does, one at a time."""
+
+    ODD_CELLS = [
+        "", " ", "_", "1_0", "1__0", "nan", "NaN", "-nan", "inf", "-Infinity", "1e400", "-1e400", "1e-400",
+        " 1.5", "1.5 ", "\t2\n", "\u00a01", "１２", "١٢", "0x10", "1\x00", "\x00", "1.5e", ".", "+.5", "5.", "1j",
+    ]
+    CELLS = st.one_of(
+        st.sampled_from(ODD_CELLS),
+        st.floats().map(repr),
+        st.text(alphabet="0123456789.eE+-_ nafity\t", max_size=8),
+        st.text(max_size=6),
+    )
+    # cells float() parses, some of which number() rejects: these lists take the bulk path
+    FLOAT_CELLS = st.one_of(
+        st.just(""),
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.sampled_from(["1_0", "nan", "-nan", "inf", "-Infinity", "1e400", "1e-400", " 1.5", "\t2\n", "１２", "+.5"]),
+    )
+
+    @given(st.one_of(st.lists(CELLS, max_size=12), st.lists(FLOAT_CELLS, max_size=12)), st.booleans())
+    @example(["1_0", "2.5"], False)
+    @example(["1.5", "", "2.0"], True)
+    @example(["1.5", "", "2.0"], False)
+    @example(["1.5", "nan"], True)
+    @example(["1.5", "1e400"], True)
+    @settings(max_examples=300, deadline=None)
+    def test_same_verdicts_as_number(self, cells, empty_is_missing):
+        values, accepted = A.numbers(cells, empty_is_missing)
+        assert values.shape == accepted.shape == (len(cells),)
+        for cell, value, ok in zip(cells, values.tolist(), accepted.tolist()):
+            if empty_is_missing and cell == "":
+                assert ok and np.isnan(value)
+                continue
+            try:
+                expected = A.number(cell)
+            except ValueError:
+                assert not ok and np.isnan(value), cell
+            else:
+                assert ok and value == expected, cell
+
+    def test_empty_instance_value_rejected(self, run):
+        # an empty cell means missing only in the hourly value columns
+        path = run / "instances.csv"
+        cells = path.read_text().splitlines()[2].split(",")
+        cells[-1] = ""
+        edit_line(path, 2, ",".join(cells))
+        with pytest.raises(FormatError, match=r"instances\.csv:3: could not convert string to float: ''"):
+            P.read_instances(path, run / "instances.schema.txt")
+
+    def test_first_bad_hourly_row_reported(self, run):
+        # rows are checked in file order, and within a row the stamp before the values
+        path = run / "hourly.csv"
+        lines = path.read_text().splitlines()
+        number_line, stamp_line = lines[4].split(","), lines[6].split(",")
+        number_line[-1], stamp_line[1] = "x", "never"
+        edit_line(path, 4, ",".join(number_line))
+        edit_line(path, 6, ",".join(stamp_line))
+        with pytest.raises(FormatError, match=r"hourly\.csv:5: bad number 'x'"):
+            C.read_cohort(run)
+        number_line[1] = "never"
+        edit_line(path, 4, ",".join(number_line))
+        with pytest.raises(FormatError, match=r"hourly\.csv:5: bad timestamp 'never'"):
+            C.read_cohort(run)
+
+
+# sha256 of each file of a small cohort with missing cells and septic
+# patients: no change of record layout or number formatting may move a byte
+GOLDEN_SHA256 = {
+    "patients.csv": "72a6002fce3a5fc505354b6fa3bcfab1995a0948b1fa08fe4ef50e42ae8fee2b",
+    "hourly.csv": "62f86a2f1cde1804b5f63aa1974ef7913b6e418f9884666382d9def6d618a6bf",
+    "sofa.csv": "89ccdbf5bc064a9f14350e3cf08c5d5d66543ba0bf52276c1412690f44b9dc28",
+    "cultures.csv": "29c18a31fd46169d68cd3767b843e70d16d6f490273604dbbe4da9698e0a20ad",
+    "instances.csv": "d498e2f0e8d671d47022c6e6e09b43130e9f3756cae546539d1e2b53534e0cd3",
+    "instances.schema.txt": "c711c6aa4148059f1e1dc7d0713e5ebca5b714c077e46bb145c309bf18b9f546",
+}
+
+
+def test_golden_cohort_and_instance_bytes(tmp_path):
+    records = C.generate_cohort(C.GeneratorConfig(n_patients=20, seed=3, missing_rate=0.05))
+    assert sum(C.planted_onset(r) is not None for r in records) == 3
+    assert np.isnan(np.concatenate([r.hourly for r in records])).any()
+    header = "config_hash=abc seed=3"
+    C.write_cohort(records, tmp_path, header_comment=header)
+    instances = P.extract_instances(C.read_cohort(tmp_path))
+    instances, schema = P.select_features(instances, P.full_schema(), {1, 2, 3})
+    assert sum(inst.label for inst in instances) == 3
+    P.write_instances(instances, schema, tmp_path / "instances.csv", tmp_path / "instances.schema.txt", header)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256}
+    assert digests == GOLDEN_SHA256
 
 
 class TestCheckpointBoundary:

@@ -41,17 +41,18 @@ class TestGenerateCohort:
         records = C.generate_cohort(tiny_config(n_patients=20, seed=5))
         for r in records:
             for name in C.CUMULATIVE_FIELDS:
-                series = [getattr(o, name) for o in r.hourly]
+                series = r.hourly[:, C.HOURLY_FIELDS.index(name)]
                 assert all(a <= b for a, b in zip(series, series[1:]))
 
     def test_sofa_in_range_and_hourly_grid(self):
         records = C.generate_cohort(tiny_config(n_patients=10, seed=2))
         for r in records:
             assert all(0 <= s <= 24 for _, s in r.sofa)
-            for prev, cur in zip(r.hourly, r.hourly[1:]):
-                assert cur.ts - prev.ts == C.HOUR
-            assert r.hourly[0].ts == r.admit_ts
-            assert len(r.hourly) == r.los_hours
+            for prev, cur in zip(r.hours, r.hours[1:]):
+                assert cur - prev == np.timedelta64(1, "h")
+            assert r.hours[0] == np.datetime64(r.admit_ts)
+            assert len(r.hourly) == len(r.hours) == r.los_hours
+            assert r.hourly.shape == (r.los_hours, len(C.HOURLY_FIELDS))
 
     def test_vitals_within_configured_ranges(self):
         records = C.generate_cohort(tiny_config(n_patients=15, seed=9))
@@ -59,9 +60,8 @@ class TestGenerateCohort:
         for r in records:
             for name in C.VITAL_FIELDS:
                 vp = config.vitals[name]
-                for obs in r.hourly:
-                    v = getattr(obs, name)
-                    assert v is not None and vp.lo <= v <= vp.hi
+                for v in r.hourly[:, C.HOURLY_FIELDS.index(name)]:
+                    assert not np.isnan(v) and vp.lo <= v <= vp.hi
 
     def test_statics_length(self):
         records = C.generate_cohort(tiny_config())
@@ -78,10 +78,10 @@ class TestInjectMissingness:
         blanked = C.inject_missingness(records, 0.2, seed=4)
         eligible = blank_count = 0
         for r in blanked:
-            for obs in r.hourly[1:]:
-                for name in C.HOURLY_FIELDS:
+            for row in r.hourly[1:]:
+                for v in row:
                     eligible += 1
-                    if getattr(obs, name) is None:
+                    if np.isnan(v):
                         blank_count += 1
         mean = 0.2 * eligible
         sigma = np.sqrt(eligible * 0.2 * 0.8)
@@ -91,8 +91,8 @@ class TestInjectMissingness:
         records = C.generate_cohort(tiny_config(n_patients=20, seed=6))
         blanked = C.inject_missingness(records, 0.5, seed=8)
         for r in blanked:
-            for name in C.HOURLY_FIELDS:
-                assert getattr(r.hourly[0], name) is not None
+            for v in r.hourly[0]:
+                assert not np.isnan(v)
 
     def test_rejects_bad_rate(self):
         with pytest.raises(InputError):
@@ -119,10 +119,10 @@ class TestCsvRoundTrip:
         loaded = C.read_cohort(tmp_path)
         some_missing = False
         for orig, back in zip(records, loaded):
-            for o_obs, b_obs in zip(orig.hourly, back.hourly):
-                for name in C.HOURLY_FIELDS:
-                    assert (getattr(o_obs, name) is None) == (getattr(b_obs, name) is None)
-                    some_missing = some_missing or getattr(o_obs, name) is None
+            for o_row, b_row in zip(orig.hourly, back.hourly):
+                for o_v, b_v in zip(o_row, b_row):
+                    assert np.isnan(o_v) == np.isnan(b_v)
+                    some_missing = some_missing or np.isnan(o_v)
         assert some_missing
 
     def test_out_of_order_hourly_rows_rejected(self, tmp_path):

@@ -128,27 +128,34 @@ class TestGruCell:
         assert ng.grad_check(fn, params, step=1e-5) < 1e-6
 
 
+def bigru_states(window, params, config):
+    """The (9, 2H) per-hour [forward ; backward] states of one window, read
+    from the representation of a batch of 1 (hour-major, no statics)."""
+    _, rep = M.forward_batch(np.asarray(window)[None], np.empty((1, 0)), params, config)
+    return rep.data.reshape(9, -1)
+
+
 class TestBigru:
     def test_paper_dims(self):
         schema = M.FeatureSchema(tuple(f"t{i}" for i in range(11)))
-        params = M.init_params(M.ModelConfig(head_classes=2), schema, seed=0)
-        window = np.random.default_rng(0).normal(size=(9, 11))
-        out = M.bigru_forward(window, params)
-        assert out.dims == (9, 512)
-        assert out.data.size == 4608
+        config = M.ModelConfig(head_classes=2)
+        params = M.init_params(config, schema, seed=0)
+        out = bigru_states(np.random.default_rng(0).normal(size=(9, 11)), params, config)
+        assert out.shape == (9, 512)
+        assert out.size == 4608
 
     def test_zero_params_zero_output(self):
-        params = {
-            f"gru_{d}.{kind}_{gate}": Tensor(np.zeros(shape))
-            for d in ("fwd", "bwd")
-            for gate in ("z", "r", "h")
-            for kind, shape in (("W", (5, 4)), ("U", (4, 4)), ("b", (4,)))
-        }
-        out = M.bigru_forward(np.ones((9, 5)), params)
-        np.testing.assert_array_equal(out.data, np.zeros((9, 8)))
+        config = M.ModelConfig(gru_hidden=4, static_widths=(), trunk_widths=(), head_classes=2)
+        params = M.init_params(config, M.FeatureSchema(("a", "b", "c", "d", "e")), seed=0)
+        for name in params:
+            if name.startswith("gru_"):
+                params[name] = Tensor(np.zeros(params[name].dims))
+        out = bigru_states(np.ones((9, 5)), params, config)
+        np.testing.assert_array_equal(out, np.zeros((9, 8)))
 
     def test_time_reversal_swaps_directions(self):
-        params = small_params()
+        config = M.ModelConfig(gru_hidden=4, static_widths=(), trunk_widths=(6,), head_classes=2)
+        params = M.init_params(config, M.FeatureSchema(("a", "b", "c", "d", "e")), seed=0)
         # make both directions share weights so the symmetry is exact
         for gate in ("z", "r", "h"):
             for kind in ("W", "U", "b"):
@@ -156,15 +163,15 @@ class TestBigru:
         rng = np.random.default_rng(4)
         window = rng.normal(size=(9, 5))
         h = 4
-        out = M.bigru_forward(window, params).data
-        out_rev = M.bigru_forward(window[::-1], params).data
+        out = bigru_states(window, params, config)
+        out_rev = bigru_states(window[::-1], params, config)
         np.testing.assert_allclose(out[:, :h], out_rev[::-1, h:], atol=1e-12)
         np.testing.assert_allclose(out[:, h:], out_rev[::-1, :h], atol=1e-12)
 
     def test_wrong_step_count(self):
         params = small_params()
         with pytest.raises(ShapeError):
-            M.bigru_forward(np.zeros((8, 5)), params)
+            M.forward_batch(np.zeros((1, 8, 5)), np.zeros((1, 3)), params, SMALL_CONFIG)
 
 
 class TestForward:

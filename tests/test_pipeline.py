@@ -25,7 +25,7 @@ def make_record(
     a predicate on the hour offset."""
     los_hours = 24 * los_days
     missing = missing or {}
-    hourly = []
+    hourly = np.empty((los_hours, len(C.HOURLY_FIELDS)))
     for k in range(los_hours):
         values = dict(
             heart_rate=80.0 + 0.01 * k,
@@ -42,8 +42,8 @@ def make_record(
         )
         for name, predicate in missing.items():
             if predicate(k):
-                values[name] = None
-        hourly.append(C.HourlyObservation(ts=admit + k * HOUR, **values))
+                values[name] = np.nan
+        hourly[k] = [values[name] for name in C.HOURLY_FIELDS]
     sofa = []
     for k in range(0, los_hours, 6):
         ts = admit + k * HOUR
@@ -56,11 +56,15 @@ def make_record(
         patient_id=patient_id,
         admit_ts=admit,
         los_hours=los_hours,
+        hours=np.datetime64(admit, "h") + np.arange(los_hours),
         hourly=hourly,
         statics=[float(i) for i in range(15)],
         sofa=sofa,
         cultures=cultures,
     )
+
+
+NAN = np.nan
 
 
 class TestDeriveMap:
@@ -74,28 +78,44 @@ class TestDeriveMap:
         assert P.derive_map(60.0, 90.0) == 70.0
 
     def test_missing_propagates(self):
-        assert P.derive_map(None, 120.0) is None
-        assert P.derive_map(80.0, None) is None
+        assert np.isnan(P.derive_map(NAN, 120.0))
+        assert np.isnan(P.derive_map(80.0, NAN))
 
     def test_nonpositive_rejected(self):
         with pytest.raises(InputError):
             P.derive_map(-1.0, 120.0)
 
+    def test_columns_elementwise(self):
+        out = P.derive_map(np.array([80.0, 100.0, 60.0, NAN, 80.0]), np.array([120.0, 100.0, 90.0, 120.0, NAN]))
+        np.testing.assert_array_equal(out, [(2.0 * 80.0 + 120.0) / 3.0, 100.0, 70.0, NAN, NAN])
+
+    def test_nonpositive_rejected_in_column(self):
+        with pytest.raises(InputError, match="dbp=0.0, sbp=90.0"):
+            P.derive_map(np.array([80.0, 0.0]), np.array([120.0, 90.0]))
+
+    def test_nonpositive_beside_missing_propagates(self):
+        # only a pair with both pressures present is checked; a missing partner makes MAP missing
+        np.testing.assert_array_equal(P.derive_map(np.array([-1.0, NAN]), np.array([NAN, 0.0])), [NAN, NAN])
+
 
 class TestLocf:
     def test_forward_fill(self):
-        assert P.locf_impute([36.5, None, None, 37.0, None]) == [36.5, 36.5, 36.5, 37.0, 37.0]
+        np.testing.assert_array_equal(P.locf_impute([36.5, NAN, NAN, 37.0, NAN]), [36.5, 36.5, 36.5, 37.0, 37.0])
 
     def test_leading_gap_preserved(self):
-        assert P.locf_impute([None, 5.0]) == [None, 5.0]
+        np.testing.assert_array_equal(P.locf_impute([NAN, 5.0]), [NAN, 5.0])
 
     def test_identity_when_complete(self):
-        assert P.locf_impute([1.0, 2.0, 3.0]) == [1.0, 2.0, 3.0]
+        np.testing.assert_array_equal(P.locf_impute([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
+
+    def test_columns_fill_independently(self):
+        out = P.locf_impute(np.array([[1.0, NAN], [NAN, 2.0], [NAN, NAN], [4.0, NAN]]))
+        np.testing.assert_array_equal(out, [[1.0, NAN], [1.0, 2.0], [1.0, 2.0], [4.0, 2.0]])
 
     @given(st.lists(st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False)), max_size=30))
     @settings(max_examples=200, deadline=None)
     def test_properties(self, series):
-        out = P.locf_impute(series)
+        out = P.locf_impute([NAN if v is None else v for v in series])
         assert len(out) == len(series)
         seen = False
         for raw, filled in zip(series, out):
@@ -103,9 +123,9 @@ class TestLocf:
                 seen = True
                 assert filled == raw
             elif not seen:
-                assert filled is None
+                assert np.isnan(filled)
             else:
-                assert filled is not None
+                assert not np.isnan(filled)
 
 
 class TestSepsisLabels:

@@ -128,6 +128,24 @@ class TestPretrain:
         assert log.final_mean_abs_cosine is not None
         assert -1.0 <= log.final_mean_cosine <= 1.0
 
+    def test_final_diagnostics_match_two_passes(self):
+        # the final accuracy and cosine statistics come from one forward pass;
+        # they must equal a separate accuracy pass plus compute_representations,
+        # over more rows than one 512-row chunk
+        profiles = T.strip_labels(toy_instances(0, 600, seed=8, separable=False))
+        config = T.PretrainConfig(epochs=1, seed=4)
+        params, log = T.nprl_pretrain(profiles, CONFIG, SCHEMA, config)
+        temporal, statics = T.to_arrays(profiles)
+        model = M.ModelConfig(gru_hidden=4, trunk_widths=(8,), head_classes=600)
+        detached = ng.detach(params)
+        correct = 0
+        for lo in range(0, 600, 512):
+            logits, _ = M.forward_batch(temporal[lo : lo + 512], statics[lo : lo + 512], detached, model)
+            correct += int((logits.data.argmax(axis=1) == np.arange(lo, min(lo + 512, 600))).sum())
+        reps = M.compute_representations(temporal, statics, params, model)
+        assert log.final_accuracy == correct / 600
+        assert (log.final_mean_cosine, log.final_mean_abs_cosine) == T._pairwise_cosine_stats(reps, config.seed)
+
     def test_duplicate_indices_rejected(self):
         instances = toy_instances(0, 5, separable=False)
         profiles = T.strip_labels(instances)
