@@ -10,7 +10,7 @@ and the binary checkpoint format.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -261,15 +261,12 @@ def _bigru(x: Tensor, params: ParamSet) -> Tensor:
     return ng.concat_cols([gru_layer(x, params, "fwd"), gru_layer(x, params, "bwd")])
 
 
-def forward_batch(
-    temporal: Array, statics: Array, params: ParamSet, config: ModelConfig
-) -> tuple[Tensor, Tensor]:
-    """Batched forward pass on raw arrays.
+def represent(temporal: Array, statics: Array, params: ParamSet, config: ModelConfig) -> Tensor:
+    """Batched representation of raw arrays, reading no trunk or head tensor.
 
     temporal has dims (batch, 9, T) and statics (batch, S) with S possibly 0.
-    Returns (logits, representation) tensors; the representation is the
-    concatenation feeding the trunk, normalized to unit rows when the config
-    says so.
+    The representation is the concatenation feeding the trunk, normalized to
+    unit rows when the config says so.
     """
     temporal = np.asarray(temporal, dtype=np.float64)
     statics = np.asarray(statics, dtype=np.float64)
@@ -302,6 +299,15 @@ def forward_batch(
         raise ShapeError(f"representation width {rep.dims[1]} != expected {expected}")
     if config.normalize_representation:
         rep = ng.l2_normalize_rows(rep)
+    return rep
+
+
+def forward_batch(
+    temporal: Array, statics: Array, params: ParamSet, config: ModelConfig
+) -> tuple[Tensor, Tensor]:
+    """Batched forward pass on raw arrays: ``represent``, then the trunk and
+    the head. Returns (logits, representation) tensors."""
+    rep = represent(temporal, statics, params, config)
     x = rep
     for i in range(len(config.trunk_widths)):
         x = ng.elementwise(ng.affine(x, params[f"trunk.{i}.W"], params[f"trunk.{i}.b"]), "relu")
@@ -334,13 +340,11 @@ def compute_representations(
     temporal: Array, statics: Array, params: ParamSet, config: ModelConfig, batch_size: int = 512
 ) -> Array:
     """Representations for a stack of instances, evaluated in batches without
-    recording a tape."""
+    recording a tape or running the trunk and head."""
     params = ng.detach(params)
     outs = []
     for lo in range(0, temporal.shape[0], batch_size):
-        _, rep = forward_batch(
-            temporal[lo : lo + batch_size], statics[lo : lo + batch_size], params, config
-        )
+        rep = represent(temporal[lo : lo + batch_size], statics[lo : lo + batch_size], params, config)
         outs.append(rep.data)
     return np.concatenate(outs, axis=0)
 

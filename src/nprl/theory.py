@@ -15,6 +15,12 @@ per unit of parameter perturbation), which is the quantity the radius bound
 actually controls; the statement's wording in terms of the inputs is noted in
 every report. The estimate is an empirical maximum over random probes, hence
 a lower bound on the true constant, so the radius gets a safety divisor.
+
+The protocol makes one forward-only representation pass per parameter set:
+the pretrained theta0, each Lipschitz probe, and the fine-tuned theta*. The
+theta0 pass is pretraining's own final pass, reused: the fresh outcome head
+carries every other tensor over unchanged, and the representation reads no
+head. Both checks are pure geometry over the two representation arrays.
 """
 
 from __future__ import annotations
@@ -80,6 +86,7 @@ def _reps(instances, params: ParamSet, config: ModelConfig) -> np.ndarray:
 def estimate_lipschitz(
     params: ParamSet,
     instances,
+    base: np.ndarray,
     n_probes: int,
     delta: float,
     seed: int,
@@ -87,7 +94,9 @@ def estimate_lipschitz(
 ) -> LipschitzEstimate:
     """Max over probes of (max over instances of ||rep shift|| / delta).
 
-    Each probe draws one random direction over the non-head tensors, scaled to
+    ``base`` holds the unperturbed representations of ``instances`` under
+    ``params``, one row per instance, as the caller already has them. Each
+    probe draws one random direction over the non-head tensors, scaled to
     Frobenius norm delta. Probe directions depend only on (seed, probe index,
     tensor dims), so the estimate never decreases when instances or probes are
     added.
@@ -98,7 +107,8 @@ def estimate_lipschitz(
         raise InputError(f"n_probes must be at least 1, got {n_probes}")
     if not instances:
         raise InputError("need at least one instance to probe")
-    base = _reps(instances, params, config)
+    if len(base) != len(instances):
+        raise InputError(f"{len(base)} unperturbed representations for {len(instances)} instances")
     ratios = []
     for probe in range(n_probes):
         rng = derive_rng(seed, "probe", probe)
@@ -141,22 +151,28 @@ def _sample_pairs(n: int, n_pairs: int | None, seed: int) -> np.ndarray:
     return np.stack([i, j], axis=1)
 
 
+def _check_rep_pair(reps0: np.ndarray, reps_star: np.ndarray) -> None:
+    """Both checks compare the same rows before and after fine-tuning."""
+    if np.ndim(reps0) != 2 or np.shape(reps0) != np.shape(reps_star):
+        raise InputError(
+            f"representations must be two (rows, width) arrays of one shape, "
+            f"got {np.shape(reps0)} and {np.shape(reps_star)}"
+        )
+    if len(reps0) < 2:
+        raise InputError(f"need at least 2 representations to form a pair, got {len(reps0)}")
+
+
 def check_theorem1(
-    theta0: ParamSet,
-    theta_star: ParamSet,
-    instances,
-    config: ModelConfig,
-    n_pairs: int | None = 10000,
-    seed: int = 0,
+    reps0: np.ndarray, reps_star: np.ndarray, n_pairs: int | None = 10000, seed: int = 0
 ) -> tuple[int, int, float]:
-    """Count violations of the pairwise-distance preservation inequality.
+    """Count violations of the pairwise-distance preservation inequality
+    between the rows of the pretrained and the fine-tuned representations.
 
     Returns (pairs_checked, violations, worst_margin) where margin is
     lhs - rhs; the inequality is tested exactly as stated, with no tolerance.
     """
-    reps0 = _reps(instances, theta0, config)
-    reps_star = _reps(instances, theta_star, config)
-    pairs = _sample_pairs(len(instances), n_pairs, seed)
+    _check_rep_pair(reps0, reps_star)
+    pairs = _sample_pairs(len(reps0), n_pairs, seed)
     d0 = np.empty(len(pairs))
     d_star_sq = np.empty(len(pairs))
     # Blocks of pairs bound the gathered (pairs x width) differences; every
@@ -172,11 +188,7 @@ def check_theorem1(
 
 
 def check_corollary1(
-    theta0: ParamSet,
-    theta_star: ParamSet,
-    instances,
-    config: ModelConfig,
-    tol: float = 0.02,
+    reps0: np.ndarray, reps_star: np.ndarray, tol: float = 0.02
 ) -> tuple[float, float, bool]:
     """Mean pairwise inner products before and after fine-tuning.
 
@@ -184,10 +196,9 @@ def check_corollary1(
     pretraining only approximates that, so the measured |m0| is added to the
     budget: satisfied iff m_star <= 0.37 + |m0| + tol.
     """
-    if not config.normalize_representation:
-        raise ConfigError("the inner-product bound requires normalize_representation")
-    m0 = _mean_offdiag_inner(_reps(instances, theta0, config))
-    m_star = _mean_offdiag_inner(_reps(instances, theta_star, config))
+    _check_rep_pair(reps0, reps_star)
+    m0 = _mean_offdiag_inner(reps0)
+    m_star = _mean_offdiag_inner(reps_star)
     ok = m_star <= COROLLARY_PRINTED_BOUND + abs(m0) + tol
     return m0, m_star, ok
 
@@ -195,7 +206,9 @@ def check_corollary1(
 def _mean_offdiag_inner(reps: np.ndarray) -> float:
     norms = np.linalg.norm(reps, axis=1)
     if np.abs(norms - 1.0).max() > 1e-6:
-        raise ConfigError("representations are not unit-norm")
+        raise ConfigError(
+            "the inner-product bound requires unit-norm representations (normalize_representation)"
+        )
     n = reps.shape[0]
     gram = reps @ reps.T
     return float((gram.sum() - np.trace(gram)) / (n * (n - 1)))
@@ -234,7 +247,7 @@ def theory_protocol(
     instances, schema: FeatureSchema, config: TheoryConfig, seed: int
 ) -> TheoremCheckReport:
     """Pretrain, estimate the constant, pick the radius, fine-tune inside the
-    ball, then run both checks.
+    ball, then run both checks on theta0's and theta*'s representations.
 
     The radius is gamma = 1 / (8 * L_hat * safety); the safety divisor covers
     the fact that the probe-based estimate is a lower bound on the true
@@ -244,9 +257,11 @@ def theory_protocol(
     theta0, pretrain_log = T.nprl_pretrain(
         profiles, config.model, schema, replace(config.pretrain, seed=derive_seed(seed, "pretrain"))
     )
+    reps0 = pretrain_log.final_reps  # profiles are the instances, in order
     estimate = estimate_lipschitz(
         theta0,
         instances,
+        reps0,
         config.n_probes,
         config.probe_scale,
         derive_seed(seed, "probes"),
@@ -261,12 +276,11 @@ def theory_protocol(
         config.model,
         schema,
     )
+    reps_star = _reps(instances, theta_star, config.model)
     pairs_checked, violations, worst_margin = check_theorem1(
-        theta0_binary, theta_star, instances, config.model, config.n_pairs, derive_seed(seed, "pairs")
+        reps0, reps_star, config.n_pairs, derive_seed(seed, "pairs")
     )
-    m0, m_star, bound_ok = check_corollary1(
-        theta0_binary, theta_star, instances, config.model, config.corollary_tol
-    )
+    m0, m_star, bound_ok = check_corollary1(reps0, reps_star, config.corollary_tol)
     return TheoremCheckReport(
         l_hat=estimate.l_hat,
         gamma=gamma,

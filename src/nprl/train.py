@@ -96,6 +96,9 @@ class TrainLog:
     final_accuracy: float | None = None
     final_mean_cosine: float | None = None
     final_mean_abs_cosine: float | None = None
+    # representations of every training row at the final parameters, in row
+    # order; kept for callers that reuse them, never written
+    final_reps: Array | None = None
 
     def to_csv(self, path, header_comment: str | None = None) -> None:
         # Wall time is intentionally not written: emitted logs must be
@@ -288,8 +291,9 @@ def nprl_pretrain(
 
     Profiles must carry unique indices; class ids are their dense enumeration
     in input order. The log carries per-epoch identification accuracy, a
-    pre-training epoch-0 row, and the final pairwise-cosine statistics of the
-    representations.
+    pre-training epoch-0 row, and the final representations of the profiles
+    (bit-equal to ``compute_representations`` on the returned parameters) with
+    their pairwise-cosine statistics.
     """
     indices = [p.instance_index for p in profiles]
     if len(set(indices)) != len(indices):
@@ -315,8 +319,8 @@ def nprl_pretrain(
         seed=config.seed,
     )
     log.epochs.insert(0, EpochStats(epoch=0, loss=loss0, accuracy=acc0, frob_dist=0.0))
-    _, log.final_accuracy, reps = _evaluate(temporal, statics, labels, params, pretrain_model)
-    log.final_mean_cosine, log.final_mean_abs_cosine = _pairwise_cosine_stats(reps, config.seed)
+    _, log.final_accuracy, log.final_reps = _evaluate(temporal, statics, labels, params, pretrain_model)
+    log.final_mean_cosine, log.final_mean_abs_cosine = _pairwise_cosine_stats(log.final_reps, config.seed)
     return params, log
 
 

@@ -6,11 +6,9 @@ the criteria that inspect them.
 """
 
 import time
-from dataclasses import replace
 from datetime import datetime, timedelta
 
 import numpy as np
-import pytest
 
 from nprl import cli
 from nprl import cohort as C
@@ -18,9 +16,6 @@ from nprl import evaluation as E
 from nprl import model as M
 from nprl import numgrad as ng
 from nprl import pipeline as P
-from nprl import theory as TH
-from nprl import train as T
-from nprl.util import derive_rng
 
 HOUR = timedelta(hours=1)
 

@@ -316,6 +316,17 @@ class TestFusedGru:
             M.predict_proba(temporal, statics, params, SMALL_CONFIG), M.softmax(logits.data)
         )
 
+    def test_representations_equal_taped_representation(self):
+        # statics, a trunk and a 2-way head: the forward-only pass stops at the
+        # representation, which reads no trunk or head tensor
+        params = small_params()
+        temporal, statics = small_batch(n=7, seed=3)
+        _, rep = M.forward_batch(temporal, statics, params, SMALL_CONFIG)
+        reps = M.compute_representations(temporal, statics, params, SMALL_CONFIG)
+        np.testing.assert_array_equal(reps, rep.data)
+        body = {n: p for n, p in params.items() if not (M.is_head(n) or n.startswith("trunk."))}
+        np.testing.assert_array_equal(M.compute_representations(temporal, statics, body, SMALL_CONFIG), reps)
+
     def test_detached_forward_records_nothing(self):
         params = small_params()
         detached = ng.detach(params)

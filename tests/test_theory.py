@@ -14,6 +14,11 @@ NORM_CONFIG = M.ModelConfig(
 )
 
 
+def reps_of(instances, params, config=NORM_CONFIG):
+    temporal, statics = T.to_arrays(instances)
+    return M.compute_representations(temporal, statics, params, config)
+
+
 def toy_instances(n=24, seed=0):
     rng = np.random.default_rng(seed)
     return [
@@ -59,7 +64,10 @@ class TestEstimateLipschitz:
 
         theory_mod._reps = fake_reps
         try:
-            estimate = TH.estimate_lipschitz(params, [object()], n_probes=3, delta=1e-3, seed=0, config=NORM_CONFIG)
+            base = fake_reps([object()], params, NORM_CONFIG)
+            estimate = TH.estimate_lipschitz(
+                params, [object()], base, n_probes=3, delta=1e-3, seed=0, config=NORM_CONFIG
+            )
         finally:
             theory_mod._reps = original
         assert abs(estimate.l_hat - 2.0) < 1e-9
@@ -72,44 +80,52 @@ class TestEstimateLipschitz:
         theory_mod._reps = lambda instances, p, config: np.array([[5.0]])
         try:
             with pytest.raises(DegenerateError):
-                TH.estimate_lipschitz(params, [object()], n_probes=2, delta=1e-3, seed=0, config=NORM_CONFIG)
+                TH.estimate_lipschitz(
+                    params, [object()], np.array([[5.0]]), n_probes=2, delta=1e-3, seed=0, config=NORM_CONFIG
+                )
         finally:
             theory_mod._reps = original
 
     def test_monotone_in_instances_and_probes(self):
         instances = toy_instances(n=20, seed=1)
         params = M.init_params(NORM_CONFIG, SCHEMA, seed=0)
-        small = TH.estimate_lipschitz(params, instances[:8], n_probes=4, delta=1e-3, seed=5, config=NORM_CONFIG)
-        large = TH.estimate_lipschitz(params, instances, n_probes=4, delta=1e-3, seed=5, config=NORM_CONFIG)
+        base = reps_of(instances, params)
+        small = TH.estimate_lipschitz(
+            params, instances[:8], base[:8], n_probes=4, delta=1e-3, seed=5, config=NORM_CONFIG
+        )
+        large = TH.estimate_lipschitz(params, instances, base, n_probes=4, delta=1e-3, seed=5, config=NORM_CONFIG)
         assert large.l_hat >= small.l_hat
-        fewer = TH.estimate_lipschitz(params, instances, n_probes=2, delta=1e-3, seed=5, config=NORM_CONFIG)
+        fewer = TH.estimate_lipschitz(params, instances, base, n_probes=2, delta=1e-3, seed=5, config=NORM_CONFIG)
         assert large.l_hat >= fewer.l_hat
-        again = TH.estimate_lipschitz(params, instances, n_probes=4, delta=1e-3, seed=5, config=NORM_CONFIG)
+        again = TH.estimate_lipschitz(params, instances, base, n_probes=4, delta=1e-3, seed=5, config=NORM_CONFIG)
         assert again.l_hat == large.l_hat
 
     def test_validates_inputs(self):
         params = M.init_params(NORM_CONFIG, SCHEMA, seed=0)
+        empty = np.empty((0, M.rep_width(NORM_CONFIG, 0)))
         with pytest.raises(InputError):
-            TH.estimate_lipschitz(params, [], n_probes=2, delta=1e-3, seed=0, config=NORM_CONFIG)
+            TH.estimate_lipschitz(params, [], empty, n_probes=2, delta=1e-3, seed=0, config=NORM_CONFIG)
+        instances = toy_instances(4)
+        base = reps_of(instances, params)
         with pytest.raises(InputError):
-            TH.estimate_lipschitz(params, toy_instances(4), n_probes=2, delta=0.0, seed=0, config=NORM_CONFIG)
+            TH.estimate_lipschitz(params, instances, base, n_probes=2, delta=0.0, seed=0, config=NORM_CONFIG)
+        with pytest.raises(InputError, match="3 unperturbed representations for 4 instances"):
+            TH.estimate_lipschitz(params, instances, base[:3], n_probes=2, delta=1e-3, seed=0, config=NORM_CONFIG)
 
 
 class TestCheckTheorem1:
     def test_identical_parameters_never_violate(self):
         instances = toy_instances(n=16, seed=2)
-        params = M.init_params(NORM_CONFIG, SCHEMA, seed=1)
-        pairs, violations, worst = TH.check_theorem1(params, params, instances, NORM_CONFIG, n_pairs=None)
+        reps = reps_of(instances, M.init_params(NORM_CONFIG, SCHEMA, seed=1))
+        pairs, violations, worst = TH.check_theorem1(reps, reps, n_pairs=None)
         assert violations == 0
         assert pairs == 16 * 15 // 2
         assert worst > 0.0  # slack terms keep the margin strictly positive
 
     def test_margin_formula_for_equal_params(self):
         instances = toy_instances(n=10, seed=3)
-        params = M.init_params(NORM_CONFIG, SCHEMA, seed=2)
-        temporal, statics = T.to_arrays(instances)
-        reps = M.compute_representations(temporal, statics, params, NORM_CONFIG)
-        _, _, worst = TH.check_theorem1(params, params, instances, NORM_CONFIG, n_pairs=None)
+        reps = reps_of(instances, M.init_params(NORM_CONFIG, SCHEMA, seed=2))
+        _, _, worst = TH.check_theorem1(reps, reps, n_pairs=None)
         d0 = [
             np.linalg.norm(reps[i] - reps[j])
             for i in range(len(instances))
@@ -120,24 +136,28 @@ class TestCheckTheorem1:
 
     def test_blocked_pairs_match_one_pass(self):
         instances = toy_instances(n=40, seed=6)  # 780 pairs, several blocks
-        theta0 = M.init_params(NORM_CONFIG, SCHEMA, seed=5)
-        theta_star = M.init_params(NORM_CONFIG, SCHEMA, seed=6)
-        temporal, statics = T.to_arrays(instances)
-        reps0 = M.compute_representations(temporal, statics, theta0, NORM_CONFIG)
-        reps_star = M.compute_representations(temporal, statics, theta_star, NORM_CONFIG)
+        reps0 = reps_of(instances, M.init_params(NORM_CONFIG, SCHEMA, seed=5))
+        reps_star = reps_of(instances, M.init_params(NORM_CONFIG, SCHEMA, seed=6))
         pairs = TH._sample_pairs(len(instances), None, 0)
         assert len(pairs) > TH.PAIR_BLOCK
         d0 = np.linalg.norm(reps0[pairs[:, 0]] - reps0[pairs[:, 1]], axis=1)
         d_star_sq = np.sum((reps_star[pairs[:, 0]] - reps_star[pairs[:, 1]]) ** 2, axis=1)
         margins = d_star_sq - (d0 * d0 - d0 / 2.0 - 1.0 / 32.0)
-        result = TH.check_theorem1(theta0, theta_star, instances, NORM_CONFIG, n_pairs=None)
+        result = TH.check_theorem1(reps0, reps_star, n_pairs=None)
         assert result == (len(pairs), int((margins < 0.0).sum()), float(margins.min()))
 
     def test_pair_sampling_counts(self):
         instances = toy_instances(n=30, seed=4)
-        params = M.init_params(NORM_CONFIG, SCHEMA, seed=3)
-        pairs, _, _ = TH.check_theorem1(params, params, instances, NORM_CONFIG, n_pairs=100)
+        reps = reps_of(instances, M.init_params(NORM_CONFIG, SCHEMA, seed=3))
+        pairs, _, _ = TH.check_theorem1(reps, reps, n_pairs=100)
         assert pairs == 100
+
+    def test_fewer_than_two_representations(self):
+        reps = reps_of(toy_instances(n=1, seed=4), M.init_params(NORM_CONFIG, SCHEMA, seed=3))
+        with pytest.raises(InputError, match="at least 2 representations.*got 1"):
+            TH.check_theorem1(reps, reps, n_pairs=None)
+        with pytest.raises(InputError, match="one shape"):
+            TH.check_theorem1(reps, np.vstack([reps, reps]), n_pairs=None)
 
     def test_detects_planted_violation(self):
         # scaling all representations toward zero shrinks pairwise distances
@@ -152,12 +172,12 @@ class TestCheckTheorem1:
             name: ng.Tensor(np.zeros(p.dims), requires_grad=True) if not M.is_head(name) else p
             for name, p in theta0.items()
         }
-        temporal, statics = T.to_arrays(instances)
-        reps0 = M.compute_representations(temporal, statics, theta0, config)
+        reps0 = reps_of(instances, theta0, config)
         d0_max = max(
             np.linalg.norm(reps0[i] - reps0[j]) for i in range(12) for j in range(i + 1, 12)
         )
-        _, violations, worst = TH.check_theorem1(theta0, theta_star, instances, config, n_pairs=None)
+        reps_star = reps_of(instances, theta_star, config)
+        _, violations, worst = TH.check_theorem1(reps0, reps_star, n_pairs=None)
         if d0_max**2 - d0_max / 2.0 - 1.0 / 32.0 > 0:
             assert violations > 0
             assert worst < 0
@@ -166,24 +186,29 @@ class TestCheckTheorem1:
 class TestCheckCorollary1:
     def test_identical_parameters_satisfy(self):
         instances = toy_instances(n=14, seed=6)
-        params = M.init_params(NORM_CONFIG, SCHEMA, seed=5)
-        m0, m_star, ok = TH.check_corollary1(params, params, instances, NORM_CONFIG)
+        reps = reps_of(instances, M.init_params(NORM_CONFIG, SCHEMA, seed=5))
+        m0, m_star, ok = TH.check_corollary1(reps, reps)
         assert m0 == m_star
         assert ok
 
     def test_requires_normalization(self):
         config = M.ModelConfig(gru_hidden=4, trunk_widths=(), head_classes=2)
         instances = toy_instances(n=8, seed=7)
-        params = M.init_params(config, SCHEMA, seed=6)
+        reps = reps_of(instances, M.init_params(config, SCHEMA, seed=6), config)
         with pytest.raises(ConfigError):
-            TH.check_corollary1(params, params, instances, config)
+            TH.check_corollary1(reps, reps)
 
     def test_budget_uses_measured_m0(self):
         instances = toy_instances(n=10, seed=8)
-        params = M.init_params(NORM_CONFIG, SCHEMA, seed=7)
-        m0, m_star, ok = TH.check_corollary1(params, params, instances, NORM_CONFIG, tol=0.0)
+        reps = reps_of(instances, M.init_params(NORM_CONFIG, SCHEMA, seed=7))
+        m0, m_star, ok = TH.check_corollary1(reps, reps, tol=0.0)
         # m_star == m0 <= 0.37 + |m0| always holds for unit vectors
         assert ok
+
+    def test_fewer_than_two_representations(self):
+        reps = reps_of(toy_instances(n=1, seed=8), M.init_params(NORM_CONFIG, SCHEMA, seed=7))
+        with pytest.raises(InputError, match="at least 2 representations.*got 1"):
+            TH.check_corollary1(reps, reps)
 
 
 class TestTheoryProtocol:
@@ -204,6 +229,29 @@ class TestTheoryProtocol:
         assert report.pretrain_accuracy is not None
         assert report.bound_constant == TH.corollary_constant()
         assert "parameter space" in report.note
+
+    def test_one_representation_pass_per_parameter_set(self, monkeypatch):
+        # forward-only passes run on detached parameters; each pass over these
+        # 30 rows is one chunk, so one forward-direction GRU call
+        passes = []
+        gru_layer = M.gru_layer
+
+        def counting(x, params, direction, h0=None):
+            if direction == "fwd" and not params["gru_fwd.W_z"].requires_grad:
+                passes.append(direction)
+            return gru_layer(x, params, direction, h0)
+
+        monkeypatch.setattr(M, "gru_layer", counting)
+        config = TH.TheoryConfig(
+            model=NORM_CONFIG,
+            pretrain=T.PretrainConfig(epochs=2, seed=1),
+            finetune=T.FinetuneConfig(mode="projected", gamma=1.0, epochs=1, seed=2),
+            n_probes=2,
+            n_pairs=200,
+        )
+        TH.theory_protocol(toy_instances(n=30, seed=10), SCHEMA, config, seed=12)
+        # the initial and final pretraining parameters, each probe, and theta*
+        assert len(passes) == config.n_probes + 3
 
     def test_rejects_unnormalized_model(self):
         with pytest.raises(ConfigError):

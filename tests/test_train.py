@@ -129,9 +129,9 @@ class TestPretrain:
         assert -1.0 <= log.final_mean_cosine <= 1.0
 
     def test_final_diagnostics_match_two_passes(self):
-        # the final accuracy and cosine statistics come from one forward pass;
-        # they must equal a separate accuracy pass plus compute_representations,
-        # over more rows than one 512-row chunk
+        # the final accuracy, cosine statistics and representations come from
+        # one forward pass; they must equal a separate accuracy pass plus
+        # compute_representations, over more rows than one 512-row chunk
         profiles = T.strip_labels(toy_instances(0, 600, seed=8, separable=False))
         config = T.PretrainConfig(epochs=1, seed=4)
         params, log = T.nprl_pretrain(profiles, CONFIG, SCHEMA, config)
@@ -145,6 +145,7 @@ class TestPretrain:
         reps = M.compute_representations(temporal, statics, params, model)
         assert log.final_accuracy == correct / 600
         assert (log.final_mean_cosine, log.final_mean_abs_cosine) == T._pairwise_cosine_stats(reps, config.seed)
+        np.testing.assert_array_equal(log.final_reps, reps)  # theory reuses them as theta0's
 
     def test_duplicate_indices_rejected(self):
         instances = toy_instances(0, 5, separable=False)
