@@ -343,17 +343,18 @@ class Runner:
         scaled = P.apply_minmax(instances, P.fit_minmax(instances))
         profiles = T.strip_labels(scaled)
         configs = self.cfg.arm_configs
-        params, log = T.nprl_pretrain(
-            profiles,
-            configs.model,
-            schema,
-            replace(configs.pretrain, seed=derive_seed(self.seed, "pretrain")),
-        )
+        pretrain_config = replace(configs.pretrain, seed=derive_seed(self.seed, "pretrain"))
+        params, log = T.nprl_pretrain(profiles, configs.model, schema, pretrain_config)
         save_checkpoint(params, self.run_dir / "pretrain.ckpt")
+        # the log opens with an epoch-0 row at the starting parameters
+        model, initial = T.init_pretraining(len(profiles), configs.model, schema, pretrain_config)
+        loss0, accuracy0, _ = T.identify(profiles, initial, model)
+        log.epochs.insert(0, T.EpochStats(epoch=0, loss=loss0, accuracy=accuracy0, frob_dist=0.0))
         log.to_csv(self.run_dir / "pretrain_log.csv", header_comment=self.header)
+        _, accuracy, _ = T.identify(profiles, params, model)
         self.log(
             f"pretrained on {len(profiles)} profiles, final identification accuracy "
-            f"{log.final_accuracy:.4f} -> pretrain.ckpt"
+            f"{accuracy:.4f} -> pretrain.ckpt"
         )
         return params
 

@@ -3,9 +3,8 @@
 AUROC is the Mann-Whitney statistic computed by sort-and-rank with midranks
 for ties. Confusion counts threshold the positive-class probability at 0.5 by
 default. Cross-validation fits scaling on the training folds only, resamples
-per arm, trains, scores the untouched test fold, and aggregates both by
-summing counts (with a pooled-score ROC) and by per-fold mean and standard
-deviation.
+per arm, trains, scores the untouched test fold, and aggregates by summing
+counts (with a pooled-score ROC), keeping every fold's own metrics.
 """
 
 from __future__ import annotations
@@ -114,8 +113,6 @@ class AggregateReport:
     pooled_auroc: float
     pooled_sensitivity: float | None
     pooled_specificity: float | None
-    metric_means: dict[str, float]
-    metric_stds: dict[str, float]
 
 
 def aggregate(folds: list[FoldReport], threshold: float = 0.5) -> AggregateReport:
@@ -123,13 +120,6 @@ def aggregate(folds: list[FoldReport], threshold: float = 0.5) -> AggregateRepor
     for f in folds:
         pooled.extend(f.scores)
     counts = confusion(pooled, threshold)
-    per_metric = {
-        "auroc": [f.auroc for f in folds],
-        "sensitivity": [f.sensitivity for f in folds if f.sensitivity is not None],
-        "specificity": [f.specificity for f in folds if f.specificity is not None],
-    }
-    means = {k: float(np.mean(v)) for k, v in per_metric.items() if v}
-    stds = {k: float(np.std(v, ddof=1)) if len(v) > 1 else 0.0 for k, v in per_metric.items() if v}
     report = AggregateReport(
         folds=folds,
         tp=counts.tp,
@@ -139,8 +129,6 @@ def aggregate(folds: list[FoldReport], threshold: float = 0.5) -> AggregateRepor
         pooled_auroc=auroc(pooled),
         pooled_sensitivity=counts.sensitivity,
         pooled_specificity=counts.specificity,
-        metric_means=means,
-        metric_stds=stds,
     )
     assert report.tp == sum(f.tp for f in folds)
     assert report.tn == sum(f.tn for f in folds)
@@ -186,12 +174,7 @@ def _fit_arm(
     seed: int,
 ):
     """Train one arm on one fold's (already scaled) training instances."""
-    if arm == "baseline":
-        data = P.resample_training(train_set, cfg.resample_target, derive_seed(seed, "resample"))
-        params, _ = T.train_baseline(
-            data, cfg.model, schema, replace(cfg.baseline, seed=derive_seed(seed, "train"))
-        )
-    elif arm == "nprl":
+    if arm == "nprl":
         profiles = T.strip_labels(train_set)
         theta0, _ = T.nprl_pretrain(
             profiles, cfg.model, schema, replace(cfg.pretrain, seed=derive_seed(seed, "pretrain"))
@@ -203,33 +186,25 @@ def _fit_arm(
         params, _ = T.finetune(
             data, theta0, replace(cfg.finetune, seed=derive_seed(seed, "train")), cfg.model, schema
         )
+        return params
+    if arm == "baseline":
+        data = P.resample_training(train_set, cfg.resample_target, derive_seed(seed, "resample"))
+        weights = None
     elif arm == "class_balanced":
+        data = train_set
         weights = T.class_balanced_weights(
             P.ClassStats.from_instances(train_set), cfg.weight_scheme, cfg.effective_beta
         )
-        params, _ = T.train_baseline(
-            train_set,
-            cfg.model,
-            schema,
-            replace(cfg.baseline, seed=derive_seed(seed, "train")),
-            class_weights=weights,
-        )
     elif arm == "class_balanced_undersampled":
-        data = P.undersample_negatives(
-            train_set, cfg.resample_target, derive_seed(seed, "resample")
-        )
+        data = P.undersample_negatives(train_set, cfg.resample_target, derive_seed(seed, "resample"))
         weights = T.class_balanced_weights(
             P.ClassStats.from_instances(data), cfg.weight_scheme, cfg.effective_beta
         )
-        params, _ = T.train_baseline(
-            data,
-            cfg.model,
-            schema,
-            replace(cfg.baseline, seed=derive_seed(seed, "train")),
-            class_weights=weights,
-        )
     else:
         raise InputError(f"unknown arm {arm!r}, expected one of {ARMS}")
+    params, _ = T.train_baseline(
+        data, cfg.model, schema, replace(cfg.baseline, seed=derive_seed(seed, "train")), class_weights=weights
+    )
     return params
 
 

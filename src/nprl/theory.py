@@ -18,9 +18,10 @@ a lower bound on the true constant, so the radius gets a safety divisor.
 
 The protocol makes one forward-only representation pass per parameter set:
 the pretrained theta0, each Lipschitz probe, and the fine-tuned theta*. The
-theta0 pass is pretraining's own final pass, reused: the fresh outcome head
-carries every other tensor over unchanged, and the representation reads no
-head. Both checks are pure geometry over the two representation arrays.
+theta0 pass is the identification pass (``train.identify``) that also gives
+the reported pretraining accuracy: the fresh outcome head carries every other
+tensor over unchanged, and the representation reads no head. Both checks are
+pure geometry over the two representation arrays.
 """
 
 from __future__ import annotations
@@ -254,10 +255,12 @@ def theory_protocol(
     constant.
     """
     profiles = T.strip_labels(instances)
-    theta0, pretrain_log = T.nprl_pretrain(
-        profiles, config.model, schema, replace(config.pretrain, seed=derive_seed(seed, "pretrain"))
-    )
-    reps0 = pretrain_log.final_reps  # profiles are the instances, in order
+    pretrain_config = replace(config.pretrain, seed=derive_seed(seed, "pretrain"))
+    theta0, _ = T.nprl_pretrain(profiles, config.model, schema, pretrain_config)
+    # one pass at theta0 gives the identification accuracy and the
+    # representations both checks start from (profiles are the instances, in order)
+    _, pretrain_accuracy, reps0 = T.identify(profiles, theta0, config.model)
+    _, pretrain_mean_abs_cosine = T._pairwise_cosine_stats(reps0, pretrain_config.seed)
     estimate = estimate_lipschitz(
         theta0,
         instances,
@@ -292,8 +295,8 @@ def theory_protocol(
         bound_ok=bound_ok,
         bound_constant=corollary_constant(),
         corollary_tol=config.corollary_tol,
-        pretrain_accuracy=pretrain_log.final_accuracy,
-        pretrain_mean_abs_cosine=pretrain_log.final_mean_abs_cosine,
+        pretrain_accuracy=pretrain_accuracy,
+        pretrain_mean_abs_cosine=pretrain_mean_abs_cosine,
     )
 
 

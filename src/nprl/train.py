@@ -9,7 +9,6 @@ initialization and resampling all derive from the config seed.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -92,17 +91,8 @@ class EpochStats:
 @dataclass
 class TrainLog:
     epochs: list[EpochStats] = field(default_factory=list)
-    wall_time_s: float = 0.0
-    final_accuracy: float | None = None
-    final_mean_cosine: float | None = None
-    final_mean_abs_cosine: float | None = None
-    # representations of every training row at the final parameters, in row
-    # order; kept for callers that reuse them, never written
-    final_reps: Array | None = None
 
     def to_csv(self, path, header_comment: str | None = None) -> None:
-        # Wall time is intentionally not written: emitted logs must be
-        # byte-identical across reruns with the same seed.
         rows = ([row.epoch, repr(row.loss), repr(row.accuracy), repr(row.frob_dist)] for row in self.epochs)
         A.write_table(path, ["epoch", "loss", "acc", "frob_dist"], rows, header_comment)
 
@@ -186,23 +176,6 @@ def class_balanced_weights(
 # ---------------------------------------------------------------------------
 
 
-def _evaluate(temporal, statics, labels, params, config) -> tuple[float, float, Array]:
-    """Mean loss, accuracy and the representations, from one forward pass in
-    the same 512-row chunks as ``compute_representations``."""
-    params = ng.detach(params)
-    probs_loss = 0.0
-    correct = 0
-    reps = []
-    n = temporal.shape[0]
-    for lo in range(0, n, 512):
-        logits, rep = M.forward_batch(temporal[lo : lo + 512], statics[lo : lo + 512], params, config)
-        loss, _ = ng.softmax_xent(logits.data, labels[lo : lo + 512])
-        probs_loss += loss * logits.data.shape[0]
-        correct += int((logits.data.argmax(axis=1) == labels[lo : lo + 512]).sum())
-        reps.append(rep.data)
-    return probs_loss / n, correct / n, np.concatenate(reps, axis=0)
-
-
 def _train(
     temporal: Array,
     statics: Array,
@@ -224,7 +197,6 @@ def _train(
     added analytically to the non-head gradients, or (``gamma`` set) the
     parameters are projected back onto the ball around theta0 after every step.
     """
-    started = time.perf_counter()
     reference = theta0 if theta0 is not None else params
     # adam_step writes in place: train a copy, so the caller's parameters,
     # theta0 and the reference (which may all share arrays) stay fixed
@@ -257,7 +229,6 @@ def _train(
                 frob_dist=M.frobenius_distance(params, reference, exclude_head=True),
             )
         )
-    log.wall_time_s = time.perf_counter() - started
     return params, log
 
 
@@ -280,6 +251,15 @@ def _pairwise_cosine_stats(reps: Array, seed: int, cap: int = 1024) -> tuple[flo
     return float(off.mean()), float(np.abs(off).mean())
 
 
+def init_pretraining(
+    n_profiles: int, model_config: ModelConfig, schema: FeatureSchema, config: PretrainConfig
+) -> tuple[ModelConfig, ParamSet]:
+    """The n-way pretraining model (one head class per profile) and its
+    starting parameters."""
+    pretrain_model = replace(model_config, head_classes=n_profiles)
+    return pretrain_model, M.init_params(pretrain_model, schema, seed=config.seed)
+
+
 def nprl_pretrain(
     profiles: list[ProfileInstance],
     model_config: ModelConfig,
@@ -290,27 +270,20 @@ def nprl_pretrain(
     each profile is its own identity.
 
     Profiles must carry unique indices; class ids are their dense enumeration
-    in input order. The log carries per-epoch identification accuracy, a
-    pre-training epoch-0 row, and the final representations of the profiles
-    (bit-equal to ``compute_representations`` on the returned parameters) with
-    their pairwise-cosine statistics.
+    in input order. The log has one row per training epoch; ``identify``
+    measures any parameter set against the same targets.
     """
     indices = [p.instance_index for p in profiles]
     if len(set(indices)) != len(indices):
         raise InputError("profile instance indices must be unique for pretraining")
-    n = len(profiles)
-    if n < 2:
+    if len(profiles) < 2:
         raise InputError("pretraining needs at least two profiles")
     temporal, statics = to_arrays(profiles)
-    labels = np.arange(n, dtype=np.int64)
-    pretrain_model = replace(model_config, head_classes=n)
-    params = M.init_params(pretrain_model, schema, seed=config.seed)
-
-    loss0, acc0, _ = _evaluate(temporal, statics, labels, params, pretrain_model)
-    params, log = _train(
+    pretrain_model, params = init_pretraining(len(profiles), model_config, schema, config)
+    return _train(
         temporal,
         statics,
-        labels,
+        np.arange(len(profiles), dtype=np.int64),
         params,
         pretrain_model,
         epochs=config.epochs,
@@ -318,10 +291,31 @@ def nprl_pretrain(
         learning_rate=config.learning_rate,
         seed=config.seed,
     )
-    log.epochs.insert(0, EpochStats(epoch=0, loss=loss0, accuracy=acc0, frob_dist=0.0))
-    _, log.final_accuracy, log.final_reps = _evaluate(temporal, statics, labels, params, pretrain_model)
-    log.final_mean_cosine, log.final_mean_abs_cosine = _pairwise_cosine_stats(log.final_reps, config.seed)
-    return params, log
+
+
+def identify(
+    profiles: list[ProfileInstance], params: ParamSet, model_config: ModelConfig
+) -> tuple[float, float, Array]:
+    """Mean identification loss, accuracy and the representations of the
+    profiles under n-way parameters, from one forward-only pass in the same
+    512-row chunks as ``compute_representations`` (so the representations
+    are bit-equal to it). The head width comes from ``params``."""
+    n = len(profiles)
+    if params["head.W"].dims[1] != n:
+        raise InputError(f"an identification head needs {n} classes, got {params['head.W'].dims[1]}")
+    temporal, statics = to_arrays(profiles)
+    labels = np.arange(n, dtype=np.int64)
+    params = ng.detach(params)
+    total_loss = 0.0
+    correct = 0
+    reps = []
+    for lo in range(0, n, 512):
+        logits, rep = M.forward_batch(temporal[lo : lo + 512], statics[lo : lo + 512], params, model_config)
+        loss, _ = ng.softmax_xent(logits.data, labels[lo : lo + 512])
+        total_loss += loss * logits.data.shape[0]
+        correct += int((logits.data.argmax(axis=1) == labels[lo : lo + 512]).sum())
+        reps.append(rep.data)
+    return total_loss / n, correct / n, np.concatenate(reps, axis=0)
 
 
 def finetune(

@@ -164,6 +164,17 @@ class TestValues:
         with pytest.raises(FormatError, match=rf"instances\.csv:3: label must be 0 or 1, got {label}"):
             P.read_instances(path, run / "instances.schema.txt")
 
+    def test_repeated_instance_index(self, run):  # used to fail later, naming no file
+        path = run / "instances.csv"
+        lines = path.read_text().splitlines()
+        first = lines[2].split(",")[0]
+        cells = lines[3].split(",")
+        cells[0] = first
+        edit_line(path, 3, ",".join(cells))
+        message = rf"instances\.csv:4: repeated instance_index {first} \(first at line 3\)"
+        with pytest.raises(FormatError, match=message):
+            P.read_instances(path, run / "instances.schema.txt")
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
     def test_instance_value_not_finite(self, run, cell):
         path = run / "instances.csv"

@@ -187,6 +187,16 @@ class TestCommands:
         assert (run_dirs[0] / "instances.csv").exists()
         assert (run_dirs[0] / "instances.schema.txt").exists()
 
+    def test_epoch_zero_accuracy_near_chance(self, tmp_path):
+        # pretrain_log.csv opens with epoch 0, measured at the starting parameters
+        args = set_args(SMALL_OVERRIDES)
+        for command in ("gen", "extract", "pretrain"):
+            assert run_cli([command] + args, tmp_path) == 0
+        (run_dir,) = tmp_path.iterdir()
+        rows = [line.split(",") for line in (run_dir / "pretrain_log.csv").read_text().splitlines()[2:]]
+        assert [row[0] for row in rows] == ["0", "1", "2"]
+        assert float(rows[0][2]) <= 5.0 / 50.0
+
     def test_header_comment_embeds_hash_and_seed(self, tmp_path):
         run_cli(["gen"] + set_args(SMALL_OVERRIDES), tmp_path)
         run_dir = next(tmp_path.iterdir())

@@ -250,8 +250,8 @@ class TestTheoryProtocol:
             n_pairs=200,
         )
         TH.theory_protocol(toy_instances(n=30, seed=10), SCHEMA, config, seed=12)
-        # the initial and final pretraining parameters, each probe, and theta*
-        assert len(passes) == config.n_probes + 3
+        # the pretrained parameters, each probe, and theta*
+        assert len(passes) == config.n_probes + 2
 
     def test_rejects_unnormalized_model(self):
         with pytest.raises(ConfigError):

@@ -107,34 +107,50 @@ class TestPretrain:
     def test_tiny_set_reaches_full_identification(self):
         instances = toy_instances(0, 40, seed=5, separable=False)
         profiles = T.strip_labels(instances)
-        params, log = T.nprl_pretrain(
+        params, _ = T.nprl_pretrain(
             profiles, CONFIG, SCHEMA, T.PretrainConfig(epochs=200, learning_rate=3e-3, seed=1)
         )
-        assert log.final_accuracy == 1.0
+        assert T.identify(profiles, params, CONFIG)[1] == 1.0
         assert params["head.W"].dims[1] == 40
 
-    def test_epoch_zero_accuracy_near_chance(self):
-        instances = toy_instances(0, 50, seed=6, separable=False)
-        profiles = T.strip_labels(instances)
-        _, log = T.nprl_pretrain(profiles, CONFIG, SCHEMA, T.PretrainConfig(epochs=1, seed=2))
-        assert log.epochs[0].epoch == 0
-        assert log.epochs[0].accuracy <= 5.0 / 50.0
+    def test_log_holds_only_training_epochs(self):
+        profiles = T.strip_labels(toy_instances(0, 20, seed=6, separable=False))
+        _, log = T.nprl_pretrain(profiles, CONFIG, SCHEMA, T.PretrainConfig(epochs=3, seed=2))
+        assert [row.epoch for row in log.epochs] == [1, 2, 3]
+
+    def test_starts_from_init_pretraining(self, monkeypatch):
+        # the epoch-0 row of `nprl pretrain` is measured at init_pretraining's
+        # parameters, so training must start from exactly those
+        started = []
+        monkeypatch.setattr(
+            T, "_train", lambda temporal, statics, labels, params, model, **kw: started.append((params, model))
+        )
+        profiles = T.strip_labels(toy_instances(0, 12, seed=9, separable=False))
+        config = T.PretrainConfig(epochs=1, seed=5)
+        T.nprl_pretrain(profiles, CONFIG, SCHEMA, config)
+        model, initial = T.init_pretraining(len(profiles), CONFIG, SCHEMA, config)
+        ((params, used_model),) = started
+        assert used_model == model and model.head_classes == 12
+        assert {n: p.data.tobytes() for n, p in params.items()} == {n: p.data.tobytes() for n, p in initial.items()}
 
     def test_cosine_stats_reported(self):
         instances = toy_instances(0, 30, seed=7, separable=False)
         profiles = T.strip_labels(instances)
-        _, log = T.nprl_pretrain(profiles, CONFIG, SCHEMA, T.PretrainConfig(epochs=2, seed=3))
-        assert log.final_mean_cosine is not None
-        assert log.final_mean_abs_cosine is not None
-        assert -1.0 <= log.final_mean_cosine <= 1.0
+        config = T.PretrainConfig(epochs=2, seed=3)
+        params, _ = T.nprl_pretrain(profiles, CONFIG, SCHEMA, config)
+        _, _, reps = T.identify(profiles, params, CONFIG)
+        mean_cosine, mean_abs_cosine = T._pairwise_cosine_stats(reps, config.seed)
+        assert -1.0 <= mean_cosine <= 1.0
+        assert abs(mean_cosine) <= mean_abs_cosine <= 1.0
 
     def test_final_diagnostics_match_two_passes(self):
-        # the final accuracy, cosine statistics and representations come from
-        # one forward pass; they must equal a separate accuracy pass plus
+        # identify's accuracy and representations come from one forward pass;
+        # they must equal a separate accuracy pass plus
         # compute_representations, over more rows than one 512-row chunk
         profiles = T.strip_labels(toy_instances(0, 600, seed=8, separable=False))
         config = T.PretrainConfig(epochs=1, seed=4)
-        params, log = T.nprl_pretrain(profiles, CONFIG, SCHEMA, config)
+        params, _ = T.nprl_pretrain(profiles, CONFIG, SCHEMA, config)
+        _, accuracy, final_reps = T.identify(profiles, params, CONFIG)
         temporal, statics = T.to_arrays(profiles)
         model = M.ModelConfig(gru_hidden=4, trunk_widths=(8,), head_classes=600)
         detached = ng.detach(params)
@@ -143,9 +159,14 @@ class TestPretrain:
             logits, _ = M.forward_batch(temporal[lo : lo + 512], statics[lo : lo + 512], detached, model)
             correct += int((logits.data.argmax(axis=1) == np.arange(lo, min(lo + 512, 600))).sum())
         reps = M.compute_representations(temporal, statics, params, model)
-        assert log.final_accuracy == correct / 600
-        assert (log.final_mean_cosine, log.final_mean_abs_cosine) == T._pairwise_cosine_stats(reps, config.seed)
-        np.testing.assert_array_equal(log.final_reps, reps)  # theory reuses them as theta0's
+        assert accuracy == correct / 600
+        assert T._pairwise_cosine_stats(final_reps, config.seed) == T._pairwise_cosine_stats(reps, config.seed)
+        np.testing.assert_array_equal(final_reps, reps)  # theory uses them as theta0's
+
+    def test_identify_needs_one_head_class_per_profile(self):
+        profiles = T.strip_labels(toy_instances(0, 5, separable=False))
+        with pytest.raises(InputError, match="needs 5 classes, got 2"):
+            T.identify(profiles, M.init_params(CONFIG, SCHEMA, seed=0), CONFIG)
 
     def test_duplicate_indices_rejected(self):
         instances = toy_instances(0, 5, separable=False)
