@@ -182,6 +182,9 @@ class RunConfig:
                 batch_size=self.arm_configs.finetune.batch_size,
             ),
         )
+        for section, model in (("model", self.arm_configs.model), ("theory", self.theory.model)):
+            missing = 2 in self.subsets and not model.static_widths
+            _require(not missing, f"{section}.static_widths", "must not be empty when features.subsets includes 2")
 
     @classmethod
     def load(cls, config_path: str | None, overrides: list[str]) -> "RunConfig":
@@ -338,37 +341,40 @@ class Runner:
                 f"{path}: cannot read: {os.strerror(errno.ENOENT)}; run `nprl gen` and `nprl extract` first"
             ) from None
 
+    def _scaled_arrays(self, instances):
+        """The instances stacked, then scaled by their own min-max ranges."""
+        temporal, statics, labels = P.stack_instances(instances)
+        return (*P.apply_minmax(temporal, statics, P.fit_minmax(temporal, statics)), labels)
+
     def cmd_pretrain(self, data=None):
         instances, schema = data if data is not None else self._load_instances()
-        scaled = P.apply_minmax(instances, P.fit_minmax(instances))
-        profiles = T.strip_labels(scaled)
+        temporal, statics, _ = self._scaled_arrays(instances)
         configs = self.cfg.arm_configs
         pretrain_config = replace(configs.pretrain, seed=derive_seed(self.seed, "pretrain"))
-        params, log = T.nprl_pretrain(profiles, configs.model, schema, pretrain_config)
+        params, log = T.nprl_pretrain(temporal, statics, configs.model, schema, pretrain_config)
         save_checkpoint(params, self.run_dir / "pretrain.ckpt")
         # the log opens with an epoch-0 row at the starting parameters
-        model, initial = T.init_pretraining(len(profiles), configs.model, schema, pretrain_config)
-        loss0, accuracy0, _ = T.identify(profiles, initial, model)
+        model, initial = T.init_pretraining(len(temporal), configs.model, schema, pretrain_config)
+        loss0, accuracy0, _ = T.identify(temporal, statics, initial, model)
         log.epochs.insert(0, T.EpochStats(epoch=0, loss=loss0, accuracy=accuracy0, frob_dist=0.0))
         log.to_csv(self.run_dir / "pretrain_log.csv", header_comment=self.header)
-        _, accuracy, _ = T.identify(profiles, params, model)
+        _, accuracy, _ = T.identify(temporal, statics, params, model)
         self.log(
-            f"pretrained on {len(profiles)} profiles, final identification accuracy "
+            f"pretrained on {len(temporal)} profiles, final identification accuracy "
             f"{accuracy:.4f} -> pretrain.ckpt"
         )
         return params
 
     def cmd_train(self, data=None):
         instances, schema = data if data is not None else self._load_instances()
-        scaled = P.apply_minmax(instances, P.fit_minmax(instances))
+        temporal, statics, labels = self._scaled_arrays(instances)
         configs = self.cfg.arm_configs
-        data_set = P.resample_training(scaled, configs.resample_target, derive_seed(self.seed, "resample"))
-        params, log = T.train_baseline(
-            data_set, configs.model, schema, replace(configs.baseline, seed=derive_seed(self.seed, "train"))
-        )
+        rows = P.resample_training(labels, configs.resample_target, derive_seed(self.seed, "resample"))
+        baseline = replace(configs.baseline, seed=derive_seed(self.seed, "train"))
+        params, log = T.train_baseline(temporal[rows], statics[rows], labels[rows], configs.model, schema, baseline)
         save_checkpoint(params, self.run_dir / "model.ckpt")
         log.to_csv(self.run_dir / "train_log.csv", header_comment=self.header)
-        self.log(f"trained baseline on {len(data_set)} instances -> model.ckpt")
+        self.log(f"trained baseline on {len(rows)} instances -> model.ckpt")
         return params
 
     def cmd_eval(self, data=None):
@@ -396,8 +402,9 @@ class Runner:
         if len(instances) > cap:
             keep = derive_rng(self.seed, "theory_subset").choice(len(instances), size=cap, replace=False)
             instances = [instances[i] for i in sorted(keep)]
-        scaled = P.apply_minmax(instances, P.fit_minmax(instances))
-        report = TH.theory_protocol(scaled, schema, self.cfg.theory, derive_seed(self.seed, "theory"))
+        report = TH.theory_protocol(
+            *self._scaled_arrays(instances), schema, self.cfg.theory, derive_seed(self.seed, "theory")
+        )
         TH.write_theory_report(report, self.run_dir / "theory_report.txt", header_comment=self.header)
         self.log(
             f"theory: l_hat={report.l_hat:.4f} gamma={report.gamma:.6f} "

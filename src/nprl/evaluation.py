@@ -2,9 +2,10 @@
 
 AUROC is the Mann-Whitney statistic computed by sort-and-rank with midranks
 for ties. Confusion counts threshold the positive-class probability at 0.5 by
-default. Cross-validation fits scaling on the training folds only, resamples
-per arm, trains, scores the untouched test fold, and aggregates by summing
-counts (with a pooled-score ROC), keeping every fold's own metrics.
+default. Cross-validation stacks the instances once, then per fold fits
+scaling on the training rows only, resamples per arm, trains, scores the
+untouched test rows, and aggregates by summing counts (with a pooled-score
+ROC), keeping every fold's own metrics.
 """
 
 from __future__ import annotations
@@ -168,65 +169,51 @@ class ArmConfigs:
 
 def _fit_arm(
     arm: str,
-    train_set: list[P.NightInstance],
+    temporal: np.ndarray,
+    statics: np.ndarray,
+    labels: np.ndarray,
     schema: FeatureSchema,
     cfg: ArmConfigs,
     seed: int,
 ):
-    """Train one arm on one fold's (already scaled) training instances."""
+    """Train one arm on one fold's (already scaled) training arrays."""
+    rows = slice(None)  # every training row, unless the arm resamples
+    weights = None
+    if arm == "baseline" or (arm == "nprl" and cfg.finetune.resample):
+        rows = P.resample_training(labels, cfg.resample_target, derive_seed(seed, "resample"))
+    elif arm == "class_balanced":
+        weights = T.class_balanced_weights(labels, cfg.weight_scheme, cfg.effective_beta)
+    elif arm == "class_balanced_undersampled":
+        rows = P.undersample_negatives(labels, cfg.resample_target, derive_seed(seed, "resample"))
+        weights = T.class_balanced_weights(labels[rows], cfg.weight_scheme, cfg.effective_beta)
+    elif arm != "nprl":
+        raise InputError(f"unknown arm {arm!r}, expected one of {ARMS}")
+    data = (temporal[rows], statics[rows], labels[rows])
     if arm == "nprl":
-        profiles = T.strip_labels(train_set)
+        # pretraining sees every training row and no label
         theta0, _ = T.nprl_pretrain(
-            profiles, cfg.model, schema, replace(cfg.pretrain, seed=derive_seed(seed, "pretrain"))
+            temporal, statics, cfg.model, schema, replace(cfg.pretrain, seed=derive_seed(seed, "pretrain"))
         )
         theta0 = M.replace_head(theta0, cfg.model.head_classes, derive_seed(seed, "head"))
-        data = train_set
-        if cfg.finetune.resample:
-            data = P.resample_training(train_set, cfg.resample_target, derive_seed(seed, "resample"))
-        params, _ = T.finetune(
-            data, theta0, replace(cfg.finetune, seed=derive_seed(seed, "train")), cfg.model, schema
-        )
-        return params
-    if arm == "baseline":
-        data = P.resample_training(train_set, cfg.resample_target, derive_seed(seed, "resample"))
-        weights = None
-    elif arm == "class_balanced":
-        data = train_set
-        weights = T.class_balanced_weights(
-            P.ClassStats.from_instances(train_set), cfg.weight_scheme, cfg.effective_beta
-        )
-    elif arm == "class_balanced_undersampled":
-        data = P.undersample_negatives(train_set, cfg.resample_target, derive_seed(seed, "resample"))
-        weights = T.class_balanced_weights(
-            P.ClassStats.from_instances(data), cfg.weight_scheme, cfg.effective_beta
-        )
+        finetune = replace(cfg.finetune, seed=derive_seed(seed, "train"))
+        params, _ = T.finetune(*data, theta0, finetune, cfg.model, schema)
     else:
-        raise InputError(f"unknown arm {arm!r}, expected one of {ARMS}")
-    params, _ = T.train_baseline(
-        data, cfg.model, schema, replace(cfg.baseline, seed=derive_seed(seed, "train")), class_weights=weights
-    )
+        params, _ = T.train_baseline(
+            *data, cfg.model, schema, replace(cfg.baseline, seed=derive_seed(seed, "train")), class_weights=weights
+        )
     return params
 
 
 def _run_fold(args) -> FoldReport:
-    instances, schema, split, arm, cfg, seed, fold = args
-    train_set = [i for i in instances if split.fold_of[i.instance_index] != fold]
-    test_set = [i for i in instances if split.fold_of[i.instance_index] == fold]
-    train_ids = {i.instance_index for i in train_set}
-    test_ids = {i.instance_index for i in test_set}
-    if train_ids & test_ids:
-        raise LeakageError(f"fold {fold}: train/test share instances {sorted(train_ids & test_ids)[:5]}")
-    if len(train_ids) != len(train_set) or len(test_ids) != len(test_set):
-        # duplicated indices defeat the fold accounting entirely
-        raise LeakageError(f"fold {fold}: duplicate instance indices in the dataset")
-    scaling = P.fit_minmax(train_set)
-    train_scaled = P.apply_minmax(train_set, scaling)
-    test_scaled = P.apply_minmax(test_set, scaling)
+    temporal, statics, labels, fold_of, schema, arm, cfg, seed, fold = args
+    test = fold_of == fold
+    scaling = P.fit_minmax(temporal[~test], statics[~test])
+    train_temporal, train_statics = P.apply_minmax(temporal[~test], statics[~test], scaling)
+    test_temporal, test_statics = P.apply_minmax(temporal[test], statics[test], scaling)
     fold_seed = derive_seed(seed, arm, "fold", fold)
-    params = _fit_arm(arm, train_scaled, schema, cfg, fold_seed)
-    temporal, statics = T.to_arrays(test_scaled)
-    probs = M.predict_proba(temporal, statics, params, cfg.model)[:, 1]
-    scores = [(float(p), int(inst.label)) for p, inst in zip(probs, test_scaled)]
+    params = _fit_arm(arm, train_temporal, train_statics, labels[~test], schema, cfg, fold_seed)
+    probs = M.predict_proba(test_temporal, test_statics, params, cfg.model)[:, 1]
+    scores = [(float(p), int(y)) for p, y in zip(probs, labels[test])]
     return FoldReport.from_scores(fold, scores, cfg.threshold)
 
 
@@ -239,11 +226,19 @@ def cross_validate(
     seed: int,
     n_workers: int = 1,
 ) -> AggregateReport:
-    """Train and score one arm across every fold of the split."""
+    """Train and score one arm across every fold of the split.
+
+    The instances are stacked once; every fold job carries the three arrays
+    and each row's fold id."""
     missing = [i.instance_index for i in instances if i.instance_index not in split.fold_of]
     if missing:
         raise InputError(f"split does not cover instances {missing[:5]}")
-    jobs = [(instances, schema, split, arm, configs, seed, fold) for fold in range(split.k)]
+    if len({i.instance_index for i in instances}) != len(instances):
+        # a repeated index would sit in one fold twice and defeat the fold accounting
+        raise LeakageError("duplicate instance indices in the dataset")
+    fold_of = np.array([split.fold_of[i.instance_index] for i in instances])
+    arrays = P.stack_instances(instances)
+    jobs = [(*arrays, fold_of, schema, arm, configs, seed, fold) for fold in range(split.k)]
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             folds = list(pool.map(_run_fold, jobs))

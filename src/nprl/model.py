@@ -20,6 +20,7 @@ from .errors import ConfigError, FieldError, FormatError, InputError, NumericErr
 from .numgrad import Array, ParamSet, Tensor
 
 WINDOW_LEN = 9
+FORWARD_CHUNK = 512  # rows per forward-only pass; equal chunks give bit-equal outputs
 
 
 @dataclass(frozen=True)
@@ -321,30 +322,26 @@ def softmax(logits: Array) -> Array:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def predict_proba(
-    temporal: Array, statics: Array, params: ParamSet, config: ModelConfig, batch_size: int = 512
-) -> Array:
+def predict_proba(temporal: Array, statics: Array, params: ParamSet, config: ModelConfig) -> Array:
     """Class probabilities for a stack of instances, evaluated in batches
     without recording a tape."""
     params = ng.detach(params)
     outs = []
-    for lo in range(0, temporal.shape[0], batch_size):
+    for lo in range(0, temporal.shape[0], FORWARD_CHUNK):
         logits, _ = forward_batch(
-            temporal[lo : lo + batch_size], statics[lo : lo + batch_size], params, config
+            temporal[lo : lo + FORWARD_CHUNK], statics[lo : lo + FORWARD_CHUNK], params, config
         )
         outs.append(softmax(logits.data))
     return np.concatenate(outs, axis=0)
 
 
-def compute_representations(
-    temporal: Array, statics: Array, params: ParamSet, config: ModelConfig, batch_size: int = 512
-) -> Array:
+def compute_representations(temporal: Array, statics: Array, params: ParamSet, config: ModelConfig) -> Array:
     """Representations for a stack of instances, evaluated in batches without
     recording a tape or running the trunk and head."""
     params = ng.detach(params)
     outs = []
-    for lo in range(0, temporal.shape[0], batch_size):
-        rep = represent(temporal[lo : lo + batch_size], statics[lo : lo + batch_size], params, config)
+    for lo in range(0, temporal.shape[0], FORWARD_CHUNK):
+        rep = represent(temporal[lo : lo + FORWARD_CHUNK], statics[lo : lo + FORWARD_CHUNK], params, config)
         outs.append(rep.data)
     return np.concatenate(outs, axis=0)
 
@@ -372,36 +369,38 @@ def replace_head(params: ParamSet, new_classes: int, seed: int) -> ParamSet:
     return out
 
 
-def _included_names(a: ParamSet, b: ParamSet, exclude_head: bool) -> list[str]:
+def _included_names(a: ParamSet, b: ParamSet) -> list[str]:
+    """The names of every non-head tensor, once both sets are checked to
+    share names and dims."""
     if set(a) != set(b):
         raise InputError("parameter sets have mismatched keys")
     names = []
     for name in a:
         if a[name].dims != b[name].dims:
             raise ShapeError(f"dims mismatch for {name!r}: {a[name].dims} vs {b[name].dims}")
-        if exclude_head and is_head(name):
-            continue
-        names.append(name)
+        if not is_head(name):
+            names.append(name)
     return names
 
 
-def frobenius_distance(a: ParamSet, b: ParamSet, exclude_head: bool = False) -> float:
-    """Euclidean distance between two parameter sets viewed as one long vector."""
+def frobenius_distance(a: ParamSet, b: ParamSet) -> float:
+    """Euclidean distance between the non-head tensors of two parameter sets
+    viewed as one long vector; a head swapped in by ``replace_head`` never
+    existed at the reference."""
     total = 0.0
-    for name in _included_names(a, b, exclude_head):
+    for name in _included_names(a, b):
         diff = a[name].data - b[name].data
         total += float(np.sum(diff * diff))
     return float(np.sqrt(total))
 
 
-def project_to_ball(
-    theta: ParamSet, theta0: ParamSet, gamma: float, exclude_head: bool = True
-) -> ParamSet:
-    """Radially rescale theta toward theta0 so the included distance is <= gamma."""
+def project_to_ball(theta: ParamSet, theta0: ParamSet, gamma: float) -> ParamSet:
+    """Radially rescale theta's non-head tensors toward theta0 so their
+    distance is <= gamma."""
     if gamma <= 0.0:
         raise InputError(f"gamma must be positive, got {gamma}")
-    included = _included_names(theta, theta0, exclude_head)
-    distance = frobenius_distance(theta, theta0, exclude_head)
+    included = _included_names(theta, theta0)
+    distance = frobenius_distance(theta, theta0)
     if distance <= gamma:
         return theta
     scale = gamma / distance

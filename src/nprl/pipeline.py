@@ -7,9 +7,11 @@ eligible night (22:00 through 06:00) for hospital days 3 to 14, label each
 window by whether the first onset falls in the following 24 hours, and drop
 windows that still contain gaps or that lie past the first onset.
 
-Feature-subset selection, min-max scaling fitted on training folds only,
-stratified fold assignment and the per-class resampling used for training
-live here too, along with the instances.csv round trip.
+Feature-subset selection, stratified fold assignment and the instances.csv
+round trip take and return instance lists. ``stack_instances`` is the
+boundary: min-max scaling (fitted on training folds only) and the per-class
+resampling used for training take the stacked arrays, and the resamplers
+return row indices.
 """
 
 from __future__ import annotations
@@ -70,17 +72,15 @@ class NightInstance:
     label: int
 
 
-@dataclass(frozen=True)
-class ClassStats:
-    n: int
-    n_pos: int
-    n_neg: int
-    n_classes: int = 2
-
-    @classmethod
-    def from_instances(cls, instances: list[NightInstance]) -> "ClassStats":
-        n_pos = sum(1 for inst in instances if inst.label == 1)
-        return cls(n=len(instances), n_pos=n_pos, n_neg=len(instances) - n_pos)
+def stack_instances(instances: list[NightInstance]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (n, 9, T) temporal, (n, S) static and (n,) label arrays of the
+    instances, row i from instance i; everything past this boundary takes
+    these arrays."""
+    if not instances:
+        raise InputError("need at least one instance")
+    temporal = np.stack([np.asarray(inst.temporal, dtype=np.float64) for inst in instances])
+    statics = np.stack([np.asarray(inst.statics, dtype=np.float64) for inst in instances])
+    return temporal, statics, np.array([inst.label for inst in instances], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -283,17 +283,16 @@ class ScalingParams:
     clamp_hi: float = 1.5
 
 
-def fit_minmax(instances: list[NightInstance]) -> ScalingParams:
-    """Per-feature min and max; call on training folds only."""
-    if not instances:
-        raise InputError("cannot fit scaling on an empty instance list")
-    temporal = np.concatenate([inst.temporal for inst in instances], axis=0)
-    statics = np.stack([inst.statics for inst in instances], axis=0)
+def fit_minmax(temporal: np.ndarray, statics: np.ndarray) -> ScalingParams:
+    """Per-feature min and max of (n, 9, T) temporal and (n, S) static
+    arrays; call on training folds only."""
+    if not len(temporal):
+        raise InputError("cannot fit scaling on an empty instance set")
     return ScalingParams(
-        temporal_min=temporal.min(axis=0),
-        temporal_max=temporal.max(axis=0),
-        static_min=statics.min(axis=0) if statics.shape[1] else np.empty(0),
-        static_max=statics.max(axis=0) if statics.shape[1] else np.empty(0),
+        temporal_min=temporal.min(axis=(0, 1)),
+        temporal_max=temporal.max(axis=(0, 1)),
+        static_min=statics.min(axis=0),
+        static_max=statics.max(axis=0),
     )
 
 
@@ -304,24 +303,15 @@ def _scale(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, params: ScalingPa
     return np.clip(scaled, params.clamp_lo, params.clamp_hi, out=scaled)
 
 
-def apply_minmax(instances: list[NightInstance], params: ScalingParams) -> list[NightInstance]:
+def apply_minmax(
+    temporal: np.ndarray, statics: np.ndarray, params: ScalingParams
+) -> tuple[np.ndarray, np.ndarray]:
     """Map to [0, 1] by the fitted ranges; constant features go to 0; values
-    outside the fitted range (test folds) are clamped to [-0.5, 1.5].
-
-    Scales every instance in one stacked pass; the outputs are row views of
-    the two scaled stacks."""
-    if not instances:
-        return []
-    temporal = _scale(
-        np.array([inst.temporal for inst in instances]), params.temporal_min, params.temporal_max, params
+    outside the fitted range (test folds) are clamped to [-0.5, 1.5]."""
+    return (
+        _scale(temporal, params.temporal_min, params.temporal_max, params),
+        _scale(statics, params.static_min, params.static_max, params),
     )
-    statics = _scale(
-        np.array([inst.statics for inst in instances]), params.static_min, params.static_max, params
-    )
-    return [
-        NightInstance(inst.patient_id, inst.day_index, inst.instance_index, t, s, inst.label)
-        for inst, t, s in zip(instances, temporal, statics)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -352,41 +342,33 @@ def stratified_kfold(instances: list[NightInstance], k: int = 5, seed: int = 0) 
     return DatasetSplit(fold_of=fold_of, k=k)
 
 
-def resample_training(
-    instances: list[NightInstance], target_per_class: int = 2600, seed: int = 0
-) -> list[NightInstance]:
-    """Balance a training set to ``target_per_class`` per class.
+def resample_training(labels: np.ndarray, target: int = 2600, seed: int = 0) -> np.ndarray:
+    """Rows that balance a training set to ``target`` per class.
 
     Negatives are sampled without replacement down to the target (all kept if
     fewer); positives are drawn with replacement up to the target when scarce,
     without replacement otherwise. The output order is a seeded shuffle.
     """
-    pos = [inst for inst in instances if inst.label == 1]
-    neg = [inst for inst in instances if inst.label == 0]
-    if not pos or not neg:
+    pos = np.flatnonzero(labels == 1)
+    neg = np.flatnonzero(labels == 0)
+    if not len(pos) or not len(neg):
         raise InputError("resampling needs both classes present")
     rng = derive_rng(seed, "resample")
-    neg_take = min(target_per_class, len(neg))
-    neg_sample = [neg[i] for i in rng.choice(len(neg), size=neg_take, replace=False)]
-    pos_sample = [
-        pos[i]
-        for i in rng.choice(len(pos), size=target_per_class, replace=len(pos) < target_per_class)
-    ]
-    combined = neg_sample + pos_sample
-    return [combined[i] for i in rng.permutation(len(combined))]
+    neg_sample = neg[rng.choice(len(neg), size=min(target, len(neg)), replace=False)]
+    pos_sample = pos[rng.choice(len(pos), size=target, replace=len(pos) < target)]
+    combined = np.concatenate([neg_sample, pos_sample])
+    return combined[rng.permutation(len(combined))]
 
 
-def undersample_negatives(
-    instances: list[NightInstance], target: int = 2600, seed: int = 0
-) -> list[NightInstance]:
-    """Cut the majority class to ``target``, leaving positives untouched."""
-    pos = [inst for inst in instances if inst.label == 1]
-    neg = [inst for inst in instances if inst.label == 0]
+def undersample_negatives(labels: np.ndarray, target: int = 2600, seed: int = 0) -> np.ndarray:
+    """Rows that cut the majority class to ``target``, leaving positives
+    untouched."""
+    pos = np.flatnonzero(labels == 1)
+    neg = np.flatnonzero(labels == 0)
     rng = derive_rng(seed, "undersample")
-    take = min(target, len(neg))
-    neg_sample = [neg[i] for i in rng.choice(len(neg), size=take, replace=False)]
-    combined = neg_sample + pos
-    return [combined[i] for i in rng.permutation(len(combined))]
+    neg_sample = neg[rng.choice(len(neg), size=min(target, len(neg)), replace=False)]
+    combined = np.concatenate([neg_sample, pos])
+    return combined[rng.permutation(len(combined))]
 
 
 # ---------------------------------------------------------------------------

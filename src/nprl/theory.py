@@ -35,7 +35,7 @@ from . import model as M
 from . import train as T
 from .errors import ConfigError, DegenerateError, FieldError, InputError, NumericError
 from .model import FeatureSchema, ModelConfig
-from .numgrad import ParamSet
+from .numgrad import Array, ParamSet
 from .util import derive_rng, derive_seed
 
 LIPSCHITZ_NOTE = (
@@ -52,6 +52,7 @@ def corollary_constant() -> float:
 
 COROLLARY_PRINTED_BOUND = 0.37
 PAIR_BLOCK = 256  # pairs per block in check_theorem1
+COSINE_ROWS = 1024  # rows behind the reported pretraining mean |cosine|
 
 
 @dataclass
@@ -79,15 +80,24 @@ class TheoremCheckReport:
     note: str = LIPSCHITZ_NOTE
 
 
-def _reps(instances, params: ParamSet, config: ModelConfig) -> np.ndarray:
-    temporal, statics = T.to_arrays(instances)
-    return M.compute_representations(temporal, statics, params, config)
+def mean_abs_cosine(reps: np.ndarray, seed: int) -> float:
+    """Mean absolute pairwise cosine between representations, over a seeded
+    sample of ``COSINE_ROWS`` rows when there are more."""
+    n = reps.shape[0]
+    if n > COSINE_ROWS:
+        reps = reps[derive_rng(seed, "cosine").choice(n, size=COSINE_ROWS, replace=False)]
+        n = COSINE_ROWS
+    norms = np.linalg.norm(reps, axis=1, keepdims=True)
+    unit = reps / np.where(norms > 0.0, norms, 1.0)
+    gram = unit @ unit.T
+    return float(np.abs(gram[~np.eye(n, dtype=bool)]).mean())
 
 
 def estimate_lipschitz(
     params: ParamSet,
-    instances,
-    base: np.ndarray,
+    temporal: Array,
+    statics: Array,
+    base: Array,
     n_probes: int,
     delta: float,
     seed: int,
@@ -95,21 +105,21 @@ def estimate_lipschitz(
 ) -> LipschitzEstimate:
     """Max over probes of (max over instances of ||rep shift|| / delta).
 
-    ``base`` holds the unperturbed representations of ``instances`` under
-    ``params``, one row per instance, as the caller already has them. Each
-    probe draws one random direction over the non-head tensors, scaled to
-    Frobenius norm delta. Probe directions depend only on (seed, probe index,
-    tensor dims), so the estimate never decreases when instances or probes are
-    added.
+    ``base`` holds the unperturbed representations of the rows of
+    ``temporal`` and ``statics`` under ``params``, as the caller already has
+    them. Each probe draws one random direction over the non-head tensors,
+    scaled to Frobenius norm delta. Probe directions depend only on (seed,
+    probe index, tensor dims), so the estimate never decreases when instances
+    or probes are added.
     """
     if delta <= 0.0:
         raise InputError(f"delta must be positive, got {delta}")
     if n_probes < 1:
         raise InputError(f"n_probes must be at least 1, got {n_probes}")
-    if not instances:
+    if not len(temporal):
         raise InputError("need at least one instance to probe")
-    if len(base) != len(instances):
-        raise InputError(f"{len(base)} unperturbed representations for {len(instances)} instances")
+    if len(base) != len(temporal):
+        raise InputError(f"{len(base)} unperturbed representations for {len(temporal)} instances")
     ratios = []
     for probe in range(n_probes):
         rng = derive_rng(seed, "probe", probe)
@@ -129,7 +139,7 @@ def estimate_lipschitz(
             for name, p in params.items()
         }
         try:
-            shifted = _reps(instances, perturbed, config)
+            shifted = M.compute_representations(temporal, statics, perturbed, config)
         except NumericError as exc:
             raise NumericError(f"probe scale {delta} drove representations non-finite") from exc
         shift = np.linalg.norm(shifted - base, axis=1)
@@ -245,7 +255,7 @@ class TheoryConfig:
 
 
 def theory_protocol(
-    instances, schema: FeatureSchema, config: TheoryConfig, seed: int
+    temporal: Array, statics: Array, labels: Array, schema: FeatureSchema, config: TheoryConfig, seed: int
 ) -> TheoremCheckReport:
     """Pretrain, estimate the constant, pick the radius, fine-tune inside the
     ball, then run both checks on theta0's and theta*'s representations.
@@ -254,16 +264,15 @@ def theory_protocol(
     the fact that the probe-based estimate is a lower bound on the true
     constant.
     """
-    profiles = T.strip_labels(instances)
     pretrain_config = replace(config.pretrain, seed=derive_seed(seed, "pretrain"))
-    theta0, _ = T.nprl_pretrain(profiles, config.model, schema, pretrain_config)
+    theta0, _ = T.nprl_pretrain(temporal, statics, config.model, schema, pretrain_config)
     # one pass at theta0 gives the identification accuracy and the
-    # representations both checks start from (profiles are the instances, in order)
-    _, pretrain_accuracy, reps0 = T.identify(profiles, theta0, config.model)
-    _, pretrain_mean_abs_cosine = T._pairwise_cosine_stats(reps0, pretrain_config.seed)
+    # representations both checks start from
+    _, pretrain_accuracy, reps0 = T.identify(temporal, statics, theta0, config.model)
     estimate = estimate_lipschitz(
         theta0,
-        instances,
+        temporal,
+        statics,
         reps0,
         config.n_probes,
         config.probe_scale,
@@ -273,13 +282,15 @@ def theory_protocol(
     gamma = 1.0 / (8.0 * estimate.l_hat * config.safety)
     theta0_binary = M.replace_head(theta0, config.model.head_classes, derive_seed(seed, "head"))
     theta_star, _ = T.finetune(
-        instances,
+        temporal,
+        statics,
+        labels,
         theta0_binary,
         replace(config.finetune, mode="projected", gamma=gamma, seed=derive_seed(seed, "finetune")),
         config.model,
         schema,
     )
-    reps_star = _reps(instances, theta_star, config.model)
+    reps_star = M.compute_representations(temporal, statics, theta_star, config.model)
     pairs_checked, violations, worst_margin = check_theorem1(
         reps0, reps_star, config.n_pairs, derive_seed(seed, "pairs")
     )
@@ -296,7 +307,7 @@ def theory_protocol(
         bound_constant=corollary_constant(),
         corollary_tol=config.corollary_tol,
         pretrain_accuracy=pretrain_accuracy,
-        pretrain_mean_abs_cosine=pretrain_mean_abs_cosine,
+        pretrain_mean_abs_cosine=mean_abs_cosine(reps0, pretrain_config.seed),
     )
 
 

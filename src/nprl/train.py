@@ -19,7 +19,6 @@ from . import numgrad as ng
 from .errors import FieldError, InputError
 from .model import FeatureSchema, ModelConfig
 from .numgrad import Array, ParamSet
-from .pipeline import ClassStats, NightInstance
 from .util import derive_rng
 
 
@@ -98,37 +97,6 @@ class TrainLog:
 
 
 # ---------------------------------------------------------------------------
-# Instance marshalling
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProfileInstance:
-    """A night profile with the outcome label stripped; the only thing the
-    pretraining path is allowed to see."""
-
-    instance_index: int
-    temporal: np.ndarray
-    statics: np.ndarray
-
-
-def strip_labels(instances: list[NightInstance]) -> list[ProfileInstance]:
-    return [
-        ProfileInstance(inst.instance_index, inst.temporal, inst.statics) for inst in instances
-    ]
-
-
-def to_arrays(instances) -> tuple[Array, Array]:
-    temporal = np.stack([np.asarray(inst.temporal, dtype=np.float64) for inst in instances])
-    statics = np.stack([np.asarray(inst.statics, dtype=np.float64) for inst in instances])
-    return temporal, statics
-
-
-def labels_of(instances: list[NightInstance]) -> Array:
-    return np.array([inst.label for inst in instances], dtype=np.int64)
-
-
-# ---------------------------------------------------------------------------
 # Losses
 # ---------------------------------------------------------------------------
 
@@ -150,24 +118,26 @@ def _loss_and_grads(batch, params, config, class_weights):
 
 
 def class_balanced_weights(
-    stats: ClassStats, scheme: str = "inverse_frequency", beta: float | None = None
+    labels: Array, scheme: str = "inverse_frequency", beta: float | None = None
 ) -> Array:
-    """Per-class loss weights for a two-class problem.
+    """Per-class loss weights for the two classes of a 0/1 label array.
 
     inverse_frequency: w_c = n / (C * n_c).
     effective_number: w_c proportional to (1 - beta) / (1 - beta^{n_c}),
     normalized so that sum_c w_c * n_c = n.
     """
-    counts = np.array([stats.n_neg, stats.n_pos], dtype=np.float64)
+    n = len(labels)
+    n_pos = int((labels == 1).sum())
+    counts = np.array([n - n_pos, n_pos], dtype=np.float64)
     if np.any(counts <= 0):
         raise InputError("both classes must be non-empty")
     if scheme == "inverse_frequency":
-        return stats.n / (stats.n_classes * counts)
+        return n / (len(counts) * counts)
     if scheme == "effective_number":
         if beta is None or not 0.0 <= beta < 1.0:
             raise InputError(f"effective_number needs beta in [0, 1), got {beta}")
         raw = (1.0 - beta) / (1.0 - np.power(beta, counts))
-        return raw * stats.n / float(raw @ counts)
+        return raw * n / float(raw @ counts)
     raise InputError(f"unknown weighting scheme {scheme!r}")
 
 
@@ -218,7 +188,7 @@ def _train(
                         grads[name] = grads[name] + lam * (p.data - theta0[name].data)
             ng.adam_step(params, grads, state)
             if theta0 is not None and gamma is not None:
-                params = M.project_to_ball(params, theta0, gamma, exclude_head=True)
+                params = M.project_to_ball(params, theta0, gamma)
             epoch_loss += loss * len(idx)
             epoch_correct += correct
         log.epochs.append(
@@ -226,7 +196,7 @@ def _train(
                 epoch=epoch,
                 loss=epoch_loss / n,
                 accuracy=epoch_correct / n,
-                frob_dist=M.frobenius_distance(params, reference, exclude_head=True),
+                frob_dist=M.frobenius_distance(params, reference),
             )
         )
     return params, log
@@ -235,20 +205,6 @@ def _train(
 # ---------------------------------------------------------------------------
 # Public procedures
 # ---------------------------------------------------------------------------
-
-
-def _pairwise_cosine_stats(reps: Array, seed: int, cap: int = 1024) -> tuple[float, float]:
-    """Mean signed and mean absolute pairwise cosine between representations."""
-    n = reps.shape[0]
-    if n > cap:
-        idx = derive_rng(seed, "cosine").choice(n, size=cap, replace=False)
-        reps = reps[idx]
-        n = cap
-    norms = np.linalg.norm(reps, axis=1, keepdims=True)
-    unit = reps / np.where(norms > 0.0, norms, 1.0)
-    gram = unit @ unit.T
-    off = gram[~np.eye(n, dtype=bool)]
-    return float(off.mean()), float(np.abs(off).mean())
 
 
 def init_pretraining(
@@ -261,29 +217,23 @@ def init_pretraining(
 
 
 def nprl_pretrain(
-    profiles: list[ProfileInstance],
-    model_config: ModelConfig,
-    schema: FeatureSchema,
-    config: PretrainConfig,
+    temporal: Array, statics: Array, model_config: ModelConfig, schema: FeatureSchema, config: PretrainConfig
 ) -> tuple[ParamSet, TrainLog]:
     """Instance-discrimination pretraining: an n-way head where the target of
-    each profile is its own identity.
+    each profile is its own row. It takes no labels, so it cannot see the
+    outcome.
 
-    Profiles must carry unique indices; class ids are their dense enumeration
-    in input order. The log has one row per training epoch; ``identify``
-    measures any parameter set against the same targets.
+    The log has one row per training epoch; ``identify`` measures any
+    parameter set against the same targets.
     """
-    indices = [p.instance_index for p in profiles]
-    if len(set(indices)) != len(indices):
-        raise InputError("profile instance indices must be unique for pretraining")
-    if len(profiles) < 2:
+    n = len(temporal)
+    if n < 2:
         raise InputError("pretraining needs at least two profiles")
-    temporal, statics = to_arrays(profiles)
-    pretrain_model, params = init_pretraining(len(profiles), model_config, schema, config)
+    pretrain_model, params = init_pretraining(n, model_config, schema, config)
     return _train(
         temporal,
         statics,
-        np.arange(len(profiles), dtype=np.int64),
+        np.arange(n, dtype=np.int64),
         params,
         pretrain_model,
         epochs=config.epochs,
@@ -294,32 +244,34 @@ def nprl_pretrain(
 
 
 def identify(
-    profiles: list[ProfileInstance], params: ParamSet, model_config: ModelConfig
+    temporal: Array, statics: Array, params: ParamSet, model_config: ModelConfig
 ) -> tuple[float, float, Array]:
     """Mean identification loss, accuracy and the representations of the
     profiles under n-way parameters, from one forward-only pass in the same
-    512-row chunks as ``compute_representations`` (so the representations
-    are bit-equal to it). The head width comes from ``params``."""
-    n = len(profiles)
+    chunks as ``compute_representations`` (so the representations are
+    bit-equal to it). The head width comes from ``params``."""
+    n = len(temporal)
     if params["head.W"].dims[1] != n:
         raise InputError(f"an identification head needs {n} classes, got {params['head.W'].dims[1]}")
-    temporal, statics = to_arrays(profiles)
     labels = np.arange(n, dtype=np.int64)
     params = ng.detach(params)
     total_loss = 0.0
     correct = 0
     reps = []
-    for lo in range(0, n, 512):
-        logits, rep = M.forward_batch(temporal[lo : lo + 512], statics[lo : lo + 512], params, model_config)
-        loss, _ = ng.softmax_xent(logits.data, labels[lo : lo + 512])
+    for lo in range(0, n, M.FORWARD_CHUNK):
+        rows = slice(lo, lo + M.FORWARD_CHUNK)
+        logits, rep = M.forward_batch(temporal[rows], statics[rows], params, model_config)
+        loss, _ = ng.softmax_xent(logits.data, labels[rows])
         total_loss += loss * logits.data.shape[0]
-        correct += int((logits.data.argmax(axis=1) == labels[lo : lo + 512]).sum())
+        correct += int((logits.data.argmax(axis=1) == labels[rows]).sum())
         reps.append(rep.data)
     return total_loss / n, correct / n, np.concatenate(reps, axis=0)
 
 
 def finetune(
-    instances: list[NightInstance],
+    temporal: Array,
+    statics: Array,
+    labels: Array,
     theta0: ParamSet,
     config: FinetuneConfig,
     model_config: ModelConfig,
@@ -335,11 +287,9 @@ def finetune(
     """
     if theta0["head.W"].dims[1] != model_config.head_classes:
         raise InputError("theta0 head does not match the configured class count; call replace_head first")
-    temporal, statics = to_arrays(instances)
-    labels = labels_of(instances)
     class_weights = None
     if config.loss == "class_balanced":
-        class_weights = class_balanced_weights(ClassStats.from_instances(instances))
+        class_weights = class_balanced_weights(labels)
     return _train(
         temporal,
         statics,
@@ -358,7 +308,9 @@ def finetune(
 
 
 def train_baseline(
-    instances: list[NightInstance],
+    temporal: Array,
+    statics: Array,
+    labels: Array,
     model_config: ModelConfig,
     schema: FeatureSchema,
     config: BaselineConfig,
@@ -366,8 +318,6 @@ def train_baseline(
     initial_params: ParamSet | None = None,
 ) -> tuple[ParamSet, TrainLog]:
     """Randomly initialized ERM training; the comparison arm for everything."""
-    temporal, statics = to_arrays(instances)
-    labels = labels_of(instances)
     params = (
         initial_params
         if initial_params is not None

@@ -252,15 +252,12 @@ def test_c06_metric_consistency():
 # ---------------------------------------------------------------------------
 
 
-def _instance_digest(instances):
+def _array_digest(*arrays):
     import hashlib
 
     digest = hashlib.sha256()
-    for inst in sorted(instances, key=lambda i: i.instance_index):
-        digest.update(str(inst.instance_index).encode())
-        digest.update(inst.temporal.tobytes())
-        digest.update(inst.statics.tobytes())
-        digest.update(bytes([inst.label]))
+    for array in arrays:
+        digest.update(array.tobytes())
     return digest.hexdigest()
 
 
@@ -277,21 +274,23 @@ def test_c07_resampling_contract():
         )
         for i in range(25952)
     ]
-    resampled = P.resample_training(instances, target_per_class=2600, seed=1)
-    n_pos = sum(i.label for i in resampled)
+    temporal, statics, labels = P.stack_instances(instances)
+    resampled = P.resample_training(labels, target=2600, seed=1)
+    n_pos = int(labels[resampled].sum())
     n_neg = len(resampled) - n_pos
 
     split = P.stratified_kfold(instances, k=5, seed=2)
-    test_fold = [i for i in instances if split.fold_of[i.instance_index] == 0]
-    train_fold = [i for i in instances if split.fold_of[i.instance_index] != 0]
-    before = _instance_digest(test_fold)
-    P.resample_training(train_fold, target_per_class=2600, seed=3)
-    after = _instance_digest(test_fold)
-    ok = n_pos == 2600 and n_neg == 2600 and before == after
+    fold_of = np.array([split.fold_of[i.instance_index] for i in instances])
+    test_rows, train_rows = np.flatnonzero(fold_of == 0), np.flatnonzero(fold_of != 0)
+    before = _array_digest(temporal[test_rows], statics[test_rows], labels[test_rows])
+    picked = train_rows[P.resample_training(labels[train_rows], target=2600, seed=3)]
+    after = _array_digest(temporal[test_rows], statics[test_rows], labels[test_rows])
+    untouched = before == after and not np.isin(picked, test_rows).any()
+    ok = n_pos == 2600 and n_neg == 2600 and untouched
     verdict(
         "C7 resampling contract",
         ok,
-        f"resampled to {n_pos}/{n_neg} (target 2600/2600); test fold hash unchanged: {before == after}",
+        f"resampled to {n_pos}/{n_neg} (target 2600/2600); test fold unchanged and never drawn: {untouched}",
     )
 
 

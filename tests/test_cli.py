@@ -126,6 +126,8 @@ BAD_VALUES = [
     (["features.subsets=9"], "features.subsets"),
     (["model.normalize_representation=maybe"], "model.normalize_representation"),
     (["--workers", "0"], "run.workers"),
+    (["features.subsets=1,2,3", "model.static_widths="], "model.static_widths"),
+    (["features.subsets=1,2,3", "theory.static_widths="], "theory.static_widths"),
 ]
 
 

@@ -346,7 +346,7 @@ class TestReplaceHead:
         for name in params:
             if not M.is_head(name):
                 assert swapped[name] is params[name]
-        assert M.frobenius_distance(params, swapped, exclude_head=True) == 0.0
+        assert M.frobenius_distance(params, swapped) == 0.0
 
     def test_head_shape(self):
         config = M.ModelConfig(gru_hidden=4, static_widths=(3, 2, 1), trunk_widths=(), head_classes=7)
@@ -368,15 +368,17 @@ class TestFrobeniusGeometry:
     def test_single_scalar_shift(self):
         a = small_params()
         b = dict(a)
-        shifted = a["head.b"].data.copy()
+        shifted = a["trunk.0.b"].data.copy()
         shifted[0] += 3.0
-        b["head.b"] = Tensor(shifted)
+        b["trunk.0.b"] = Tensor(shifted)
         assert abs(M.frobenius_distance(a, b) - 3.0) < 1e-12
 
     def test_matches_elementwise_oracle(self):
         a, b = small_params(seed=1), small_params(seed=2)
         total = 0.0
         for name in a:
+            if M.is_head(name):
+                continue
             fa = a[name].data.reshape(-1)
             fb = b[name].data.reshape(-1)
             for i in range(fa.size):
@@ -393,21 +395,21 @@ class TestFrobeniusGeometry:
     def test_projection_rescales_to_radius(self):
         theta0 = small_params(seed=1)
         theta = small_params(seed=2)
-        d = M.frobenius_distance(theta, theta0, exclude_head=True)
+        d = M.frobenius_distance(theta, theta0)
         gamma = d / 2.0
         projected = M.project_to_ball(theta, theta0, gamma)
-        assert abs(M.frobenius_distance(projected, theta0, exclude_head=True) - gamma) < 1e-9
+        assert abs(M.frobenius_distance(projected, theta0) - gamma) < 1e-9
 
     def test_projection_inside_ball_is_identity(self):
         theta0 = small_params(seed=1)
         theta = small_params(seed=2)
-        d = M.frobenius_distance(theta, theta0, exclude_head=True)
+        d = M.frobenius_distance(theta, theta0)
         assert M.project_to_ball(theta, theta0, 2.0 * d) is theta
 
     def test_projection_leaves_head_untouched(self):
         theta0 = small_params(seed=1)
         theta = small_params(seed=2)
-        gamma = M.frobenius_distance(theta, theta0, exclude_head=True) / 3.0
+        gamma = M.frobenius_distance(theta, theta0) / 3.0
         projected = M.project_to_ball(theta, theta0, gamma)
         assert projected["head.W"] is theta["head.W"]
         assert projected["head.b"] is theta["head.b"]
@@ -415,7 +417,7 @@ class TestFrobeniusGeometry:
     def test_projection_idempotent(self):
         theta0 = small_params(seed=1)
         theta = small_params(seed=2)
-        gamma = M.frobenius_distance(theta, theta0, exclude_head=True) / 4.0
+        gamma = M.frobenius_distance(theta, theta0) / 4.0
         once = M.project_to_ball(theta, theta0, gamma)
         twice = M.project_to_ball(once, theta0, gamma)
         for name in once:

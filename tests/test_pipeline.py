@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from nprl import cohort as C
 from nprl import pipeline as P
 from nprl.errors import InputError
+from nprl.util import derive_rng
 
 HOUR = timedelta(hours=1)
 
@@ -242,6 +243,10 @@ class TestSelectFeatures:
             P.select_features(self.instances, self.schema, {2, 3})
 
 
+def no_statics(n):
+    return np.empty((n, 0))
+
+
 class TestMinMax:
     def test_midpoint(self):
         params = P.ScalingParams(
@@ -250,17 +255,14 @@ class TestMinMax:
             static_min=np.empty(0),
             static_max=np.empty(0),
         )
-        inst = P.NightInstance("p", 3, 0, np.full((9, 1), 90.0), np.empty(0), 0)
-        out = P.apply_minmax([inst], params)[0]
-        np.testing.assert_allclose(out.temporal, 0.5)
+        temporal, _ = P.apply_minmax(np.full((1, 9, 1), 90.0), no_statics(1), params)
+        np.testing.assert_allclose(temporal, 0.5)
 
     def test_constant_feature_maps_to_zero(self):
-        insts = [
-            P.NightInstance("p", 3, i, np.full((9, 1), 7.0), np.empty(0), 0) for i in range(3)
-        ]
-        params = P.fit_minmax(insts)
-        out = P.apply_minmax(insts, params)
-        assert all((o.temporal == 0.0).all() for o in out)
+        temporal = np.full((3, 9, 1), 7.0)
+        params = P.fit_minmax(temporal, no_statics(3))
+        out, _ = P.apply_minmax(temporal, no_statics(3), params)
+        assert (out == 0.0).all()
 
     def test_out_of_range_clamped(self):
         params = P.ScalingParams(
@@ -269,52 +271,73 @@ class TestMinMax:
             static_min=np.empty(0),
             static_max=np.empty(0),
         )
-        inst = P.NightInstance("p", 3, 0, np.full((9, 1), -10.0), np.empty(0), 0)
-        out = P.apply_minmax([inst], params)[0]
-        np.testing.assert_allclose(out.temporal, -0.5)
-        inst2 = P.NightInstance("p", 3, 0, np.full((9, 1), 0.4), np.empty(0), 0)
-        below = P.apply_minmax([P.NightInstance("p", 3, 0, np.full((9, 1), -0.1), np.empty(0), 0)], params)[0]
-        assert (below.temporal < 0).all()
+        out, _ = P.apply_minmax(np.full((1, 9, 1), -10.0), no_statics(1), params)
+        np.testing.assert_allclose(out, -0.5)
+        below, _ = P.apply_minmax(np.full((1, 9, 1), -0.1), no_statics(1), params)
+        assert (below < 0).all()
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_train_values_in_unit_interval(self, seed):
         rng = np.random.default_rng(seed)
-        insts = [
-            P.NightInstance("p", 3, i, rng.normal(size=(9, 2)) * 10, rng.normal(size=3), 0)
-            for i in range(4)
-        ]
-        out = P.apply_minmax(insts, P.fit_minmax(insts))
-        for o in out:
-            assert o.temporal.min() >= 0.0 and o.temporal.max() <= 1.0
-            assert o.statics.min() >= 0.0 and o.statics.max() <= 1.0
-
+        temporal, statics = np.empty((4, 9, 2)), np.empty((4, 3))
+        for i in range(4):
+            temporal[i] = rng.normal(size=(9, 2)) * 10
+            statics[i] = rng.normal(size=3)
+        out_temporal, out_statics = P.apply_minmax(temporal, statics, P.fit_minmax(temporal, statics))
+        assert out_temporal.min() >= 0.0 and out_temporal.max() <= 1.0
+        assert out_statics.min() >= 0.0 and out_statics.max() <= 1.0
 
     @pytest.mark.parametrize("n_static", [0, 3])
     def test_matches_per_instance_scaling(self, n_static):
         rng = np.random.default_rng(n_static)
-        insts = []
+        temporal, statics = np.empty((6, 9, 4)), np.empty((6, n_static))
         for i in range(6):
-            temporal = rng.normal(size=(9, 4)) * 10
-            temporal[:, 2] = 5.0  # constant feature: zero span
-            statics = rng.normal(size=n_static)
+            temporal[i] = rng.normal(size=(9, 4)) * 10
+            temporal[i, :, 2] = 5.0  # constant feature: zero span
+            statics[i] = rng.normal(size=n_static)
             if n_static:
-                statics[0] = -1.0
-            insts.append(P.NightInstance(f"p{i}", 3 + i, i, temporal, statics, i % 2))
-        params = P.fit_minmax(insts[:4])  # the last two fall partly outside the range
-        out = P.apply_minmax(insts, params)
-        for inst, o in zip(insts, out):
-            expected = P._scale(inst.temporal, params.temporal_min, params.temporal_max, params)
-            np.testing.assert_array_equal(o.temporal, expected)
-            if n_static:
-                expected = P._scale(inst.statics, params.static_min, params.static_max, params)
-                np.testing.assert_array_equal(o.statics, expected)
-            else:
-                assert o.statics.shape == (0,)
-            assert (o.patient_id, o.day_index, o.instance_index, o.label) == (
-                inst.patient_id, inst.day_index, inst.instance_index, inst.label
-            )
-        assert P.apply_minmax([], params) == []
+                statics[i, 0] = -1.0
+        params = P.fit_minmax(temporal[:4], statics[:4])  # the last two fall partly outside the range
+        out_temporal, out_statics = P.apply_minmax(temporal, statics, params)
+        assert out_temporal.shape == temporal.shape and out_statics.shape == statics.shape
+        for row in range(6):
+            expected = P._scale(temporal[row], params.temporal_min, params.temporal_max, params)
+            np.testing.assert_array_equal(out_temporal[row], expected)
+            expected = P._scale(statics[row], params.static_min, params.static_max, params)
+            np.testing.assert_array_equal(out_statics[row], expected)
+        empty_temporal, empty_statics = P.apply_minmax(temporal[:0], statics[:0], params)
+        assert empty_temporal.shape == (0, 9, 4) and empty_statics.shape == (0, n_static)
+
+    @pytest.mark.parametrize("n_static", [0, 3])
+    def test_fit_matches_concatenated_hours(self, n_static):
+        # the range of every hour of every night, one feature column at a time
+        rng = np.random.default_rng(10 + n_static)
+        temporal, statics = rng.normal(size=(5, 9, 4)), rng.normal(size=(5, n_static))
+        params = P.fit_minmax(temporal, statics)
+        hours = np.concatenate(list(temporal), axis=0)
+        np.testing.assert_array_equal(params.temporal_min, hours.min(axis=0))
+        np.testing.assert_array_equal(params.temporal_max, hours.max(axis=0))
+        np.testing.assert_array_equal(params.static_min, statics.min(axis=0) if n_static else np.empty(0))
+        np.testing.assert_array_equal(params.static_max, statics.max(axis=0) if n_static else np.empty(0))
+
+    def test_fit_needs_a_row(self):
+        with pytest.raises(InputError, match="empty"):
+            P.fit_minmax(np.empty((0, 9, 2)), no_statics(0))
+
+
+class TestStackInstances:
+    def test_rows_follow_the_list(self):
+        instances = synthetic_instances(3, 4, seed=2)[::-1]
+        temporal, statics, labels = P.stack_instances(instances)
+        assert temporal.shape == (7, 9, 1) and statics.shape == (7, 0)
+        assert labels.tolist() == [inst.label for inst in instances]
+        for row, inst in enumerate(instances):
+            np.testing.assert_array_equal(temporal[row], inst.temporal)
+
+    def test_needs_an_instance(self):
+        with pytest.raises(InputError):
+            P.stack_instances([])
 
 
 def synthetic_instances(n_pos, n_neg, seed=0):
@@ -368,34 +391,93 @@ class TestStratifiedKfold:
             P.stratified_kfold(synthetic_instances(3, 50), k=5, seed=0)
 
 
+def labels_of(instances):
+    return np.array([inst.label for inst in instances])
+
+
 class TestResampling:
     def test_paper_counts(self):
-        instances = synthetic_instances(471, 25481)
-        out = P.resample_training(instances, target_per_class=2600, seed=3)
-        labels = [i.label for i in out]
-        assert sum(labels) == 2600
-        assert len(labels) - sum(labels) == 2600
+        labels = labels_of(synthetic_instances(471, 25481))
+        rows = P.resample_training(labels, target=2600, seed=3)
+        assert labels[rows].sum() == 2600
+        assert len(rows) - labels[rows].sum() == 2600
 
     def test_balanced_input_is_permutation(self):
-        instances = synthetic_instances(50, 50)
-        out = P.resample_training(instances, target_per_class=50, seed=4)
-        assert sorted(i.instance_index for i in out) == sorted(i.instance_index for i in instances)
+        labels = labels_of(synthetic_instances(50, 50))
+        rows = P.resample_training(labels, target=50, seed=4)
+        assert sorted(rows) == list(range(100))
 
     def test_positives_are_members(self):
-        instances = synthetic_instances(7, 100)
-        out = P.resample_training(instances, target_per_class=30, seed=5)
-        pos_ids = {i.instance_index for i in instances if i.label == 1}
-        assert all(i.instance_index in pos_ids for i in out if i.label == 1)
+        labels = labels_of(synthetic_instances(7, 100))
+        rows = P.resample_training(labels, target=30, seed=5)
+        assert set(rows[labels[rows] == 1]) <= set(np.flatnonzero(labels == 1))
+        assert (labels[rows] == 1).sum() == 30
 
     def test_undersample_leaves_positives(self):
-        instances = synthetic_instances(9, 500)
-        out = P.undersample_negatives(instances, target=100, seed=6)
-        assert sum(1 for i in out if i.label == 1) == 9
-        assert sum(1 for i in out if i.label == 0) == 100
+        labels = labels_of(synthetic_instances(9, 500))
+        rows = P.undersample_negatives(labels, target=100, seed=6)
+        assert sorted(rows[labels[rows] == 1]) == list(range(9))
+        assert (labels[rows] == 0).sum() == 100
 
     def test_needs_both_classes(self):
         with pytest.raises(InputError):
-            P.resample_training(synthetic_instances(0, 10), seed=0)
+            P.resample_training(labels_of(synthetic_instances(0, 10)), seed=0)
+
+
+def reference_resample_training(instances, target, seed):
+    """Per-class resampling of an instance list, written out as the index
+    resampler must reproduce it."""
+    pos = [inst for inst in instances if inst.label == 1]
+    neg = [inst for inst in instances if inst.label == 0]
+    rng = derive_rng(seed, "resample")
+    neg_sample = [neg[i] for i in rng.choice(len(neg), size=min(target, len(neg)), replace=False)]
+    pos_sample = [pos[i] for i in rng.choice(len(pos), size=target, replace=len(pos) < target)]
+    combined = neg_sample + pos_sample
+    return [combined[i] for i in rng.permutation(len(combined))]
+
+
+def reference_undersample_negatives(instances, target, seed):
+    pos = [inst for inst in instances if inst.label == 1]
+    neg = [inst for inst in instances if inst.label == 0]
+    rng = derive_rng(seed, "undersample")
+    neg_sample = [neg[i] for i in rng.choice(len(neg), size=min(target, len(neg)), replace=False)]
+    combined = neg_sample + pos
+    return [combined[i] for i in rng.permutation(len(combined))]
+
+
+def shuffled_instances(n_pos, n_neg, seed):
+    """Positives scattered among the negatives, so positions and indices differ."""
+    instances = synthetic_instances(n_pos, n_neg, seed=seed)
+    order = np.random.default_rng(seed).permutation(len(instances))
+    return [instances[i] for i in order]
+
+
+class TestResamplingMatchesListReference:
+    # (positives, negatives, target): scarce positives drawn with replacement,
+    # positives at and above the target, negatives below the target
+    MIXES = [(7, 100, 30), (30, 100, 30), (50, 100, 30), (10, 20, 30), (40, 12, 30)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    @pytest.mark.parametrize("n_pos, n_neg, target", MIXES)
+    def test_resample_training(self, n_pos, n_neg, target, seed):
+        instances = shuffled_instances(n_pos, n_neg, seed)
+        temporal, statics, labels = P.stack_instances(instances)
+        rows = P.resample_training(labels, target, seed)
+        reference = reference_resample_training(instances, target, seed)
+        assert [instances[r].instance_index for r in rows] == [inst.instance_index for inst in reference]
+        assert np.array_equal(temporal[rows], np.stack([inst.temporal for inst in reference]))
+        assert np.array_equal(labels[rows], [inst.label for inst in reference])
+
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    @pytest.mark.parametrize("n_pos, n_neg, target", MIXES)
+    def test_undersample_negatives(self, n_pos, n_neg, target, seed):
+        instances = shuffled_instances(n_pos, n_neg, seed)
+        temporal, statics, labels = P.stack_instances(instances)
+        rows = P.undersample_negatives(labels, target, seed)
+        reference = reference_undersample_negatives(instances, target, seed)
+        assert [instances[r].instance_index for r in rows] == [inst.instance_index for inst in reference]
+        assert np.array_equal(temporal[rows], np.stack([inst.temporal for inst in reference]))
+        assert np.array_equal(labels[rows], [inst.label for inst in reference])
 
 
 class TestInstancesRoundTrip:

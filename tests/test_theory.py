@@ -3,10 +3,10 @@ import pytest
 
 from nprl import model as M
 from nprl import numgrad as ng
-from nprl import pipeline as P
 from nprl import theory as TH
 from nprl import train as T
 from nprl.errors import ConfigError, DegenerateError, InputError
+from nprl.util import derive_rng
 
 SCHEMA = M.FeatureSchema(("a", "b", "c"), ())
 NORM_CONFIG = M.ModelConfig(
@@ -14,24 +14,16 @@ NORM_CONFIG = M.ModelConfig(
 )
 
 
-def reps_of(instances, params, config=NORM_CONFIG):
-    temporal, statics = T.to_arrays(instances)
+def reps_of(data, params, config=NORM_CONFIG):
+    temporal, statics, _ = data
     return M.compute_representations(temporal, statics, params, config)
 
 
-def toy_instances(n=24, seed=0):
+def toy_arrays(n=24, seed=0):
+    """(temporal, statics, labels) of n nights; the first four are positive."""
     rng = np.random.default_rng(seed)
-    return [
-        P.NightInstance(
-            patient_id=f"p{i}",
-            day_index=3,
-            instance_index=i,
-            temporal=rng.uniform(0.0, 1.0, size=(9, 3)),
-            statics=np.empty(0),
-            label=int(i < 4),
-        )
-        for i in range(n)
-    ]
+    temporal = np.stack([rng.uniform(0.0, 1.0, size=(9, 3)) for _ in range(n)])
+    return temporal, np.empty((n, 0)), (np.arange(n) < 4).astype(np.int64)
 
 
 class TestCorollaryConstant:
@@ -44,101 +36,111 @@ class TestCorollaryConstant:
 
 
 class TestEstimateLipschitz:
-    def test_linear_single_parameter_model(self):
+    def test_linear_single_parameter_model(self, monkeypatch):
         # representation = w * x with x = 2: the shift per unit of parameter
-        # perturbation is exactly |x|
-        class LinearRep:
-            def __init__(self):
-                self.x = 2.0
-
-        # emulate via the real model machinery: a 1-unit GRU degenerates; use
-        # a direct probe of the ratio definition instead with a stub config
+        # perturbation is exactly |x|; a direct probe of the ratio definition
+        # through a stub representation
         params = {"w": ng.Tensor(np.array([[1.0]]), requires_grad=True), "head.W": ng.Tensor(np.zeros((1, 2))), "head.b": ng.Tensor(np.zeros(2))}
 
-        import nprl.theory as theory_mod
-
-        original = theory_mod._reps
-
-        def fake_reps(instances, p, config):
+        def fake_reps(temporal, statics, p, config):
             return np.array([[p["w"].data[0, 0] * 2.0]])
 
-        theory_mod._reps = fake_reps
-        try:
-            base = fake_reps([object()], params, NORM_CONFIG)
-            estimate = TH.estimate_lipschitz(
-                params, [object()], base, n_probes=3, delta=1e-3, seed=0, config=NORM_CONFIG
-            )
-        finally:
-            theory_mod._reps = original
+        monkeypatch.setattr(M, "compute_representations", fake_reps)
+        one = (np.zeros((1, 9, 3)), np.empty((1, 0)))
+        base = fake_reps(*one, params, NORM_CONFIG)
+        estimate = TH.estimate_lipschitz(params, *one, base, n_probes=3, delta=1e-3, seed=0, config=NORM_CONFIG)
         assert abs(estimate.l_hat - 2.0) < 1e-9
 
-    def test_degenerate_rep_flagged(self):
+    def test_degenerate_rep_flagged(self, monkeypatch):
         params = {"w": ng.Tensor(np.array([[1.0]]), requires_grad=True), "head.W": ng.Tensor(np.zeros((1, 2))), "head.b": ng.Tensor(np.zeros(2))}
-        import nprl.theory as theory_mod
-
-        original = theory_mod._reps
-        theory_mod._reps = lambda instances, p, config: np.array([[5.0]])
-        try:
-            with pytest.raises(DegenerateError):
-                TH.estimate_lipschitz(
-                    params, [object()], np.array([[5.0]]), n_probes=2, delta=1e-3, seed=0, config=NORM_CONFIG
-                )
-        finally:
-            theory_mod._reps = original
+        monkeypatch.setattr(M, "compute_representations", lambda temporal, statics, p, config: np.array([[5.0]]))
+        one = (np.zeros((1, 9, 3)), np.empty((1, 0)))
+        with pytest.raises(DegenerateError):
+            TH.estimate_lipschitz(
+                params, *one, np.array([[5.0]]), n_probes=2, delta=1e-3, seed=0, config=NORM_CONFIG
+            )
 
     def test_monotone_in_instances_and_probes(self):
-        instances = toy_instances(n=20, seed=1)
+        temporal, statics, _ = data = toy_arrays(n=20, seed=1)
         params = M.init_params(NORM_CONFIG, SCHEMA, seed=0)
-        base = reps_of(instances, params)
+        base = reps_of(data, params)
         small = TH.estimate_lipschitz(
-            params, instances[:8], base[:8], n_probes=4, delta=1e-3, seed=5, config=NORM_CONFIG
+            params, temporal[:8], statics[:8], base[:8], n_probes=4, delta=1e-3, seed=5, config=NORM_CONFIG
         )
-        large = TH.estimate_lipschitz(params, instances, base, n_probes=4, delta=1e-3, seed=5, config=NORM_CONFIG)
+        large = TH.estimate_lipschitz(params, temporal, statics, base, n_probes=4, delta=1e-3, seed=5, config=NORM_CONFIG)
         assert large.l_hat >= small.l_hat
-        fewer = TH.estimate_lipschitz(params, instances, base, n_probes=2, delta=1e-3, seed=5, config=NORM_CONFIG)
+        fewer = TH.estimate_lipschitz(params, temporal, statics, base, n_probes=2, delta=1e-3, seed=5, config=NORM_CONFIG)
         assert large.l_hat >= fewer.l_hat
-        again = TH.estimate_lipschitz(params, instances, base, n_probes=4, delta=1e-3, seed=5, config=NORM_CONFIG)
+        again = TH.estimate_lipschitz(params, temporal, statics, base, n_probes=4, delta=1e-3, seed=5, config=NORM_CONFIG)
         assert again.l_hat == large.l_hat
 
     def test_validates_inputs(self):
         params = M.init_params(NORM_CONFIG, SCHEMA, seed=0)
         empty = np.empty((0, M.rep_width(NORM_CONFIG, 0)))
         with pytest.raises(InputError):
-            TH.estimate_lipschitz(params, [], empty, n_probes=2, delta=1e-3, seed=0, config=NORM_CONFIG)
-        instances = toy_instances(4)
-        base = reps_of(instances, params)
+            TH.estimate_lipschitz(
+                params, np.empty((0, 9, 3)), np.empty((0, 0)), empty, n_probes=2, delta=1e-3, seed=0, config=NORM_CONFIG
+            )
+        temporal, statics, _ = data = toy_arrays(4)
+        base = reps_of(data, params)
         with pytest.raises(InputError):
-            TH.estimate_lipschitz(params, instances, base, n_probes=2, delta=0.0, seed=0, config=NORM_CONFIG)
+            TH.estimate_lipschitz(params, temporal, statics, base, n_probes=2, delta=0.0, seed=0, config=NORM_CONFIG)
         with pytest.raises(InputError, match="3 unperturbed representations for 4 instances"):
-            TH.estimate_lipschitz(params, instances, base[:3], n_probes=2, delta=1e-3, seed=0, config=NORM_CONFIG)
+            TH.estimate_lipschitz(params, temporal, statics, base[:3], n_probes=2, delta=1e-3, seed=0, config=NORM_CONFIG)
+
+
+class TestMeanAbsCosine:
+    def test_cosine_stats_reported(self):
+        temporal, statics, _ = toy_arrays(n=30, seed=7)
+        config = T.PretrainConfig(epochs=2, seed=3)
+        params, _ = T.nprl_pretrain(temporal, statics, NORM_CONFIG, SCHEMA, config)
+        _, _, reps = T.identify(temporal, statics, params, NORM_CONFIG)
+        mean_abs_cosine = TH.mean_abs_cosine(reps, config.seed)
+        gram = reps @ reps.T  # unit-norm rows
+        mean_cosine = (gram.sum() - np.trace(gram)) / (30 * 29)
+        assert -1.0 <= mean_cosine <= 1.0
+        assert abs(mean_cosine) <= mean_abs_cosine <= 1.0
+
+    def test_matches_pairwise_oracle(self):
+        reps = np.random.default_rng(7).normal(size=(12, 5))
+        unit = reps / np.linalg.norm(reps, axis=1, keepdims=True)
+        cosines = [abs(unit[i] @ unit[j]) for i in range(12) for j in range(12) if i != j]
+        assert abs(TH.mean_abs_cosine(reps, seed=0) - np.mean(cosines)) < 1e-12
+
+    def test_samples_at_most_the_row_cap(self):
+        reps = np.random.default_rng(8).normal(size=(TH.COSINE_ROWS + 50, 3))
+        value = TH.mean_abs_cosine(reps, seed=4)
+        assert 0.0 <= value <= 1.0 and value == TH.mean_abs_cosine(reps, seed=4)
+        sample = reps[derive_rng(4, "cosine").choice(len(reps), size=TH.COSINE_ROWS, replace=False)]
+        assert value == TH.mean_abs_cosine(sample, seed=4)
 
 
 class TestCheckTheorem1:
     def test_identical_parameters_never_violate(self):
-        instances = toy_instances(n=16, seed=2)
-        reps = reps_of(instances, M.init_params(NORM_CONFIG, SCHEMA, seed=1))
+        data = toy_arrays(n=16, seed=2)
+        reps = reps_of(data, M.init_params(NORM_CONFIG, SCHEMA, seed=1))
         pairs, violations, worst = TH.check_theorem1(reps, reps, n_pairs=None)
         assert violations == 0
         assert pairs == 16 * 15 // 2
         assert worst > 0.0  # slack terms keep the margin strictly positive
 
     def test_margin_formula_for_equal_params(self):
-        instances = toy_instances(n=10, seed=3)
-        reps = reps_of(instances, M.init_params(NORM_CONFIG, SCHEMA, seed=2))
+        data = toy_arrays(n=10, seed=3)
+        reps = reps_of(data, M.init_params(NORM_CONFIG, SCHEMA, seed=2))
         _, _, worst = TH.check_theorem1(reps, reps, n_pairs=None)
         d0 = [
             np.linalg.norm(reps[i] - reps[j])
-            for i in range(len(instances))
-            for j in range(i + 1, len(instances))
+            for i in range(len(data[0]))
+            for j in range(i + 1, len(data[0]))
         ]
         expected = min(d / 2.0 + 1.0 / 32.0 for d in d0)
         assert abs(worst - expected) < 1e-12
 
     def test_blocked_pairs_match_one_pass(self):
-        instances = toy_instances(n=40, seed=6)  # 780 pairs, several blocks
-        reps0 = reps_of(instances, M.init_params(NORM_CONFIG, SCHEMA, seed=5))
-        reps_star = reps_of(instances, M.init_params(NORM_CONFIG, SCHEMA, seed=6))
-        pairs = TH._sample_pairs(len(instances), None, 0)
+        data = toy_arrays(n=40, seed=6)  # 780 pairs, several blocks
+        reps0 = reps_of(data, M.init_params(NORM_CONFIG, SCHEMA, seed=5))
+        reps_star = reps_of(data, M.init_params(NORM_CONFIG, SCHEMA, seed=6))
+        pairs = TH._sample_pairs(len(data[0]), None, 0)
         assert len(pairs) > TH.PAIR_BLOCK
         d0 = np.linalg.norm(reps0[pairs[:, 0]] - reps0[pairs[:, 1]], axis=1)
         d_star_sq = np.sum((reps_star[pairs[:, 0]] - reps_star[pairs[:, 1]]) ** 2, axis=1)
@@ -147,13 +149,13 @@ class TestCheckTheorem1:
         assert result == (len(pairs), int((margins < 0.0).sum()), float(margins.min()))
 
     def test_pair_sampling_counts(self):
-        instances = toy_instances(n=30, seed=4)
-        reps = reps_of(instances, M.init_params(NORM_CONFIG, SCHEMA, seed=3))
+        data = toy_arrays(n=30, seed=4)
+        reps = reps_of(data, M.init_params(NORM_CONFIG, SCHEMA, seed=3))
         pairs, _, _ = TH.check_theorem1(reps, reps, n_pairs=100)
         assert pairs == 100
 
     def test_fewer_than_two_representations(self):
-        reps = reps_of(toy_instances(n=1, seed=4), M.init_params(NORM_CONFIG, SCHEMA, seed=3))
+        reps = reps_of(toy_arrays(n=1, seed=4), M.init_params(NORM_CONFIG, SCHEMA, seed=3))
         with pytest.raises(InputError, match="at least 2 representations.*got 1"):
             TH.check_theorem1(reps, reps, n_pairs=None)
         with pytest.raises(InputError, match="one shape"):
@@ -162,7 +164,7 @@ class TestCheckTheorem1:
     def test_detects_planted_violation(self):
         # scaling all representations toward zero shrinks pairwise distances
         # below what the slack absorbs when the originals are far apart
-        instances = toy_instances(n=12, seed=5)
+        data = toy_arrays(n=12, seed=5)
         theta0 = M.init_params(
             M.ModelConfig(gru_hidden=4, trunk_widths=(), head_classes=2), SCHEMA, seed=4
         )
@@ -172,11 +174,11 @@ class TestCheckTheorem1:
             name: ng.Tensor(np.zeros(p.dims), requires_grad=True) if not M.is_head(name) else p
             for name, p in theta0.items()
         }
-        reps0 = reps_of(instances, theta0, config)
+        reps0 = reps_of(data, theta0, config)
         d0_max = max(
             np.linalg.norm(reps0[i] - reps0[j]) for i in range(12) for j in range(i + 1, 12)
         )
-        reps_star = reps_of(instances, theta_star, config)
+        reps_star = reps_of(data, theta_star, config)
         _, violations, worst = TH.check_theorem1(reps0, reps_star, n_pairs=None)
         if d0_max**2 - d0_max / 2.0 - 1.0 / 32.0 > 0:
             assert violations > 0
@@ -185,35 +187,35 @@ class TestCheckTheorem1:
 
 class TestCheckCorollary1:
     def test_identical_parameters_satisfy(self):
-        instances = toy_instances(n=14, seed=6)
-        reps = reps_of(instances, M.init_params(NORM_CONFIG, SCHEMA, seed=5))
+        data = toy_arrays(n=14, seed=6)
+        reps = reps_of(data, M.init_params(NORM_CONFIG, SCHEMA, seed=5))
         m0, m_star, ok = TH.check_corollary1(reps, reps)
         assert m0 == m_star
         assert ok
 
     def test_requires_normalization(self):
         config = M.ModelConfig(gru_hidden=4, trunk_widths=(), head_classes=2)
-        instances = toy_instances(n=8, seed=7)
-        reps = reps_of(instances, M.init_params(config, SCHEMA, seed=6), config)
+        data = toy_arrays(n=8, seed=7)
+        reps = reps_of(data, M.init_params(config, SCHEMA, seed=6), config)
         with pytest.raises(ConfigError):
             TH.check_corollary1(reps, reps)
 
     def test_budget_uses_measured_m0(self):
-        instances = toy_instances(n=10, seed=8)
-        reps = reps_of(instances, M.init_params(NORM_CONFIG, SCHEMA, seed=7))
+        data = toy_arrays(n=10, seed=8)
+        reps = reps_of(data, M.init_params(NORM_CONFIG, SCHEMA, seed=7))
         m0, m_star, ok = TH.check_corollary1(reps, reps, tol=0.0)
         # m_star == m0 <= 0.37 + |m0| always holds for unit vectors
         assert ok
 
     def test_fewer_than_two_representations(self):
-        reps = reps_of(toy_instances(n=1, seed=8), M.init_params(NORM_CONFIG, SCHEMA, seed=7))
+        reps = reps_of(toy_arrays(n=1, seed=8), M.init_params(NORM_CONFIG, SCHEMA, seed=7))
         with pytest.raises(InputError, match="at least 2 representations.*got 1"):
             TH.check_corollary1(reps, reps)
 
 
 class TestTheoryProtocol:
     def test_end_to_end_small(self):
-        instances = toy_instances(n=40, seed=9)
+        data = toy_arrays(n=40, seed=9)
         config = TH.TheoryConfig(
             model=NORM_CONFIG,
             pretrain=T.PretrainConfig(epochs=3, seed=1),
@@ -222,7 +224,7 @@ class TestTheoryProtocol:
             n_pairs=500,
             safety=2.0,
         )
-        report = TH.theory_protocol(instances, SCHEMA, config, seed=11)
+        report = TH.theory_protocol(*data, SCHEMA, config, seed=11)
         assert report.gamma == 1.0 / (16.0 * report.l_hat)
         assert report.pairs_checked == 500
         assert report.violations == 0
@@ -249,7 +251,7 @@ class TestTheoryProtocol:
             n_probes=2,
             n_pairs=200,
         )
-        TH.theory_protocol(toy_instances(n=30, seed=10), SCHEMA, config, seed=12)
+        TH.theory_protocol(*toy_arrays(n=30, seed=10), SCHEMA, config, seed=12)
         # the pretrained parameters, each probe, and theta*
         assert len(passes) == config.n_probes + 2
 
@@ -258,7 +260,7 @@ class TestTheoryProtocol:
             TH.TheoryConfig(model=M.ModelConfig(gru_hidden=4, trunk_widths=(), head_classes=2))
 
     def test_report_round_trip(self, tmp_path):
-        instances = toy_instances(n=30, seed=10)
+        data = toy_arrays(n=30, seed=10)
         config = TH.TheoryConfig(
             model=NORM_CONFIG,
             pretrain=T.PretrainConfig(epochs=2, seed=1),
@@ -266,7 +268,7 @@ class TestTheoryProtocol:
             n_probes=2,
             n_pairs=200,
         )
-        report = TH.theory_protocol(instances, SCHEMA, config, seed=12)
+        report = TH.theory_protocol(*data, SCHEMA, config, seed=12)
         path = tmp_path / "theory_report.txt"
         TH.write_theory_report(report, path, header_comment="config_hash=zz seed=12")
         parsed = TH.read_theory_report(path)

@@ -3,7 +3,7 @@ import pytest
 
 from nprl import model as M
 from nprl import numgrad as ng
-from nprl import pipeline as P
+from nprl import theory as TH
 from nprl import train as T
 from nprl.errors import InputError
 
@@ -11,36 +11,24 @@ SCHEMA = M.FeatureSchema(("a", "b", "c"), ())
 CONFIG = M.ModelConfig(gru_hidden=4, trunk_widths=(8,), head_classes=2)
 
 
-def toy_instances(n_pos=6, n_neg=18, seed=0, separable=True):
-    """Tiny labeled set; positives get a mean shift so learning is feasible."""
+def toy_arrays(n_pos=6, n_neg=18, seed=0, separable=True):
+    """Tiny labeled (temporal, statics, labels) set; positives come first and
+    get a mean shift so learning is feasible."""
     rng = np.random.default_rng(seed)
-    out = []
-    for i in range(n_pos + n_neg):
-        label = 1 if i < n_pos else 0
-        temporal = rng.uniform(0.1, 0.9, size=(9, 3))
-        if separable and label:
-            temporal = np.clip(temporal + 0.35, 0.0, 1.5)
-        out.append(
-            P.NightInstance(
-                patient_id=f"p{i}",
-                day_index=3,
-                instance_index=i,
-                temporal=temporal,
-                statics=np.empty(0),
-                label=label,
-            )
-        )
-    return out
+    labels = (np.arange(n_pos + n_neg) < n_pos).astype(np.int64)
+    temporal = []
+    for label in labels:
+        night = rng.uniform(0.1, 0.9, size=(9, 3))
+        temporal.append(np.clip(night + 0.35, 0.0, 1.5) if separable and label else night)
+    return np.stack(temporal), np.empty((len(labels), 0)), labels
 
 
 class TestErmLoss:
     def test_class_decomposition_identity(self):
         # mean cross-entropy equals the count-weighted sum of class means
         rng = np.random.default_rng(1)
-        instances = toy_instances(5, 11, seed=2)
+        temporal, statics, labels = toy_arrays(5, 11, seed=2)
         params = M.init_params(CONFIG, SCHEMA, seed=0)
-        temporal, statics = T.to_arrays(instances)
-        labels = T.labels_of(instances)
         total, _, _ = T._loss_and_grads((temporal, statics, labels), params, CONFIG, None)
         by_class = 0.0
         for c in (0, 1):
@@ -50,20 +38,18 @@ class TestErmLoss:
         assert abs(total - by_class) < 1e-10
 
     def test_single_instance_uniform_logits(self):
-        instances = toy_instances(1, 0)
+        temporal, statics, _ = toy_arrays(1, 0)
         params = M.init_params(CONFIG, SCHEMA, seed=0)
         zeroed = {
             name: ng.Tensor(np.zeros(p.dims), requires_grad=True) if M.is_head(name) else p
             for name, p in params.items()
         }
-        temporal, statics = T.to_arrays(instances)
         loss, _, _ = T._loss_and_grads((temporal, statics, np.array([1])), zeroed, CONFIG, None)
         assert abs(loss - np.log(2)) < 1e-12
 
     def test_unit_weights_match_unweighted(self):
-        instances = toy_instances(4, 6, seed=3)
+        batch = toy_arrays(4, 6, seed=3)
         params = M.init_params(CONFIG, SCHEMA, seed=1)
-        batch = (*T.to_arrays(instances), T.labels_of(instances))
         plain, grads_plain, _ = T._loss_and_grads(batch, params, CONFIG, None)
         weighted, grads_weighted, _ = T._loss_and_grads(batch, params, CONFIG, np.ones(2))
         assert plain == weighted
@@ -71,51 +57,49 @@ class TestErmLoss:
             np.testing.assert_array_equal(grads_plain[name], grads_weighted[name])
 
 
+def labels_with(n_pos, n_neg):
+    return np.array([1] * n_pos + [0] * n_neg)
+
+
 class TestClassBalancedWeights:
     def test_paper_counts_inverse_frequency(self):
-        stats = P.ClassStats(n=25952, n_pos=471, n_neg=25481)
-        w = T.class_balanced_weights(stats, "inverse_frequency")
+        w = T.class_balanced_weights(labels_with(471, 25481), "inverse_frequency")
         assert abs(w[1] - 27.550) < 1e-3
         assert abs(w[0] - 0.5092) < 1e-4
 
     def test_balanced_classes_unit_weights(self):
-        stats = P.ClassStats(n=200, n_pos=100, n_neg=100)
-        np.testing.assert_allclose(T.class_balanced_weights(stats, "inverse_frequency"), 1.0)
+        np.testing.assert_allclose(T.class_balanced_weights(labels_with(100, 100), "inverse_frequency"), 1.0)
 
     def test_effective_number_beta_zero_limit(self):
-        stats = P.ClassStats(n=120, n_pos=20, n_neg=100)
-        w = T.class_balanced_weights(stats, "effective_number", beta=1e-12)
+        w = T.class_balanced_weights(labels_with(20, 100), "effective_number", beta=1e-12)
         np.testing.assert_allclose(w, 1.0, atol=1e-9)
 
     def test_effective_number_normalization(self):
-        stats = P.ClassStats(n=1100, n_pos=100, n_neg=1000)
-        w = T.class_balanced_weights(stats, "effective_number", beta=0.999)
-        counts = np.array([stats.n_neg, stats.n_pos])
-        assert abs(float(w @ counts) - stats.n) < 1e-9
+        w = T.class_balanced_weights(labels_with(100, 1000), "effective_number", beta=0.999)
+        counts = np.array([1000, 100])
+        assert abs(float(w @ counts) - 1100) < 1e-9
 
     def test_bad_beta(self):
-        stats = P.ClassStats(n=10, n_pos=5, n_neg=5)
         with pytest.raises(InputError):
-            T.class_balanced_weights(stats, "effective_number", beta=1.0)
+            T.class_balanced_weights(labels_with(5, 5), "effective_number", beta=1.0)
 
     def test_empty_class_rejected(self):
         with pytest.raises(InputError):
-            T.class_balanced_weights(P.ClassStats(n=10, n_pos=0, n_neg=10))
+            T.class_balanced_weights(labels_with(0, 10))
 
 
 class TestPretrain:
     def test_tiny_set_reaches_full_identification(self):
-        instances = toy_instances(0, 40, seed=5, separable=False)
-        profiles = T.strip_labels(instances)
+        temporal, statics, _ = toy_arrays(0, 40, seed=5, separable=False)
         params, _ = T.nprl_pretrain(
-            profiles, CONFIG, SCHEMA, T.PretrainConfig(epochs=200, learning_rate=3e-3, seed=1)
+            temporal, statics, CONFIG, SCHEMA, T.PretrainConfig(epochs=200, learning_rate=3e-3, seed=1)
         )
-        assert T.identify(profiles, params, CONFIG)[1] == 1.0
+        assert T.identify(temporal, statics, params, CONFIG)[1] == 1.0
         assert params["head.W"].dims[1] == 40
 
     def test_log_holds_only_training_epochs(self):
-        profiles = T.strip_labels(toy_instances(0, 20, seed=6, separable=False))
-        _, log = T.nprl_pretrain(profiles, CONFIG, SCHEMA, T.PretrainConfig(epochs=3, seed=2))
+        temporal, statics, _ = toy_arrays(0, 20, seed=6, separable=False)
+        _, log = T.nprl_pretrain(temporal, statics, CONFIG, SCHEMA, T.PretrainConfig(epochs=3, seed=2))
         assert [row.epoch for row in log.epochs] == [1, 2, 3]
 
     def test_starts_from_init_pretraining(self, monkeypatch):
@@ -125,33 +109,23 @@ class TestPretrain:
         monkeypatch.setattr(
             T, "_train", lambda temporal, statics, labels, params, model, **kw: started.append((params, model))
         )
-        profiles = T.strip_labels(toy_instances(0, 12, seed=9, separable=False))
+        temporal, statics, _ = toy_arrays(0, 12, seed=9, separable=False)
         config = T.PretrainConfig(epochs=1, seed=5)
-        T.nprl_pretrain(profiles, CONFIG, SCHEMA, config)
-        model, initial = T.init_pretraining(len(profiles), CONFIG, SCHEMA, config)
+        T.nprl_pretrain(temporal, statics, CONFIG, SCHEMA, config)
+        model, initial = T.init_pretraining(len(temporal), CONFIG, SCHEMA, config)
         ((params, used_model),) = started
         assert used_model == model and model.head_classes == 12
         assert {n: p.data.tobytes() for n, p in params.items()} == {n: p.data.tobytes() for n, p in initial.items()}
 
-    def test_cosine_stats_reported(self):
-        instances = toy_instances(0, 30, seed=7, separable=False)
-        profiles = T.strip_labels(instances)
-        config = T.PretrainConfig(epochs=2, seed=3)
-        params, _ = T.nprl_pretrain(profiles, CONFIG, SCHEMA, config)
-        _, _, reps = T.identify(profiles, params, CONFIG)
-        mean_cosine, mean_abs_cosine = T._pairwise_cosine_stats(reps, config.seed)
-        assert -1.0 <= mean_cosine <= 1.0
-        assert abs(mean_cosine) <= mean_abs_cosine <= 1.0
-
     def test_final_diagnostics_match_two_passes(self):
         # identify's accuracy and representations come from one forward pass;
         # they must equal a separate accuracy pass plus
-        # compute_representations, over more rows than one 512-row chunk
-        profiles = T.strip_labels(toy_instances(0, 600, seed=8, separable=False))
+        # compute_representations, over more rows than one forward chunk
+        temporal, statics, _ = toy_arrays(0, 600, seed=8, separable=False)
+        assert len(temporal) > M.FORWARD_CHUNK
         config = T.PretrainConfig(epochs=1, seed=4)
-        params, _ = T.nprl_pretrain(profiles, CONFIG, SCHEMA, config)
-        _, accuracy, final_reps = T.identify(profiles, params, CONFIG)
-        temporal, statics = T.to_arrays(profiles)
+        params, _ = T.nprl_pretrain(temporal, statics, CONFIG, SCHEMA, config)
+        _, accuracy, final_reps = T.identify(temporal, statics, params, CONFIG)
         model = M.ModelConfig(gru_hidden=4, trunk_widths=(8,), head_classes=600)
         detached = ng.detach(params)
         correct = 0
@@ -160,69 +134,58 @@ class TestPretrain:
             correct += int((logits.data.argmax(axis=1) == np.arange(lo, min(lo + 512, 600))).sum())
         reps = M.compute_representations(temporal, statics, params, model)
         assert accuracy == correct / 600
-        assert T._pairwise_cosine_stats(final_reps, config.seed) == T._pairwise_cosine_stats(reps, config.seed)
+        assert TH.mean_abs_cosine(final_reps, config.seed) == TH.mean_abs_cosine(reps, config.seed)
         np.testing.assert_array_equal(final_reps, reps)  # theory uses them as theta0's
 
     def test_identify_needs_one_head_class_per_profile(self):
-        profiles = T.strip_labels(toy_instances(0, 5, separable=False))
+        temporal, statics, _ = toy_arrays(0, 5, separable=False)
         with pytest.raises(InputError, match="needs 5 classes, got 2"):
-            T.identify(profiles, M.init_params(CONFIG, SCHEMA, seed=0), CONFIG)
-
-    def test_duplicate_indices_rejected(self):
-        instances = toy_instances(0, 5, separable=False)
-        profiles = T.strip_labels(instances)
-        profiles[1] = T.ProfileInstance(profiles[0].instance_index, profiles[1].temporal, profiles[1].statics)
-        with pytest.raises(InputError):
-            T.nprl_pretrain(profiles, CONFIG, SCHEMA, T.PretrainConfig(epochs=1))
-
-    def test_profiles_carry_no_labels(self):
-        profiles = T.strip_labels(toy_instances(2, 2))
-        assert not hasattr(profiles[0], "label")
+            T.identify(temporal, statics, M.init_params(CONFIG, SCHEMA, seed=0), CONFIG)
 
 
 class TestFinetune:
-    def _pretrained(self, instances, seed=0):
-        profiles = T.strip_labels(instances)
-        theta0, _ = T.nprl_pretrain(profiles, CONFIG, SCHEMA, T.PretrainConfig(epochs=2, seed=seed))
+    def _pretrained(self, data, seed=0):
+        temporal, statics, _ = data
+        theta0, _ = T.nprl_pretrain(temporal, statics, CONFIG, SCHEMA, T.PretrainConfig(epochs=2, seed=seed))
         return M.replace_head(theta0, 2, seed=seed)
 
     def test_step_zero_distance_is_zero(self):
-        instances = toy_instances(6, 10, seed=8)
-        theta0 = self._pretrained(instances)
-        assert M.frobenius_distance(theta0, theta0, exclude_head=True) == 0.0
+        data = toy_arrays(6, 10, seed=8)
+        theta0 = self._pretrained(data)
+        assert M.frobenius_distance(theta0, theta0) == 0.0
 
     def test_huge_penalty_pins_parameters(self):
-        instances = toy_instances(6, 10, seed=9)
-        theta0 = self._pretrained(instances)
+        data = toy_arrays(6, 10, seed=9)
+        theta0 = self._pretrained(data)
         config = T.FinetuneConfig(mode="regularized", lam=1e6, learning_rate=1e-8, epochs=1, seed=1)
-        params, _ = T.finetune(instances, theta0, config, CONFIG, SCHEMA)
-        assert M.frobenius_distance(params, theta0, exclude_head=True) < 1e-6
+        params, _ = T.finetune(*data, theta0, config, CONFIG, SCHEMA)
+        assert M.frobenius_distance(params, theta0) < 1e-6
 
     def test_projected_mode_respects_radius(self):
-        instances = toy_instances(6, 10, seed=10)
-        theta0 = self._pretrained(instances)
+        data = toy_arrays(6, 10, seed=10)
+        theta0 = self._pretrained(data)
         gamma = 0.05
         config = T.FinetuneConfig(mode="projected", gamma=gamma, learning_rate=1e-2, epochs=3, seed=2)
-        params, log = T.finetune(instances, theta0, config, CONFIG, SCHEMA)
-        assert M.frobenius_distance(params, theta0, exclude_head=True) <= gamma + 1e-9
+        params, log = T.finetune(*data, theta0, config, CONFIG, SCHEMA)
+        assert M.frobenius_distance(params, theta0) <= gamma + 1e-9
         assert log.epochs[-1].frob_dist <= gamma + 1e-9
 
     def test_projected_mode_needs_positive_gamma(self):
-        instances = toy_instances(6, 10)
-        theta0 = self._pretrained(instances)
+        data = toy_arrays(6, 10)
+        theta0 = self._pretrained(data)
         with pytest.raises(InputError):
             T.finetune(
-                instances, theta0, T.FinetuneConfig(mode="projected", gamma=0.0), CONFIG, SCHEMA
+                *data, theta0, T.FinetuneConfig(mode="projected", gamma=0.0), CONFIG, SCHEMA
             )
 
     def test_lambda_zero_matches_baseline_trajectory(self):
-        instances = toy_instances(6, 10, seed=11)
-        theta0 = self._pretrained(instances, seed=4)
+        data = toy_arrays(6, 10, seed=11)
+        theta0 = self._pretrained(data, seed=4)
         seed = 123
         ft_config = T.FinetuneConfig(mode="regularized", lam=0.0, learning_rate=1e-3, epochs=3, seed=seed)
-        ft_params, ft_log = T.finetune(instances, theta0, ft_config, CONFIG, SCHEMA)
+        ft_params, ft_log = T.finetune(*data, theta0, ft_config, CONFIG, SCHEMA)
         bl_config = T.BaselineConfig(epochs=3, batch_size=64, learning_rate=1e-3, seed=seed)
-        bl_params, bl_log = T.train_baseline(instances, CONFIG, SCHEMA, bl_config, initial_params=theta0)
+        bl_params, bl_log = T.train_baseline(*data, CONFIG, SCHEMA, bl_config, initial_params=theta0)
         for name in ft_params:
             np.testing.assert_array_equal(ft_params[name].data, bl_params[name].data)
         assert [(e.loss, e.accuracy, e.frob_dist) for e in ft_log.epochs] == [
@@ -238,24 +201,23 @@ class TestFinetune:
         ids=["regularized", "projected"],
     )
     def test_theta0_left_unchanged(self, config):
-        instances = toy_instances(6, 10, seed=17)
-        theta0 = self._pretrained(instances, seed=6)
+        data = toy_arrays(6, 10, seed=17)
+        theta0 = self._pretrained(data, seed=6)
         before = {name: p.data.tobytes() for name, p in theta0.items()}
-        params, log = T.finetune(instances, theta0, config, CONFIG, SCHEMA)
+        params, log = T.finetune(*data, theta0, config, CONFIG, SCHEMA)
         assert {name: p.data.tobytes() for name, p in theta0.items()} == before
-        distance = M.frobenius_distance(params, theta0, exclude_head=True)
+        distance = M.frobenius_distance(params, theta0)
         assert distance > 0.0 and log.epochs[-1].frob_dist == distance
 
     def test_head_mismatch_rejected(self):
-        instances = toy_instances(6, 10)
-        profiles = T.strip_labels(instances)
-        theta0, _ = T.nprl_pretrain(profiles, CONFIG, SCHEMA, T.PretrainConfig(epochs=1))
+        data = toy_arrays(6, 10)
+        theta0, _ = T.nprl_pretrain(*data[:2], CONFIG, SCHEMA, T.PretrainConfig(epochs=1))
         with pytest.raises(InputError):
-            T.finetune(instances, theta0, T.FinetuneConfig(), CONFIG, SCHEMA)
+            T.finetune(*data, theta0, T.FinetuneConfig(), CONFIG, SCHEMA)
 
     def test_regularized_gradient_matches_finite_differences_of_summed_objective(self):
-        instances = toy_instances(4, 8, seed=12)
-        theta0 = self._pretrained(instances, seed=5)
+        data = toy_arrays(4, 8, seed=12)
+        theta0 = self._pretrained(data, seed=5)
         lam = 0.3
         # move away from theta0 so the penalty gradient is non-trivial
         rng = np.random.default_rng(6)
@@ -263,8 +225,7 @@ class TestFinetune:
             name: ng.Tensor(p.data + 0.05 * rng.standard_normal(p.dims), requires_grad=True)
             for name, p in theta0.items()
         }
-        temporal, statics = T.to_arrays(instances)
-        labels = T.labels_of(instances)
+        temporal, statics, labels = data
 
         def objective(p):
             loss, _ = ng.softmax_xent(
@@ -302,42 +263,42 @@ class TestFinetune:
 
 class TestBaseline:
     def test_deterministic_per_seed(self):
-        instances = toy_instances(6, 14, seed=13)
+        data = toy_arrays(6, 14, seed=13)
         config = T.BaselineConfig(epochs=2, seed=9)
-        a, log_a = T.train_baseline(instances, CONFIG, SCHEMA, config)
-        b, log_b = T.train_baseline(instances, CONFIG, SCHEMA, config)
+        a, log_a = T.train_baseline(*data, CONFIG, SCHEMA, config)
+        b, log_b = T.train_baseline(*data, CONFIG, SCHEMA, config)
         for name in a:
             np.testing.assert_array_equal(a[name].data, b[name].data)
         assert [e.loss for e in log_a.epochs] == [e.loss for e in log_b.epochs]
 
     def test_initial_params_left_unchanged(self):
-        instances = toy_instances(6, 14, seed=18)
+        data = toy_arrays(6, 14, seed=18)
         initial = M.init_params(CONFIG, SCHEMA, seed=5)
         before = {name: p.data.tobytes() for name, p in initial.items()}
         config = T.BaselineConfig(epochs=2, learning_rate=1e-2, seed=2)
-        params, log = T.train_baseline(instances, CONFIG, SCHEMA, config, initial_params=initial)
+        params, log = T.train_baseline(*data, CONFIG, SCHEMA, config, initial_params=initial)
         assert {name: p.data.tobytes() for name, p in initial.items()} == before
-        distance = M.frobenius_distance(params, initial, exclude_head=True)
+        distance = M.frobenius_distance(params, initial)
         assert distance > 0.0 and log.epochs[-1].frob_dist == distance
 
     def test_loss_decreases_on_separable_data(self):
-        instances = toy_instances(20, 20, seed=14)
+        data = toy_arrays(20, 20, seed=14)
         config = T.BaselineConfig(epochs=5, learning_rate=3e-3, seed=3)
-        _, log = T.train_baseline(instances, CONFIG, SCHEMA, config)
+        _, log = T.train_baseline(*data, CONFIG, SCHEMA, config)
         losses = [e.loss for e in log.epochs]
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_all_negative_data_collapses_to_always_negative(self):
-        instances = toy_instances(0, 30, seed=15, separable=False)
+        data = toy_arrays(0, 30, seed=15, separable=False)
         config = T.BaselineConfig(epochs=5, learning_rate=3e-3, seed=4)
-        params, _ = T.train_baseline(instances, CONFIG, SCHEMA, config)
-        temporal, statics = T.to_arrays(instances)
+        params, _ = T.train_baseline(*data, CONFIG, SCHEMA, config)
+        temporal, statics, _ = data
         probs = M.predict_proba(temporal, statics, params, CONFIG)
         assert (probs[:, 0] > 0.5).all()
 
     def test_log_to_csv_round_trip(self, tmp_path):
-        instances = toy_instances(5, 9, seed=16)
-        _, log = T.train_baseline(instances, CONFIG, SCHEMA, T.BaselineConfig(epochs=2, seed=1))
+        data = toy_arrays(5, 9, seed=16)
+        _, log = T.train_baseline(*data, CONFIG, SCHEMA, T.BaselineConfig(epochs=2, seed=1))
         path = tmp_path / "log.csv"
         log.to_csv(path, header_comment="config_hash=x seed=1")
         lines = path.read_text().splitlines()
