@@ -386,9 +386,9 @@ class Runner:
                 instances, schema, split, arm, self.cfg.arm_configs, self.seed, n_workers=self.cfg.workers
             )
             self.log(
-                f"arm {arm}: pooled AUROC {reports[arm].pooled_auroc:.4f}, "
-                f"sensitivity {reports[arm].pooled_sensitivity}, "
-                f"specificity {reports[arm].pooled_specificity}"
+                f"arm {arm}: pooled AUROC {reports[arm].pooled.auroc:.4f}, "
+                f"sensitivity {reports[arm].pooled.sensitivity}, "
+                f"specificity {reports[arm].pooled.specificity}"
             )
         E.emit_combined_report(
             reports, self.run_dir / "report.csv", self.run_dir / "roc.txt", header_comment=self.header

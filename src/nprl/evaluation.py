@@ -1,11 +1,12 @@
 """Metrics and the cross-validation protocol.
 
-AUROC is the Mann-Whitney statistic computed by sort-and-rank with midranks
-for ties. Confusion counts threshold the positive-class probability at 0.5 by
+Scores are two arrays, positive-class probabilities and 0/1 labels, from
+prediction to report. AUROC is the Mann-Whitney statistic from midranks, so
+ties count half. Confusion counts threshold the probability at 0.5 by
 default. Cross-validation stacks the instances once, then per fold fits
-scaling on the training rows only, resamples per arm, trains, scores the
-untouched test rows, and aggregates by summing counts (with a pooled-score
-ROC), keeping every fold's own metrics.
+scaling on the training rows only, resamples per arm, trains and scores the
+untouched test rows. The pooled report scores the folds' concatenated arrays,
+and the ROC is drawn from them.
 """
 
 from __future__ import annotations
@@ -19,67 +20,58 @@ from . import artifacts as A
 from . import model as M
 from . import pipeline as P
 from . import train as T
-from .errors import FieldError, InputError, LeakageError, UndefinedMetricError
+from .errors import FieldError, FormatError, InputError, LeakageError, UndefinedMetricError
 from .model import FeatureSchema, ModelConfig
 from .util import derive_seed
 
 ARMS = ("baseline", "nprl", "class_balanced", "class_balanced_undersampled")
 
-ScorePair = tuple[float, int]
 
-
-def auroc(scores: list[ScorePair]) -> float:
-    """Probability that a random positive outscores a random negative, ties
-    counted half; computed in O(m log m) via midranks."""
-    values = np.array([s for s, _ in scores], dtype=np.float64)
-    labels = np.array([y for _, y in scores], dtype=np.int64)
-    n_pos = int((labels == 1).sum())
+def _both_classes(labels: np.ndarray, what: str) -> tuple[np.ndarray, int, int]:
+    positive = labels == 1
+    n_pos = int(positive.sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
-        raise UndefinedMetricError("AUROC needs at least one positive and one negative")
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values), dtype=np.float64)
-    sorted_values = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_values[j + 1] == sorted_values[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # midrank, 1-based
-        i = j + 1
-    rank_sum = float(ranks[labels == 1].sum())
-    u = rank_sum - n_pos * (n_pos + 1) / 2.0
+        raise UndefinedMetricError(f"{what} needs at least one positive and one negative")
+    return positive, n_pos, n_neg
+
+
+def auroc(probs: np.ndarray, labels: np.ndarray) -> float:
+    """Probability that a random positive outscores a random negative, ties
+    counted half: the Mann-Whitney statistic from midranks, O(m log m)."""
+    positive, n_pos, n_neg = _both_classes(labels, "AUROC")
+    _, group, counts = np.unique(probs, return_inverse=True, return_counts=True)
+    midranks = np.cumsum(counts) - 0.5 * (counts - 1)  # 1-based, per distinct score
+    u = float(midranks[group][positive].sum()) - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
 
 
-@dataclass
-class ConfusionCounts:
-    tp: int
-    tn: int
-    fp: int
-    fn: int
-    sensitivity: float | None
-    specificity: float | None
-
-
-def confusion(scores: list[ScorePair], threshold: float = 0.5) -> ConfusionCounts:
-    """Predict positive iff score >= threshold; rates are None when undefined."""
-    tp = tn = fp = fn = 0
-    for score, label in scores:
-        predicted = score >= threshold
-        if label == 1:
-            tp, fn = (tp + 1, fn) if predicted else (tp, fn + 1)
-        else:
-            fp, tn = (fp + 1, tn) if predicted else (fp, tn + 1)
-    sensitivity = tp / (tp + fn) if tp + fn else None
-    specificity = tn / (tn + fp) if tn + fp else None
-    return ConfusionCounts(tp, tn, fp, fn, sensitivity, specificity)
+def confusion(probs: np.ndarray, labels: np.ndarray, threshold: float = 0.5) -> dict:
+    """Counts and rates when predicting positive iff prob >= threshold; a
+    rate is None when undefined."""
+    predicted, positive = probs >= threshold, labels == 1
+    tp = int((predicted & positive).sum())
+    fn = int(positive.sum()) - tp
+    fp = int(predicted.sum()) - tp
+    tn = len(labels) - tp - fn - fp
+    return dict(
+        tp=tp,
+        tn=tn,
+        fp=fp,
+        fn=fn,
+        sensitivity=tp / (tp + fn) if tp + fn else None,
+        specificity=tn / (tn + fp) if tn + fp else None,
+    )
 
 
 @dataclass
-class FoldReport:
-    fold_id: int
-    scores: list[ScorePair]
+class ScoreReport:
+    """Held-out scores and their metrics, for one fold or (fold_id None) the
+    pool of every fold."""
+
+    fold_id: int | None
+    probs: np.ndarray
+    labels: np.ndarray
     tp: int
     tn: int
     fp: int
@@ -88,52 +80,25 @@ class FoldReport:
     sensitivity: float | None
     specificity: float | None
 
-    @classmethod
-    def from_scores(cls, fold_id: int, scores: list[ScorePair], threshold: float) -> "FoldReport":
-        counts = confusion(scores, threshold)
-        return cls(
-            fold_id=fold_id,
-            scores=scores,
-            tp=counts.tp,
-            tn=counts.tn,
-            fp=counts.fp,
-            fn=counts.fn,
-            auroc=auroc(scores),
-            sensitivity=counts.sensitivity,
-            specificity=counts.specificity,
-        )
+
+def score(fold_id: int | None, probs: np.ndarray, labels: np.ndarray, threshold: float = 0.5) -> ScoreReport:
+    """The report of one set of held-out scores."""
+    return ScoreReport(fold_id, probs, labels, auroc=auroc(probs, labels), **confusion(probs, labels, threshold))
 
 
 @dataclass
 class AggregateReport:
-    folds: list[FoldReport]
-    tp: int
-    tn: int
-    fp: int
-    fn: int
-    pooled_auroc: float
-    pooled_sensitivity: float | None
-    pooled_specificity: float | None
+    folds: list[ScoreReport]
+    pooled: ScoreReport
 
 
-def aggregate(folds: list[FoldReport], threshold: float = 0.5) -> AggregateReport:
-    pooled: list[ScorePair] = []
-    for f in folds:
-        pooled.extend(f.scores)
-    counts = confusion(pooled, threshold)
-    report = AggregateReport(
-        folds=folds,
-        tp=counts.tp,
-        tn=counts.tn,
-        fp=counts.fp,
-        fn=counts.fn,
-        pooled_auroc=auroc(pooled),
-        pooled_sensitivity=counts.sensitivity,
-        pooled_specificity=counts.specificity,
-    )
-    assert report.tp == sum(f.tp for f in folds)
-    assert report.tn == sum(f.tn for f in folds)
-    return report
+def aggregate(folds: list[ScoreReport], threshold: float = 0.5) -> AggregateReport:
+    """Every fold's report plus the report of their concatenated scores."""
+    probs = np.concatenate([f.probs for f in folds])
+    labels = np.concatenate([f.labels for f in folds])
+    pooled = score(None, probs, labels, threshold)
+    assert pooled.tp == sum(f.tp for f in folds) and pooled.tn == sum(f.tn for f in folds)
+    return AggregateReport(folds, pooled)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +169,7 @@ def _fit_arm(
     return params
 
 
-def _run_fold(args) -> FoldReport:
+def _run_fold(args) -> ScoreReport:
     temporal, statics, labels, fold_of, schema, arm, cfg, seed, fold = args
     test = fold_of == fold
     scaling = P.fit_minmax(temporal[~test], statics[~test])
@@ -213,8 +178,7 @@ def _run_fold(args) -> FoldReport:
     fold_seed = derive_seed(seed, arm, "fold", fold)
     params = _fit_arm(arm, train_temporal, train_statics, labels[~test], schema, cfg, fold_seed)
     probs = M.predict_proba(test_temporal, test_statics, params, cfg.model)[:, 1]
-    scores = [(float(p), int(y)) for p, y in zip(probs, labels[test])]
-    return FoldReport.from_scores(fold, scores, cfg.threshold)
+    return score(fold, probs, labels[test], cfg.threshold)
 
 
 def cross_validate(
@@ -271,71 +235,20 @@ def _metric_str(value: float | None) -> str:
     return "NA" if value is None else repr(float(value))
 
 
-def _report_rows(arm: str, report: AggregateReport) -> list[list[str]]:
-    rows = []
-    for f in report.folds:
-        rows.append(
-            [
-                arm,
-                str(f.fold_id),
-                str(len(f.scores)),
-                str(f.tp + f.fn),
-                str(f.tn + f.fp),
-                str(f.tp),
-                str(f.tn),
-                str(f.fp),
-                str(f.fn),
-                repr(f.auroc),
-                _metric_str(f.sensitivity),
-                _metric_str(f.specificity),
-            ]
-        )
-    total = sum(len(f.scores) for f in report.folds)
-    rows.append(
-        [
-            arm,
-            "ALL",
-            str(total),
-            str(report.tp + report.fn),
-            str(report.tn + report.fp),
-            str(report.tp),
-            str(report.tn),
-            str(report.fp),
-            str(report.fn),
-            repr(report.pooled_auroc),
-            _metric_str(report.pooled_sensitivity),
-            _metric_str(report.pooled_specificity),
-        ]
-    )
-    return rows
+def _report_row(arm: str, r: ScoreReport) -> list[str]:
+    counts = (len(r.labels), r.tp + r.fn, r.tn + r.fp, r.tp, r.tn, r.fp, r.fn)
+    fold = "ALL" if r.fold_id is None else str(r.fold_id)
+    return [arm, fold, *map(str, counts), *map(_metric_str, (r.auroc, r.sensitivity, r.specificity))]
 
 
-def roc_points(scores: list[ScorePair]) -> list[tuple[float, float]]:
-    """ROC polyline from pooled scores, from (0, 0) to (1, 1)."""
-    values = np.array([s for s, _ in scores])
-    labels = np.array([y for _, y in scores])
-    n_pos = int((labels == 1).sum())
-    n_neg = int((labels == 0).sum())
-    if n_pos == 0 or n_neg == 0:
-        raise UndefinedMetricError("ROC needs both classes")
-    order = np.argsort(-values, kind="mergesort")
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    while i < len(order):
-        j = i
-        score = values[order[i]]
-        while j < len(order) and values[order[j]] == score:
-            if labels[order[j]] == 1:
-                tp += 1
-            else:
-                fp += 1
-            j += 1
-        points.append((fp / n_neg, tp / n_pos))
-        i = j
-    if points[-1] != (1.0, 1.0):
-        points.append((1.0, 1.0))
-    return points
+def roc_points(probs: np.ndarray, labels: np.ndarray) -> list[tuple[float, float]]:
+    """ROC polyline from (0, 0) to (1, 1), one point per distinct score,
+    highest score first."""
+    positive, n_pos, n_neg = _both_classes(labels, "ROC")
+    distinct, group, counts = np.unique(probs, return_inverse=True, return_counts=True)
+    pos = np.bincount(group[positive], minlength=len(distinct))
+    tp, fp = np.cumsum(pos[::-1]), np.cumsum((counts - pos)[::-1])
+    return [(0.0, 0.0), *zip((fp / n_neg).tolist(), (tp / n_pos).tolist())]
 
 
 def emit_combined_report(
@@ -343,7 +256,7 @@ def emit_combined_report(
 ) -> None:
     """Per arm, one CSV row per fold plus an ALL row, and a pooled fpr/tpr
     point list."""
-    rows = (row for arm, report in reports.items() for row in _report_rows(arm, report))
+    rows = (_report_row(arm, r) for arm, report in reports.items() for r in (*report.folds, report.pooled))
     A.write_table(csv_path, REPORT_COLUMNS, rows, header_comment)
     A.write_text(roc_path, _roc_lines(reports), header_comment)
 
@@ -351,13 +264,19 @@ def emit_combined_report(
 def _roc_lines(reports: dict[str, AggregateReport]):
     for arm, report in reports.items():
         yield f"# arm={arm}"
-        for fpr, tpr in roc_points([pair for f in report.folds for pair in f.scores]):
+        for fpr, tpr in roc_points(report.pooled.probs, report.pooled.labels):
             yield f"{fpr!r} {tpr!r}"
 
 
 def read_report(csv_path) -> dict[str, dict[str, dict[str, str]]]:
-    """Parse report.csv into {arm: {fold_id: {column: value}}}."""
+    """Parse report.csv into {arm: {fold_id: {column: value}}}; an (arm,
+    fold_id) pair may appear once."""
     out: dict[str, dict[str, dict[str, str]]] = {}
-    for _, row in A.read_table(csv_path, REPORT_COLUMNS):
-        out.setdefault(row[0], {})[row[1]] = dict(zip(REPORT_COLUMNS, row))
+    first_line: dict[tuple[str, str], int] = {}
+    for lineno, row in A.read_table(csv_path, REPORT_COLUMNS):
+        arm, fold = row[0], row[1]
+        seen = first_line.setdefault((arm, fold), lineno)
+        if seen != lineno:
+            raise FormatError(f"{csv_path}:{lineno}: repeated row for arm {arm} fold {fold} (first at line {seen})")
+        out.setdefault(arm, {})[fold] = dict(zip(REPORT_COLUMNS, row))
     return out

@@ -293,7 +293,7 @@ def represent(temporal: Array, statics: Array, params: ParamSet, config: ModelCo
         for i in range(n_layers):
             s = ng.affine(s, params[f"static.{i}.W"], params[f"static.{i}.b"])
             if i < n_layers - 1:  # final static unit stays linear
-                s = ng.elementwise(s, "relu")
+                s = ng.relu(s)
         rep = ng.concat_cols([rep, s])
     expected = rep_width(config, n_static)
     if rep.dims[1] != expected:
@@ -311,7 +311,7 @@ def forward_batch(
     rep = represent(temporal, statics, params, config)
     x = rep
     for i in range(len(config.trunk_widths)):
-        x = ng.elementwise(ng.affine(x, params[f"trunk.{i}.W"], params[f"trunk.{i}.b"]), "relu")
+        x = ng.relu(ng.affine(x, params[f"trunk.{i}.W"], params[f"trunk.{i}.b"]))
     logits = ng.affine(x, params["head.W"], params["head.b"])
     return logits, rep
 

@@ -135,33 +135,13 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return attach(out, (x, w, b), _bw)
 
 
-ACTIVATIONS = ("sigmoid", "tanh", "relu")
+def relu(x: Tensor) -> Tensor:
+    """max(x, 0); backward passes the gradient where x > 0."""
+    out = Tensor(np.maximum(x.data, 0.0))
 
+    def _bw():
+        accumulate(x, out.grad * (x.data > 0.0))
 
-def elementwise(x: Tensor, kind: str) -> Tensor:
-    """Apply sigmoid, tanh or relu; backward uses the analytic derivative."""
-    if kind == "sigmoid":
-        out = Tensor(1.0 / (1.0 + np.exp(-x.data)))
-
-        def _bw():
-            s = out.data
-            accumulate(x, out.grad * s * (1.0 - s))
-
-    elif kind == "tanh":
-        out = Tensor(np.tanh(x.data))
-
-        def _bw():
-            t = out.data
-            accumulate(x, out.grad * (1.0 - t * t))
-
-    elif kind == "relu":
-        out = Tensor(np.maximum(x.data, 0.0))
-
-        def _bw():
-            accumulate(x, out.grad * (x.data > 0.0))
-
-    else:
-        raise InputError(f"unknown elementwise kind {kind!r}, expected one of {ACTIVATIONS}")
     return attach(out, (x,), _bw)
 
 

@@ -56,14 +56,6 @@ COSINE_ROWS = 1024  # rows behind the reported pretraining mean |cosine|
 
 
 @dataclass
-class LipschitzEstimate:
-    l_hat: float
-    n_probes: int
-    probe_scale: float
-    ratios: list[float]
-
-
-@dataclass
 class TheoremCheckReport:
     l_hat: float
     gamma: float
@@ -102,8 +94,8 @@ def estimate_lipschitz(
     delta: float,
     seed: int,
     config: ModelConfig,
-) -> LipschitzEstimate:
-    """Max over probes of (max over instances of ||rep shift|| / delta).
+) -> float:
+    """L_hat: max over probes of (max over instances of ||rep shift|| / delta).
 
     ``base`` holds the unperturbed representations of the rows of
     ``temporal`` and ``statics`` under ``params``, as the caller already has
@@ -120,7 +112,7 @@ def estimate_lipschitz(
         raise InputError("need at least one instance to probe")
     if len(base) != len(temporal):
         raise InputError(f"{len(base)} unperturbed representations for {len(temporal)} instances")
-    ratios = []
+    l_hat = 0.0
     for probe in range(n_probes):
         rng = derive_rng(seed, "probe", probe)
         direction = {
@@ -143,11 +135,10 @@ def estimate_lipschitz(
         except NumericError as exc:
             raise NumericError(f"probe scale {delta} drove representations non-finite") from exc
         shift = np.linalg.norm(shifted - base, axis=1)
-        ratios.append(float(shift.max() / delta))
-    l_hat = max(ratios)
+        l_hat = max(l_hat, float(shift.max() / delta))
     if l_hat == 0.0:
         raise DegenerateError("representations did not respond to parameter perturbation")
-    return LipschitzEstimate(l_hat=l_hat, n_probes=n_probes, probe_scale=delta, ratios=ratios)
+    return l_hat
 
 
 def _sample_pairs(n: int, n_pairs: int | None, seed: int) -> np.ndarray:
@@ -269,7 +260,7 @@ def theory_protocol(
     # one pass at theta0 gives the identification accuracy and the
     # representations both checks start from
     _, pretrain_accuracy, reps0 = T.identify(temporal, statics, theta0, config.model)
-    estimate = estimate_lipschitz(
+    l_hat = estimate_lipschitz(
         theta0,
         temporal,
         statics,
@@ -279,7 +270,7 @@ def theory_protocol(
         derive_seed(seed, "probes"),
         config.model,
     )
-    gamma = 1.0 / (8.0 * estimate.l_hat * config.safety)
+    gamma = 1.0 / (8.0 * l_hat * config.safety)
     theta0_binary = M.replace_head(theta0, config.model.head_classes, derive_seed(seed, "head"))
     theta_star, _ = T.finetune(
         temporal,
@@ -296,7 +287,7 @@ def theory_protocol(
     )
     m0, m_star, bound_ok = check_corollary1(reps0, reps_star, config.corollary_tol)
     return TheoremCheckReport(
-        l_hat=estimate.l_hat,
+        l_hat=l_hat,
         gamma=gamma,
         pairs_checked=pairs_checked,
         violations=violations,

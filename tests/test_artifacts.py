@@ -32,8 +32,8 @@ def write_all(d: Path) -> None:
     C.write_cohort(records, d, header_comment=HEADER)
     instances, schema = P.select_features(P.extract_instances(records), P.full_schema(), {1, 2})
     P.write_instances(instances[:4], schema, d / "instances.csv", d / "instances.schema.txt", HEADER)
-    scores = [(0.9, 1), (0.2, 0), (0.6, 1), (0.4, 0), (0.7, 0)]
-    report = E.aggregate([E.FoldReport.from_scores(i, scores, 0.5) for i in range(2)])
+    probs, labels = np.array([0.9, 0.2, 0.6, 0.4, 0.7]), np.array([1, 0, 1, 0, 0])
+    report = E.aggregate([E.score(i, probs, labels, 0.5) for i in range(2)])
     E.emit_combined_report({"baseline": report}, d / "report.csv", d / "roc.txt", HEADER)
     theory = TH.TheoremCheckReport(
         l_hat=1.5, gamma=0.04, pairs_checked=10, violations=0, worst_margin=0.25, m0=0.01, m_star=0.02,
@@ -175,6 +175,14 @@ class TestValues:
         with pytest.raises(FormatError, match=message):
             P.read_instances(path, run / "instances.schema.txt")
 
+    def test_repeated_report_row(self, run):  # the last copy used to win silently
+        path = run / "report.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + [lines[2]]) + "\n")
+        message = rf"report\.csv:{len(lines) + 1}: repeated row for arm baseline fold 0 \(first at line 3\)"
+        with pytest.raises(FormatError, match=message):
+            E.read_report(path)
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
     def test_instance_value_not_finite(self, run, cell):
         path = run / "instances.csv"
@@ -311,6 +319,33 @@ def test_golden_cohort_and_instance_bytes(tmp_path):
     P.write_instances(instances, schema, tmp_path / "instances.csv", tmp_path / "instances.schema.txt", header)
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256}
     assert digests == GOLDEN_SHA256
+
+
+# fixed scores with ties inside a fold, across folds and at the 0.5 threshold
+GOLDEN_SCORES = {
+    "baseline": [
+        ([0.9, 0.5, 0.5, 1 / 3, 0.1, 0.7], [1, 1, 0, 0, 0, 1]),
+        ([0.5, 0.2, 0.8, 1 / 3, 0.65], [0, 1, 1, 0, 0]),
+    ],
+    "nprl": [
+        ([0.3, 0.3, 0.3, 0.6], [1, 0, 0, 1]),
+        ([2 / 3, 0.1, 0.45, 0.45, 0.05], [0, 1, 1, 0, 0]),
+    ],
+}
+GOLDEN_REPORT_SHA256 = {
+    "report.csv": "4e80c0b67f28c714d0f0f29dd7c1a1a308cadcc2bb6f26ba61c8d20945bb4bb1",
+    "roc.txt": "5cffff03baea5c1af0e31ed7ee58299f2912b5b83252b3d706d885f5b3ebb95c",
+}
+
+
+def test_golden_report_bytes(tmp_path):
+    reports = {
+        arm: E.aggregate([E.score(i, np.array(p), np.array(y)) for i, (p, y) in enumerate(folds)])
+        for arm, folds in GOLDEN_SCORES.items()
+    }
+    E.emit_combined_report(reports, tmp_path / "report.csv", tmp_path / "roc.txt", HEADER)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_REPORT_SHA256}
+    assert digests == GOLDEN_REPORT_SHA256
 
 
 class TestCheckpointBoundary:

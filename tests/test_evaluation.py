@@ -12,9 +12,15 @@ from nprl import train as T
 from nprl.errors import InputError, LeakageError, UndefinedMetricError
 
 
-def brute_force_auroc(scores):
-    pos = [s for s, y in scores if y == 1]
-    neg = [s for s, y in scores if y == 0]
+def arrays(scores):
+    """(probs, labels) arrays from (prob, label) pairs."""
+    probs, labels = zip(*scores)
+    return np.array(probs, dtype=np.float64), np.array(labels, dtype=np.int64)
+
+
+def brute_force_auroc(probs, labels):
+    pos = probs[labels == 1].tolist()
+    neg = probs[labels == 0].tolist()
     wins = ties = 0
     for p in pos:
         for n in neg:
@@ -28,19 +34,19 @@ def brute_force_auroc(scores):
 class TestAuroc:
     def test_perfect_separation(self):
         scores = [(0.9, 1), (0.8, 1), (0.2, 0), (0.1, 0)]
-        assert E.auroc(scores) == 1.0
+        assert E.auroc(*arrays(scores)) == 1.0
 
     def test_all_ties(self):
         scores = [(0.5, 1), (0.5, 0), (0.5, 1), (0.5, 0)]
-        assert E.auroc(scores) == 0.5
+        assert E.auroc(*arrays(scores)) == 0.5
 
     def test_hand_case(self):
         scores = [(0.9, 1), (0.4, 1), (0.5, 0), (0.1, 0), (0.3, 0)]
-        assert abs(E.auroc(scores) - 5.0 / 6.0) < 1e-12
+        assert abs(E.auroc(*arrays(scores)) - 5.0 / 6.0) < 1e-12
 
     def test_single_class_rejected(self):
         with pytest.raises(UndefinedMetricError):
-            E.auroc([(0.5, 1), (0.7, 1)])
+            E.auroc(*arrays([(0.5, 1), (0.7, 1)]))
 
     def test_matches_brute_force_on_random_vectors(self):
         rng = np.random.default_rng(0)
@@ -50,8 +56,7 @@ class TestAuroc:
             labels = rng.integers(0, 2, size=n)
             if labels.sum() in (0, n):
                 continue
-            scores = list(zip(values.tolist(), labels.tolist()))
-            assert abs(E.auroc(scores) - brute_force_auroc(scores)) < 1e-12
+            assert abs(E.auroc(values, labels) - brute_force_auroc(values, labels)) < 1e-12
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=30, deadline=None)
@@ -62,64 +67,61 @@ class TestAuroc:
         labels = rng.integers(0, 2, size=n)
         if labels.sum() in (0, n):
             return
-        scores = list(zip(values.tolist(), labels.tolist()))
-        transformed = list(zip(np.expm1(3.0 * values).tolist(), labels.tolist()))
-        assert abs(E.auroc(scores) - E.auroc(transformed)) < 1e-12
+        assert abs(E.auroc(values, labels) - E.auroc(np.expm1(3.0 * values), labels)) < 1e-12
 
 
 class TestConfusion:
     def test_paper_sensitivity(self):
         scores = [(0.9, 1)] * 390 + [(0.1, 1)] * 81 + [(0.1, 0)] * 10
-        counts = E.confusion(scores)
-        assert counts.tp == 390
-        assert abs(counts.sensitivity - 0.8280) < 5e-4
+        counts = E.confusion(*arrays(scores))
+        assert counts["tp"] == 390
+        assert abs(counts["sensitivity"] - 0.8280) < 5e-4
 
     def test_paper_specificity(self):
         scores = [(0.1, 0)] * 15602 + [(0.9, 0)] * 9879 + [(0.9, 1)] * 5
-        counts = E.confusion(scores)
-        assert counts.tn == 15602
-        assert abs(counts.specificity - 0.6123) < 5e-4
+        counts = E.confusion(*arrays(scores))
+        assert counts["tn"] == 15602
+        assert abs(counts["specificity"] - 0.6123) < 5e-4
 
     def test_empty_positive_set_undefined(self):
-        counts = E.confusion([(0.2, 0), (0.7, 0)])
-        assert counts.sensitivity is None
-        assert counts.specificity == 0.5
+        counts = E.confusion(*arrays([(0.2, 0), (0.7, 0)]))
+        assert counts["sensitivity"] is None
+        assert counts["specificity"] == 0.5
 
     def test_threshold_inclusive(self):
-        counts = E.confusion([(0.5, 1)], threshold=0.5)
-        assert counts.tp == 1
+        counts = E.confusion(*arrays([(0.5, 1)]), threshold=0.5)
+        assert counts["tp"] == 1
 
 
 class TestAggregate:
     def _fold(self, fold_id, seed):
         rng = np.random.default_rng(seed)
-        scores = [(float(rng.random()), int(rng.integers(0, 2))) for _ in range(40)]
-        if not any(y for _, y in scores):
-            scores[0] = (scores[0][0], 1)
-        if all(y for _, y in scores):
-            scores[0] = (scores[0][0], 0)
-        return E.FoldReport.from_scores(fold_id, scores, threshold=0.5)
+        probs, labels = arrays([(float(rng.random()), int(rng.integers(0, 2))) for _ in range(40)])
+        if not labels.any():
+            labels[0] = 1
+        if labels.all():
+            labels[0] = 0
+        return E.score(fold_id, probs, labels, threshold=0.5)
 
     def test_counts_sum_exactly(self):
         folds = [self._fold(i, i) for i in range(5)]
         report = E.aggregate(folds)
-        assert report.tp == sum(f.tp for f in folds)
-        assert report.fn == sum(f.fn for f in folds)
+        assert report.pooled.tp == sum(f.tp for f in folds)
+        assert report.pooled.fn == sum(f.fn for f in folds)
 
 
 class TestRocPoints:
     def test_endpoints(self):
         scores = [(0.9, 1), (0.7, 0), (0.4, 1), (0.2, 0)]
-        points = E.roc_points(scores)
+        points = E.roc_points(*arrays(scores))
         assert points[0] == (0.0, 0.0)
         assert points[-1] == (1.0, 1.0)
 
     def test_monotone(self):
         rng = np.random.default_rng(1)
-        scores = [(float(rng.random()), int(rng.integers(0, 2))) for _ in range(50)]
-        scores[0] = (0.5, 1)
-        scores[1] = (0.5, 0)
-        points = E.roc_points(scores)
+        probs, labels = arrays([(float(rng.random()), int(rng.integers(0, 2))) for _ in range(50)])
+        probs[:2], labels[:2] = 0.5, (1, 0)
+        points = E.roc_points(probs, labels)
         for (x0, y0), (x1, y1) in zip(points, points[1:]):
             assert x1 >= x0 and y1 >= y0
 
@@ -160,7 +162,7 @@ class TestCrossValidate:
         for arm in E.ARMS:
             a = E.cross_validate(instances, schema, split, arm, configs, seed=9)
             b = E.cross_validate(instances, schema, split, arm, configs, seed=9)
-            assert a.pooled_auroc == b.pooled_auroc
+            assert a.pooled.auroc == b.pooled.auroc
             assert [f.tp for f in a.folds] == [f.tp for f in b.folds]
 
     def test_test_folds_untouched(self):
@@ -221,8 +223,9 @@ class TestCrossValidate:
         split = P.stratified_kfold(instances, k=3, seed=2)
         serial = E.cross_validate(instances, schema, split, "baseline", tiny_configs(), seed=7, n_workers=1)
         parallel = E.cross_validate(instances, schema, split, "baseline", tiny_configs(), seed=7, n_workers=3)
-        assert serial.pooled_auroc == parallel.pooled_auroc
-        assert [f.scores for f in serial.folds] == [f.scores for f in parallel.folds]
+        assert serial.pooled.auroc == parallel.pooled.auroc
+        for a, b in zip(serial.folds, parallel.folds, strict=True):
+            assert np.array_equal(a.probs, b.probs) and np.array_equal(a.labels, b.labels)
 
 
 class TestEmitReport:
@@ -250,5 +253,5 @@ class TestEmitReport:
         report = E.cross_validate(instances, schema, split, "baseline", tiny_configs(), seed=1)
         E.emit_combined_report({"baseline": report}, tmp_path / "report.csv", tmp_path / "roc.txt")
         parsed = E.read_report(tmp_path / "report.csv")
-        assert float(parsed["baseline"]["ALL"]["auroc"]) == report.pooled_auroc
-        assert int(parsed["baseline"]["ALL"]["tp"]) == report.tp
+        assert float(parsed["baseline"]["ALL"]["auroc"]) == report.pooled.auroc
+        assert int(parsed["baseline"]["ALL"]["tp"]) == report.pooled.tp
