@@ -78,46 +78,65 @@ def rep_width(config: ModelConfig, n_static: int) -> int:
     return width
 
 
-GATES = ("z", "r", "h")
+GRU_TENSORS = ("W_zrh", "U_zr", "U_h", "b_zrh")  # one GRU direction, gates in z, r, h order
 
 
 def param_layout(config: ModelConfig, schema: FeatureSchema) -> list[tuple[str, tuple[int, ...]]]:
     """Ordered (name, dims) pairs for every parameter tensor of the model."""
     t, s, h = schema.n_temporal, schema.n_static, config.gru_hidden
-    layout: list[tuple[str, tuple[int, ...]]] = []
-    for direction in ("fwd", "bwd"):
-        for gate in GATES:
-            layout.append((f"gru_{direction}.W_{gate}", (t, h)))
-            layout.append((f"gru_{direction}.U_{gate}", (h, h)))
-            layout.append((f"gru_{direction}.b_{gate}", (h,)))
-    if s > 0:
-        prev = s
-        for i, width in enumerate(config.static_widths):
-            layout.append((f"static.{i}.W", (prev, width)))
-            layout.append((f"static.{i}.b", (width,)))
+    layout = [
+        (f"gru_{direction}.{kind}", dims)
+        for direction in ("fwd", "bwd")
+        for kind, dims in zip(GRU_TENSORS, ((t, 3 * h), (h, 2 * h), (h, h), (3 * h,)))
+    ]
+    static_widths = config.static_widths if s > 0 else ()
+    for prefix, prev, widths in (("static", s, static_widths), ("trunk", rep_width(config, s), config.trunk_widths)):
+        for i, width in enumerate(widths):
+            layout += [(f"{prefix}.{i}.W", (prev, width)), (f"{prefix}.{i}.b", (width,))]
             prev = width
-    prev = rep_width(config, s)
-    for i, width in enumerate(config.trunk_widths):
-        layout.append((f"trunk.{i}.W", (prev, width)))
-        layout.append((f"trunk.{i}.b", (width,)))
-        prev = width
-    layout.append(("head.W", (prev, config.head_classes)))
-    layout.append(("head.b", (config.head_classes,)))
+    layout += [("head.W", (prev, config.head_classes)), ("head.b", (config.head_classes,))]
     return layout
 
 
-def init_params(config: ModelConfig, schema: FeatureSchema, seed: int) -> ParamSet:
+def draw_params(layout: list[tuple[str, tuple[int, ...]]], draw) -> dict[str, Array]:
+    """Arrays for a (name, dims) layout, filled block by block with
+    ``draw(block dims)`` in the order and the dims of one tensor per gate:
+    each GRU direction gate by gate, W then U then b. Gate g is columns
+    gH:(g+1)H of W_zrh and b_zrh; z and r are the halves of U_zr, and h's U is
+    all of U_h. Any other tensor is one block."""
+    arrays = {name: np.empty(dims) for name, dims in layout}
+    for name, dims in layout:
+        prefix, _, kind = name.rpartition(".")
+        if kind == "W_zrh":
+            w, u_zr, u_h, b = (arrays[f"{prefix}.{k}"] for k in GRU_TENSORS)
+            h = u_h.shape[0]
+            for g in range(3):
+                cols = slice(g * h, (g + 1) * h)
+                w[:, cols] = draw((dims[0], h))
+                u = u_zr[:, cols] if g < 2 else u_h
+                u[:] = draw((h, h))
+                b[cols] = draw((h,))
+        elif kind not in GRU_TENSORS:
+            arrays[name][:] = draw(dims)
+    return arrays
+
+
+def _glorot_params(layout: list[tuple[str, tuple[int, ...]]], seed: int) -> ParamSet:
     """Glorot-uniform weights, zero biases, bit-reproducible per seed."""
     rng = np.random.default_rng(seed)
-    params: ParamSet = {}
-    for name, dims in param_layout(config, schema):
-        if len(dims) == 2:
-            limit = np.sqrt(6.0 / (dims[0] + dims[1]))
-            data = rng.uniform(-limit, limit, size=dims)
-        else:
-            data = np.zeros(dims)
-        params[name] = Tensor(data, requires_grad=True)
-    return params
+
+    def draw(dims: tuple[int, ...]) -> Array:
+        if len(dims) == 1:
+            return np.zeros(dims)
+        limit = np.sqrt(6.0 / (dims[0] + dims[1]))
+        return rng.uniform(-limit, limit, size=dims)
+
+    return {name: Tensor(data, requires_grad=True) for name, data in draw_params(layout, draw).items()}
+
+
+def init_params(config: ModelConfig, schema: FeatureSchema, seed: int) -> ParamSet:
+    """Every tensor of the model: Glorot-uniform weights, zero biases."""
+    return _glorot_params(param_layout(config, schema), seed)
 
 
 def is_head(name: str) -> bool:
@@ -146,26 +165,25 @@ def gru_layer(x: Tensor, params: ParamSet, direction: str, h0: Tensor | None = N
     """One GRU direction over a time-major (steps, batch, T) input, as a single
     tape node; returns the hidden states batch-major, (batch, steps, H).
 
-        z = sigmoid(x W_z + h U_z + b_z)      r = sigmoid(x W_r + h U_r + b_r)
-        c = tanh(x W_h + (r * h) U_h + b_h)   h' = (1 - z) * h + z * c
+        [z | r] = sigmoid(x W_zrh[:, :2H] + h U_zr + b_zrh[:2H])
+        c = tanh(x W_zrh[:, 2H:] + (r * h) U_h + b_zrh[2H:])
+        h' = (1 - z) * h + z * c
 
     The "bwd" direction runs from the last step to the first; both start at
     ``h0`` (zeros when omitted). The input GEMM for all steps is hoisted out of
-    the recurrence; each step runs one GEMM against [U_z | U_r] and one
-    against U_h. When a parent is on the tape the gates are cached, backward
-    runs BPTT in one closure, and the weight gradients are formed after the
-    loop as one GEMM each over all steps.
+    the recurrence; each step runs one GEMM against U_zr and one against U_h.
+    When a parent is on the tape the gates are cached, backward runs BPTT in
+    one closure, and the four weight gradients are formed whole after the
+    loop, one GEMM or sum each over all steps.
     """
     prefix = f"gru_{direction}"
-    weights = [params[f"{prefix}.{kind}_{gate}"] for kind in "WUb" for gate in GATES]
-    w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h = weights
+    weights = [params[f"{prefix}.{kind}"] for kind in GRU_TENSORS]
+    w, u_zr, u_h, b = (p.data for p in weights)
     steps, batch, t_features = x.dims
-    hidden = u_h.dims[0]
-    if w_z.dims != (t_features, hidden):
-        raise ShapeError(f"{prefix} expects {w_z.dims[0]} input features, got {t_features}")
-    w = np.concatenate([w_z.data, w_r.data, w_h.data], axis=1)
-    u_zr = np.concatenate([u_z.data, u_r.data], axis=1)
-    b_zr = np.concatenate([b_z.data, b_r.data])
+    hidden = u_h.shape[0]
+    if w.shape != (t_features, 3 * hidden):
+        raise ShapeError(f"{prefix} expects {w.shape[0]} input features, got {t_features}")
+    b_zr, b_c = b[: 2 * hidden], b[2 * hidden :]
     proj = (x.data.reshape(steps * batch, t_features) @ w).reshape(steps, batch, 3 * hidden)
     parents = (x, *weights) + ((h0,) if h0 is not None else ())
     taped = any(p.requires_grad for p in parents)
@@ -190,9 +208,9 @@ def gru_layer(x: Tensor, params: ParamSet, direction: str, h0: Tensor | None = N
         _sigmoid_(zr)
         z, r = zr[:, :hidden], zr[:, hidden:]
         np.multiply(r, h, out=rh)
-        np.matmul(rh, u_h.data, out=c)
+        np.matmul(rh, u_h, out=c)
         c += proj[t, :, 2 * hidden :]
-        c += b_h.data
+        c += b_c
         _check_finite(c, f"{prefix} candidate")
         np.tanh(c, out=c)
         h_new = states[t + 1 - rev]
@@ -220,7 +238,7 @@ def gru_layer(x: Tensor, params: ParamSet, direction: str, h0: Tensor | None = N
             np.subtract(1.0, tanh_grad, out=tanh_grad)
             np.multiply(dh, z, out=d_c)
             d_c *= tanh_grad
-            d_rh = d_c @ u_h.data.T
+            d_rh = d_c @ u_h.T
             np.multiply(d_rh, h, out=d_r)
             np.subtract(1.0, zr, out=work)  # sigmoid' = s * (1 - s), both gates
             work *= zr
@@ -240,12 +258,7 @@ def gru_layer(x: Tensor, params: ParamSet, direction: str, h0: Tensor | None = N
         d_uzr = prev_states.T @ d_flat[:, : 2 * hidden]
         d_uh = reset.reshape(steps * batch, hidden).T @ d_flat[:, 2 * hidden :]
         d_b = d_flat.sum(axis=0)
-        grads = (
-            d_w[:, :hidden], d_w[:, hidden : 2 * hidden], d_w[:, 2 * hidden :],
-            d_uzr[:, :hidden], d_uzr[:, hidden:], d_uh,
-            d_b[:hidden], d_b[hidden : 2 * hidden], d_b[2 * hidden :],
-        )
-        for p, g in zip(weights, grads):
+        for p, g in zip(weights, (d_w, d_uzr, d_uh, d_b)):
             if p.requires_grad:
                 ng.accumulate(p, g)
         if x.requires_grad:
@@ -271,7 +284,7 @@ def represent(temporal: Array, statics: Array, params: ParamSet, config: ModelCo
     """
     temporal = np.asarray(temporal, dtype=np.float64)
     statics = np.asarray(statics, dtype=np.float64)
-    t_features = params["gru_fwd.W_z"].dims[0]
+    t_features = params["gru_fwd.W_zrh"].dims[0]
     if temporal.ndim != 3 or temporal.shape[1:] != (WINDOW_LEN, t_features):
         raise ShapeError(
             f"temporal must be (batch, {WINDOW_LEN}, {t_features}), got {temporal.shape}"
@@ -356,70 +369,51 @@ def replace_head(params: ParamSet, new_classes: int, seed: int) -> ParamSet:
     if new_classes < 2:
         raise InputError(f"head needs at least 2 classes, got {new_classes}")
     in_width = params["head.W"].dims[0]
-    rng = np.random.default_rng(seed)
-    limit = np.sqrt(6.0 / (in_width + new_classes))
-    out: ParamSet = {}
-    for name, p in params.items():
-        if name == "head.W":
-            out[name] = Tensor(rng.uniform(-limit, limit, size=(in_width, new_classes)), requires_grad=True)
-        elif name == "head.b":
-            out[name] = Tensor(np.zeros(new_classes), requires_grad=True)
-        else:
-            out[name] = p
-    return out
+    head = _glorot_params([("head.W", (in_width, new_classes)), ("head.b", (new_classes,))], seed)
+    return {name: head.get(name, p) for name, p in params.items()}
 
 
-def _included_names(a: ParamSet, b: ParamSet) -> list[str]:
-    """The names of every non-head tensor, once both sets are checked to
-    share names and dims."""
+def _differences(a: ParamSet, b: ParamSet) -> tuple[dict[str, Array], float]:
+    """a - b for every non-head tensor, and the Frobenius norm of them all,
+    once both sets are checked to share names and dims."""
     if set(a) != set(b):
         raise InputError("parameter sets have mismatched keys")
-    names = []
+    diffs = {}
     for name in a:
         if a[name].dims != b[name].dims:
             raise ShapeError(f"dims mismatch for {name!r}: {a[name].dims} vs {b[name].dims}")
         if not is_head(name):
-            names.append(name)
-    return names
+            diffs[name] = a[name].data - b[name].data
+    return diffs, float(np.sqrt(sum(float(np.sum(d * d)) for d in diffs.values())))
 
 
 def frobenius_distance(a: ParamSet, b: ParamSet) -> float:
     """Euclidean distance between the non-head tensors of two parameter sets
     viewed as one long vector; a head swapped in by ``replace_head`` never
     existed at the reference."""
-    total = 0.0
-    for name in _included_names(a, b):
-        diff = a[name].data - b[name].data
-        total += float(np.sum(diff * diff))
-    return float(np.sqrt(total))
+    return _differences(a, b)[1]
 
 
 def project_to_ball(theta: ParamSet, theta0: ParamSet, gamma: float) -> ParamSet:
     """Radially rescale theta's non-head tensors toward theta0 so their
-    distance is <= gamma."""
+    distance is <= gamma; theta itself when it is already inside."""
     if gamma <= 0.0:
         raise InputError(f"gamma must be positive, got {gamma}")
-    included = _included_names(theta, theta0)
-    distance = frobenius_distance(theta, theta0)
+    diffs, distance = _differences(theta, theta0)
     if distance <= gamma:
         return theta
     scale = gamma / distance
-    out: ParamSet = {}
-    for name, p in theta.items():
-        if name in included:
-            out[name] = Tensor(
-                theta0[name].data + (p.data - theta0[name].data) * scale, requires_grad=True
-            )
-        else:
-            out[name] = p
-    return out
+    return {
+        name: Tensor(theta0[name].data + diffs[name] * scale, requires_grad=True) if name in diffs else p
+        for name, p in theta.items()
+    }
 
 
 # ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_MAGIC = b"NPRL1"
+CHECKPOINT_MAGIC = b"NPRL2"
 _MAX_ELEMENTS = 1 << 32  # guards dims fields against absurd payloads
 
 

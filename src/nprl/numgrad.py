@@ -345,7 +345,7 @@ def adam_step(
     scratch = np.empty(min(largest, ADAM_BLOCK)), np.empty(min(largest, ADAM_BLOCK))
     for name, p in params.items():
         # params and moments are C-contiguous, so these are views; a strided
-        # gradient (a column slice from backward) is copied once here
+        # gradient would be copied once here
         flat_p, flat_g = p.data.reshape(-1), grads[name].reshape(-1)
         flat_m = state.first_moment[name].reshape(-1)
         flat_v = state.second_moment[name].reshape(-1)

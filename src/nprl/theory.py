@@ -85,6 +85,25 @@ def mean_abs_cosine(reps: np.ndarray, seed: int) -> float:
     return float(np.abs(gram[~np.eye(n, dtype=bool)]).mean())
 
 
+def perturb(params: ParamSet, delta: float, rng: np.random.Generator) -> ParamSet:
+    """``params`` moved by Frobenius norm ``delta`` along one standard normal
+    direction over the non-head tensors, drawn block by block in the
+    per-gate order of ``model.draw_params``."""
+    squares = []
+
+    def draw(dims: tuple[int, ...]) -> Array:
+        block = rng.standard_normal(dims)
+        squares.append(float(np.sum(block * block)))
+        return block
+
+    direction = M.draw_params([(n, p.dims) for n, p in params.items() if not M.is_head(n)], draw)
+    scale = delta / np.sqrt(sum(squares))
+    return {
+        name: M.Tensor(p.data + scale * direction[name], requires_grad=True) if name in direction else p
+        for name, p in params.items()
+    }
+
+
 def estimate_lipschitz(
     params: ParamSet,
     temporal: Array,
@@ -114,22 +133,7 @@ def estimate_lipschitz(
         raise InputError(f"{len(base)} unperturbed representations for {len(temporal)} instances")
     l_hat = 0.0
     for probe in range(n_probes):
-        rng = derive_rng(seed, "probe", probe)
-        direction = {
-            name: rng.standard_normal(p.dims)
-            for name, p in params.items()
-            if not M.is_head(name)
-        }
-        total = np.sqrt(sum(float(np.sum(d * d)) for d in direction.values()))
-        scale = delta / total
-        perturbed = {
-            name: (
-                M.Tensor(p.data + scale * direction[name], requires_grad=True)
-                if name in direction
-                else p
-            )
-            for name, p in params.items()
-        }
+        perturbed = perturb(params, delta, derive_rng(seed, "probe", probe))
         try:
             shifted = M.compute_representations(temporal, statics, perturbed, config)
         except NumericError as exc:

@@ -45,7 +45,9 @@ def test_c01_gradient_correctness():
         return ng.cross_entropy(logits, labels)
 
     started = time.perf_counter()
-    err = ng.grad_check(fn, params, step=1e-3, max_coords_per_tensor=8, seed=0)
+    # 48 samples per fused GRU tensor leave every gate block at least the 8
+    # that one tensor per gate got with 8 (14 for W and U, 13 for b at seed 0)
+    err = ng.grad_check(fn, params, step=1e-3, max_coords_per_tensor=48, seed=0)
     elapsed = time.perf_counter() - started
     verdict(
         "C1 gradient correctness",

@@ -401,7 +401,7 @@ class TestAtomicWrites:
         assert path.read_bytes() == (pristine / "model.ckpt").read_bytes()
         with pytest.raises(RuntimeError, match="interrupted"):
             with A.atomic_open(path, "wb") as fh:
-                fh.write(b"NPRL1")
+                fh.write(M.CHECKPOINT_MAGIC)
                 raise RuntimeError("interrupted")
         assert path.read_bytes() == (pristine / "model.ckpt").read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]

@@ -208,7 +208,7 @@ class TestCrossValidate:
         gru_layer = M.gru_layer
 
         def counting(x, params, direction, h0=None):
-            if direction == "fwd" and not params["gru_fwd.W_z"].requires_grad:
+            if direction == "fwd" and not params["gru_fwd.W_zrh"].requires_grad:
                 passes.append(params["head.W"].dims[1])
             return gru_layer(x, params, direction, h0)
 

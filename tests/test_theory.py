@@ -7,6 +7,7 @@ from nprl import theory as TH
 from nprl import train as T
 from nprl.errors import ConfigError, DegenerateError, InputError
 from nprl.util import derive_rng
+from per_gate import fuse, per_gate
 
 SCHEMA = M.FeatureSchema(("a", "b", "c"), ())
 NORM_CONFIG = M.ModelConfig(
@@ -73,6 +74,25 @@ class TestEstimateLipschitz:
         assert large >= fewer
         again = TH.estimate_lipschitz(params, temporal, statics, base, n_probes=4, delta=1e-3, seed=5, config=NORM_CONFIG)
         assert again == large
+
+    @pytest.mark.parametrize("hidden", [1, 4])
+    def test_probe_directions_keep_the_per_gate_order(self, hidden):
+        # reference: one standard normal draw per gate tensor and per other
+        # non-head tensor, in the per-gate order, scaled to norm delta from
+        # the per-block sums of squares
+        config = M.ModelConfig(gru_hidden=hidden, static_widths=(3, 1), trunk_widths=(5,), head_classes=2)
+        params = M.init_params(config, M.FeatureSchema(("a", "b", "c"), ("s1", "s2")), seed=0)
+        rng = derive_rng(4, "probe", 1)
+        drawn = {name: rng.standard_normal(block.shape) for name, block in per_gate(params) if not M.is_head(name)}
+        scale = 1e-3 / np.sqrt(sum(float(np.sum(d * d)) for d in drawn.values()))
+        direction = fuse(drawn)
+        perturbed = TH.perturb(params, 1e-3, derive_rng(4, "probe", 1))
+        assert list(perturbed) == list(params)
+        for name, p in params.items():
+            if M.is_head(name):
+                assert perturbed[name] is p
+            else:
+                assert perturbed[name].data.tobytes() == (p.data + scale * direction[name]).tobytes(), name
 
     def test_validates_inputs(self):
         params = M.init_params(NORM_CONFIG, SCHEMA, seed=0)
@@ -239,7 +259,7 @@ class TestTheoryProtocol:
         gru_layer = M.gru_layer
 
         def counting(x, params, direction, h0=None):
-            if direction == "fwd" and not params["gru_fwd.W_z"].requires_grad:
+            if direction == "fwd" and not params["gru_fwd.W_zrh"].requires_grad:
                 passes.append(direction)
             return gru_layer(x, params, direction, h0)
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from nprl import numgrad as ng
 from nprl import theory as TH
 from nprl import train as T
 from nprl.errors import InputError
+from per_gate import per_gate
 
 SCHEMA = M.FeatureSchema(("a", "b", "c"), ())
 CONFIG = M.ModelConfig(gru_hidden=4, trunk_widths=(8,), head_classes=2)
@@ -208,6 +211,25 @@ class TestFinetune:
         assert {name: p.data.tobytes() for name, p in theta0.items()} == before
         distance = M.frobenius_distance(params, theta0)
         assert distance > 0.0 and log.epochs[-1].frob_dist == distance
+
+    def test_golden_parameter_values(self):
+        # the names and values of theta0, a projected and a regularized
+        # fine-tune, read in the per-gate order; the digest was taken when
+        # each GRU gate was its own tensor, so it pins the draw order, Adam
+        # and the projection through the fused layout
+        data = toy_arrays(6, 10, seed=8)
+        theta0 = self._pretrained(data)
+        projected, _ = T.finetune(
+            *data, theta0, T.FinetuneConfig(mode="projected", gamma=0.05, learning_rate=1e-2, epochs=2, seed=2),
+            CONFIG, SCHEMA,
+        )
+        regularized, _ = T.finetune(*data, theta0, T.FinetuneConfig(epochs=2, seed=3), CONFIG, SCHEMA)
+        digest = hashlib.sha256()
+        for params in (theta0, projected, regularized):
+            for name, values in per_gate(params):
+                digest.update(name.encode())
+                digest.update(values.tobytes())
+        assert digest.hexdigest() == "33f415186c29dd7b8d588e377da565c9efc5d962e79a5dc22d311981e6edb53b"
 
     def test_head_mismatch_rejected(self):
         data = toy_arrays(6, 10)
