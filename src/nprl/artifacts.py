@@ -17,11 +17,17 @@ import itertools
 import os
 from contextlib import contextmanager
 from math import isfinite
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import FormatError
+
+# Rows that number_rows formats at a time: its table of distinct cells holds
+# a Python string per cell, so this bounds the transient memory of a wide
+# table (512 rows of the shipped instances.csv are about 50k cells) and takes
+# a whole stay of hourly rows at the shipped lengths of stay.
+NUMBER_BLOCK = 512
 
 
 def number(raw: str, kind: type = float):
@@ -61,10 +67,18 @@ def _number_or_nan(raw: str) -> float:
         return float("nan")
 
 
-def number_rows(values: np.ndarray) -> list[str]:
+def number_rows(values: np.ndarray) -> Iterator[str]:
     """Each row of the 2-D float array ``values`` as CSV cells: ``repr`` of
-    each number, an empty cell for NaN."""
-    return [",".join(map(repr, row)).replace("nan", "") for row in values.tolist()]
+    each number, an empty cell for NaN. Rows go in blocks of
+    ``NUMBER_BLOCK``, and each distinct bit pattern of a block is formatted
+    once (so ``0.0`` and ``-0.0`` stay apart)."""
+    for start in range(0, len(values), NUMBER_BLOCK):
+        block = np.ascontiguousarray(values[start : start + NUMBER_BLOCK], dtype=np.float64)
+        bits, cells = np.unique(block.view(np.int64), return_inverse=True)
+        distinct = bits.view(np.float64)
+        text = np.array(list(map(float.__repr__, distinct.tolist())), dtype=object)
+        text[np.isnan(distinct)] = ""
+        yield from map(",".join, text[cells].reshape(block.shape).tolist())
 
 
 def csv_row(cells: Sequence) -> str:

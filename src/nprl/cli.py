@@ -256,15 +256,19 @@ class RunConfig:
             drift = self.parse("generator", f"drift_{name}", "float")
             vitals[name] = replace(vitals[name], onset_drift=drift)
         noise_mult = self.parse("generator", "noise_mult", "float")
+        _require(noise_mult >= 0.0, "generator.noise_mult", f"must be >= 0, got {noise_mult}")
         # empty keeps the per-vital coefficients
         ar_coeff = self.parse("generator", "ar_coeff", "float") if self.get("generator", "ar_coeff") else None
         if ar_coeff is not None or noise_mult != 1.0:
-            for name, vp in vitals.items():
-                vitals[name] = replace(
-                    vp,
-                    ar_coeff=vp.ar_coeff if ar_coeff is None else ar_coeff,
-                    noise_scale=vp.noise_scale * noise_mult,
-                )
+            try:
+                for name, vp in vitals.items():
+                    vitals[name] = replace(
+                        vp,
+                        ar_coeff=vp.ar_coeff if ar_coeff is None else ar_coeff,
+                        noise_scale=vp.noise_scale * noise_mult,
+                    )
+            except FieldError as exc:  # the shared coefficient, the one value VitalParams can reject here
+                raise ConfigError(f"generator.{exc}") from None
 
         def day_range(what: str) -> tuple[int, int]:
             return tuple(self.get_int("generator", f"{what}_day_{end}") for end in ("min", "max"))

@@ -15,6 +15,7 @@ bit-reproducible.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -54,6 +55,14 @@ STATIC_FEATURES = (
     "ed_disposition",
 )
 
+# One organ-dysfunction step per draw: down, three ways of staying, up.
+SOFA_STEPS = np.array([-1, 0, 0, 0, 1])
+# Patients whose AR(1) vitals step together. 16 keeps a group's (hours,
+# patients, vitals) array near 370 KB at the shipped stays; groups of 64
+# (1.5 MB arrays) left the heap fragmented enough to raise the peak RSS of a
+# later read_cohort by 2 MB.
+VITAL_GROUP = 16
+
 BASE_TS = datetime(2024, 1, 1, 0, 0)
 HOUR = timedelta(hours=1)
 EPOCH = datetime(1970, 1, 1)  # hour 0 of datetime64[h]
@@ -92,6 +101,13 @@ class VitalParams:
     lo: float
     hi: float
     onset_drift: float = 0.0  # added linearly over the final drift_hours before onset
+
+    def __post_init__(self):
+        # |ar| >= 1 lets the series grow until the clip bounds pin it
+        if not -1.0 < self.ar_coeff < 1.0:
+            raise FieldError("ar_coeff", f"must be in (-1, 1), got {self.ar_coeff}")
+        if not self.noise_scale >= 0.0:
+            raise FieldError("noise_scale", f"must be >= 0, got {self.noise_scale}")
 
 
 def default_vitals() -> dict[str, VitalParams]:
@@ -152,7 +168,11 @@ def _septic_quota(config: GeneratorConfig) -> int:
     return int(np.floor(config.sepsis_fraction * config.n_patients + 0.5))
 
 
-def _gen_patient(position: int, septic: bool, config: GeneratorConfig) -> PatientRecord:
+def _gen_patient(position: int, septic: bool, config: GeneratorConfig) -> tuple[PatientRecord, np.ndarray]:
+    """Every random draw of one patient, in a fixed order: the record with its
+    vital columns still unset, and the standard normals of its AR(1) vitals,
+    one row per vital (the start level, then one shock per hour), which
+    :func:`_fill_vitals` turns into the series."""
     rng = derive_rng(config.seed, "patient", position)
     admit = BASE_TS + int(rng.integers(0, 24 * 365)) * HOUR
     los_days = int(rng.integers(config.los_day_range[0], config.los_day_range[1] + 1))
@@ -167,20 +187,8 @@ def _gen_patient(position: int, septic: bool, config: GeneratorConfig) -> Patien
         first_hour = 7 if onset_day == 3 else 0
         onset = day_start(admit, onset_day) + int(rng.integers(first_hour, 24)) * HOUR
 
-    vitals: dict[str, np.ndarray] = {}
-    for name in VITAL_FIELDS:
-        vp = config.vitals[name]
-        level = vp.baseline + vp.noise_scale * rng.standard_normal()
-        steps = []
-        for shock in (vp.noise_scale * rng.standard_normal(los_hours)).tolist():  # floats step faster than np.float64
-            level = vp.baseline + vp.ar_coeff * (level - vp.baseline) + shock
-            steps.append(level)
-        series = np.array(steps)
-        if onset is not None and vp.onset_drift != 0.0:
-            ages = np.arange(los_hours) - (onset - admit) / HOUR  # hours after onset
-            ramp = np.clip((ages + config.drift_hours) / config.drift_hours, 0.0, 1.0)
-            series = series + vp.onset_drift * ramp
-        vitals[name] = np.clip(series, vp.lo, vp.hi)
+    # one call draws what a scalar start draw plus a vector of shocks per vital would
+    normals = rng.standard_normal((len(VITAL_FIELDS), los_hours + 1))
 
     # Cumulative exposures: sparse random events, monotone by construction.
     iv = np.cumsum(np.where(rng.random(los_hours) < 0.10, rng.exponential(0.5, los_hours), 0.0))
@@ -191,17 +199,21 @@ def _gen_patient(position: int, septic: bool, config: GeneratorConfig) -> Patien
     surgeries = np.cumsum(surgery_events.astype(float))
     surgery_dur = np.cumsum(np.where(surgery_events, rng.uniform(1.0, 4.0, los_hours), 0.0))
 
-    hourly = np.column_stack([vitals[name] for name in VITAL_FIELDS] + [iv, rbc, vent, surgeries, surgery_dur])
+    hourly = np.empty((los_hours, len(HOURLY_FIELDS)))
+    hourly[:, len(VITAL_FIELDS):] = np.column_stack([iv, rbc, vent, surgeries, surgery_dur])
 
     # Organ-dysfunction score: bounded wiggle around a patient baseline, plus a
     # planted post-onset rise large enough to satisfy the labeling rule even
-    # when the pre-onset minimum sits at the top of the wiggle band.
+    # when the pre-onset minimum sits at the top of the wiggle band. One
+    # choice over five indices draws what one choice per step would.
     sofa_base = int(rng.integers(2, 9))
+    stamps = range(0, los_hours, config.sofa_interval_hours)
+    steps = SOFA_STEPS[rng.choice(len(SOFA_STEPS), size=len(stamps))].tolist()
+    lo, hi = max(0, sofa_base - 1), min(24, sofa_base + 1)
+    levels = itertools.accumulate(steps, lambda level, step: min(max(level + step, lo), hi), initial=sofa_base)
     sofa: list[tuple[datetime, int]] = []
-    level = sofa_base
-    for k in range(0, los_hours, config.sofa_interval_hours):
+    for k, level in zip(stamps, itertools.islice(levels, 1, None)):
         ts = admit + k * HOUR
-        level = min(max(level + int(rng.choice((-1, 0, 0, 0, 1))), max(0, sofa_base - 1)), min(24, sofa_base + 1))
         score = level
         if onset is not None and ts > onset:
             frac = min(1.0, (ts - onset) / HOUR / config.sofa_ramp_hours)
@@ -233,7 +245,7 @@ def _gen_patient(position: int, septic: bool, config: GeneratorConfig) -> Patien
         float(rng.integers(0, 3)),  # ED disposition, coded
     ]
 
-    return PatientRecord(
+    record = PatientRecord(
         patient_id=f"p{position:05d}",
         admit_ts=admit,
         los_hours=los_hours,
@@ -243,6 +255,42 @@ def _gen_patient(position: int, septic: bool, config: GeneratorConfig) -> Patien
         sofa=sofa,
         cultures=cultures,
     )
+    return record, normals
+
+
+def _fill_vitals(records: list[PatientRecord], series: np.ndarray, config: GeneratorConfig) -> None:
+    """Step the AR(1) recursions of a group of patients together, one NumPy
+    step per hour (the same IEEE operations, in the same order, as one
+    patient's scalar loop), then add each septic patient's pre-onset drift,
+    clip and write the series into the records' vital columns.
+
+    ``series`` is (1 + hours, patients, vitals), holding each patient's
+    standard normals and zeros past the end of its stay; the recursion
+    overwrites it hour by hour with the levels.
+    """
+    vps = [config.vitals[name] for name in VITAL_FIELDS]
+    base, ar, noise, drift, lo, hi = (
+        np.array([getattr(vp, key) for vp in vps])
+        for key in ("baseline", "ar_coeff", "noise_scale", "onset_drift", "lo", "hi")
+    )
+    series *= noise
+    series[0] += base  # the start level; the stay's hours follow
+    gap = np.empty_like(series[0])
+    for t in range(1, len(series)):
+        np.subtract(series[t - 1], base, out=gap)
+        np.multiply(ar, gap, out=gap)
+        np.add(base, gap, out=gap)
+        np.add(gap, series[t], out=series[t])
+
+    drifting = drift != 0.0
+    for g, record in enumerate(records):
+        values = series[1 : record.los_hours + 1, g]
+        onset = planted_onset(record)
+        if onset is not None:
+            ages = np.arange(record.los_hours) - (onset - record.admit_ts) / HOUR  # hours after onset
+            ramp = np.clip((ages + config.drift_hours) / config.drift_hours, 0.0, 1.0)
+            values[:, drifting] += drift[drifting] * ramp[:, None]
+        np.clip(values, lo, hi, out=record.hourly[:, : len(VITAL_FIELDS)])
 
 
 def generate_cohort(config: GeneratorConfig) -> list[PatientRecord]:
@@ -251,9 +299,17 @@ def generate_cohort(config: GeneratorConfig) -> list[PatientRecord]:
     quota = _septic_quota(config)
     order = derive_rng(config.seed, "assignment").permutation(config.n_patients)
     septic_positions = set(int(i) for i in order[:quota])
-    records = [
-        _gen_patient(i, i in septic_positions, config) for i in range(config.n_patients)
-    ]
+    records: list[PatientRecord] = []
+    for start in range(0, config.n_patients, VITAL_GROUP):
+        positions = range(start, min(start + VITAL_GROUP, config.n_patients))
+        # room for the start level and the hours of the longest stay; each
+        # patient's normals are copied in as soon as they are drawn
+        series = np.zeros((24 * config.los_day_range[1] + 1, len(positions), len(VITAL_FIELDS)))
+        for g, i in enumerate(positions):
+            record, normals = _gen_patient(i, i in septic_positions, config)
+            series[: normals.shape[1], g] = normals.T
+            records.append(record)
+        _fill_vitals(records[start:], series, config)
     if config.missing_rate > 0.0:
         records = inject_missingness(records, config.missing_rate, config.seed)
     return records

@@ -348,6 +348,37 @@ def test_golden_report_bytes(tmp_path):
     assert digests == GOLDEN_REPORT_SHA256
 
 
+def bits_to_float(bits: int) -> float:
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+class TestNumberRows:
+    """``number_rows`` formats each distinct bit pattern of a block once; its
+    rows must equal ``repr`` of every cell, with NaN left empty."""
+
+    EDGES = [
+        0.0, -0.0, float("nan"), -float("nan"), bits_to_float(0x7FF8_0000_0000_0001),  # a NaN payload
+        5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,  # subnormals and the least normal
+        1e16, 9999999999999998.0, 1.0000000000000002e16, -1e16,  # repr turns to exponent form at 1e16
+        1e-4, 9.999999999999999e-05, 0.00010000000000000002, -1e-4,  # and below 1e-4
+        1.0, 0.1, float("inf"), -float("inf"),
+    ]
+
+    @given(
+        pool=st.lists(st.one_of(st.sampled_from(EDGES), st.floats()), min_size=1, max_size=12),
+        n_rows=st.one_of(st.integers(0, 3), st.integers(A.NUMBER_BLOCK - 1, A.NUMBER_BLOCK + 2)),
+        n_cols=st.integers(0, 5),
+    )
+    @example(pool=[0.0, -0.0, float("nan")], n_rows=A.NUMBER_BLOCK + 1, n_cols=3)
+    @example(pool=[1e16, 1e-4], n_rows=1, n_cols=1)
+    @settings(max_examples=60, deadline=None)
+    def test_equals_repr_of_each_cell(self, pool, n_rows, n_cols):
+        # the pool tiled over the shape: values repeat within and across rows and blocks
+        values = np.resize(np.array(pool, dtype=np.float64), (n_rows, n_cols))
+        expected = [",".join(map(repr, row)).replace("nan", "") for row in values.tolist()]
+        assert list(A.number_rows(values)) == expected
+
+
 class TestCheckpointBoundary:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError, match=r"model\.ckpt: cannot read"):

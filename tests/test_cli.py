@@ -70,6 +70,18 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             cli.RunConfig.load(str(path), [])
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("generator.ar_coeff=1.5", "generator.ar_coeff: must be in (-1, 1), got 1.5"),
+            ("generator.noise_mult=-2", "generator.noise_mult: must be >= 0, got -2.0"),
+        ],
+    )
+    def test_non_stationary_generator_rejected(self, override, message):
+        with pytest.raises(ConfigError) as exc:
+            cli.RunConfig.load(None, [override])
+        assert str(exc.value) == message
+
     def test_default_section_rejected(self, tmp_path):  # its keys were silently dropped
         path = tmp_path / "bad.ini"
         path.write_text("[DEFAULT]\nseed = 8\n")
@@ -109,6 +121,8 @@ class TestRunConfig:
 # Each bad value, as `--set` items or flags, and the key its error must name.
 BAD_VALUES = [
     (["generator.ar_coeff=x"], "generator.ar_coeff"),
+    (["generator.ar_coeff=1.5"], "generator.ar_coeff"),
+    (["generator.noise_mult=-2"], "generator.noise_mult"),
     (["generator.onset_day_min=30"], "generator.onset_day_min"),
     (["generator.los_day_min=10", "generator.los_day_max=6"], "generator.los_day_min"),
     (["generator.n_patients=3_0"], "generator.n_patients"),

@@ -1,10 +1,16 @@
+from dataclasses import replace
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from nprl import cli
 from nprl import cohort as C
-from nprl.errors import FormatError, InputError
+from nprl.errors import FieldError, FormatError, InputError
+from scalar_cohort import generate_cohort as scalar_generate_cohort
+
+THEORY_SET = Path(__file__).resolve().parents[1] / "configs" / "theory_set.ini"
 
 
 def tiny_config(**kwargs):
@@ -66,6 +72,45 @@ class TestGenerateCohort:
     def test_statics_length(self):
         records = C.generate_cohort(tiny_config())
         assert all(len(r.statics) == len(C.STATIC_FEATURES) for r in records)
+
+
+# The batched generator against the scalar one: the defaults over more than
+# one group of patients, the jittery theory-set vitals, and no drift at all.
+ORACLE_CONFIGS = {
+    "defaults": lambda: C.GeneratorConfig(n_patients=C.VITAL_GROUP + 6, seed=11),
+    "theory_set": lambda: cli.RunConfig.load(str(THEORY_SET), []).generator,
+    "no_drift": lambda: C.GeneratorConfig(
+        n_patients=40,
+        seed=5,
+        sepsis_fraction=0.5,
+        vitals={name: replace(vp, onset_drift=0.0) for name, vp in C.default_vitals().items()},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_CONFIGS)
+def test_generator_matches_scalar_oracle(name):
+    config = ORACLE_CONFIGS[name]()
+    records = C.generate_cohort(config)
+    expected = scalar_generate_cohort(config)
+    assert len(records) == len(expected) == config.n_patients
+    for record, reference in zip(records, expected):
+        assert record == reference, record.patient_id
+
+
+class TestVitalParams:
+    @pytest.mark.parametrize("ar_coeff", [1.5, 1.0, -1.0, float("nan")])
+    def test_rejects_non_stationary_coefficient(self, ar_coeff):
+        with pytest.raises(FieldError, match=r"ar_coeff: must be in \(-1, 1\)"):
+            C.VitalParams(85.0, ar_coeff, 2.5, 30.0, 200.0)
+
+    def test_rejects_negative_noise(self):
+        with pytest.raises(FieldError, match=r"noise_scale: must be >= 0, got -5.0"):
+            C.VitalParams(85.0, 0.9, -5.0, 30.0, 200.0)
+
+    def test_accepts_values_inside_the_bounds(self):
+        C.VitalParams(85.0, -0.99, 0.0, 30.0, 200.0)
+        C.VitalParams(85.0, 0.0, 2.5, 30.0, 200.0)
 
 
 class TestInjectMissingness:

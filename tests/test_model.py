@@ -245,6 +245,20 @@ class TestForward:
         params = small_params()
         temporal, statics = small_batch(n=4, seed=4)
         labels = np.array([0, 1, 1, 0])
+        step = 1e-3
+
+        # every relu input, static branch and trunk, at least one step from zero
+        arrays = {name: p.data for name, p in params.items()}
+        s = statics
+        for i in range(len(SMALL_CONFIG.static_widths) - 1):  # the last static unit is linear
+            pre = s @ arrays[f"static.{i}.W"] + arrays[f"static.{i}.b"]
+            assert np.abs(pre).min() > step, f"static.{i} relu input within one step of its kink"
+            s = np.maximum(pre, 0.0)
+        x = M.represent(temporal, statics, ng.detach(params), SMALL_CONFIG).data
+        for i in range(len(SMALL_CONFIG.trunk_widths)):
+            pre = x @ arrays[f"trunk.{i}.W"] + arrays[f"trunk.{i}.b"]
+            assert np.abs(pre).min() > step, f"trunk.{i} relu input within one step of its kink"
+            x = np.maximum(pre, 0.0)
 
         def fn(p):
             logits, _ = M.forward_batch(temporal, statics, p, SMALL_CONFIG)
@@ -252,7 +266,7 @@ class TestForward:
 
         # 32 samples per fused tensor leave every gate block at least the 6
         # (all 4 of a bias block) that one tensor per gate got with 6 at seed 0
-        assert ng.grad_check(fn, params, max_coords_per_tensor=32) < 1e-4
+        assert ng.grad_check(fn, params, step=step, max_coords_per_tensor=32) < 1e-4
 
     def test_normalized_representation_unit_norm(self):
         config = M.ModelConfig(
