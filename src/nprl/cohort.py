@@ -417,24 +417,33 @@ def read_cohort(directory) -> list[PatientRecord]:
         admit_line[row[0]] = lineno
 
     path = d / "hourly.csv"
-    rows = A.read_table(path, HOURLY_HEADER)
-    values, accepted = A.numbers([cell for _, row in rows for cell in row[2:]], empty_is_missing=True)
-    values, row_ok = values.reshape(-1, len(HOURLY_FIELDS)), accepted.reshape(-1, len(HOURLY_FIELDS)).all(axis=1)
-    rows_of: dict[str, tuple[list[datetime], list[int]]] = {pid: ([], []) for pid in patients}  # stamps, row indices
-    for i, ((lineno, row), ok) in enumerate(zip(rows, row_ok.tolist())):
-        if row[0] not in patients:
-            raise FormatError(f"{path}:{lineno}: unknown patient {row[0]!r}")
-        ts = _parse_ts(row[1], path, lineno)
-        if ts.minute or ts.second or ts.microsecond:
-            raise FormatError(f"{path}:{lineno}: timestamp not on the hour")
-        seen, indices = rows_of[row[0]]
-        if seen and ts <= seen[-1]:
-            raise FormatError(f"{path}:{lineno}: out-of-order hourly row for {row[0]!r}")
-        if not ok:
-            for raw in row[2:]:
-                _parse_opt(raw, path, lineno)  # raises at the first bad cell
-        seen.append(ts)
-        indices.append(i)
+    epoch_day = EPOCH.toordinal()
+    last_hour: dict[str, int] = {}  # each patient's latest hour, for the order check
+    # each patient's runs of consecutive rows: (hours, values) views of a block's arrays
+    runs: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {pid: [] for pid in patients}
+    for rows, values, row_ok in A.number_blocks(path, HOURLY_HEADER, 2, empty_is_missing=True):
+        hours = np.empty(len(rows), dtype=np.int64)  # hours since EPOCH
+        owner, start = None, 0  # the patient of the current run and its first row
+        for i, ((lineno, row), ok) in enumerate(zip(rows, row_ok.tolist())):
+            pid = row[0]
+            if pid not in patients:
+                raise FormatError(f"{path}:{lineno}: unknown patient {pid!r}")
+            ts = _parse_ts(row[1], path, lineno)
+            if ts.minute or ts.second or ts.microsecond:
+                raise FormatError(f"{path}:{lineno}: timestamp not on the hour")
+            hour = (ts.toordinal() - epoch_day) * 24 + ts.hour  # (ts - EPOCH) // HOUR, three times faster
+            latest = last_hour.get(pid)
+            if latest is not None and hour <= latest:
+                raise FormatError(f"{path}:{lineno}: out-of-order hourly row for {pid!r}")
+            if not ok:
+                raise FormatError(f"{path}:{lineno}: bad number {A.first_rejected(row[2:], True)!r}")
+            last_hour[pid] = hours[i] = hour
+            if pid != owner:
+                if owner is not None:
+                    runs[owner].append((hours[start:i], values[start:i]))
+                owner, start = pid, i
+        if owner is not None:
+            runs[owner].append((hours[start:], values[start:]))
 
     for path, lineno, row, rec in _patient_rows(d / "sofa.csv", SOFA_HEADER, patients):
         try:
@@ -451,15 +460,17 @@ def read_cohort(directory) -> list[PatientRecord]:
         rec.cultures.append((_parse_ts(row[1], path, lineno), row[2] == "1"))
 
     for pid, rec in patients.items():
-        seen, indices = rows_of[pid]
-        if not seen:
+        pieces = runs.pop(pid)  # so that each block is freed once its last patient is copied
+        if not pieces:
             raise FormatError(f"{d / 'hourly.csv'}: patient {pid!r} has no hourly rows")
-        if seen[0] < rec.admit_ts:
+        hours = np.concatenate([h for h, _ in pieces])
+        first, last = (EPOCH + int(hour) * HOUR for hour in hours[[0, -1]])
+        if first < rec.admit_ts:
             raise FormatError(
                 f"{d / 'patients.csv'}:{admit_line[pid]}: admit time {rec.admit_ts.isoformat()} is after "
-                f"the patient's first hourly row at {seen[0].isoformat()}"
+                f"the patient's first hourly row at {first.isoformat()}"
             )
-        rec.los_hours = int((seen[-1] - rec.admit_ts) / HOUR) + 1
-        rec.hours = np.array([(ts - EPOCH) // HOUR for ts in seen]).astype("datetime64[h]")
-        rec.hourly = values[indices]
+        rec.los_hours = int((last - rec.admit_ts) / HOUR) + 1
+        rec.hours = hours.view("datetime64[h]")
+        rec.hourly = np.concatenate([v for _, v in pieces])
     return list(patients.values())

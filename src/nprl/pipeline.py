@@ -422,27 +422,25 @@ def read_instances(csv_path, sidecar_path) -> tuple[list[NightInstance], Feature
         raise FormatError(f"{sidecar_path}: {exc}") from None
 
     n_temporal = schema.window_len * schema.n_temporal
-    rows = A.read_table(csv_path, _instance_columns(schema))
-    values, accepted = A.numbers([cell for _, row in rows for cell in row[4:]])
-    width = n_temporal + schema.n_static
-    values, row_ok = values.reshape(-1, width), accepted.reshape(-1, width).all(axis=1)
     instances = []
     first_line: dict[int, int] = {}
-    for (lineno, row), row_values, ok in zip(rows, values, row_ok.tolist()):
-        try:
-            instance_index, day_index, label = (A.number(row[i], int) for i in (0, 2, 3))
-            if not ok:
-                for raw in row[4:]:
-                    A.number(raw)  # raises at the first bad cell
-        except ValueError as exc:
-            raise FormatError(f"{csv_path}:{lineno}: {exc}") from None
-        if label not in (0, 1):
-            raise FormatError(f"{csv_path}:{lineno}: label must be 0 or 1, got {label}")
-        seen = first_line.setdefault(instance_index, lineno)
-        if seen != lineno:
-            raise FormatError(
-                f"{csv_path}:{lineno}: repeated instance_index {instance_index} (first at line {seen})"
+    for rows, values, row_ok in A.number_blocks(csv_path, _instance_columns(schema), 4):
+        for (lineno, row), row_values, ok in zip(rows, values, row_ok.tolist()):
+            try:
+                instance_index, day_index, label = (A.number(row[i], int) for i in (0, 2, 3))
+                if not ok:
+                    A.number(A.first_rejected(row[4:]))  # raises the first bad cell's error
+            except ValueError as exc:
+                raise FormatError(f"{csv_path}:{lineno}: {exc}") from None
+            if label not in (0, 1):
+                raise FormatError(f"{csv_path}:{lineno}: label must be 0 or 1, got {label}")
+            seen = first_line.setdefault(instance_index, lineno)
+            if seen != lineno:
+                raise FormatError(
+                    f"{csv_path}:{lineno}: repeated instance_index {instance_index} (first at line {seen})"
+                )
+            temporal = row_values[:n_temporal].reshape(schema.window_len, schema.n_temporal)
+            instances.append(
+                NightInstance(row[1], day_index, instance_index, temporal, row_values[n_temporal:], label)
             )
-        temporal = row_values[:n_temporal].reshape(schema.window_len, schema.n_temporal)
-        instances.append(NightInstance(row[1], day_index, instance_index, temporal, row_values[n_temporal:], label))
     return instances, schema

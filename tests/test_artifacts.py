@@ -2,9 +2,11 @@
 bad input, and byte mutations of every artifact kind."""
 
 import hashlib
+import re
 import shutil
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -80,7 +82,7 @@ class TestReaders:
 
     def test_table_round_trip_with_line_numbers(self, tmp_path):
         A.write_table(tmp_path / "t.csv", ["a", "b"], [["1", "x,y"], ["2", ""]], HEADER)
-        assert A.read_table(tmp_path / "t.csv", ["a", "b"]) == [(3, ["1", "x,y"]), (4, ["2", ""])]
+        assert list(A.read_table(tmp_path / "t.csv", ["a", "b"])) == [(3, ["1", "x,y"]), (4, ["2", ""])]
 
     def test_fields_round_trip_with_line_numbers(self, tmp_path):
         A.write_fields(tmp_path / "f.txt", [("a", 1), ("b", "x=y")], HEADER, note="second comment")
@@ -96,12 +98,12 @@ class TestReaders:
     def test_wrong_header_reports_line(self, tmp_path):
         (tmp_path / "t.csv").write_text("# c\na,c\n1,2\n")
         with pytest.raises(FormatError, match=r"t\.csv:2: unexpected header"):
-            A.read_table(tmp_path / "t.csv", ["a", "b"])
+            list(A.read_table(tmp_path / "t.csv", ["a", "b"]))
 
     def test_csv_syntax_error_reports_line(self, tmp_path):
         (tmp_path / "t.csv").write_bytes(b"a,b\n1,2\n3,4\r5\n")
         with pytest.raises(FormatError, match=r"t\.csv:3: "):
-            A.read_table(tmp_path / "t.csv", ["a", "b"])
+            list(A.read_table(tmp_path / "t.csv", ["a", "b"]))
 
 
 class TestRegressions:
@@ -293,6 +295,90 @@ class TestBulkNumbers:
         edit_line(path, 4, ",".join(number_line))
         with pytest.raises(FormatError, match=r"hourly\.csv:5: bad timestamp 'never'"):
             C.read_cohort(run)
+
+
+def bits(values: np.ndarray) -> np.ndarray:
+    """The float64 array's bit patterns, so that NaN positions compare too."""
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+
+
+# (block size, both rows in one block?, which comes first) for a bad value
+# cell and a row with a cell too few, in adjacent data rows
+ORDER_CASES = [
+    (block, same, first)
+    for block in (1, 2, 3)
+    for same in (True, False)
+    for first in ("value", "count")
+    if block > 1 or not same  # a block of one row cannot hold both
+]
+
+
+class TestBlockReads:
+    """hourly.csv and instances.csv are converted ``READ_BLOCK`` rows at a time."""
+
+    @pytest.mark.parametrize("name", ["hourly.csv", "instances.csv"])
+    @pytest.mark.parametrize("block, same, first", ORDER_CASES)
+    def test_first_bad_line_in_file_order(self, run, monkeypatch, name, block, same, first):
+        monkeypatch.setattr(A, "READ_BLOCK", block)
+        # the last two rows of the first block, or the rows on either side of
+        # its end; data row r is on line r + 3, after a comment and the column row
+        rows = (block - 2, block - 1) if same else (block - 1, block)
+        path = run / name
+        lines = path.read_text().splitlines()
+        for row, kind in zip(rows, (first, "count" if first == "value" else "value")):
+            cells = lines[row + 2].split(",")
+            edit_line(path, row + 2, ",".join(cells[:-1] if kind == "count" else cells[:-1] + ["x"]))
+        if first == "count":
+            message = r"expected \d+ cells, got \d+"
+        else:
+            message = "bad number 'x'" if name == "hourly.csv" else "could not convert string to float: 'x'"
+        with pytest.raises(FormatError, match=rf"{re.escape(name)}:{rows[0] + 3}: {message}"):
+            READERS["cohort" if name == "hourly.csv" else "instances"][1](run)
+
+    def test_block_size_does_not_change_what_is_read(self, tmp_path, monkeypatch):
+        records = C.generate_cohort(C.GeneratorConfig(n_patients=6, seed=4, missing_rate=0.1, sepsis_fraction=0.5))
+        assert any(C.planted_onset(r) is not None for r in records)
+        assert np.isnan(np.concatenate([r.hourly for r in records])).any()
+        ends = np.cumsum([r.los_hours for r in records])
+        default = A.READ_BLOCK
+        # one patient's rows straddle the first boundary of default-size blocks
+        assert any(end - r.los_hours < default < end for r, end in zip(records, ends))
+        C.write_cohort(records, tmp_path)
+        instances, schema = P.select_features(P.extract_instances(records), P.full_schema(), {1, 2, 3})
+        P.write_instances(instances, schema, tmp_path / "instances.csv", tmp_path / "instances.schema.txt")
+
+        assert C.read_cohort(tmp_path) == records
+
+        def read(block):
+            monkeypatch.setattr(A, "READ_BLOCK", block)
+            cohort = C.read_cohort(tmp_path)
+            loaded, _ = P.read_instances(tmp_path / "instances.csv", tmp_path / "instances.schema.txt")
+            return (
+                [(r.patient_id, r.admit_ts, r.los_hours, r.hours.tolist(), bits(r.hourly).tolist(),
+                  bits(r.statics).tolist(), r.sofa, r.cultures) for r in cohort],
+                [(i.instance_index, i.patient_id, i.day_index, i.label, bits(i.temporal).tolist(),
+                  bits(i.statics).tolist()) for i in loaded],
+            )
+
+        expected = read(default)
+        assert len(expected[1]) == len(instances)
+        for block in (1, 7):
+            assert read(block) == expected, block
+
+    def test_read_cohort_peak_memory_follows_the_block(self, tmp_path, monkeypatch):
+        # converting the whole of hourly.csv at once peaked at 11.6 times the
+        # memory the records keep; block by block it is 1.4 times
+        C.write_cohort(C.generate_cohort(C.GeneratorConfig(n_patients=40, seed=3, missing_rate=0.05)), tmp_path)
+        monkeypatch.setattr(A, "READ_BLOCK", 256)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            records = C.read_cohort(tmp_path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 40
+        assert peak - before < 3 * (kept - before), (peak - before, kept - before)
 
 
 # sha256 of each file of a small cohort with missing cells and septic
