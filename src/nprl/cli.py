@@ -26,7 +26,7 @@ from . import evaluation as E
 from . import pipeline as P
 from . import theory as TH
 from . import train as T
-from .cohort import GeneratorConfig, default_vitals, generate_cohort, read_cohort, write_cohort
+from .cohort import GeneratorConfig, generate_cohort, read_cohort, write_cohort
 from .errors import ConfigError, FieldError, FormatError, InputError, NprlError
 from .model import ModelConfig, save_checkpoint
 from .util import derive_rng, derive_seed
@@ -111,18 +111,18 @@ def _bool(raw: str) -> bool:
 _PARSERS = {
     "int": (lambda raw: A.number(raw, int), "an integer"),
     "float": (A.number, "a finite number"),
+    "float | None": (lambda raw: A.number(raw) if raw else None, "a finite number or empty"),
     "bool": (_bool, "a boolean"),
     "str": (str, "a string"),
     "tuple[int, ...]": (
         lambda raw: tuple(A.number(v, int) for v in raw.split(",")) if raw else (),
         "a comma list of integers",
     ),
+    "tuple[str, ...]": (lambda raw: tuple(v.strip() for v in raw.split(",") if v.strip()), "a comma list"),
 }
 
-# The INI key of a field whose name differs from it. `lam` is read from
-# `lambda`; the generator's day ranges are read from their `_min`/`_max` keys
-# by hand, and an error about a range names its `_min` key.
-_KEYS = {"lam": "lambda", "onset_day_range": "onset_day_min", "los_day_range": "los_day_min"}
+# The INI key of a field whose name differs from it: `lambda` is a Python keyword.
+_KEYS = {"lam": "lambda"}
 
 
 def _require(ok: bool, key: str, message: str) -> None:
@@ -143,20 +143,12 @@ class RunConfig:
         self.seed = self.get_int("run", "seed")
         self.workers = self.get_int("run", "workers")
         _require(self.workers >= 1, "run.workers", f"must be >= 1, got {self.workers}")
-        self.generator = self._generator_config()
+        self.generator = self.bind(GeneratorConfig, "generator", seed=derive_seed(self.seed, "generator"))
         self.subsets = set(self.parse("features", "subsets", "tuple[int, ...]"))
         try:
             P.check_subsets(self.subsets)
         except InputError as exc:
             raise ConfigError(f"features.subsets: {exc}") from None
-        self.k_folds = self.get_int("eval", "k_folds")
-        _require(self.k_folds >= 2, "eval.k_folds", f"must be >= 2, got {self.k_folds}")
-        self.arms = tuple(a.strip() for a in self.get("eval", "arms").split(",") if a.strip())
-        _require(
-            0 < len(set(self.arms)) == len(self.arms) and set(self.arms) <= set(E.ARMS),
-            "eval.arms",
-            f"must list distinct arms out of {', '.join(E.ARMS)}, got {self.get('eval', 'arms')!r}",
-        )
         self.arm_configs = self.bind(
             E.ArmConfigs,
             "eval",
@@ -165,8 +157,6 @@ class RunConfig:
             finetune=self.bind(T.FinetuneConfig, "finetune"),
             baseline=self.bind(T.BaselineConfig, "baseline"),
         )
-        self.max_instances = self.get_int("theory", "max_instances")
-        _require(self.max_instances >= 2, "theory.max_instances", f"must be >= 2, got {self.max_instances}")
         self.theory = self.bind(
             TH.TheoryConfig,
             "theory",
@@ -190,14 +180,17 @@ class RunConfig:
     def load(cls, config_path: str | None, overrides: list[str]) -> "RunConfig":
         values = {section: dict(keys) for section, keys in DEFAULTS.items()}
         if config_path:
-            parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+            # no interpolation: a value reads the same from a file as from --set
+            parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
             try:
-                with open(config_path) as fh:
+                with open(config_path, encoding="utf-8") as fh:
                     parser.read_file(fh)
-            except FileNotFoundError:
-                raise ConfigError(f"config file not found: {config_path}")
-            except configparser.Error as exc:
-                raise ConfigError(f"cannot parse {config_path}: {exc}")
+            except OSError as exc:
+                raise ConfigError(f"{config_path}: cannot read: {exc.strerror}") from None
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{config_path}: cannot read as UTF-8: {exc.reason} at byte {exc.start}") from None
+            except configparser.Error as exc:  # its messages span lines
+                raise ConfigError(f"{config_path}: cannot parse: {' '.join(str(exc).split())}") from None
             if parser.defaults():  # its keys would reach only the sections the file names
                 raise ConfigError(f"{config_path}: a [DEFAULT] section is not allowed")
             for section in parser.sections():
@@ -249,38 +242,6 @@ class RunConfig:
             return cls(**kwargs)
         except FieldError as exc:
             raise ConfigError(f"{section}.{prefix}{_KEYS.get(exc.field, exc.field)}: {exc.message}") from None
-
-    def _generator_config(self) -> GeneratorConfig:
-        vitals = default_vitals()
-        for name in ("heart_rate", "temperature", "resp_rate"):
-            drift = self.parse("generator", f"drift_{name}", "float")
-            vitals[name] = replace(vitals[name], onset_drift=drift)
-        noise_mult = self.parse("generator", "noise_mult", "float")
-        _require(noise_mult >= 0.0, "generator.noise_mult", f"must be >= 0, got {noise_mult}")
-        # empty keeps the per-vital coefficients
-        ar_coeff = self.parse("generator", "ar_coeff", "float") if self.get("generator", "ar_coeff") else None
-        if ar_coeff is not None or noise_mult != 1.0:
-            try:
-                for name, vp in vitals.items():
-                    vitals[name] = replace(
-                        vp,
-                        ar_coeff=vp.ar_coeff if ar_coeff is None else ar_coeff,
-                        noise_scale=vp.noise_scale * noise_mult,
-                    )
-            except FieldError as exc:  # the shared coefficient, the one value VitalParams can reject here
-                raise ConfigError(f"generator.{exc}") from None
-
-        def day_range(what: str) -> tuple[int, int]:
-            return tuple(self.get_int("generator", f"{what}_day_{end}") for end in ("min", "max"))
-
-        return self.bind(
-            GeneratorConfig,
-            "generator",
-            onset_day_range=day_range("onset"),
-            los_day_range=day_range("los"),
-            seed=derive_seed(self.seed, "generator"),
-            vitals=vitals,
-        )
 
     def config_hash(self) -> str:
         """Hash of every key that can change an artifact; execution-only keys
@@ -383,9 +344,9 @@ class Runner:
 
     def cmd_eval(self, data=None):
         instances, schema = data if data is not None else self._load_instances()
-        split = P.stratified_kfold(instances, self.cfg.k_folds, derive_seed(self.seed, "folds"))
+        split = P.stratified_kfold(instances, self.cfg.arm_configs.k_folds, derive_seed(self.seed, "folds"))
         reports = {}
-        for arm in self.cfg.arms:
+        for arm in self.cfg.arm_configs.arms:
             reports[arm] = E.cross_validate(
                 instances, schema, split, arm, self.cfg.arm_configs, self.seed, n_workers=self.cfg.workers
             )
@@ -402,7 +363,7 @@ class Runner:
 
     def cmd_theory(self, data=None):
         instances, schema = data if data is not None else self._load_instances()
-        cap = self.cfg.max_instances
+        cap = self.cfg.theory.max_instances
         if len(instances) > cap:
             keep = derive_rng(self.seed, "theory_subset").choice(len(instances), size=cap, replace=False)
             instances = [instances[i] for i in sorted(keep)]

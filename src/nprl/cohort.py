@@ -57,6 +57,11 @@ STATIC_FEATURES = (
 
 # One organ-dysfunction step per draw: down, three ways of staying, up.
 SOFA_STEPS = np.array([-1, 0, 0, 0, 1])
+SOFA_INTERVAL_HOURS = 6  # hours between organ-dysfunction scores
+SOFA_RISE = 4  # planted organ-dysfunction jump after onset
+SOFA_RAMP_HOURS = 12  # hours that jump takes
+DRIFT_HOURS = 24  # length of the vitals' pre-onset drift ramp
+
 # Patients whose AR(1) vitals step together. 16 keeps a group's (hours,
 # patients, vitals) array near 370 KB at the shipped stays; groups of 64
 # (1.5 MB arrays) left the heap fragmented enough to raise the peak RSS of a
@@ -100,7 +105,7 @@ class VitalParams:
     noise_scale: float
     lo: float
     hi: float
-    onset_drift: float = 0.0  # added linearly over the final drift_hours before onset
+    onset_drift: float = 0.0  # added linearly over the DRIFT_HOURS before onset
 
     def __post_init__(self):
         # |ar| >= 1 lets the series grow until the clip bounds pin it
@@ -111,29 +116,40 @@ class VitalParams:
 
 
 def default_vitals() -> dict[str, VitalParams]:
+    """The AR(1) models before a GeneratorConfig's drifts, ar_coeff and noise_mult."""
     return {
-        "heart_rate": VitalParams(85.0, 0.90, 2.5, 30.0, 200.0, onset_drift=20.0),
+        "heart_rate": VitalParams(85.0, 0.90, 2.5, 30.0, 200.0),
         "sbp": VitalParams(120.0, 0.90, 3.0, 60.0, 220.0),
         "dbp": VitalParams(70.0, 0.90, 2.0, 30.0, 140.0),
-        "resp_rate": VitalParams(18.0, 0.85, 1.0, 5.0, 50.0, onset_drift=6.0),
-        "temperature": VitalParams(37.0, 0.95, 0.08, 34.0, 41.0, onset_drift=1.2),
+        "resp_rate": VitalParams(18.0, 0.85, 1.0, 5.0, 50.0),
+        "temperature": VitalParams(37.0, 0.95, 0.08, 34.0, 41.0),
         "fio2": VitalParams(0.40, 0.95, 0.02, 0.21, 1.0),
     }
 
 
 @dataclass(frozen=True)
 class GeneratorConfig:
+    """The ``[generator]`` config section, key for key, plus the seed.
+
+    ``vitals`` follows from the fields: :func:`default_vitals` with the three
+    onset drifts, one shared AR(1) coefficient unless ``ar_coeff`` is None,
+    and every noise scale times ``noise_mult``.
+    """
+
     n_patients: int
     sepsis_fraction: float = 0.17
-    onset_day_range: tuple[int, int] = (3, 14)
     missing_rate: float = 0.05
+    onset_day_min: int = 3
+    onset_day_max: int = 14
+    los_day_min: int = 5
+    los_day_max: int = 20
+    drift_heart_rate: float = 20.0
+    drift_temperature: float = 1.2
+    drift_resp_rate: float = 6.0
+    ar_coeff: float | None = None  # None keeps the per-vital coefficients
+    noise_mult: float = 1.0
     seed: int = 0
-    los_day_range: tuple[int, int] = (5, 20)
-    vitals: dict[str, VitalParams] = field(default_factory=default_vitals)
-    drift_hours: int = 24  # pre-onset ramp length
-    sofa_rise: int = 4  # planted organ-dysfunction jump after onset
-    sofa_ramp_hours: int = 12
-    sofa_interval_hours: int = 6
+    vitals: dict[str, VitalParams] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_patients < 1:
@@ -142,19 +158,28 @@ class GeneratorConfig:
             raise FieldError("sepsis_fraction", f"must be in [0, 1], got {self.sepsis_fraction}")
         if not 0.0 <= self.missing_rate < 1.0:
             raise FieldError("missing_rate", f"must be in [0, 1), got {self.missing_rate}")
-        los_min, los_max = self.los_day_range
-        if not 5 <= los_min <= los_max:  # five days so that night windows exist
-            raise FieldError("los_day_range", f"must be (min, max), 5 <= min <= max, got {self.los_day_range}")
+        if not 5 <= self.los_day_min <= self.los_day_max:  # five days so that night windows exist
+            raise FieldError("los_day_min", f"must be in 5..los_day_max ({self.los_day_max}), got {self.los_day_min}")
         # onsets fall on days 3..los-2 (see _gen_patient), so the shortest stay
         # must leave one day of the range
-        if max(3, self.onset_day_range[0]) > min(self.onset_day_range[1], los_min - 2):
+        if max(3, self.onset_day_min) > min(self.onset_day_max, self.los_day_min - 2):
             raise FieldError(
-                "onset_day_range",
-                f"{self.onset_day_range} leaves no onset day in 3..{los_min - 2}, "
-                f"the days a {los_min}-day stay allows",
+                "onset_day_min",
+                f"{self.onset_day_min}..{self.onset_day_max} leaves no onset day in 3..{self.los_day_min - 2}, "
+                f"the days a {self.los_day_min}-day stay allows",
             )
-        if set(self.vitals) != set(VITAL_FIELDS):
-            raise FieldError("vitals", f"must cover exactly {VITAL_FIELDS}")
+        if not self.noise_mult >= 0.0:
+            raise FieldError("noise_mult", f"must be >= 0, got {self.noise_mult}")
+        vitals = {
+            name: replace(
+                vp,
+                ar_coeff=vp.ar_coeff if self.ar_coeff is None else self.ar_coeff,
+                noise_scale=vp.noise_scale * self.noise_mult,
+                onset_drift=getattr(self, f"drift_{name}", 0.0),  # heart rate, temperature, resp rate
+            )
+            for name, vp in default_vitals().items()
+        }
+        object.__setattr__(self, "vitals", vitals)
 
 
 def day_start(admit_ts: datetime, day: int) -> datetime:
@@ -175,13 +200,13 @@ def _gen_patient(position: int, septic: bool, config: GeneratorConfig) -> tuple[
     :func:`_fill_vitals` turns into the series."""
     rng = derive_rng(config.seed, "patient", position)
     admit = BASE_TS + int(rng.integers(0, 24 * 365)) * HOUR
-    los_days = int(rng.integers(config.los_day_range[0], config.los_day_range[1] + 1))
+    los_days = int(rng.integers(config.los_day_min, config.los_day_max + 1))
     los_hours = 24 * los_days
 
     onset: datetime | None = None
     if septic:
-        day_lo = max(3, config.onset_day_range[0])
-        day_hi = min(config.onset_day_range[1], los_days - 2)
+        day_lo = max(3, config.onset_day_min)
+        day_hi = min(config.onset_day_max, los_days - 2)
         onset_day = int(rng.integers(day_lo, day_hi + 1))
         # Onset strictly after 06:00 of day 3 so one night window precedes it.
         first_hour = 7 if onset_day == 3 else 0
@@ -207,7 +232,7 @@ def _gen_patient(position: int, septic: bool, config: GeneratorConfig) -> tuple[
     # when the pre-onset minimum sits at the top of the wiggle band. One
     # choice over five indices draws what one choice per step would.
     sofa_base = int(rng.integers(2, 9))
-    stamps = range(0, los_hours, config.sofa_interval_hours)
+    stamps = range(0, los_hours, SOFA_INTERVAL_HOURS)
     steps = SOFA_STEPS[rng.choice(len(SOFA_STEPS), size=len(stamps))].tolist()
     lo, hi = max(0, sofa_base - 1), min(24, sofa_base + 1)
     levels = itertools.accumulate(steps, lambda level, step: min(max(level + step, lo), hi), initial=sofa_base)
@@ -216,8 +241,8 @@ def _gen_patient(position: int, septic: bool, config: GeneratorConfig) -> tuple[
         ts = admit + k * HOUR
         score = level
         if onset is not None and ts > onset:
-            frac = min(1.0, (ts - onset) / HOUR / config.sofa_ramp_hours)
-            score = min(24, level + int(round(config.sofa_rise * frac)))
+            frac = min(1.0, (ts - onset) / HOUR / SOFA_RAMP_HOURS)
+            score = min(24, level + int(round(SOFA_RISE * frac)))
         sofa.append((ts, score))
 
     cultures: list[tuple[datetime, bool]] = []
@@ -288,7 +313,7 @@ def _fill_vitals(records: list[PatientRecord], series: np.ndarray, config: Gener
         onset = planted_onset(record)
         if onset is not None:
             ages = np.arange(record.los_hours) - (onset - record.admit_ts) / HOUR  # hours after onset
-            ramp = np.clip((ages + config.drift_hours) / config.drift_hours, 0.0, 1.0)
+            ramp = np.clip((ages + DRIFT_HOURS) / DRIFT_HOURS, 0.0, 1.0)
             values[:, drifting] += drift[drifting] * ramp[:, None]
         np.clip(values, lo, hi, out=record.hourly[:, : len(VITAL_FIELDS)])
 
@@ -304,7 +329,7 @@ def generate_cohort(config: GeneratorConfig) -> list[PatientRecord]:
         positions = range(start, min(start + VITAL_GROUP, config.n_patients))
         # room for the start level and the hours of the longest stay; each
         # patient's normals are copied in as soon as they are drawn
-        series = np.zeros((24 * config.los_day_range[1] + 1, len(positions), len(VITAL_FIELDS)))
+        series = np.zeros((24 * config.los_day_max + 1, len(positions), len(VITAL_FIELDS)))
         for g, i in enumerate(positions):
             record, normals = _gen_patient(i, i in septic_positions, config)
             series[: normals.shape[1], g] = normals.T

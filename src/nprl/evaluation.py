@@ -108,7 +108,8 @@ def aggregate(folds: list[ScoreReport], threshold: float = 0.5) -> AggregateRepo
 
 @dataclass(frozen=True)
 class ArmConfigs:
-    """Everything one arm needs; seeds inside are overridden per fold."""
+    """The ``[eval]`` section: everything one arm needs, and the folds and arms
+    of a cross-validated comparison. Seeds inside are overridden per fold."""
 
     model: ModelConfig
     pretrain: T.PretrainConfig = T.PretrainConfig()
@@ -118,8 +119,14 @@ class ArmConfigs:
     threshold: float = 0.5
     weight_scheme: str = "inverse_frequency"
     effective_beta: float = 0.999
+    k_folds: int = 5
+    arms: tuple[str, ...] = ARMS  # the arms `nprl eval` runs, in order
 
     def __post_init__(self):
+        if self.k_folds < 2:
+            raise FieldError("k_folds", f"must be >= 2, got {self.k_folds}")
+        if not (0 < len(set(self.arms)) == len(self.arms) and set(self.arms) <= set(ARMS)):
+            raise FieldError("arms", f"must list distinct arms out of {', '.join(ARMS)}, got {','.join(self.arms)!r}")
         if self.resample_target < 1:
             raise FieldError("resample_target", f"must be >= 1, got {self.resample_target}")
         if not 0.0 <= self.threshold <= 1.0:

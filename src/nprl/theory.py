@@ -234,10 +234,13 @@ class TheoryConfig:
     safety: float = 2.0
     n_pairs: int = 10000
     corollary_tol: float = 0.02
+    max_instances: int = 500  # `nprl theory` runs on a seeded subset of at most this many
 
     def __post_init__(self):
         if not self.model.normalize_representation:
             raise FieldError("model", "theory runs need normalize_representation=True")
+        if self.max_instances < 2:
+            raise FieldError("max_instances", f"must be >= 2, got {self.max_instances}")
         for name in ("n_probes", "n_pairs"):
             if getattr(self, name) < 1:
                 raise FieldError(name, f"must be >= 1, got {getattr(self, name)}")

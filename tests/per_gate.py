@@ -8,6 +8,8 @@ gate (z, r, h), W then U then b, with every other tensor as it is.
 
 import numpy as np
 
+from nprl import numgrad as ng
+
 GATES = ("z", "r", "h")
 
 
@@ -30,18 +32,37 @@ def per_gate(params):
     return out
 
 
-def fuse(arrays):
-    """The fused arrays, in layout order, of a {per-gate name: array} map."""
+def _fuse(blocks, cols):
+    """The fused tensors, in layout order, of a {per-gate name: block} map;
+    ``cols`` joins a list of blocks along their last axis."""
     out = {}
-    for name, a in arrays.items():
+    for name, block in blocks.items():
         prefix, _, kind = name.rpartition(".")
         if kind == "W_z":
-            gate = {k: np.asarray(arrays[f"{prefix}.{k}"], dtype=np.float64) for k in
-                    ("W_z", "W_r", "W_h", "U_z", "U_r", "U_h", "b_z", "b_r", "b_h")}
-            out[f"{prefix}.W_zrh"] = np.concatenate([gate["W_z"], gate["W_r"], gate["W_h"]], axis=1)
-            out[f"{prefix}.U_zr"] = np.concatenate([gate["U_z"], gate["U_r"]], axis=1)
-            out[f"{prefix}.U_h"] = gate["U_h"]
-            out[f"{prefix}.b_zrh"] = np.concatenate([gate["b_z"], gate["b_r"], gate["b_h"]])
+            w, u, b = ([blocks[f"{prefix}.{kind}_{gate}"] for gate in GATES] for kind in "WUb")
+            out[f"{prefix}.W_zrh"] = cols(w)
+            out[f"{prefix}.U_zr"] = cols(u[:2])
+            out[f"{prefix}.U_h"] = u[2]
+            out[f"{prefix}.b_zrh"] = cols(b)
         elif not name.startswith("gru_"):
-            out[name] = a
+            out[name] = block
     return out
+
+
+def fuse(arrays):
+    """The fused arrays of a {per-gate name: array} map."""
+    return _fuse(arrays, lambda parts: np.concatenate(parts, axis=-1))
+
+
+def _tensor_cols(parts):
+    if parts[0].data.ndim > 1:
+        return ng.concat_cols(parts)
+    row = ng.concat_cols([ng.reshape(p, (1, p.dims[0])) for p in parts])  # concat_cols needs rows
+    return ng.reshape(row, (row.dims[1],))
+
+
+def fuse_tensors(tensors):
+    """The fused Tensors of a {per-gate name: Tensor} map, built from
+    differentiable ops, so a gradient check of a function of the fused set
+    can sample every gate block as a tensor of its own."""
+    return _fuse(tensors, _tensor_cols)

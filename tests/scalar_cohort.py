@@ -6,7 +6,11 @@ import numpy as np
 
 from nprl.cohort import (
     BASE_TS,
+    DRIFT_HOURS,
     HOUR,
+    SOFA_INTERVAL_HOURS,
+    SOFA_RAMP_HOURS,
+    SOFA_RISE,
     VITAL_FIELDS,
     GeneratorConfig,
     PatientRecord,
@@ -20,13 +24,13 @@ from nprl.util import derive_rng
 def gen_patient(position: int, septic: bool, config: GeneratorConfig) -> PatientRecord:
     rng = derive_rng(config.seed, "patient", position)
     admit = BASE_TS + int(rng.integers(0, 24 * 365)) * HOUR
-    los_days = int(rng.integers(config.los_day_range[0], config.los_day_range[1] + 1))
+    los_days = int(rng.integers(config.los_day_min, config.los_day_max + 1))
     los_hours = 24 * los_days
 
     onset = None
     if septic:
-        day_lo = max(3, config.onset_day_range[0])
-        day_hi = min(config.onset_day_range[1], los_days - 2)
+        day_lo = max(3, config.onset_day_min)
+        day_hi = min(config.onset_day_max, los_days - 2)
         onset_day = int(rng.integers(day_lo, day_hi + 1))
         first_hour = 7 if onset_day == 3 else 0
         onset = day_start(admit, onset_day) + int(rng.integers(first_hour, 24)) * HOUR
@@ -42,7 +46,7 @@ def gen_patient(position: int, septic: bool, config: GeneratorConfig) -> Patient
         series = np.array(steps)
         if onset is not None and vp.onset_drift != 0.0:
             ages = np.arange(los_hours) - (onset - admit) / HOUR
-            ramp = np.clip((ages + config.drift_hours) / config.drift_hours, 0.0, 1.0)
+            ramp = np.clip((ages + DRIFT_HOURS) / DRIFT_HOURS, 0.0, 1.0)
             series = series + vp.onset_drift * ramp
         vitals[name] = np.clip(series, vp.lo, vp.hi)
 
@@ -59,13 +63,13 @@ def gen_patient(position: int, septic: bool, config: GeneratorConfig) -> Patient
     sofa_base = int(rng.integers(2, 9))
     sofa = []
     level = sofa_base
-    for k in range(0, los_hours, config.sofa_interval_hours):
+    for k in range(0, los_hours, SOFA_INTERVAL_HOURS):
         ts = admit + k * HOUR
         level = min(max(level + int(rng.choice((-1, 0, 0, 0, 1))), max(0, sofa_base - 1)), min(24, sofa_base + 1))
         score = level
         if onset is not None and ts > onset:
-            frac = min(1.0, (ts - onset) / HOUR / config.sofa_ramp_hours)
-            score = min(24, level + int(round(config.sofa_rise * frac)))
+            frac = min(1.0, (ts - onset) / HOUR / SOFA_RAMP_HOURS)
+            score = min(24, level + int(round(SOFA_RISE * frac)))
         sofa.append((ts, score))
 
     cultures = []

@@ -15,6 +15,7 @@ from nprl import evaluation as E
 from nprl import model as M
 from nprl import numgrad as ng
 from nprl import pipeline as P
+from per_gate import fuse_tensors, per_gate
 
 HOUR = timedelta(hours=1)
 
@@ -33,21 +34,33 @@ def test_c01_gradient_correctness():
     schema = M.FeatureSchema(tuple(f"t{i}" for i in range(11)), tuple(f"s{i}" for i in range(15)))
     config = M.ModelConfig()  # 256 GRU units, 16/8/1 statics, 64 trunk
     params = M.init_params(config, schema, seed=0)
-    # data seed pinned away from relu kinks, where central differences are
-    # invalid for reasons unrelated to backward correctness
     rng = np.random.default_rng(1)
     temporal = rng.uniform(0.0, 1.0, size=(4, 9, 11))
     statics = rng.uniform(0.0, 1.0, size=(4, 15))
     labels = np.array([0, 1, 1, 0])
+    # Central differences across a relu kink are invalid for reasons unrelated
+    # to backward correctness, so every relu input must lie more than one
+    # step from zero. The closest, a trunk input, is 5.4e-4 away; below
+    # 3e-4, rounding in the 4.8e-9 gradients of gru_bwd.U_r starts to show.
+    step = 3e-4
+    s = statics
+    for i in range(len(config.static_widths) - 1):  # the last static unit is linear
+        pre = s @ params[f"static.{i}.W"].data + params[f"static.{i}.b"].data
+        assert np.abs(pre).min() > step, f"static.{i} relu input within one step of its kink"
+        s = np.maximum(pre, 0.0)
+    rep = M.represent(temporal, statics, ng.detach(params), config).data
+    pre = rep @ params["trunk.0.W"].data + params["trunk.0.b"].data  # the one trunk layer
+    assert np.abs(pre).min() > step, "trunk.0 relu input within one step of its kink"
 
     def fn(p):
-        logits, _ = M.forward_batch(temporal, statics, p, config)
+        logits, _ = M.forward_batch(temporal, statics, fuse_tensors(p), config)
         return ng.cross_entropy(logits, labels)
 
     started = time.perf_counter()
-    # 48 samples per fused GRU tensor leave every gate block at least the 8
-    # that one tensor per gate got with 8 (14 for W and U, 13 for b at seed 0)
-    err = ng.grad_check(fn, params, step=1e-3, max_coords_per_tensor=48, seed=0)
+    # checked one tensor per gate block, so each block gets its own 48
+    # samples for any seed
+    gates = {name: ng.Tensor(block, requires_grad=True) for name, block in per_gate(params)}
+    err = ng.grad_check(fn, gates, step=step, max_coords_per_tensor=48, seed=0)
     elapsed = time.perf_counter() - started
     verdict(
         "C1 gradient correctness",

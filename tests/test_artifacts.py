@@ -30,7 +30,7 @@ INSTANCE_FILES = ("instances.csv", "instances.schema.txt")
 
 def write_all(d: Path) -> None:
     """One small artifact of every kind under ``d``."""
-    records = C.generate_cohort(C.GeneratorConfig(n_patients=3, seed=5, missing_rate=0.1, los_day_range=(5, 6)))
+    records = C.generate_cohort(C.GeneratorConfig(n_patients=3, seed=5, missing_rate=0.1, los_day_min=5, los_day_max=6))
     C.write_cohort(records, d, header_comment=HEADER)
     instances, schema = P.select_features(P.extract_instances(records), P.full_schema(), {1, 2})
     P.write_instances(instances[:4], schema, d / "instances.csv", d / "instances.schema.txt", HEADER)

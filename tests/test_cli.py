@@ -82,6 +82,14 @@ class TestRunConfig:
             cli.RunConfig.load(None, [override])
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("value", ["runs%1", "r-%(seed)s"])
+    def test_config_file_values_are_not_interpolated(self, tmp_path, value):
+        path = tmp_path / "run.ini"
+        path.write_text(f"[run]\nout = {value}\n")
+        from_file = cli.RunConfig.load(str(path), [])
+        from_set = cli.RunConfig.load(None, [f"run.out={value}"])
+        assert from_file.get("run", "out") == from_set.get("run", "out") == value
+
     def test_default_section_rejected(self, tmp_path):  # its keys were silently dropped
         path = tmp_path / "bad.ini"
         path.write_text("[DEFAULT]\nseed = 8\n")
@@ -125,6 +133,8 @@ BAD_VALUES = [
     (["generator.noise_mult=-2"], "generator.noise_mult"),
     (["generator.onset_day_min=30"], "generator.onset_day_min"),
     (["generator.los_day_min=10", "generator.los_day_max=6"], "generator.los_day_min"),
+    (["generator.los_day_max=4"], "generator.los_day_min"),
+    (["generator.onset_day_max=2"], "generator.onset_day_min"),
     (["generator.n_patients=3_0"], "generator.n_patients"),
     (["eval.resample_target=0"], "eval.resample_target"),
     (["theory.n_pairs=0"], "theory.n_pairs"),
@@ -137,6 +147,7 @@ BAD_VALUES = [
     (["eval.k_folds=1"], "eval.k_folds"),
     (["finetune.mode=projected", "finetune.gamma=0"], "finetune.gamma"),
     (["theory.safety=0.5"], "theory.safety"),
+    (["theory.max_instances=1"], "theory.max_instances"),
     (["features.subsets=9"], "features.subsets"),
     (["model.normalize_representation=maybe"], "model.normalize_representation"),
     (["--workers", "0"], "run.workers"),
@@ -145,14 +156,46 @@ BAD_VALUES = [
 ]
 
 
-@pytest.mark.parametrize("bad, key", BAD_VALUES, ids=[" ".join(bad) for bad, _ in BAD_VALUES])
-def test_bad_config_value_is_one_error_line_before_any_work(tmp_path, capsys, bad, key):
-    extra = bad if bad[0].startswith("--") else set_args(bad)
-    assert run_cli(["all"] + set_args(SMALL_OVERRIDES) + extra, tmp_path) == 1
+def assert_one_error_line_before_any_work(args, tmp_path, capsys, key):
+    assert run_cli(["all"] + set_args(SMALL_OVERRIDES) + args, tmp_path) == 1
     out = capsys.readouterr()
     assert out.err.startswith(f"error: {key}: ") and out.err.count("\n") == 1, out.err
     assert "Traceback" not in out.err and out.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("bad, key", BAD_VALUES, ids=[" ".join(bad) for bad, _ in BAD_VALUES])
+def test_bad_config_value_is_one_error_line_before_any_work(tmp_path, capsys, bad, key):
+    extra = bad if bad[0].startswith("--") else set_args(bad)
+    assert_one_error_line_before_any_work(extra, tmp_path, capsys, key)
+
+
+# Every key but run.out, whose value is any path, must reject "x": a key that
+# accepts it is read by nothing or checked by nothing.
+CHECKED_KEYS = [
+    f"{section}.{key}" for section, keys in cli.DEFAULTS.items() for key in keys if (section, key) != ("run", "out")
+]
+
+
+@pytest.mark.parametrize("key", CHECKED_KEYS)
+def test_no_key_is_silently_unread(tmp_path, capsys, key):
+    assert_one_error_line_before_any_work(["--set", f"{key}=x"], tmp_path, capsys, key)
+
+
+@pytest.mark.parametrize("kind", ["not_utf8", "directory", "missing", "no_section_header"])
+def test_unreadable_config_file_is_one_error_line(tmp_path, capsys, kind):
+    path = tmp_path / "run.ini"
+    if kind == "not_utf8":
+        path.write_bytes(b"[run]\nout = \xff\n")
+    elif kind == "directory":
+        path.mkdir()
+    elif kind == "no_section_header":  # configparser's message spans three lines
+        path.write_text("seed = 8\n")
+    assert cli.main(["gen", "--config", str(path), "--out", str(tmp_path / "runs")]) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith(f"error: {path}: ") and out.err.count("\n") == 1, out.err
+    assert "Traceback" not in out.err and out.out == ""
+    assert not (tmp_path / "runs").exists()
 
 
 class TestCommands:

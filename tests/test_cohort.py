@@ -83,7 +83,9 @@ ORACLE_CONFIGS = {
         n_patients=40,
         seed=5,
         sepsis_fraction=0.5,
-        vitals={name: replace(vp, onset_drift=0.0) for name, vp in C.default_vitals().items()},
+        drift_heart_rate=0.0,
+        drift_temperature=0.0,
+        drift_resp_rate=0.0,
     ),
 }
 
@@ -96,6 +98,24 @@ def test_generator_matches_scalar_oracle(name):
     assert len(records) == len(expected) == config.n_patients
     for record, reference in zip(records, expected):
         assert record == reference, record.patient_id
+
+
+class TestGeneratorConfig:
+    @pytest.mark.parametrize("ar_coeff", [None, 0.1])
+    def test_vitals_follow_the_fields(self, ar_coeff):
+        config = tiny_config(
+            drift_heart_rate=3.0, drift_temperature=0.0, drift_resp_rate=-1.0, ar_coeff=ar_coeff, noise_mult=4.0
+        )
+        drifts = {"heart_rate": 3.0, "temperature": 0.0, "resp_rate": -1.0}
+        assert config.vitals == {
+            name: replace(
+                vp,
+                ar_coeff=vp.ar_coeff if ar_coeff is None else ar_coeff,
+                noise_scale=vp.noise_scale * 4.0,
+                onset_drift=drifts.get(name, 0.0),
+            )
+            for name, vp in C.default_vitals().items()
+        }
 
 
 class TestVitalParams:

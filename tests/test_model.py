@@ -5,7 +5,7 @@ from nprl import model as M
 from nprl import numgrad as ng
 from nprl.errors import ConfigError, FormatError, InputError, NumericError, ShapeError
 from nprl.numgrad import Tensor
-from per_gate import GATES, fuse, per_gate
+from per_gate import GATES, fuse, fuse_tensors, per_gate
 
 SMALL_SCHEMA = M.FeatureSchema(("a", "b", "c", "d", "e"), ("s1", "s2", "s3"))
 SMALL_CONFIG = M.ModelConfig(gru_hidden=4, static_widths=(3, 2, 1), trunk_widths=(6,), head_classes=2)
@@ -261,12 +261,13 @@ class TestForward:
             x = np.maximum(pre, 0.0)
 
         def fn(p):
-            logits, _ = M.forward_batch(temporal, statics, p, SMALL_CONFIG)
+            logits, _ = M.forward_batch(temporal, statics, fuse_tensors(p), SMALL_CONFIG)
             return ng.cross_entropy(logits, labels)
 
-        # 32 samples per fused tensor leave every gate block at least the 6
-        # (all 4 of a bias block) that one tensor per gate got with 6 at seed 0
-        assert ng.grad_check(fn, params, step=step, max_coords_per_tensor=32) < 1e-4
+        # checked one tensor per gate block, so each block gets its own 32
+        # samples (all of its coordinates here) for any seed
+        gates = {name: Tensor(block, requires_grad=True) for name, block in per_gate(params)}
+        assert ng.grad_check(fn, gates, step=step, max_coords_per_tensor=32) < 1e-4
 
     def test_normalized_representation_unit_norm(self):
         config = M.ModelConfig(
