@@ -18,7 +18,7 @@ import errno
 import hashlib
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 from . import artifacts as A
@@ -143,7 +143,7 @@ class RunConfig:
         self.seed = self.get_int("run", "seed")
         self.workers = self.get_int("run", "workers")
         _require(self.workers >= 1, "run.workers", f"must be >= 1, got {self.workers}")
-        self.generator = self.bind(GeneratorConfig, "generator", seed=derive_seed(self.seed, "generator"))
+        self.generator = self.bind(GeneratorConfig, "generator")
         self.subsets = set(self.parse("features", "subsets", "tuple[int, ...]"))
         try:
             P.check_subsets(self.subsets)
@@ -153,23 +153,18 @@ class RunConfig:
             E.ArmConfigs,
             "eval",
             model=self.bind(ModelConfig, "model"),
-            pretrain=self.bind(T.PretrainConfig, "pretrain"),
+            pretrain=self.bind(T.Schedule, "pretrain"),
             finetune=self.bind(T.FinetuneConfig, "finetune"),
-            baseline=self.bind(T.BaselineConfig, "baseline"),
+            baseline=self.bind(T.Schedule, "baseline"),
         )
         self.theory = self.bind(
             TH.TheoryConfig,
             "theory",
             # the head reads the normalized representation directly here
             model=self.bind(ModelConfig, "theory", trunk_widths=(), normalize_representation=True),
-            pretrain=self.bind(T.PretrainConfig, "theory", prefix="pretrain_"),
+            pretrain=self.bind(T.Schedule, "theory", prefix="pretrain_"),
             finetune=self.bind(
-                T.FinetuneConfig,
-                "theory",
-                prefix="finetune_",
-                mode="projected",
-                gamma=1.0,  # placeholder, the protocol sets the real radius
-                batch_size=self.arm_configs.finetune.batch_size,
+                T.Schedule, "theory", prefix="finetune_", batch_size=self.arm_configs.finetune.batch_size
             ),
         )
         for section, model in (("model", self.arm_configs.model), ("theory", self.theory.model)):
@@ -182,6 +177,7 @@ class RunConfig:
         if config_path:
             # no interpolation: a value reads the same from a file as from --set
             parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+            parser.optionxform = str  # keys are case-sensitive, as in --set and as section names are
             try:
                 with open(config_path, encoding="utf-8") as fh:
                     parser.read_file(fh)
@@ -198,7 +194,7 @@ class RunConfig:
                     raise ConfigError(f"{config_path}: unknown section [{section}]")
                 for key, value in parser.items(section):
                     if key not in values[section]:
-                        raise ConfigError(f"{config_path}: unknown key {section}.{key}")
+                        raise ConfigError(f"{config_path}: {section}.{key}: unknown key")
                     values[section][key] = value.strip()
         for item in overrides:
             if "=" not in item or "." not in item.split("=", 1)[0]:
@@ -274,7 +270,7 @@ class Runner:
         print(f"[nprl] {message}")
 
     def cmd_gen(self) -> list:
-        records = generate_cohort(self.cfg.generator)
+        records = generate_cohort(self.cfg.generator, derive_seed(self.seed, "generator"))
         write_cohort(records, self.run_dir / "cohort", header_comment=self.header)
         self.log(f"wrote cohort of {len(records)} patients to {self.run_dir / 'cohort'}")
         return records
@@ -315,11 +311,11 @@ class Runner:
         instances, schema = data if data is not None else self._load_instances()
         temporal, statics, _ = self._scaled_arrays(instances)
         configs = self.cfg.arm_configs
-        pretrain_config = replace(configs.pretrain, seed=derive_seed(self.seed, "pretrain"))
-        params, log = T.nprl_pretrain(temporal, statics, configs.model, schema, pretrain_config)
+        seed = derive_seed(self.seed, "pretrain")
+        params, log = T.nprl_pretrain(temporal, statics, configs.model, schema, configs.pretrain, seed)
         save_checkpoint(params, self.run_dir / "pretrain.ckpt")
         # the log opens with an epoch-0 row at the starting parameters
-        model, initial = T.init_pretraining(len(temporal), configs.model, schema, pretrain_config)
+        model, initial = T.init_pretraining(len(temporal), configs.model, schema, seed)
         loss0, accuracy0, _ = T.identify(temporal, statics, initial, model)
         log.epochs.insert(0, T.EpochStats(epoch=0, loss=loss0, accuracy=accuracy0, frob_dist=0.0))
         log.to_csv(self.run_dir / "pretrain_log.csv", header_comment=self.header)
@@ -335,8 +331,10 @@ class Runner:
         temporal, statics, labels = self._scaled_arrays(instances)
         configs = self.cfg.arm_configs
         rows = P.resample_training(labels, configs.resample_target, derive_seed(self.seed, "resample"))
-        baseline = replace(configs.baseline, seed=derive_seed(self.seed, "train"))
-        params, log = T.train_baseline(temporal[rows], statics[rows], labels[rows], configs.model, schema, baseline)
+        seed = derive_seed(self.seed, "train")
+        params, log = T.train_baseline(
+            temporal[rows], statics[rows], labels[rows], configs.model, schema, configs.baseline, seed
+        )
         save_checkpoint(params, self.run_dir / "model.ckpt")
         log.to_csv(self.run_dir / "train_log.csv", header_comment=self.header)
         self.log(f"trained baseline on {len(rows)} instances -> model.ckpt")

@@ -129,7 +129,7 @@ def default_vitals() -> dict[str, VitalParams]:
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """The ``[generator]`` config section, key for key, plus the seed.
+    """The ``[generator]`` config section, key for key.
 
     ``vitals`` follows from the fields: :func:`default_vitals` with the three
     onset drifts, one shared AR(1) coefficient unless ``ar_coeff`` is None,
@@ -148,7 +148,6 @@ class GeneratorConfig:
     drift_resp_rate: float = 6.0
     ar_coeff: float | None = None  # None keeps the per-vital coefficients
     noise_mult: float = 1.0
-    seed: int = 0
     vitals: dict[str, VitalParams] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -193,12 +192,14 @@ def _septic_quota(config: GeneratorConfig) -> int:
     return int(np.floor(config.sepsis_fraction * config.n_patients + 0.5))
 
 
-def _gen_patient(position: int, septic: bool, config: GeneratorConfig) -> tuple[PatientRecord, np.ndarray]:
+def _gen_patient(
+    position: int, septic: bool, config: GeneratorConfig, seed: int
+) -> tuple[PatientRecord, np.ndarray]:
     """Every random draw of one patient, in a fixed order: the record with its
     vital columns still unset, and the standard normals of its AR(1) vitals,
     one row per vital (the start level, then one shock per hour), which
     :func:`_fill_vitals` turns into the series."""
-    rng = derive_rng(config.seed, "patient", position)
+    rng = derive_rng(seed, "patient", position)
     admit = BASE_TS + int(rng.integers(0, 24 * 365)) * HOUR
     los_days = int(rng.integers(config.los_day_min, config.los_day_max + 1))
     los_hours = 24 * los_days
@@ -318,11 +319,11 @@ def _fill_vitals(records: list[PatientRecord], series: np.ndarray, config: Gener
         np.clip(values, lo, hi, out=record.hourly[:, : len(VITAL_FIELDS)])
 
 
-def generate_cohort(config: GeneratorConfig) -> list[PatientRecord]:
-    """Generate the full cohort; exactly the configured septic quota, then
-    missingness injected at the configured rate."""
+def generate_cohort(config: GeneratorConfig, seed: int) -> list[PatientRecord]:
+    """Generate the full cohort from ``seed``; exactly the configured septic
+    quota, then missingness injected at the configured rate."""
     quota = _septic_quota(config)
-    order = derive_rng(config.seed, "assignment").permutation(config.n_patients)
+    order = derive_rng(seed, "assignment").permutation(config.n_patients)
     septic_positions = set(int(i) for i in order[:quota])
     records: list[PatientRecord] = []
     for start in range(0, config.n_patients, VITAL_GROUP):
@@ -331,12 +332,12 @@ def generate_cohort(config: GeneratorConfig) -> list[PatientRecord]:
         # patient's normals are copied in as soon as they are drawn
         series = np.zeros((24 * config.los_day_max + 1, len(positions), len(VITAL_FIELDS)))
         for g, i in enumerate(positions):
-            record, normals = _gen_patient(i, i in septic_positions, config)
+            record, normals = _gen_patient(i, i in septic_positions, config, seed)
             series[: normals.shape[1], g] = normals.T
             records.append(record)
         _fill_vitals(records[start:], series, config)
     if config.missing_rate > 0.0:
-        records = inject_missingness(records, config.missing_rate, config.seed)
+        records = inject_missingness(records, config.missing_rate, seed)
     return records
 
 

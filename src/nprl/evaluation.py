@@ -12,7 +12,7 @@ and the ROC is drawn from them.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,12 +109,12 @@ def aggregate(folds: list[ScoreReport], threshold: float = 0.5) -> AggregateRepo
 @dataclass(frozen=True)
 class ArmConfigs:
     """The ``[eval]`` section: everything one arm needs, and the folds and arms
-    of a cross-validated comparison. Seeds inside are overridden per fold."""
+    of a cross-validated comparison."""
 
     model: ModelConfig
-    pretrain: T.PretrainConfig = T.PretrainConfig()
+    pretrain: T.Schedule = T.Schedule(epochs=30)
     finetune: T.FinetuneConfig = T.FinetuneConfig()
-    baseline: T.BaselineConfig = T.BaselineConfig()
+    baseline: T.Schedule = T.Schedule(epochs=15)
     resample_target: int = 2600
     threshold: float = 0.5
     weight_scheme: str = "inverse_frequency"
@@ -148,31 +148,26 @@ def _fit_arm(
     cfg: ArmConfigs,
     seed: int,
 ):
-    """Train one arm on one fold's (already scaled) training arrays."""
+    """Train one arm on one fold's (already scaled) training arrays; every
+    class-balanced loss weights by the ``[eval]`` scheme."""
     rows = slice(None)  # every training row, unless the arm resamples
-    weights = None
     if arm == "baseline" or (arm == "nprl" and cfg.finetune.resample):
         rows = P.resample_training(labels, cfg.resample_target, derive_seed(seed, "resample"))
-    elif arm == "class_balanced":
-        weights = T.class_balanced_weights(labels, cfg.weight_scheme, cfg.effective_beta)
     elif arm == "class_balanced_undersampled":
         rows = P.undersample_negatives(labels, cfg.resample_target, derive_seed(seed, "resample"))
-        weights = T.class_balanced_weights(labels[rows], cfg.weight_scheme, cfg.effective_beta)
-    elif arm != "nprl":
+    elif arm not in ARMS:
         raise InputError(f"unknown arm {arm!r}, expected one of {ARMS}")
     data = (temporal[rows], statics[rows], labels[rows])
+    balanced = arm.startswith("class_balanced") or (arm == "nprl" and cfg.finetune.loss == "class_balanced")
+    weights = T.class_balanced_weights(data[2], cfg.weight_scheme, cfg.effective_beta) if balanced else None
+    train_seed = derive_seed(seed, "train")
     if arm == "nprl":
         # pretraining sees every training row and no label
-        theta0, _ = T.nprl_pretrain(
-            temporal, statics, cfg.model, schema, replace(cfg.pretrain, seed=derive_seed(seed, "pretrain"))
-        )
+        theta0, _ = T.nprl_pretrain(temporal, statics, cfg.model, schema, cfg.pretrain, derive_seed(seed, "pretrain"))
         theta0 = M.replace_head(theta0, cfg.model.head_classes, derive_seed(seed, "head"))
-        finetune = replace(cfg.finetune, seed=derive_seed(seed, "train"))
-        params, _ = T.finetune(*data, theta0, finetune, cfg.model, schema)
+        params, _ = T.finetune(*data, theta0, cfg.finetune, cfg.model, schema, train_seed, class_weights=weights)
     else:
-        params, _ = T.train_baseline(
-            *data, cfg.model, schema, replace(cfg.baseline, seed=derive_seed(seed, "train")), class_weights=weights
-        )
+        params, _ = T.train_baseline(*data, cfg.model, schema, cfg.baseline, train_seed, class_weights=weights)
     return params
 
 

@@ -285,6 +285,11 @@ def reset_grads(params: ParamSet) -> None:
 # ---------------------------------------------------------------------------
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class OptimizerState:
     """Adam state. Its moment arrays belong to the optimizer: :func:`adam_step`
@@ -294,26 +299,13 @@ class OptimizerState:
     first_moment: dict[str, Array]
     second_moment: dict[str, Array]
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
 
-def init_adam(
-    params: ParamSet,
-    learning_rate: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
-) -> OptimizerState:
-    if not (0.0 < beta1 < 1.0 and 0.0 < beta2 < 1.0):
-        raise InputError(f"betas must lie in (0, 1), got {beta1}, {beta2}")
-    if epsilon <= 0.0:
-        raise InputError(f"epsilon must be positive, got {epsilon}")
-    if learning_rate <= 0.0:
+def init_adam(params: ParamSet, learning_rate: float) -> OptimizerState:
+    if not learning_rate > 0.0:
         raise InputError(f"learning rate must be positive, got {learning_rate}")
     zeros = lambda: {name: np.zeros(p.dims) for name, p in params.items()}
-    return OptimizerState(0, zeros(), zeros(), learning_rate, beta1, beta2, epsilon)
+    return OptimizerState(0, zeros(), zeros(), learning_rate)
 
 
 # Elements per block of the in-place update: the block of p, m, v, g and the
@@ -339,7 +331,7 @@ def adam_step(
             raise ShapeError(f"gradient shape {grads[name].shape} != param {p.dims} for {name!r}")
     state.step_count += 1
     t = state.step_count
-    b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.epsilon
+    b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, state.learning_rate, ADAM_EPSILON
     c1, c2 = 1.0 - b1**t, 1.0 - b2**t
     largest = max((p.data.size for p in params.values()), default=0)
     scratch = np.empty(min(largest, ADAM_BLOCK)), np.empty(min(largest, ADAM_BLOCK))

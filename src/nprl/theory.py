@@ -26,7 +26,7 @@ pure geometry over the two representation arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -227,8 +227,8 @@ class TheoryConfig:
     # but the spreading of the representations toward mutual orthogonality
     # happens in the terminal phase of training and needs thousands of steps.
     model: ModelConfig
-    pretrain: T.PretrainConfig = T.PretrainConfig(epochs=800, batch_size=32, learning_rate=3e-3)
-    finetune: T.FinetuneConfig = T.FinetuneConfig(mode="projected", gamma=1.0)
+    pretrain: T.Schedule = T.Schedule(epochs=800, batch_size=32, learning_rate=3e-3)
+    finetune: T.Schedule = T.Schedule(epochs=15, learning_rate=1e-4)  # projected; the protocol sets the radius
     n_probes: int = 8
     probe_scale: float = 1e-3
     safety: float = 2.0
@@ -262,8 +262,8 @@ def theory_protocol(
     the fact that the probe-based estimate is a lower bound on the true
     constant.
     """
-    pretrain_config = replace(config.pretrain, seed=derive_seed(seed, "pretrain"))
-    theta0, _ = T.nprl_pretrain(temporal, statics, config.model, schema, pretrain_config)
+    pretrain_seed = derive_seed(seed, "pretrain")
+    theta0, _ = T.nprl_pretrain(temporal, statics, config.model, schema, config.pretrain, pretrain_seed)
     # one pass at theta0 gives the identification accuracy and the
     # representations both checks start from
     _, pretrain_accuracy, reps0 = T.identify(temporal, statics, theta0, config.model)
@@ -279,14 +279,12 @@ def theory_protocol(
     )
     gamma = 1.0 / (8.0 * l_hat * config.safety)
     theta0_binary = M.replace_head(theta0, config.model.head_classes, derive_seed(seed, "head"))
+    schedule = config.finetune
+    projected = T.FinetuneConfig(
+        schedule.epochs, schedule.batch_size, schedule.learning_rate, mode="projected", gamma=gamma
+    )
     theta_star, _ = T.finetune(
-        temporal,
-        statics,
-        labels,
-        theta0_binary,
-        replace(config.finetune, mode="projected", gamma=gamma, seed=derive_seed(seed, "finetune")),
-        config.model,
-        schema,
+        temporal, statics, labels, theta0_binary, projected, config.model, schema, derive_seed(seed, "finetune")
     )
     reps_star = M.compute_representations(temporal, statics, theta_star, config.model)
     pairs_checked, violations, worst_margin = check_theorem1(
@@ -305,7 +303,7 @@ def theory_protocol(
         bound_constant=corollary_constant(),
         corollary_tol=config.corollary_tol,
         pretrain_accuracy=pretrain_accuracy,
-        pretrain_mean_abs_cosine=mean_abs_cosine(reps0, pretrain_config.seed),
+        pretrain_mean_abs_cosine=mean_abs_cosine(reps0, pretrain_seed),
     )
 
 

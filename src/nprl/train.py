@@ -3,8 +3,8 @@ weighting, self-supervised profile pretraining (every training night is its
 own class), and fine-tuning that stays near the pretrained parameters either
 through a quadratic penalty or through projection onto a Frobenius ball.
 
-All procedures are bit-deterministic given (data, config, seed): batch order,
-initialization and resampling all derive from the config seed.
+All procedures are bit-deterministic given (data, config, seed): each takes
+its seed as an argument, and batch order and initialization derive from it.
 """
 
 from __future__ import annotations
@@ -22,36 +22,34 @@ from .numgrad import Array, ParamSet
 from .util import derive_rng
 
 
-def _check_schedule(config) -> None:
-    """The epochs, batch size and learning rate every training config has."""
-    for name in ("epochs", "batch_size"):
-        if getattr(config, name) < 1:
-            raise FieldError(name, f"must be >= 1, got {getattr(config, name)}")
-    if not config.learning_rate > 0:
-        raise FieldError("learning_rate", f"must be positive, got {config.learning_rate}")
-
-
 @dataclass(frozen=True)
-class PretrainConfig:
-    epochs: int = 30
+class Schedule:
+    """The epochs, batch size and learning rate of one training run: the
+    ``[pretrain]`` and ``[baseline]`` config sections, and the base of
+    :class:`FinetuneConfig`."""
+
+    epochs: int
     batch_size: int = 64
     learning_rate: float = 1e-3
-    seed: int = 0
 
     def __post_init__(self):
-        _check_schedule(self)
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise FieldError(name, f"must be >= 1, got {getattr(self, name)}")
+        if not self.learning_rate > 0:
+            raise FieldError("learning_rate", f"must be positive, got {self.learning_rate}")
 
 
 @dataclass(frozen=True)
-class FinetuneConfig:
+class FinetuneConfig(Schedule):
+    """The ``[finetune]`` config section: a schedule that stays near theta0."""
+
+    epochs: int = 15
+    learning_rate: float = 1e-4  # deliberately below the pretraining rate
     mode: str = "regularized"  # or "projected"
     lam: float = 1e-2  # penalty coefficient, regularized mode
     gamma: float = 0.0  # ball radius, projected mode
-    learning_rate: float = 1e-4  # deliberately below the pretraining rate
-    epochs: int = 15
-    batch_size: int = 64
-    seed: int = 0
-    loss: str = "plain"  # or "class_balanced"
+    loss: str = "plain"  # or "class_balanced"; the harness picks the weights
     resample: bool = True  # consumed by the harness, not by finetune itself
 
     def __post_init__(self):
@@ -65,18 +63,7 @@ class FinetuneConfig:
             raise FieldError("gamma", f"must be >= 0, got {self.gamma}")
         if self.mode == "projected" and self.gamma == 0.0:
             raise FieldError("gamma", "must be > 0 in projected mode, got 0.0")
-        _check_schedule(self)
-
-
-@dataclass(frozen=True)
-class BaselineConfig:
-    epochs: int = 15
-    batch_size: int = 64
-    learning_rate: float = 1e-3
-    seed: int = 0
-
-    def __post_init__(self):
-        _check_schedule(self)
+        super().__post_init__()
 
 
 @dataclass
@@ -152,16 +139,15 @@ def _train(
     labels: Array,
     params: ParamSet,
     config: ModelConfig,
-    epochs: int,
-    batch_size: int,
-    learning_rate: float,
+    schedule: Schedule,
     seed: int,
     class_weights: Array | None = None,
     theta0: ParamSet | None = None,
     lam: float = 0.0,
     gamma: float | None = None,
 ) -> tuple[ParamSet, TrainLog]:
-    """Mini-batch Adam over the full objective.
+    """Mini-batch Adam over the full objective, batches shuffled per epoch
+    from ``seed``.
 
     With ``theta0`` set, either a quadratic pull-back of strength ``lam`` is
     added analytically to the non-head gradients, or (``gamma`` set) the
@@ -171,10 +157,11 @@ def _train(
     # adam_step writes in place: train a copy, so the caller's parameters,
     # theta0 and the reference (which may all share arrays) stay fixed
     params = {name: ng.Tensor(p.data.copy(), requires_grad=True) for name, p in params.items()}
-    state = ng.init_adam(params, learning_rate)
+    state = ng.init_adam(params, schedule.learning_rate)
     log = TrainLog()
     n = temporal.shape[0]
-    for epoch in range(1, epochs + 1):
+    batch_size = schedule.batch_size
+    for epoch in range(1, schedule.epochs + 1):
         order = derive_rng(seed, "epoch", epoch).permutation(n)
         epoch_loss = 0.0
         epoch_correct = 0
@@ -208,20 +195,25 @@ def _train(
 
 
 def init_pretraining(
-    n_profiles: int, model_config: ModelConfig, schema: FeatureSchema, config: PretrainConfig
+    n_profiles: int, model_config: ModelConfig, schema: FeatureSchema, seed: int
 ) -> tuple[ModelConfig, ParamSet]:
     """The n-way pretraining model (one head class per profile) and its
     starting parameters."""
     pretrain_model = replace(model_config, head_classes=n_profiles)
-    return pretrain_model, M.init_params(pretrain_model, schema, seed=config.seed)
+    return pretrain_model, M.init_params(pretrain_model, schema, seed=seed)
 
 
 def nprl_pretrain(
-    temporal: Array, statics: Array, model_config: ModelConfig, schema: FeatureSchema, config: PretrainConfig
+    temporal: Array,
+    statics: Array,
+    model_config: ModelConfig,
+    schema: FeatureSchema,
+    schedule: Schedule,
+    seed: int,
 ) -> tuple[ParamSet, TrainLog]:
     """Instance-discrimination pretraining: an n-way head where the target of
     each profile is its own row. It takes no labels, so it cannot see the
-    outcome.
+    outcome. ``seed`` draws the starting parameters and the batch order.
 
     The log has one row per training epoch; ``identify`` measures any
     parameter set against the same targets.
@@ -229,17 +221,9 @@ def nprl_pretrain(
     n = len(temporal)
     if n < 2:
         raise InputError("pretraining needs at least two profiles")
-    pretrain_model, params = init_pretraining(n, model_config, schema, config)
+    pretrain_model, params = init_pretraining(n, model_config, schema, seed)
     return _train(
-        temporal,
-        statics,
-        np.arange(n, dtype=np.int64),
-        params,
-        pretrain_model,
-        epochs=config.epochs,
-        batch_size=config.batch_size,
-        learning_rate=config.learning_rate,
-        seed=config.seed,
+        temporal, statics, np.arange(n, dtype=np.int64), params, pretrain_model, schedule=schedule, seed=seed
     )
 
 
@@ -276,8 +260,11 @@ def finetune(
     config: FinetuneConfig,
     model_config: ModelConfig,
     schema: FeatureSchema,
+    seed: int,
+    class_weights: Array | None = None,
 ) -> tuple[ParamSet, TrainLog]:
-    """Outcome training started at the pretrained parameters.
+    """Outcome training started at the pretrained parameters, batches
+    shuffled from ``seed``.
 
     ``theta0`` must already carry the outcome head (see ``replace_head``); the
     head is excluded from both the penalty and the projection since it did not
@@ -287,19 +274,14 @@ def finetune(
     """
     if theta0["head.W"].dims[1] != model_config.head_classes:
         raise InputError("theta0 head does not match the configured class count; call replace_head first")
-    class_weights = None
-    if config.loss == "class_balanced":
-        class_weights = class_balanced_weights(labels)
     return _train(
         temporal,
         statics,
         labels,
         theta0,
         model_config,
-        epochs=config.epochs,
-        batch_size=config.batch_size,
-        learning_rate=config.learning_rate,
-        seed=config.seed,
+        schedule=config,
+        seed=seed,
         class_weights=class_weights,
         theta0=theta0,
         lam=config.lam if config.mode == "regularized" else 0.0,
@@ -313,25 +295,13 @@ def train_baseline(
     labels: Array,
     model_config: ModelConfig,
     schema: FeatureSchema,
-    config: BaselineConfig,
+    schedule: Schedule,
+    seed: int,
     class_weights: Array | None = None,
-    initial_params: ParamSet | None = None,
 ) -> tuple[ParamSet, TrainLog]:
-    """Randomly initialized ERM training; the comparison arm for everything."""
-    params = (
-        initial_params
-        if initial_params is not None
-        else M.init_params(model_config, schema, seed=config.seed)
-    )
+    """Randomly initialized ERM training, the comparison arm for everything;
+    ``seed`` draws the starting parameters and the batch order."""
+    params = M.init_params(model_config, schema, seed=seed)
     return _train(
-        temporal,
-        statics,
-        labels,
-        params,
-        model_config,
-        epochs=config.epochs,
-        batch_size=config.batch_size,
-        learning_rate=config.learning_rate,
-        seed=config.seed,
-        class_weights=class_weights,
+        temporal, statics, labels, params, model_config, schedule=schedule, seed=seed, class_weights=class_weights
     )

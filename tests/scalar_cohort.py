@@ -21,8 +21,8 @@ from nprl.cohort import (
 from nprl.util import derive_rng
 
 
-def gen_patient(position: int, septic: bool, config: GeneratorConfig) -> PatientRecord:
-    rng = derive_rng(config.seed, "patient", position)
+def gen_patient(position: int, septic: bool, config: GeneratorConfig, seed: int) -> PatientRecord:
+    rng = derive_rng(seed, "patient", position)
     admit = BASE_TS + int(rng.integers(0, 24 * 365)) * HOUR
     los_days = int(rng.integers(config.los_day_min, config.los_day_max + 1))
     los_hours = 24 * los_days
@@ -109,11 +109,11 @@ def gen_patient(position: int, septic: bool, config: GeneratorConfig) -> Patient
     )
 
 
-def generate_cohort(config: GeneratorConfig) -> list[PatientRecord]:
+def generate_cohort(config: GeneratorConfig, seed: int) -> list[PatientRecord]:
     quota = _septic_quota(config)
-    order = derive_rng(config.seed, "assignment").permutation(config.n_patients)
+    order = derive_rng(seed, "assignment").permutation(config.n_patients)
     septic_positions = set(int(i) for i in order[:quota])
-    records = [gen_patient(i, i in septic_positions, config) for i in range(config.n_patients)]
+    records = [gen_patient(i, i in septic_positions, config, seed) for i in range(config.n_patients)]
     if config.missing_rate > 0.0:
-        records = inject_missingness(records, config.missing_rate, config.seed)
+        records = inject_missingness(records, config.missing_rate, seed)
     return records

@@ -30,7 +30,7 @@ INSTANCE_FILES = ("instances.csv", "instances.schema.txt")
 
 def write_all(d: Path) -> None:
     """One small artifact of every kind under ``d``."""
-    records = C.generate_cohort(C.GeneratorConfig(n_patients=3, seed=5, missing_rate=0.1, los_day_min=5, los_day_max=6))
+    records = C.generate_cohort(C.GeneratorConfig(n_patients=3, missing_rate=0.1, los_day_min=5, los_day_max=6), 5)
     C.write_cohort(records, d, header_comment=HEADER)
     instances, schema = P.select_features(P.extract_instances(records), P.full_schema(), {1, 2})
     P.write_instances(instances[:4], schema, d / "instances.csv", d / "instances.schema.txt", HEADER)
@@ -336,7 +336,7 @@ class TestBlockReads:
             READERS["cohort" if name == "hourly.csv" else "instances"][1](run)
 
     def test_block_size_does_not_change_what_is_read(self, tmp_path, monkeypatch):
-        records = C.generate_cohort(C.GeneratorConfig(n_patients=6, seed=4, missing_rate=0.1, sepsis_fraction=0.5))
+        records = C.generate_cohort(C.GeneratorConfig(n_patients=6, missing_rate=0.1, sepsis_fraction=0.5), 4)
         assert any(C.planted_onset(r) is not None for r in records)
         assert np.isnan(np.concatenate([r.hourly for r in records])).any()
         ends = np.cumsum([r.los_hours for r in records])
@@ -368,7 +368,7 @@ class TestBlockReads:
     def test_read_cohort_peak_memory_follows_the_block(self, tmp_path, monkeypatch):
         # converting the whole of hourly.csv at once peaked at 11.6 times the
         # memory the records keep; block by block it is 1.4 times
-        C.write_cohort(C.generate_cohort(C.GeneratorConfig(n_patients=40, seed=3, missing_rate=0.05)), tmp_path)
+        C.write_cohort(C.generate_cohort(C.GeneratorConfig(n_patients=40, missing_rate=0.05), 3), tmp_path)
         monkeypatch.setattr(A, "READ_BLOCK", 256)
         tracemalloc.start()
         try:
@@ -394,7 +394,7 @@ GOLDEN_SHA256 = {
 
 
 def test_golden_cohort_and_instance_bytes(tmp_path):
-    records = C.generate_cohort(C.GeneratorConfig(n_patients=20, seed=3, missing_rate=0.05))
+    records = C.generate_cohort(C.GeneratorConfig(n_patients=20, missing_rate=0.05), 3)
     assert sum(C.planted_onset(r) is not None for r in records) == 3
     assert np.isnan(np.concatenate([r.hourly for r in records])).any()
     header = "config_hash=abc seed=3"

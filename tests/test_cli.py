@@ -70,6 +70,17 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             cli.RunConfig.load(str(path), [])
 
+    def test_config_file_keys_are_case_sensitive(self, tmp_path):
+        # as in --set: a key that differs from a known one only in case is unknown
+        path = tmp_path / "run.ini"
+        path.write_text("[run]\nSeed = 8\n")
+        with pytest.raises(ConfigError, match=r"run\.ini: run\.Seed: unknown key$"):
+            cli.RunConfig.load(str(path), [])
+
+    def test_override_keys_are_case_sensitive(self):
+        with pytest.raises(ConfigError, match=r"^unknown override target run\.Seed$"):
+            cli.RunConfig.load(None, ["run.Seed=8"])
+
     @pytest.mark.parametrize(
         "override, message",
         [

@@ -14,28 +14,28 @@ THEORY_SET = Path(__file__).resolve().parents[1] / "configs" / "theory_set.ini"
 
 
 def tiny_config(**kwargs):
-    defaults = dict(n_patients=12, seed=7, missing_rate=0.0)
+    defaults = dict(n_patients=12, missing_rate=0.0)
     defaults.update(kwargs)
     return C.GeneratorConfig(**defaults)
 
 
 class TestGenerateCohort:
     def test_exact_septic_quota(self):
-        records = C.generate_cohort(C.GeneratorConfig(n_patients=200, sepsis_fraction=0.17, seed=7, missing_rate=0.0))
+        records = C.generate_cohort(C.GeneratorConfig(n_patients=200, sepsis_fraction=0.17, missing_rate=0.0), 7)
         septic = [r for r in records if C.planted_onset(r) is not None]
         assert len(septic) == 34
 
     def test_deterministic(self):
-        a = C.generate_cohort(tiny_config())
-        b = C.generate_cohort(tiny_config())
+        a = C.generate_cohort(tiny_config(), 7)
+        b = C.generate_cohort(tiny_config(), 7)
         assert a == b
 
     def test_rejects_empty_cohort(self):
         with pytest.raises(InputError):
-            C.generate_cohort(tiny_config(n_patients=0))
+            C.generate_cohort(tiny_config(n_patients=0), 7)
 
     def test_onset_within_day_range(self):
-        records = C.generate_cohort(tiny_config(n_patients=60, seed=3))
+        records = C.generate_cohort(tiny_config(n_patients=60), 3)
         for r in records:
             onset = C.planted_onset(r)
             if onset is None:
@@ -44,14 +44,14 @@ class TestGenerateCohort:
             assert 3 <= day <= 14
 
     def test_cumulative_fields_monotone(self):
-        records = C.generate_cohort(tiny_config(n_patients=20, seed=5))
+        records = C.generate_cohort(tiny_config(n_patients=20), 5)
         for r in records:
             for name in C.CUMULATIVE_FIELDS:
                 series = r.hourly[:, C.HOURLY_FIELDS.index(name)]
                 assert all(a <= b for a, b in zip(series, series[1:]))
 
     def test_sofa_in_range_and_hourly_grid(self):
-        records = C.generate_cohort(tiny_config(n_patients=10, seed=2))
+        records = C.generate_cohort(tiny_config(n_patients=10), 2)
         for r in records:
             assert all(0 <= s <= 24 for _, s in r.sofa)
             for prev, cur in zip(r.hours, r.hours[1:]):
@@ -61,7 +61,7 @@ class TestGenerateCohort:
             assert r.hourly.shape == (r.los_hours, len(C.HOURLY_FIELDS))
 
     def test_vitals_within_configured_ranges(self):
-        records = C.generate_cohort(tiny_config(n_patients=15, seed=9))
+        records = C.generate_cohort(tiny_config(n_patients=15), 9)
         config = tiny_config()
         for r in records:
             for name in C.VITAL_FIELDS:
@@ -70,31 +70,30 @@ class TestGenerateCohort:
                     assert not np.isnan(v) and vp.lo <= v <= vp.hi
 
     def test_statics_length(self):
-        records = C.generate_cohort(tiny_config())
+        records = C.generate_cohort(tiny_config(), 7)
         assert all(len(r.statics) == len(C.STATIC_FEATURES) for r in records)
 
 
 # The batched generator against the scalar one: the defaults over more than
-# one group of patients, the jittery theory-set vitals, and no drift at all.
+# one group of patients, the jittery theory-set vitals, and no drift at all;
+# each a (config, seed) pair.
 ORACLE_CONFIGS = {
-    "defaults": lambda: C.GeneratorConfig(n_patients=C.VITAL_GROUP + 6, seed=11),
-    "theory_set": lambda: cli.RunConfig.load(str(THEORY_SET), []).generator,
-    "no_drift": lambda: C.GeneratorConfig(
-        n_patients=40,
-        seed=5,
-        sepsis_fraction=0.5,
-        drift_heart_rate=0.0,
-        drift_temperature=0.0,
-        drift_resp_rate=0.0,
+    "defaults": lambda: (C.GeneratorConfig(n_patients=C.VITAL_GROUP + 6), 11),
+    "theory_set": lambda: (cli.RunConfig.load(str(THEORY_SET), []).generator, 7),
+    "no_drift": lambda: (
+        C.GeneratorConfig(
+            n_patients=40, sepsis_fraction=0.5, drift_heart_rate=0.0, drift_temperature=0.0, drift_resp_rate=0.0
+        ),
+        5,
     ),
 }
 
 
 @pytest.mark.parametrize("name", ORACLE_CONFIGS)
 def test_generator_matches_scalar_oracle(name):
-    config = ORACLE_CONFIGS[name]()
-    records = C.generate_cohort(config)
-    expected = scalar_generate_cohort(config)
+    config, seed = ORACLE_CONFIGS[name]()
+    records = C.generate_cohort(config, seed)
+    expected = scalar_generate_cohort(config, seed)
     assert len(records) == len(expected) == config.n_patients
     for record, reference in zip(records, expected):
         assert record == reference, record.patient_id
@@ -135,11 +134,11 @@ class TestVitalParams:
 
 class TestInjectMissingness:
     def test_rate_zero_unchanged(self):
-        records = C.generate_cohort(tiny_config())
+        records = C.generate_cohort(tiny_config(), 7)
         assert C.inject_missingness(records, 0.0, seed=1) is records
 
     def test_blank_count_within_binomial_bound(self):
-        records = C.generate_cohort(tiny_config(n_patients=12, seed=1))
+        records = C.generate_cohort(tiny_config(n_patients=12), 1)
         blanked = C.inject_missingness(records, 0.2, seed=4)
         eligible = blank_count = 0
         for r in blanked:
@@ -153,7 +152,7 @@ class TestInjectMissingness:
         assert abs(blank_count - mean) < 3 * sigma
 
     def test_first_row_never_blanked(self):
-        records = C.generate_cohort(tiny_config(n_patients=20, seed=6))
+        records = C.generate_cohort(tiny_config(n_patients=20), 6)
         blanked = C.inject_missingness(records, 0.5, seed=8)
         for r in blanked:
             for v in r.hourly[0]:
@@ -166,20 +165,20 @@ class TestInjectMissingness:
 
 class TestCsvRoundTrip:
     def test_round_trip_equality(self, tmp_path):
-        records = C.generate_cohort(tiny_config(n_patients=8, seed=11, missing_rate=0.15))
+        records = C.generate_cohort(tiny_config(n_patients=8, missing_rate=0.15), 11)
         C.write_cohort(records, tmp_path)
         loaded = C.read_cohort(tmp_path)
         assert loaded == records
 
     def test_byte_identical_rewrites(self, tmp_path):
-        records = C.generate_cohort(tiny_config(n_patients=5, seed=3))
+        records = C.generate_cohort(tiny_config(n_patients=5), 3)
         C.write_cohort(records, tmp_path / "a")
         C.write_cohort(records, tmp_path / "b")
         for name in ("patients.csv", "hourly.csv", "sofa.csv", "cultures.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_missing_cell_stays_missing(self, tmp_path):
-        records = C.generate_cohort(tiny_config(n_patients=6, seed=13, missing_rate=0.3))
+        records = C.generate_cohort(tiny_config(n_patients=6, missing_rate=0.3), 13)
         C.write_cohort(records, tmp_path)
         loaded = C.read_cohort(tmp_path)
         some_missing = False
@@ -191,7 +190,7 @@ class TestCsvRoundTrip:
         assert some_missing
 
     def test_out_of_order_hourly_rows_rejected(self, tmp_path):
-        records = C.generate_cohort(tiny_config(n_patients=2, seed=1))
+        records = C.generate_cohort(tiny_config(n_patients=2), 1)
         C.write_cohort(records, tmp_path)
         path = tmp_path / "hourly.csv"
         lines = path.read_text().splitlines()
@@ -201,7 +200,7 @@ class TestCsvRoundTrip:
             C.read_cohort(tmp_path)
 
     def test_malformed_row_reports_line(self, tmp_path):
-        records = C.generate_cohort(tiny_config(n_patients=2, seed=1))
+        records = C.generate_cohort(tiny_config(n_patients=2), 1)
         C.write_cohort(records, tmp_path)
         path = tmp_path / "hourly.csv"
         lines = path.read_text().splitlines()
@@ -211,7 +210,7 @@ class TestCsvRoundTrip:
             C.read_cohort(tmp_path)
 
     def test_non_integer_sofa_score_reports_line(self, tmp_path):
-        records = C.generate_cohort(tiny_config(n_patients=2, seed=1))
+        records = C.generate_cohort(tiny_config(n_patients=2), 1)
         C.write_cohort(records, tmp_path)
         path = tmp_path / "sofa.csv"
         lines = path.read_text().splitlines()
@@ -221,7 +220,7 @@ class TestCsvRoundTrip:
             C.read_cohort(tmp_path)
 
     def test_header_comments_skipped(self, tmp_path):
-        records = C.generate_cohort(tiny_config(n_patients=3, seed=2))
+        records = C.generate_cohort(tiny_config(n_patients=3), 2)
         C.write_cohort(records, tmp_path, header_comment="config_hash=abc seed=1")
         assert C.read_cohort(tmp_path) == records
 
@@ -233,7 +232,7 @@ class TestDayArithmetic:
         assert C.day_start(admit, 3) == datetime(2024, 3, 7, 0, 0)
 
     def test_septic_patients_get_post_onset_sofa_rise(self):
-        records = C.generate_cohort(tiny_config(n_patients=40, seed=21))
+        records = C.generate_cohort(tiny_config(n_patients=40), 21)
         for r in records:
             onset = C.planted_onset(r)
             if onset is None:

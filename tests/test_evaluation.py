@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -129,7 +130,7 @@ class TestRocPoints:
 def tiny_dataset(n_patients=24, seed=0):
     from nprl.cohort import GeneratorConfig, generate_cohort
 
-    records = generate_cohort(GeneratorConfig(n_patients=n_patients, seed=seed))
+    records = generate_cohort(GeneratorConfig(n_patients=n_patients), seed)
     instances = P.extract_instances(records)
     return P.select_features(instances, P.full_schema(), {1, 3})
 
@@ -137,9 +138,9 @@ def tiny_dataset(n_patients=24, seed=0):
 def tiny_configs():
     return E.ArmConfigs(
         model=M.ModelConfig(gru_hidden=4, trunk_widths=(8,), head_classes=2),
-        pretrain=T.PretrainConfig(epochs=2),
+        pretrain=T.Schedule(epochs=2),
         finetune=T.FinetuneConfig(epochs=2),
-        baseline=T.BaselineConfig(epochs=2),
+        baseline=T.Schedule(epochs=2),
         resample_target=40,
     )
 
@@ -217,6 +218,30 @@ class TestCrossValidate:
         split = P.stratified_kfold(instances, k=3, seed=2)
         E.cross_validate(instances, schema, split, "nprl", tiny_configs(), seed=3)
         assert passes == [2] * split.k
+
+    def test_class_balanced_finetune_weighs_by_the_eval_scheme(self, monkeypatch):
+        # finetune.loss=class_balanced takes [eval]'s weight scheme and beta,
+        # as the class-balanced arms do; the plain loss weighs nothing
+        seen = []
+
+        def finetune(temporal, statics, labels, theta0, *args, class_weights=None):
+            seen.append((labels, class_weights))
+            return theta0, None
+
+        monkeypatch.setattr(T, "finetune", finetune)
+        instances, schema = tiny_dataset(seed=11)
+        arrays = P.stack_instances(instances)
+        plain = T.FinetuneConfig(epochs=1, resample=False)
+        balanced = replace(plain, loss="class_balanced")
+        runs = ((plain, "effective_number"), (balanced, "inverse_frequency"), (balanced, "effective_number"))
+        for finetune_config, scheme in runs:
+            cfg = replace(tiny_configs(), finetune=finetune_config, weight_scheme=scheme, effective_beta=0.99)
+            E._fit_arm("nprl", *arrays, schema, cfg, seed=4)
+        (_, none), (labels, inverse), (_, effective) = seen
+        assert none is None
+        np.testing.assert_array_equal(inverse, T.class_balanced_weights(labels))
+        np.testing.assert_array_equal(effective, T.class_balanced_weights(labels, "effective_number", 0.99))
+        assert not np.allclose(inverse, effective)
 
     def test_worker_pool_matches_serial(self):
         instances, schema = tiny_dataset(seed=6)

@@ -329,27 +329,30 @@ class TestFusedGru:
         np.testing.assert_allclose(rep.data, expected, rtol=0.0, atol=1e-12)
 
     def test_grad_check_with_weights_shared_across_directions(self):
-        # both directions read the same leaf tensors, so each leaf gathers
-        # gradient from two fused nodes; no relu anywhere, so the central
-        # differences can use a small step
+        # both directions read the same fused tensors, so each per-gate leaf
+        # gathers gradient from two fused nodes; no relu anywhere, so the
+        # central differences can use a small step
         schema = M.FeatureSchema(("a", "b", "c", "d", "e"))
         config = M.ModelConfig(gru_hidden=4, trunk_widths=(), head_classes=2)
+        params = M.init_params(config, schema, seed=0)
         shared = {
-            n: t for n, t in M.init_params(config, schema, seed=0).items() if not n.startswith("gru_bwd.")
+            name: Tensor(block, requires_grad=True)
+            for name, block in per_gate(params)
+            if not name.startswith("gru_bwd.")
         }
         temporal = np.random.default_rng(0).normal(size=(4, 9, 5))
         labels = np.array([0, 1, 1, 0])
 
         def fn(p):
-            full = dict(p)
-            for name in p:
-                if name.startswith("gru_fwd."):
-                    full[name.replace("gru_fwd.", "gru_bwd.")] = p[name]
+            full = fuse_tensors(p)
+            for name in [n for n in full if n.startswith("gru_fwd.")]:
+                full[name.replace("gru_fwd.", "gru_bwd.")] = full[name]
             logits, _ = M.forward_batch(temporal, np.zeros((4, 0)), full, config)
             return ng.cross_entropy(logits, labels)
 
-        # 32 samples per fused tensor leave every gate block at least the 8
-        # (all 4 of a bias block) that one tensor per gate got with 8 at seed 0
+        # checked one tensor per gate block: no block holds more than 32
+        # coordinates, so every coordinate of every gate is checked
+        assert max(t.data.size for n, t in shared.items() if n.startswith("gru_")) <= 32
         assert ng.grad_check(fn, shared, step=1e-5, max_coords_per_tensor=32) < 1e-5
 
     @pytest.mark.parametrize("gate", ["z", "r", "h"])

@@ -226,11 +226,11 @@ class TestAdam:
             ng.adam_step(params, {"w": np.zeros(4)}, state)
 
     def test_bad_hyperparameters(self):
+        # the learning rate is the one Adam hyperparameter a caller sets
         params = {"w": Tensor(np.zeros(1), requires_grad=True)}
-        with pytest.raises(InputError):
-            ng.init_adam(params, learning_rate=0.1, beta1=1.0)
-        with pytest.raises(InputError):
-            ng.init_adam(params, learning_rate=0.1, epsilon=0.0)
+        for learning_rate in (0.0, -0.1, float("nan")):
+            with pytest.raises(InputError, match="learning rate must be positive"):
+                ng.init_adam(params, learning_rate)
 
 
 class TestGradCheck:

@@ -112,10 +112,9 @@ class TestEstimateLipschitz:
 class TestMeanAbsCosine:
     def test_cosine_stats_reported(self):
         temporal, statics, _ = toy_arrays(n=30, seed=7)
-        config = T.PretrainConfig(epochs=2, seed=3)
-        params, _ = T.nprl_pretrain(temporal, statics, NORM_CONFIG, SCHEMA, config)
+        params, _ = T.nprl_pretrain(temporal, statics, NORM_CONFIG, SCHEMA, T.Schedule(epochs=2), seed=3)
         _, _, reps = T.identify(temporal, statics, params, NORM_CONFIG)
-        mean_abs_cosine = TH.mean_abs_cosine(reps, config.seed)
+        mean_abs_cosine = TH.mean_abs_cosine(reps, seed=3)
         gram = reps @ reps.T  # unit-norm rows
         mean_cosine = (gram.sum() - np.trace(gram)) / (30 * 29)
         assert -1.0 <= mean_cosine <= 1.0
@@ -238,8 +237,8 @@ class TestTheoryProtocol:
         data = toy_arrays(n=40, seed=9)
         config = TH.TheoryConfig(
             model=NORM_CONFIG,
-            pretrain=T.PretrainConfig(epochs=3, seed=1),
-            finetune=T.FinetuneConfig(mode="projected", gamma=1.0, epochs=2, seed=2),
+            pretrain=T.Schedule(epochs=3),
+            finetune=T.Schedule(epochs=2, learning_rate=1e-4),
             n_probes=3,
             n_pairs=500,
             safety=2.0,
@@ -266,8 +265,8 @@ class TestTheoryProtocol:
         monkeypatch.setattr(M, "gru_layer", counting)
         config = TH.TheoryConfig(
             model=NORM_CONFIG,
-            pretrain=T.PretrainConfig(epochs=2, seed=1),
-            finetune=T.FinetuneConfig(mode="projected", gamma=1.0, epochs=1, seed=2),
+            pretrain=T.Schedule(epochs=2),
+            finetune=T.Schedule(epochs=1, learning_rate=1e-4),
             n_probes=2,
             n_pairs=200,
         )
@@ -283,8 +282,8 @@ class TestTheoryProtocol:
         data = toy_arrays(n=30, seed=10)
         config = TH.TheoryConfig(
             model=NORM_CONFIG,
-            pretrain=T.PretrainConfig(epochs=2, seed=1),
-            finetune=T.FinetuneConfig(mode="projected", gamma=1.0, epochs=1, seed=2),
+            pretrain=T.Schedule(epochs=2),
+            finetune=T.Schedule(epochs=1, learning_rate=1e-4),
             n_probes=2,
             n_pairs=200,
         )

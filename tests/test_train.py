@@ -95,14 +95,14 @@ class TestPretrain:
     def test_tiny_set_reaches_full_identification(self):
         temporal, statics, _ = toy_arrays(0, 40, seed=5, separable=False)
         params, _ = T.nprl_pretrain(
-            temporal, statics, CONFIG, SCHEMA, T.PretrainConfig(epochs=200, learning_rate=3e-3, seed=1)
+            temporal, statics, CONFIG, SCHEMA, T.Schedule(epochs=200, learning_rate=3e-3), seed=1
         )
         assert T.identify(temporal, statics, params, CONFIG)[1] == 1.0
         assert params["head.W"].dims[1] == 40
 
     def test_log_holds_only_training_epochs(self):
         temporal, statics, _ = toy_arrays(0, 20, seed=6, separable=False)
-        _, log = T.nprl_pretrain(temporal, statics, CONFIG, SCHEMA, T.PretrainConfig(epochs=3, seed=2))
+        _, log = T.nprl_pretrain(temporal, statics, CONFIG, SCHEMA, T.Schedule(epochs=3), seed=2)
         assert [row.epoch for row in log.epochs] == [1, 2, 3]
 
     def test_starts_from_init_pretraining(self, monkeypatch):
@@ -113,9 +113,8 @@ class TestPretrain:
             T, "_train", lambda temporal, statics, labels, params, model, **kw: started.append((params, model))
         )
         temporal, statics, _ = toy_arrays(0, 12, seed=9, separable=False)
-        config = T.PretrainConfig(epochs=1, seed=5)
-        T.nprl_pretrain(temporal, statics, CONFIG, SCHEMA, config)
-        model, initial = T.init_pretraining(len(temporal), CONFIG, SCHEMA, config)
+        T.nprl_pretrain(temporal, statics, CONFIG, SCHEMA, T.Schedule(epochs=1), seed=5)
+        model, initial = T.init_pretraining(len(temporal), CONFIG, SCHEMA, seed=5)
         ((params, used_model),) = started
         assert used_model == model and model.head_classes == 12
         assert {n: p.data.tobytes() for n, p in params.items()} == {n: p.data.tobytes() for n, p in initial.items()}
@@ -126,8 +125,7 @@ class TestPretrain:
         # compute_representations, over more rows than one forward chunk
         temporal, statics, _ = toy_arrays(0, 600, seed=8, separable=False)
         assert len(temporal) > M.FORWARD_CHUNK
-        config = T.PretrainConfig(epochs=1, seed=4)
-        params, _ = T.nprl_pretrain(temporal, statics, CONFIG, SCHEMA, config)
+        params, _ = T.nprl_pretrain(temporal, statics, CONFIG, SCHEMA, T.Schedule(epochs=1), seed=4)
         _, accuracy, final_reps = T.identify(temporal, statics, params, CONFIG)
         model = M.ModelConfig(gru_hidden=4, trunk_widths=(8,), head_classes=600)
         detached = ng.detach(params)
@@ -137,7 +135,7 @@ class TestPretrain:
             correct += int((logits.data.argmax(axis=1) == np.arange(lo, min(lo + 512, 600))).sum())
         reps = M.compute_representations(temporal, statics, params, model)
         assert accuracy == correct / 600
-        assert TH.mean_abs_cosine(final_reps, config.seed) == TH.mean_abs_cosine(reps, config.seed)
+        assert TH.mean_abs_cosine(final_reps, 4) == TH.mean_abs_cosine(reps, 4)
         np.testing.assert_array_equal(final_reps, reps)  # theory uses them as theta0's
 
     def test_identify_needs_one_head_class_per_profile(self):
@@ -149,7 +147,7 @@ class TestPretrain:
 class TestFinetune:
     def _pretrained(self, data, seed=0):
         temporal, statics, _ = data
-        theta0, _ = T.nprl_pretrain(temporal, statics, CONFIG, SCHEMA, T.PretrainConfig(epochs=2, seed=seed))
+        theta0, _ = T.nprl_pretrain(temporal, statics, CONFIG, SCHEMA, T.Schedule(epochs=2), seed)
         return M.replace_head(theta0, 2, seed=seed)
 
     def test_step_zero_distance_is_zero(self):
@@ -160,16 +158,16 @@ class TestFinetune:
     def test_huge_penalty_pins_parameters(self):
         data = toy_arrays(6, 10, seed=9)
         theta0 = self._pretrained(data)
-        config = T.FinetuneConfig(mode="regularized", lam=1e6, learning_rate=1e-8, epochs=1, seed=1)
-        params, _ = T.finetune(*data, theta0, config, CONFIG, SCHEMA)
+        config = T.FinetuneConfig(mode="regularized", lam=1e6, learning_rate=1e-8, epochs=1)
+        params, _ = T.finetune(*data, theta0, config, CONFIG, SCHEMA, seed=1)
         assert M.frobenius_distance(params, theta0) < 1e-6
 
     def test_projected_mode_respects_radius(self):
         data = toy_arrays(6, 10, seed=10)
         theta0 = self._pretrained(data)
         gamma = 0.05
-        config = T.FinetuneConfig(mode="projected", gamma=gamma, learning_rate=1e-2, epochs=3, seed=2)
-        params, log = T.finetune(*data, theta0, config, CONFIG, SCHEMA)
+        config = T.FinetuneConfig(mode="projected", gamma=gamma, learning_rate=1e-2, epochs=3)
+        params, log = T.finetune(*data, theta0, config, CONFIG, SCHEMA, seed=2)
         assert M.frobenius_distance(params, theta0) <= gamma + 1e-9
         assert log.epochs[-1].frob_dist <= gamma + 1e-9
 
@@ -177,18 +175,17 @@ class TestFinetune:
         data = toy_arrays(6, 10)
         theta0 = self._pretrained(data)
         with pytest.raises(InputError):
-            T.finetune(
-                *data, theta0, T.FinetuneConfig(mode="projected", gamma=0.0), CONFIG, SCHEMA
-            )
+            T.finetune(*data, theta0, T.FinetuneConfig(mode="projected", gamma=0.0), CONFIG, SCHEMA, seed=0)
 
     def test_lambda_zero_matches_baseline_trajectory(self):
         data = toy_arrays(6, 10, seed=11)
         theta0 = self._pretrained(data, seed=4)
         seed = 123
-        ft_config = T.FinetuneConfig(mode="regularized", lam=0.0, learning_rate=1e-3, epochs=3, seed=seed)
-        ft_params, ft_log = T.finetune(*data, theta0, ft_config, CONFIG, SCHEMA)
-        bl_config = T.BaselineConfig(epochs=3, batch_size=64, learning_rate=1e-3, seed=seed)
-        bl_params, bl_log = T.train_baseline(*data, CONFIG, SCHEMA, bl_config, initial_params=theta0)
+        ft_config = T.FinetuneConfig(mode="regularized", lam=0.0, learning_rate=1e-3, epochs=3)
+        ft_params, ft_log = T.finetune(*data, theta0, ft_config, CONFIG, SCHEMA, seed)
+        # the plain training loop from theta0, as a baseline run started there
+        schedule = T.Schedule(epochs=3, batch_size=64, learning_rate=1e-3)
+        bl_params, bl_log = T._train(*data, theta0, CONFIG, schedule, seed)
         for name in ft_params:
             np.testing.assert_array_equal(ft_params[name].data, bl_params[name].data)
         assert [(e.loss, e.accuracy, e.frob_dist) for e in ft_log.epochs] == [
@@ -198,8 +195,8 @@ class TestFinetune:
     @pytest.mark.parametrize(
         "config",
         [
-            T.FinetuneConfig(mode="regularized", lam=0.1, learning_rate=1e-2, epochs=2, seed=1),
-            T.FinetuneConfig(mode="projected", gamma=0.05, learning_rate=1e-2, epochs=2, seed=1),
+            T.FinetuneConfig(mode="regularized", lam=0.1, learning_rate=1e-2, epochs=2),
+            T.FinetuneConfig(mode="projected", gamma=0.05, learning_rate=1e-2, epochs=2),
         ],
         ids=["regularized", "projected"],
     )
@@ -207,7 +204,7 @@ class TestFinetune:
         data = toy_arrays(6, 10, seed=17)
         theta0 = self._pretrained(data, seed=6)
         before = {name: p.data.tobytes() for name, p in theta0.items()}
-        params, log = T.finetune(*data, theta0, config, CONFIG, SCHEMA)
+        params, log = T.finetune(*data, theta0, config, CONFIG, SCHEMA, seed=1)
         assert {name: p.data.tobytes() for name, p in theta0.items()} == before
         distance = M.frobenius_distance(params, theta0)
         assert distance > 0.0 and log.epochs[-1].frob_dist == distance
@@ -220,10 +217,10 @@ class TestFinetune:
         data = toy_arrays(6, 10, seed=8)
         theta0 = self._pretrained(data)
         projected, _ = T.finetune(
-            *data, theta0, T.FinetuneConfig(mode="projected", gamma=0.05, learning_rate=1e-2, epochs=2, seed=2),
-            CONFIG, SCHEMA,
+            *data, theta0, T.FinetuneConfig(mode="projected", gamma=0.05, learning_rate=1e-2, epochs=2),
+            CONFIG, SCHEMA, seed=2,
         )
-        regularized, _ = T.finetune(*data, theta0, T.FinetuneConfig(epochs=2, seed=3), CONFIG, SCHEMA)
+        regularized, _ = T.finetune(*data, theta0, T.FinetuneConfig(epochs=2), CONFIG, SCHEMA, seed=3)
         digest = hashlib.sha256()
         for params in (theta0, projected, regularized):
             for name, values in per_gate(params):
@@ -233,9 +230,9 @@ class TestFinetune:
 
     def test_head_mismatch_rejected(self):
         data = toy_arrays(6, 10)
-        theta0, _ = T.nprl_pretrain(*data[:2], CONFIG, SCHEMA, T.PretrainConfig(epochs=1))
+        theta0, _ = T.nprl_pretrain(*data[:2], CONFIG, SCHEMA, T.Schedule(epochs=1), seed=0)
         with pytest.raises(InputError):
-            T.finetune(*data, theta0, T.FinetuneConfig(), CONFIG, SCHEMA)
+            T.finetune(*data, theta0, T.FinetuneConfig(), CONFIG, SCHEMA, seed=0)
 
     def test_regularized_gradient_matches_finite_differences_of_summed_objective(self):
         data = toy_arrays(4, 8, seed=12)
@@ -286,41 +283,39 @@ class TestFinetune:
 class TestBaseline:
     def test_deterministic_per_seed(self):
         data = toy_arrays(6, 14, seed=13)
-        config = T.BaselineConfig(epochs=2, seed=9)
-        a, log_a = T.train_baseline(*data, CONFIG, SCHEMA, config)
-        b, log_b = T.train_baseline(*data, CONFIG, SCHEMA, config)
+        schedule = T.Schedule(epochs=2)
+        a, log_a = T.train_baseline(*data, CONFIG, SCHEMA, schedule, seed=9)
+        b, log_b = T.train_baseline(*data, CONFIG, SCHEMA, schedule, seed=9)
         for name in a:
             np.testing.assert_array_equal(a[name].data, b[name].data)
         assert [e.loss for e in log_a.epochs] == [e.loss for e in log_b.epochs]
 
     def test_initial_params_left_unchanged(self):
+        # the training loop trains a copy of the parameters it starts from
         data = toy_arrays(6, 14, seed=18)
         initial = M.init_params(CONFIG, SCHEMA, seed=5)
         before = {name: p.data.tobytes() for name, p in initial.items()}
-        config = T.BaselineConfig(epochs=2, learning_rate=1e-2, seed=2)
-        params, log = T.train_baseline(*data, CONFIG, SCHEMA, config, initial_params=initial)
+        params, log = T._train(*data, initial, CONFIG, T.Schedule(epochs=2, learning_rate=1e-2), seed=2)
         assert {name: p.data.tobytes() for name, p in initial.items()} == before
         distance = M.frobenius_distance(params, initial)
         assert distance > 0.0 and log.epochs[-1].frob_dist == distance
 
     def test_loss_decreases_on_separable_data(self):
         data = toy_arrays(20, 20, seed=14)
-        config = T.BaselineConfig(epochs=5, learning_rate=3e-3, seed=3)
-        _, log = T.train_baseline(*data, CONFIG, SCHEMA, config)
+        _, log = T.train_baseline(*data, CONFIG, SCHEMA, T.Schedule(epochs=5, learning_rate=3e-3), seed=3)
         losses = [e.loss for e in log.epochs]
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_all_negative_data_collapses_to_always_negative(self):
         data = toy_arrays(0, 30, seed=15, separable=False)
-        config = T.BaselineConfig(epochs=5, learning_rate=3e-3, seed=4)
-        params, _ = T.train_baseline(*data, CONFIG, SCHEMA, config)
+        params, _ = T.train_baseline(*data, CONFIG, SCHEMA, T.Schedule(epochs=5, learning_rate=3e-3), seed=4)
         temporal, statics, _ = data
         probs = M.predict_proba(temporal, statics, params, CONFIG)
         assert (probs[:, 0] > 0.5).all()
 
     def test_log_to_csv_round_trip(self, tmp_path):
         data = toy_arrays(5, 9, seed=16)
-        _, log = T.train_baseline(*data, CONFIG, SCHEMA, T.BaselineConfig(epochs=2, seed=1))
+        _, log = T.train_baseline(*data, CONFIG, SCHEMA, T.Schedule(epochs=2), seed=1)
         path = tmp_path / "log.csv"
         log.to_csv(path, header_comment="config_hash=x seed=1")
         lines = path.read_text().splitlines()
