@@ -165,7 +165,7 @@ def _fit_arm(
         # pretraining sees every training row and no label
         theta0, _ = T.nprl_pretrain(temporal, statics, cfg.model, schema, cfg.pretrain, derive_seed(seed, "pretrain"))
         theta0 = M.replace_head(theta0, cfg.model.head_classes, derive_seed(seed, "head"))
-        params, _ = T.finetune(*data, theta0, cfg.finetune, cfg.model, schema, train_seed, class_weights=weights)
+        params, _ = T.finetune(*data, theta0, cfg.finetune, cfg.model, train_seed, class_weights=weights)
     else:
         params, _ = T.train_baseline(*data, cfg.model, schema, cfg.baseline, train_seed, class_weights=weights)
     return params

@@ -9,8 +9,11 @@ and the binary checkpoint format.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
+from functools import partial
+from threading import Thread
 
 import numpy as np
 
@@ -156,76 +159,120 @@ def _sigmoid_(a: Array) -> Array:
     return np.divide(1.0, a, out=a)
 
 
-def _check_finite(a: Array, what: str) -> None:
-    if not np.isfinite(a).all():
+def _check_finite(a: Array, flags: Array, what: str) -> None:
+    """Raise unless every value of ``a`` is finite; ``flags``, a bool array
+    of a's dims, is written instead of a fresh one."""
+    if not np.isfinite(a, out=flags).all():
         raise NumericError(f"non-finite {what} pre-activation")
 
 
-def gru_layer(x: Tensor, params: ParamSet, direction: str, h0: Tensor | None = None) -> Tensor:
-    """One GRU direction over a time-major (steps, batch, T) input, as a single
-    tape node; returns the hidden states batch-major, (batch, steps, H).
+# batch * H^2 from which the two directions of a pass run on two threads;
+# below it, starting the thread costs more than the overlap saves
+TWO_THREAD_WORK = 2**18
 
-        [z | r] = sigmoid(x W_zrh[:, :2H] + h U_zr + b_zrh[:2H])
-        c = tanh(x W_zrh[:, 2H:] + (r * h) U_h + b_zrh[2H:])
-        h' = (1 - z) * h + z * c
 
-    The "bwd" direction runs from the last step to the first; both start at
-    ``h0`` (zeros when omitted). The input GEMM for all steps is hoisted out of
-    the recurrence; each step runs one GEMM against U_zr and one against U_h.
-    When a parent is on the tape the gates are cached, backward runs BPTT in
-    one closure, and the four weight gradients are formed whole after the
-    loop, one GEMM or sum each over all steps.
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):  # not on every platform
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Direction:
+    """One GRU direction of a pass over a (steps * batch, T) time-major input:
+    its weights and every array that its recurrence (``scan``) and its BPTT
+    (``bptt``) write. ``allocate_scan`` and ``allocate_bptt`` allocate them
+    in the calling thread, so a second thread running ``scan`` or ``bptt``
+    allocates nothing; both free their scratch arrays when they finish.
+
+    states[t + rev] is the state entering step t and states[t + 1 - rev] the
+    one leaving it, so both the inputs and the outputs are contiguous runs.
     """
-    prefix = f"gru_{direction}"
-    weights = [params[f"{prefix}.{kind}"] for kind in GRU_TENSORS]
-    w, u_zr, u_h, b = (p.data for p in weights)
-    steps, batch, t_features = x.dims
-    hidden = u_h.shape[0]
-    if w.shape != (t_features, 3 * hidden):
-        raise ShapeError(f"{prefix} expects {w.shape[0]} input features, got {t_features}")
-    b_zr, b_c = b[: 2 * hidden], b[2 * hidden :]
-    proj = (x.data.reshape(steps * batch, t_features) @ w).reshape(steps, batch, 3 * hidden)
-    parents = (x, *weights) + ((h0,) if h0 is not None else ())
-    taped = any(p.requires_grad for p in parents)
 
-    # states[t + rev] is the state entering step t and states[t + 1 - rev] the
-    # one leaving it, so both the inputs and the outputs are contiguous runs.
-    rev = 1 if direction == "bwd" else 0
-    order = range(steps - 1, -1, -1) if rev else range(steps)
-    states = np.empty((steps + 1, batch, hidden))
-    states[steps if rev else 0] = 0.0 if h0 is None else h0.data
-    kept = steps if taped else 1  # forward-only passes reuse one slot
-    gates = np.empty((kept, batch, 2 * hidden))  # sigmoid outputs [z | r]
-    cands = np.empty((kept, batch, hidden))  # tanh candidates
-    reset = np.empty((kept, batch, hidden))  # r * h
-    for t in order:
-        k = t if taped else 0
-        h, zr, c, rh = states[t + rev], gates[k], cands[k], reset[k]
-        np.matmul(h, u_zr, out=zr)
-        zr += proj[t, :, : 2 * hidden]
-        zr += b_zr
-        _check_finite(zr, f"{prefix} gate")
-        _sigmoid_(zr)
-        z, r = zr[:, :hidden], zr[:, hidden:]
-        np.multiply(r, h, out=rh)
-        np.matmul(rh, u_h, out=c)
-        c += proj[t, :, 2 * hidden :]
-        c += b_c
-        _check_finite(c, f"{prefix} candidate")
-        np.tanh(c, out=c)
-        h_new = states[t + 1 - rev]
-        np.subtract(1.0, z, out=h_new)
-        h_new *= h
-        h_new += z * c
-    out = Tensor(states[1 - rev : steps + 1 - rev].transpose(1, 0, 2))
+    def __init__(self, x2d: Array, steps: int, params: ParamSet, name: str):
+        self.prefix = f"gru_{name}"
+        self.weights = [params[f"{self.prefix}.{kind}"] for kind in GRU_TENSORS]
+        self.w, self.u_zr, self.u_h, self.b = (p.data for p in self.weights)
+        self.hidden = self.u_h.shape[0]
+        if self.w.shape != (x2d.shape[1], 3 * self.hidden):
+            raise ShapeError(f"{self.prefix} expects {self.w.shape[0]} input features, got {x2d.shape[1]}")
+        self.x2d = x2d
+        self.rev = 1 if name == "bwd" else 0
+        self.order = range(steps - 1, -1, -1) if self.rev else range(steps)
 
-    def _bw():
-        d_out = out.grad.transpose(1, 0, 2)
-        d_proj = np.empty((steps, batch, 3 * hidden))  # pre-activation grads [z | r | c]
-        work = np.empty((batch, 2 * hidden))
-        dh = np.zeros((batch, hidden))
-        for t in reversed(order):
-            h, zr, c = states[t + rev], gates[t], cands[t]
+    def allocate_scan(self, h0: Tensor | None, taped: bool) -> None:
+        steps, batch, hidden = len(self.order), self.x2d.shape[0] // len(self.order), self.hidden
+        self.taped = taped
+        self.proj = np.empty((steps, batch, 3 * hidden))  # x W_zrh for every step
+        self.states = np.empty((steps + 1, batch, hidden))
+        self.states[steps if self.rev else 0] = 0.0 if h0 is None else h0.data
+        kept = steps if taped else 1  # forward-only passes reuse one slot
+        self.gates = np.empty((kept, batch, 2 * hidden))  # sigmoid outputs [z | r]
+        self.cands = np.empty((kept, batch, hidden))  # tanh candidates
+        self.reset = np.empty((kept, batch, hidden))  # r * h
+        self.zc = np.empty((batch, hidden))  # z * c
+        self.finite = np.empty(batch * 2 * hidden, dtype=bool)  # _check_finite's flags
+
+    @property
+    def outputs(self) -> Array:
+        """The state leaving each step, (steps, batch, H)."""
+        return self.states[1 - self.rev : len(self.states) - self.rev]
+
+    def scan(self) -> None:
+        """The recurrence, with the input GEMM for all steps hoisted out of
+        the loop and one GEMM against U_zr and one against U_h per step:
+
+            [z | r] = sigmoid(x W_zrh[:, :2H] + h U_zr + b_zrh[:2H])
+            c = tanh(x W_zrh[:, 2H:] + (r * h) U_h + b_zrh[2H:])
+            h' = (1 - z) * h + z * c
+        """
+        hidden, proj, states, rev, u_zr, u_h, zc = (
+            self.hidden, self.proj, self.states, self.rev, self.u_zr, self.u_h, self.zc
+        )
+        finite_zr = self.finite.reshape(zc.shape[0], 2 * hidden)
+        finite_c = self.finite[: zc.size].reshape(zc.shape)
+        np.matmul(self.x2d, self.w, out=proj.reshape(self.x2d.shape[0], 3 * hidden))
+        b_zr, b_c = self.b[: 2 * hidden], self.b[2 * hidden :]
+        for t in self.order:
+            k = t if self.taped else 0
+            h, zr, c, rh = states[t + rev], self.gates[k], self.cands[k], self.reset[k]
+            np.matmul(h, u_zr, out=zr)
+            zr += proj[t, :, : 2 * hidden]
+            zr += b_zr
+            _check_finite(zr, finite_zr, f"{self.prefix} gate")
+            _sigmoid_(zr)
+            z, r = zr[:, :hidden], zr[:, hidden:]
+            np.multiply(r, h, out=rh)
+            np.matmul(rh, u_h, out=c)
+            c += proj[t, :, 2 * hidden :]
+            c += b_c
+            _check_finite(c, finite_c, f"{self.prefix} candidate")
+            np.tanh(c, out=c)
+            h_new = states[t + 1 - rev]
+            np.subtract(1.0, z, out=h_new)
+            h_new *= h
+            h_new += np.multiply(z, c, out=zc)
+        self.proj = self.zc = self.finite = None  # scratch that BPTT does not read
+
+    def allocate_bptt(self, input_grad: bool) -> None:
+        steps, batch, hidden = self.outputs.shape
+        self.d_proj = np.empty((steps, batch, 3 * hidden))  # pre-activation grads [z | r | c]
+        self.work = np.empty((batch, 2 * hidden))
+        self.dh = np.zeros((batch, hidden)), np.empty((batch, hidden))  # a state's grad, the one before
+        self.d_hu = np.empty((batch, hidden))  # a gate grad times U_zr.T
+        self.grads = [np.empty_like(a) for a in (self.w, self.u_zr, self.u_h, self.b)]
+        self.d_x = np.empty_like(self.x2d) if input_grad else None
+
+    def bptt(self, d_out: Array) -> None:
+        """Backpropagation through time from the (steps, batch, H) gradient
+        of the outputs. The four weight gradients are formed whole after the
+        loop, one GEMM or sum each over all steps; the input's gradient goes
+        to ``d_x`` when it is allocated, and the initial state's to ``d_h0``."""
+        hidden, states, rev, d_proj, work, u_zr_t, u_h_t = (
+            self.hidden, self.states, self.rev, self.d_proj, self.work, self.u_zr.T, self.u_h.T
+        )
+        dh, spare = self.dh
+        for t in reversed(self.order):
+            h, zr, c = states[t + rev], self.gates[t], self.cands[t]
             z, r = zr[:, :hidden], zr[:, hidden:]
             d_zr, d_c = d_proj[t, :, : 2 * hidden], d_proj[t, :, 2 * hidden :]
             d_z, d_r = d_zr[:, :hidden], d_zr[:, hidden:]
@@ -238,7 +285,7 @@ def gru_layer(x: Tensor, params: ParamSet, direction: str, h0: Tensor | None = N
             np.subtract(1.0, tanh_grad, out=tanh_grad)
             np.multiply(dh, z, out=d_c)
             d_c *= tanh_grad
-            d_rh = d_c @ u_h.T
+            d_rh = np.matmul(d_c, u_h_t, out=spare)
             np.multiply(d_rh, h, out=d_r)
             np.subtract(1.0, zr, out=work)  # sigmoid' = s * (1 - s), both gates
             work *= zr
@@ -250,29 +297,100 @@ def gru_layer(x: Tensor, params: ParamSet, direction: str, h0: Tensor | None = N
             np.subtract(1.0, z, out=carry)
             carry *= dh
             dh_prev += carry
-            dh_prev += d_zr @ u_zr.T
-            dh = dh_prev
-        d_flat = d_proj.reshape(steps * batch, 3 * hidden)
-        prev_states = states[rev : steps + rev].reshape(steps * batch, hidden)
-        d_w = x.data.reshape(steps * batch, t_features).T @ d_flat
-        d_uzr = prev_states.T @ d_flat[:, : 2 * hidden]
-        d_uh = reset.reshape(steps * batch, hidden).T @ d_flat[:, 2 * hidden :]
-        d_b = d_flat.sum(axis=0)
-        for p, g in zip(weights, (d_w, d_uzr, d_uh, d_b)):
-            if p.requires_grad:
-                ng.accumulate(p, g)
-        if x.requires_grad:
-            ng.accumulate(x, (d_flat @ w.T).reshape(x.dims))
-        if h0 is not None and h0.requires_grad:
-            ng.accumulate(h0, dh)
+            dh_prev += np.matmul(d_zr, u_zr_t, out=self.d_hu)
+            dh, spare = dh_prev, dh
+        self.d_h0 = dh
+        d_flat = d_proj.reshape(self.x2d.shape[0], 3 * hidden)
+        prev_states = states[rev : len(states) - 1 + rev].reshape(-1, hidden)
+        d_w, d_uzr, d_uh, d_b = self.grads
+        np.matmul(self.x2d.T, d_flat, out=d_w)
+        np.matmul(prev_states.T, d_flat[:, : 2 * hidden], out=d_uzr)
+        np.matmul(self.reset.reshape(-1, hidden).T, d_flat[:, 2 * hidden :], out=d_uh)
+        np.sum(d_flat, axis=0, out=d_b)
+        if self.d_x is not None:
+            np.matmul(d_flat, self.w.T, out=self.d_x)
+        self.d_proj = self.work = self.dh = self.d_hu = None
+
+
+def _run(jobs: list[tuple], threaded: bool) -> None:
+    """Run (allocate, compute) pairs. Serially, each job allocates just before
+    it computes, so it can reuse what the job before it freed. When
+    ``threaded``, this thread allocates for both jobs and computes the first
+    while a short-lived thread computes the second. Either way an error of
+    the first job is the one raised, as in the serial order, and both run
+    under this thread's floating-point error handling."""
+    if not threaded:
+        for allocate, compute in jobs:
+            allocate()
+            compute()
+        return
+    for allocate, _ in jobs:
+        allocate()
+    (_, first), (_, second) = jobs
+    errstate = np.geterr()  # np.errstate is thread-local
+    failed = []
+
+    def work():
+        try:
+            with np.errstate(**errstate):
+                second()
+        except BaseException as exc:
+            failed.append(exc)
+
+    worker = Thread(target=work)
+    worker.start()
+    try:
+        first()
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
+
+
+def gru_layer(
+    x: Tensor, params: ParamSet, directions: tuple[str, ...] = ("fwd", "bwd"), h0: Tensor | None = None
+) -> Tensor:
+    """GRU directions over a time-major (steps, batch, T) input, as a single
+    tape node; returns their states batch-major and side by side per step,
+    (batch, steps, len(directions) * H), in the order given.
+
+    The "bwd" direction runs from the last step to the first; every
+    direction starts at ``h0`` (zeros when omitted). When a parent is on the
+    tape the gates are cached and backward runs BPTT in one closure.
+    Directions read the same input and share no state: with two of them and
+    batch * H^2 >= TWO_THREAD_WORK on at least two CPUs, the second runs on
+    its own thread, forward and BPTT alike. Each direction does the same
+    operations in the same order either way, and the gradients are summed
+    direction by direction in the order given, so every result is
+    bit-identical to the serial pass.
+    """
+    steps, batch, t_features = x.dims
+    x2d = x.data.reshape(steps * batch, t_features)
+    dirs = [_Direction(x2d, steps, params, name) for name in directions]
+    parents = (x, *(p for d in dirs for p in d.weights)) + ((h0,) if h0 is not None else ())
+    taped = any(p.requires_grad for p in parents)
+    work = batch * dirs[0].hidden ** 2
+    threaded = len(dirs) == 2 and work >= TWO_THREAD_WORK and _usable_cpus() >= 2
+    _run([(partial(d.allocate_scan, h0, taped), d.scan) for d in dirs], threaded)
+    # every state mixes the one before and a tanh, so all are finite
+    out = Tensor(np.concatenate([d.outputs.transpose(1, 0, 2) for d in dirs], axis=-1), checked=True)
+
+    def _bw():
+        grad, lo, jobs = out.grad.transpose(1, 0, 2), 0, []
+        for d in dirs:  # each direction's block of the output's columns
+            d_out, lo = grad[:, :, lo : lo + d.hidden], lo + d.hidden
+            jobs.append((partial(d.allocate_bptt, x.requires_grad), partial(d.bptt, d_out)))
+        _run(jobs, threaded)
+        for d in dirs:
+            for p, g in zip(d.weights, d.grads):
+                if p.requires_grad:
+                    ng.accumulate(p, g)
+            if x.requires_grad:
+                ng.accumulate(x, d.d_x.reshape(x.dims))
+            if h0 is not None and h0.requires_grad:
+                ng.accumulate(h0, d.d_h0)
 
     return ng.attach(out, parents, _bw)
-
-
-def _bigru(x: Tensor, params: ParamSet) -> Tensor:
-    """Per-hour [forward ; backward] states, (batch, steps, 2H), from a
-    time-major input and zero initial states."""
-    return ng.concat_cols([gru_layer(x, params, "fwd"), gru_layer(x, params, "bwd")])
 
 
 def represent(temporal: Array, statics: Array, params: ParamSet, config: ModelConfig) -> Tensor:
@@ -298,7 +416,7 @@ def represent(temporal: Array, statics: Array, params: ParamSet, config: ModelCo
         raise ShapeError("static features do not match the model's static branch")
 
     # hour-major layout [fwd_0, bwd_0, fwd_1, ...], fixed for checkpoints
-    per_hour = _bigru(Tensor(temporal.transpose(1, 0, 2)), params)
+    per_hour = gru_layer(Tensor(temporal.transpose(1, 0, 2)), params)
     rep = ng.reshape(per_hour, (batch, WINDOW_LEN * per_hour.dims[2]))
     if n_static > 0:
         s = Tensor(statics)

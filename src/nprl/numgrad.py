@@ -7,10 +7,10 @@ graph once in reverse topological order, accumulates gradients into the
 leaves, and frees the graph, so a graph lives for exactly one batch.
 
 Everything is 64-bit. Values are checked to be finite on construction
-(reshapes and concatenations of checked tensors skip the rescan); NaN/Inf
-anywhere is an error state, never a value. Gradient accumulation
-never updates arrays in place, which keeps views produced by backward
-closures safe to hand out.
+(reshapes and concatenations of checked tensors, and the GRU's states, skip
+the rescan); NaN/Inf anywhere is an error state, never a value. Gradient
+accumulation never updates arrays in place, which keeps views produced by
+backward closures safe to hand out.
 
 Ownership: :func:`adam_step` is the one function that writes into arrays
 a tensor already holds. It overwrites ``.data`` of every tensor in the
@@ -42,8 +42,9 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, *, checked: bool = False):
-        # ``checked``: data rearranges tensors that were checked when they
-        # were built, so the finiteness scan would find nothing new
+        # ``checked``: data its producer knows to be finite, such as a
+        # rearrangement of tensors that were checked when they were built,
+        # so the finiteness scan would find nothing new
         arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
         if not checked and not np.isfinite(arr).all():
             raise NumericError("non-finite values in tensor")

@@ -138,7 +138,9 @@ def estimate_lipschitz(
             shifted = M.compute_representations(temporal, statics, perturbed, config)
         except NumericError as exc:
             raise NumericError(f"probe scale {delta} drove representations non-finite") from exc
-        shift = np.linalg.norm(shifted - base, axis=1)
+        shifted -= base
+        shift = np.linalg.norm(shifted, axis=1)
+        del perturbed, shifted  # released before the next probe's pass
         l_hat = max(l_hat, float(shift.max() / delta))
     if l_hat == 0.0:
         raise DegenerateError("representations did not respond to parameter perturbation")
@@ -267,6 +269,9 @@ def theory_protocol(
     # one pass at theta0 gives the identification accuracy and the
     # representations both checks start from
     _, pretrain_accuracy, reps0 = T.identify(temporal, statics, theta0, config.model)
+    # the outcome head replaces the n-way one before the probes, which read
+    # no head, so the n-way head is not held through the passes that follow
+    theta0 = M.replace_head(theta0, config.model.head_classes, derive_seed(seed, "head"))
     l_hat = estimate_lipschitz(
         theta0,
         temporal,
@@ -278,13 +283,12 @@ def theory_protocol(
         config.model,
     )
     gamma = 1.0 / (8.0 * l_hat * config.safety)
-    theta0_binary = M.replace_head(theta0, config.model.head_classes, derive_seed(seed, "head"))
     schedule = config.finetune
     projected = T.FinetuneConfig(
         schedule.epochs, schedule.batch_size, schedule.learning_rate, mode="projected", gamma=gamma
     )
     theta_star, _ = T.finetune(
-        temporal, statics, labels, theta0_binary, projected, config.model, schema, derive_seed(seed, "finetune")
+        temporal, statics, labels, theta0, projected, config.model, derive_seed(seed, "finetune")
     )
     reps_star = M.compute_representations(temporal, statics, theta_star, config.model)
     pairs_checked, violations, worst_margin = check_theorem1(

@@ -259,7 +259,6 @@ def finetune(
     theta0: ParamSet,
     config: FinetuneConfig,
     model_config: ModelConfig,
-    schema: FeatureSchema,
     seed: int,
     class_weights: Array | None = None,
 ) -> tuple[ParamSet, TrainLog]:

@@ -203,15 +203,15 @@ class TestCrossValidate:
 
     def test_nprl_arm_trains_without_forward_only_passes(self, monkeypatch):
         # forward-only passes run on detached parameters; a test fold here is
-        # one chunk, so scoring it is one forward-direction GRU call, and
+        # one chunk, so scoring it is one bidirectional GRU node, and
         # pretraining and fine-tuning must add none
         passes = []
         gru_layer = M.gru_layer
 
-        def counting(x, params, direction, h0=None):
-            if direction == "fwd" and not params["gru_fwd.W_zrh"].requires_grad:
+        def counting(x, params, *args, **kwargs):
+            if not params["gru_fwd.W_zrh"].requires_grad:
                 passes.append(params["head.W"].dims[1])
-            return gru_layer(x, params, direction, h0)
+            return gru_layer(x, params, *args, **kwargs)
 
         monkeypatch.setattr(M, "gru_layer", counting)
         instances, schema = tiny_dataset(seed=10)
@@ -248,6 +248,21 @@ class TestCrossValidate:
         split = P.stratified_kfold(instances, k=3, seed=2)
         serial = E.cross_validate(instances, schema, split, "baseline", tiny_configs(), seed=7, n_workers=1)
         parallel = E.cross_validate(instances, schema, split, "baseline", tiny_configs(), seed=7, n_workers=3)
+        assert serial.pooled.auroc == parallel.pooled.auroc
+        for a, b in zip(serial.folds, parallel.folds, strict=True):
+            assert np.array_equal(a.probs, b.probs) and np.array_equal(a.labels, b.labels)
+
+    def test_worker_pool_after_a_threaded_pass_matches_serial(self, two_threads):
+        # the pool forks after the parent has run a pass on two threads, and
+        # every pass in the fold workers runs on two threads as well
+        instances, schema = tiny_dataset(seed=6)
+        temporal, statics, _ = P.stack_instances(instances[:8])
+        model = tiny_configs().model
+        M.predict_proba(temporal, statics, M.init_params(model, schema, seed=0), model)
+        assert len(two_threads) == 1
+        split = P.stratified_kfold(instances, k=3, seed=2)
+        serial = E.cross_validate(instances, schema, split, "baseline", tiny_configs(), seed=7, n_workers=1)
+        parallel = E.cross_validate(instances, schema, split, "baseline", tiny_configs(), seed=7, n_workers=2)
         assert serial.pooled.auroc == parallel.pooled.auroc
         for a, b in zip(serial.folds, parallel.folds, strict=True):
             assert np.array_equal(a.probs, b.probs) and np.array_equal(a.labels, b.labels)

@@ -1,3 +1,6 @@
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
@@ -90,7 +93,7 @@ def one_step(x, h_prev, params):
     """One forward GRU step through ``gru_layer``: x (batch, T) and h_prev
     (batch, H) in, the new (batch, H) state out."""
     batch = x.dims[0]
-    out = M.gru_layer(ng.reshape(x, (1, batch, x.dims[1])), params, "fwd", h0=h_prev)
+    out = M.gru_layer(ng.reshape(x, (1, batch, x.dims[1])), params, ("fwd",), h0=h_prev)
     return ng.reshape(out, h_prev.dims)
 
 
@@ -400,6 +403,89 @@ class TestFusedGru:
         for t in (logits, rep):
             assert not t.requires_grad
             assert t._backward is None and t._parents == ()
+
+
+class TestTwoThreads:
+    @staticmethod
+    def taped_pass(shared):
+        """The output of one taped bidirectional pass from a nonzero initial
+        state, then the gradients of sum(out * weights) with respect to every
+        GRU tensor, the input and the initial state."""
+        rng = np.random.default_rng(5)
+        params = {
+            name: Tensor(rng.normal(size=p.dims) * 0.5, requires_grad=True)
+            for name, p in small_params().items()
+            if name.startswith("gru_")
+        }
+        if shared:  # both directions accumulate into one set of tensors
+            for kind in M.GRU_TENSORS:
+                params[f"gru_bwd.{kind}"] = params[f"gru_fwd.{kind}"]
+        x = Tensor(rng.normal(size=(9, 6, 5)), requires_grad=True)
+        h0 = Tensor(rng.uniform(-1.0, 1.0, size=(6, 4)), requires_grad=True)
+        out = M.gru_layer(x, params, h0=h0)
+        weighted_sum(out, rng.normal(size=out.dims)).backward()
+        return [out.data] + [t.grad for t in (*params.values(), x, h0)]
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["own_weights", "shared_weights"])
+    def test_bit_identical_to_serial(self, shared, two_threads, monkeypatch):
+        with monkeypatch.context() as serial:
+            serial.setattr(M, "TWO_THREAD_WORK", 2**62)
+            expected = self.taped_pass(shared)
+        assert two_threads == []
+        got = self.taped_pass(shared)
+        assert len(two_threads) == 2  # the forward pass and BPTT
+        assert len(got) == len(expected) == 11  # out, 8 weight grads, d_x, dh0
+        for a, b in zip(got, expected, strict=True):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_worker_builds_no_tensor(self, two_threads, monkeypatch):
+        # tensors are built, and counted by a wrapped Tensor.__init__, only
+        # in the calling thread
+        threads_seen = set()
+        init = Tensor.__init__
+
+        def recording(tensor, *args, **kwargs):
+            threads_seen.add(threading.current_thread())
+            init(tensor, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", recording)
+        self.taped_pass(shared=False)
+        assert len(two_threads) == 2
+        assert threads_seen == {threading.current_thread()}
+
+    @pytest.mark.parametrize(
+        "overflowing,message",
+        [(("fwd", "bwd"), "gru_fwd gate"), (("bwd",), "gru_bwd gate")],
+        ids=["both", "bwd_only"],
+    )
+    def test_first_direction_error_wins(self, overflowing, message, two_threads):
+        # as in the serial order: the forward direction's error when both
+        # fail, and the worker's error when only it fails
+        params = small_params()
+        for name in overflowing:
+            w = params[f"gru_{name}.W_zrh"].data.copy()
+            w[:, : SMALL_CONFIG.gru_hidden] = 1e308  # the z gate's block
+            params[f"gru_{name}.W_zrh"] = Tensor(w, requires_grad=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match=message):
+                M.forward_batch(np.ones((2, 9, 5)), np.ones((2, 3)), params, SMALL_CONFIG)
+        assert len(two_threads) == 1
+
+    def test_worker_follows_the_callers_floating_point_handling(self, two_threads):
+        # a z-gate pre-activation near -1000 in the worker's direction only:
+        # exp(1000) overflows there and nowhere else
+        params = small_params()
+        b = params["gru_bwd.b_zrh"].data.copy()
+        b[: SMALL_CONFIG.gru_hidden] = -1000.0
+        params["gru_bwd.b_zrh"] = Tensor(b, requires_grad=True)
+        temporal, statics = small_batch()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore"):
+                M.forward_batch(temporal, statics, params, SMALL_CONFIG)
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                M.forward_batch(temporal, statics, params, SMALL_CONFIG)
+        assert len(two_threads) == 2
 
 
 class TestReplaceHead:

@@ -253,14 +253,14 @@ class TestTheoryProtocol:
 
     def test_one_representation_pass_per_parameter_set(self, monkeypatch):
         # forward-only passes run on detached parameters; each pass over these
-        # 30 rows is one chunk, so one forward-direction GRU call
+        # 30 rows is one chunk, so one bidirectional GRU node
         passes = []
         gru_layer = M.gru_layer
 
-        def counting(x, params, direction, h0=None):
-            if direction == "fwd" and not params["gru_fwd.W_zrh"].requires_grad:
-                passes.append(direction)
-            return gru_layer(x, params, direction, h0)
+        def counting(x, params, *args, **kwargs):
+            if not params["gru_fwd.W_zrh"].requires_grad:
+                passes.append(x.dims[1])
+            return gru_layer(x, params, *args, **kwargs)
 
         monkeypatch.setattr(M, "gru_layer", counting)
         config = TH.TheoryConfig(
@@ -272,7 +272,7 @@ class TestTheoryProtocol:
         )
         TH.theory_protocol(*toy_arrays(n=30, seed=10), SCHEMA, config, seed=12)
         # the pretrained parameters, each probe, and theta*
-        assert len(passes) == config.n_probes + 2
+        assert passes == [30] * (config.n_probes + 2)
 
     def test_rejects_unnormalized_model(self):
         with pytest.raises(ConfigError):

@@ -159,7 +159,7 @@ class TestFinetune:
         data = toy_arrays(6, 10, seed=9)
         theta0 = self._pretrained(data)
         config = T.FinetuneConfig(mode="regularized", lam=1e6, learning_rate=1e-8, epochs=1)
-        params, _ = T.finetune(*data, theta0, config, CONFIG, SCHEMA, seed=1)
+        params, _ = T.finetune(*data, theta0, config, CONFIG, seed=1)
         assert M.frobenius_distance(params, theta0) < 1e-6
 
     def test_projected_mode_respects_radius(self):
@@ -167,7 +167,7 @@ class TestFinetune:
         theta0 = self._pretrained(data)
         gamma = 0.05
         config = T.FinetuneConfig(mode="projected", gamma=gamma, learning_rate=1e-2, epochs=3)
-        params, log = T.finetune(*data, theta0, config, CONFIG, SCHEMA, seed=2)
+        params, log = T.finetune(*data, theta0, config, CONFIG, seed=2)
         assert M.frobenius_distance(params, theta0) <= gamma + 1e-9
         assert log.epochs[-1].frob_dist <= gamma + 1e-9
 
@@ -175,14 +175,14 @@ class TestFinetune:
         data = toy_arrays(6, 10)
         theta0 = self._pretrained(data)
         with pytest.raises(InputError):
-            T.finetune(*data, theta0, T.FinetuneConfig(mode="projected", gamma=0.0), CONFIG, SCHEMA, seed=0)
+            T.finetune(*data, theta0, T.FinetuneConfig(mode="projected", gamma=0.0), CONFIG, seed=0)
 
     def test_lambda_zero_matches_baseline_trajectory(self):
         data = toy_arrays(6, 10, seed=11)
         theta0 = self._pretrained(data, seed=4)
         seed = 123
         ft_config = T.FinetuneConfig(mode="regularized", lam=0.0, learning_rate=1e-3, epochs=3)
-        ft_params, ft_log = T.finetune(*data, theta0, ft_config, CONFIG, SCHEMA, seed)
+        ft_params, ft_log = T.finetune(*data, theta0, ft_config, CONFIG, seed)
         # the plain training loop from theta0, as a baseline run started there
         schedule = T.Schedule(epochs=3, batch_size=64, learning_rate=1e-3)
         bl_params, bl_log = T._train(*data, theta0, CONFIG, schedule, seed)
@@ -204,7 +204,7 @@ class TestFinetune:
         data = toy_arrays(6, 10, seed=17)
         theta0 = self._pretrained(data, seed=6)
         before = {name: p.data.tobytes() for name, p in theta0.items()}
-        params, log = T.finetune(*data, theta0, config, CONFIG, SCHEMA, seed=1)
+        params, log = T.finetune(*data, theta0, config, CONFIG, seed=1)
         assert {name: p.data.tobytes() for name, p in theta0.items()} == before
         distance = M.frobenius_distance(params, theta0)
         assert distance > 0.0 and log.epochs[-1].frob_dist == distance
@@ -218,9 +218,9 @@ class TestFinetune:
         theta0 = self._pretrained(data)
         projected, _ = T.finetune(
             *data, theta0, T.FinetuneConfig(mode="projected", gamma=0.05, learning_rate=1e-2, epochs=2),
-            CONFIG, SCHEMA, seed=2,
+            CONFIG, seed=2,
         )
-        regularized, _ = T.finetune(*data, theta0, T.FinetuneConfig(epochs=2), CONFIG, SCHEMA, seed=3)
+        regularized, _ = T.finetune(*data, theta0, T.FinetuneConfig(epochs=2), CONFIG, seed=3)
         digest = hashlib.sha256()
         for params in (theta0, projected, regularized):
             for name, values in per_gate(params):
@@ -232,7 +232,7 @@ class TestFinetune:
         data = toy_arrays(6, 10)
         theta0, _ = T.nprl_pretrain(*data[:2], CONFIG, SCHEMA, T.Schedule(epochs=1), seed=0)
         with pytest.raises(InputError):
-            T.finetune(*data, theta0, T.FinetuneConfig(), CONFIG, SCHEMA, seed=0)
+            T.finetune(*data, theta0, T.FinetuneConfig(), CONFIG, seed=0)
 
     def test_regularized_gradient_matches_finite_differences_of_summed_objective(self):
         data = toy_arrays(4, 8, seed=12)
