@@ -18,6 +18,7 @@ import numpy as np
 
 from . import artifacts as A
 from . import model as M
+from . import numgrad as ng
 from . import pipeline as P
 from . import train as T
 from .errors import FieldError, FormatError, InputError, LeakageError, UndefinedMetricError
@@ -206,7 +207,9 @@ def cross_validate(
     arrays = P.stack_instances(instances)
     jobs = [(*arrays, fold_of, schema, arm, configs, seed, fold) for fold in range(split.k)]
     if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        # each fold worker counts only its share of the CPUs, so the workers
+        # together run no more busy threads than there are CPUs
+        with ProcessPoolExecutor(max_workers=n_workers, initializer=ng.share_cpus, initargs=(n_workers,)) as pool:
             folds = list(pool.map(_run_fold, jobs))
     else:
         folds = [_run_fold(job) for job in jobs]

@@ -9,11 +9,9 @@ and the binary checkpoint format.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
 from functools import partial
-from threading import Thread
 
 import numpy as np
 
@@ -171,12 +169,6 @@ def _check_finite(a: Array, flags: Array, what: str) -> None:
 TWO_THREAD_WORK = 2**18
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):  # not on every platform
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 class _Direction:
     """One GRU direction of a pass over a (steps * batch, T) time-major input:
     its weights and every array that its recurrence (``scan``) and its BPTT
@@ -313,12 +305,10 @@ class _Direction:
 
 
 def _run(jobs: list[tuple], threaded: bool) -> None:
-    """Run (allocate, compute) pairs. Serially, each job allocates just before
+    """Run (allocate, compute) jobs. Serially, each job allocates just before
     it computes, so it can reuse what the job before it freed. When
-    ``threaded``, this thread allocates for both jobs and computes the first
-    while a short-lived thread computes the second. Either way an error of
-    the first job is the one raised, as in the serial order, and both run
-    under this thread's floating-point error handling."""
+    ``threaded`` (two jobs), this thread allocates for both, then
+    :func:`numgrad.run_pair` computes them on two threads."""
     if not threaded:
         for allocate, compute in jobs:
             allocate()
@@ -326,25 +316,7 @@ def _run(jobs: list[tuple], threaded: bool) -> None:
         return
     for allocate, _ in jobs:
         allocate()
-    (_, first), (_, second) = jobs
-    errstate = np.geterr()  # np.errstate is thread-local
-    failed = []
-
-    def work():
-        try:
-            with np.errstate(**errstate):
-                second()
-        except BaseException as exc:
-            failed.append(exc)
-
-    worker = Thread(target=work)
-    worker.start()
-    try:
-        first()
-    finally:
-        worker.join()
-    if failed:
-        raise failed[0]
+    ng.run_pair(jobs[0][1], jobs[1][1])
 
 
 def gru_layer(
@@ -370,7 +342,7 @@ def gru_layer(
     parents = (x, *(p for d in dirs for p in d.weights)) + ((h0,) if h0 is not None else ())
     taped = any(p.requires_grad for p in parents)
     work = batch * dirs[0].hidden ** 2
-    threaded = len(dirs) == 2 and work >= TWO_THREAD_WORK and _usable_cpus() >= 2
+    threaded = len(dirs) == 2 and work >= TWO_THREAD_WORK and ng.usable_cpus() >= 2
     _run([(partial(d.allocate_scan, h0, taped), d.scan) for d in dirs], threaded)
     # every state mixes the one before and a tanh, so all are finite
     out = Tensor(np.concatenate([d.outputs.transpose(1, 0, 2) for d in dirs], axis=-1), checked=True)

@@ -17,13 +17,18 @@ a tensor already holds. It overwrites ``.data`` of every tensor in the
 parameter set it is given and the moment arrays of its
 :class:`OptimizerState`, and only reads the gradients. Its caller must own
 that parameter set: ``train._train`` copies its starting parameters once,
-so a pretrained set, theta0 and any tensor they share stay fixed.
+so a pretrained set, theta0 and any tensor they share stay fixed. For a
+tensor of at least ``ADAM_SPLIT`` elements it writes two disjoint block
+ranges at once, the second from a short-lived thread (:func:`run_pair`).
 :func:`detach` shares arrays, so a detached set sees later updates.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from functools import partial
+from threading import Thread
 
 import numpy as np
 
@@ -110,8 +115,68 @@ def attach(out: Tensor, parents: tuple[Tensor, ...], backward) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# Two threads
+# ---------------------------------------------------------------------------
+
+# the number of processes that split this process's CPUs between them: a
+# fold worker of ``evaluation.cross_validate`` shares them with its siblings
+_cpu_sharers = 1
+
+
+def share_cpus(n_processes: int) -> None:
+    """Count only an ``n_processes``-th of the CPUs as this process's own;
+    each worker of a pool of ``n_processes`` calls it when it starts."""
+    global _cpu_sharers
+    _cpu_sharers = n_processes
+
+
+def usable_cpus() -> int:
+    """This process's share of the CPUs it may run on."""
+    if hasattr(os, "sched_getaffinity"):  # not on every platform
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return cpus // _cpu_sharers
+
+
+def run_pair(first, second) -> tuple:
+    """Call ``first`` on this thread while a short-lived thread calls
+    ``second``, and return both results. The second runs under this
+    thread's floating-point error handling (np.errstate is thread-local).
+    If both raise, the error of ``first`` is the one raised, as in the
+    serial order.
+
+    The two must write disjoint arrays, all allocated by this thread before
+    the call: an array the second thread allocated would come from a second
+    malloc arena and raise peak memory."""
+    errstate = np.geterr()
+    results, failed = [None, None], []
+
+    def work():
+        try:
+            with np.errstate(**errstate):
+                results[1] = second()
+        except BaseException as exc:
+            failed.append(exc)
+
+    worker = Thread(target=work)
+    worker.start()
+    try:
+        results[0] = first()
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
+    return tuple(results)
+
+
+# ---------------------------------------------------------------------------
 # Differentiable ops
 # ---------------------------------------------------------------------------
+
+# m * k * p from which an affine backward that needs the gradients of both x
+# and w forms them on two threads; a smaller pair costs more to start
+AFFINE_SPLIT = 2**25
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -126,10 +191,17 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def _bw():
         g = out.grad
-        if x.requires_grad:
-            accumulate(x, g @ w.data.T)
-        if w.requires_grad:
-            accumulate(w, x.data.T @ g)
+        both = x.requires_grad and w.requires_grad
+        if both and x.data.size * w.dims[1] >= AFFINE_SPLIT and usable_cpus() >= 2:
+            d_x, d_w = np.empty(x.dims), np.empty(w.dims)
+            run_pair(partial(np.matmul, g, w.data.T, out=d_x), partial(np.matmul, x.data.T, g, out=d_w))
+            accumulate(x, d_x)
+            accumulate(w, d_w)
+        else:
+            if x.requires_grad:
+                accumulate(x, g @ w.data.T)
+            if w.requires_grad:
+                accumulate(w, x.data.T @ g)
         if b.requires_grad:
             accumulate(b, g.sum(axis=0))
 
@@ -312,6 +384,42 @@ def init_adam(params: ParamSet, learning_rate: float) -> OptimizerState:
 # Elements per block of the in-place update: the block of p, m, v, g and the
 # two scratch arrays (6 x 256 KiB) stay in cache across the update's passes.
 ADAM_BLOCK = 32768
+# Elements from which a tensor is updated as two block ranges, the second on
+# a second thread; a smaller tensor costs more to start a thread for.
+ADAM_SPLIT = 2**19
+
+
+def _adam_scratch(size: int) -> tuple[Array, Array, Array]:
+    """Two float blocks for the update's intermediates and one bool block
+    for its finiteness check."""
+    return np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+
+
+def _adam_range(flat_p, flat_g, flat_m, flat_v, scratch, consts) -> bool:
+    """Update one run of a raveled tensor block by block; returns whether
+    every updated value is finite. Writes only the arrays it is given."""
+    b1, b2, lr, eps, c1, c2 = consts
+    finite = True
+    for lo in range(0, flat_p.size, ADAM_BLOCK):
+        hi = min(lo + ADAM_BLOCK, flat_p.size)
+        p, g, m, v = flat_p[lo:hi], flat_g[lo:hi], flat_m[lo:hi], flat_v[lo:hi]
+        a, b, flags = (s[: hi - lo] for s in scratch)
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=a)
+        m += a
+        v *= b2
+        np.multiply(g, 1.0 - b2, out=a)
+        a *= g
+        v += a
+        np.divide(m, c1, out=a)
+        a *= lr
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += eps
+        a /= b
+        p -= a
+        finite &= bool(np.isfinite(p, out=flags).all())
+    return finite
 
 
 def adam_step(
@@ -324,6 +432,11 @@ def adam_step(
     order of the out-of-place formula, so results are bit-identical to it:
     m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
     p -= lr*m/(1-b1^t) / (sqrt(v/(1-b2^t)) + eps).
+
+    A tensor of at least ``ADAM_SPLIT`` elements, on a process with two
+    CPUs, is updated as two runs of whole blocks, the second on a second
+    thread with its own scratch blocks. Every update is elementwise, so the
+    split changes no result.
     """
     if set(params) != set(grads) or set(params) != set(state.first_moment):
         raise ShapeError("parameter, gradient and moment key sets differ")
@@ -332,35 +445,31 @@ def adam_step(
             raise ShapeError(f"gradient shape {grads[name].shape} != param {p.dims} for {name!r}")
     state.step_count += 1
     t = state.step_count
-    b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, state.learning_rate, ADAM_EPSILON
-    c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    consts = b1, b2, state.learning_rate, ADAM_EPSILON, 1.0 - b1**t, 1.0 - b2**t
     largest = max((p.data.size for p in params.values()), default=0)
-    scratch = np.empty(min(largest, ADAM_BLOCK)), np.empty(min(largest, ADAM_BLOCK))
+    scratch = _adam_scratch(min(largest, ADAM_BLOCK))
+    split = largest >= ADAM_SPLIT and usable_cpus() >= 2
+    worker_scratch = _adam_scratch(ADAM_BLOCK) if split else None
     for name, p in params.items():
         # params and moments are C-contiguous, so these are views; a strided
-        # gradient would be copied once here
-        flat_p, flat_g = p.data.reshape(-1), grads[name].reshape(-1)
-        flat_m = state.first_moment[name].reshape(-1)
-        flat_v = state.second_moment[name].reshape(-1)
-        for lo in range(0, flat_p.size, ADAM_BLOCK):
-            hi = min(lo + ADAM_BLOCK, flat_p.size)
-            g, m, v = flat_g[lo:hi], flat_m[lo:hi], flat_v[lo:hi]
-            a, b = scratch[0][: hi - lo], scratch[1][: hi - lo]
-            m *= b1
-            np.multiply(g, 1.0 - b1, out=a)
-            m += a
-            v *= b2
-            np.multiply(g, 1.0 - b2, out=a)
-            a *= g
-            v += a
-            np.divide(m, c1, out=a)
-            a *= lr
-            np.divide(v, c2, out=b)
-            np.sqrt(b, out=b)
-            b += eps
-            a /= b
-            flat_p[lo:hi] -= a
-        if not np.isfinite(p.data).all():
+        # gradient is copied once here, by this thread
+        flat = (
+            p.data.reshape(-1),
+            grads[name].reshape(-1),
+            state.first_moment[name].reshape(-1),
+            state.second_moment[name].reshape(-1),
+        )
+        size = p.data.size
+        mid = -(-size // (2 * ADAM_BLOCK)) * ADAM_BLOCK  # half the blocks, rounded up
+        if split and size >= ADAM_SPLIT and mid < size:
+            finite = all(run_pair(
+                partial(_adam_range, *(a[:mid] for a in flat), scratch, consts),
+                partial(_adam_range, *(a[mid:] for a in flat), worker_scratch, consts),
+            ))
+        else:
+            finite = _adam_range(*flat, scratch, consts)
+        if not finite:
             raise NumericError(f"non-finite values in parameter {name!r} after an Adam step")
     return params, state
 

@@ -10,19 +10,24 @@ settings.register_profile("ci", derandomize=True, deadline=None)
 
 @pytest.fixture
 def two_threads(monkeypatch):
-    """Every bidirectional GRU pass runs its two directions on two threads,
-    whatever its size and the CPUs this process may use; returns the list of
-    worker threads started, in order."""
+    """Every job pair that can run on two threads does, whatever its size and
+    the CPUs this process may use: both directions of a bidirectional GRU
+    pass, the two block ranges of any Adam update of two blocks or more, and
+    the two GEMMs of an affine backward that needs both gradients. Returns
+    the list of worker threads started by ``numgrad.run_pair``, in order."""
     from nprl import model as M
+    from nprl import numgrad as ng
 
     started = []
 
-    class Counted(M.Thread):
+    class Counted(ng.Thread):
         def start(self):
             started.append(self)
             super().start()
 
     monkeypatch.setattr(M, "TWO_THREAD_WORK", 0)
-    monkeypatch.setattr(M, "Thread", Counted)
+    monkeypatch.setattr(ng, "ADAM_SPLIT", 0)
+    monkeypatch.setattr(ng, "AFFINE_SPLIT", 0)
+    monkeypatch.setattr(ng, "Thread", Counted)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     return started

@@ -1,4 +1,5 @@
 import hashlib
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from nprl import evaluation as E
 from nprl import model as M
+from nprl import numgrad as ng
 from nprl import pipeline as P
 from nprl import train as T
 from nprl.errors import InputError, LeakageError, UndefinedMetricError
@@ -252,9 +254,11 @@ class TestCrossValidate:
         for a, b in zip(serial.folds, parallel.folds, strict=True):
             assert np.array_equal(a.probs, b.probs) and np.array_equal(a.labels, b.labels)
 
-    def test_worker_pool_after_a_threaded_pass_matches_serial(self, two_threads):
+    def test_worker_pool_after_a_threaded_pass_matches_serial(self, two_threads, monkeypatch):
         # the pool forks after the parent has run a pass on two threads, and
-        # every pass in the fold workers runs on two threads as well
+        # two fold workers on four CPUs each count two, so every pass in the
+        # fold workers runs on two threads as well
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         instances, schema = tiny_dataset(seed=6)
         temporal, statics, _ = P.stack_instances(instances[:8])
         model = tiny_configs().model
@@ -264,6 +268,24 @@ class TestCrossValidate:
         serial = E.cross_validate(instances, schema, split, "baseline", tiny_configs(), seed=7, n_workers=1)
         parallel = E.cross_validate(instances, schema, split, "baseline", tiny_configs(), seed=7, n_workers=2)
         assert serial.pooled.auroc == parallel.pooled.auroc
+        for a, b in zip(serial.folds, parallel.folds, strict=True):
+            assert np.array_equal(a.probs, b.probs) and np.array_equal(a.labels, b.labels)
+
+
+    def test_fold_workers_share_the_cpus(self, two_threads, monkeypatch):
+        # two fold workers on two CPUs each count one, so neither starts a
+        # thread, even where every size threshold is 0
+        instances, schema = tiny_dataset(seed=6)
+        split = P.stratified_kfold(instances, k=3, seed=2)
+        serial = E.cross_validate(instances, schema, split, "baseline", tiny_configs(), seed=7, n_workers=1)
+        assert two_threads  # the parent itself does run pairs on two threads
+
+        class Refused(ng.Thread):
+            def start(self):
+                raise AssertionError("a fold worker started a thread")
+
+        monkeypatch.setattr(ng, "Thread", Refused)
+        parallel = E.cross_validate(instances, schema, split, "baseline", tiny_configs(), seed=7, n_workers=2)
         for a, b in zip(serial.folds, parallel.folds, strict=True):
             assert np.array_equal(a.probs, b.probs) and np.array_equal(a.labels, b.labels)
 

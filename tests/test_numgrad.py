@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,35 @@ class TestAffine:
             return ng.total_sum(ng.affine(p["x"], p["w"], p["b"]))
 
         assert ng.grad_check(fn, params, max_coords_per_tensor=24) < 1e-8
+
+
+    @staticmethod
+    def taped_backward(x_grad, w_grad):
+        """The gradients of sum(affine(x, w, b) * weights), with x and w on
+        the tape as asked and b always."""
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=(33, 70)), requires_grad=x_grad)
+        w = Tensor(rng.normal(size=(70, 45)), requires_grad=w_grad)
+        b = Tensor(rng.normal(size=45), requires_grad=True)
+        out = ng.affine(x, w, b)
+        ng.total_sum(mul(out, Tensor(rng.normal(size=out.dims)))).backward()
+        return [t.grad for t in (x, w, b)]
+
+    def test_two_thread_backward_matches_serial(self, two_threads, monkeypatch):
+        with monkeypatch.context() as serial:
+            serial.setattr(ng, "AFFINE_SPLIT", 2**62)
+            expected = self.taped_backward(True, True)
+        assert two_threads == []
+        got = self.taped_backward(True, True)
+        assert len(two_threads) == 1
+        for a, b in zip(got, expected, strict=True):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("x_grad,w_grad", [(True, False), (False, True)], ids=["x_only", "w_only"])
+    def test_one_gradient_starts_no_thread(self, x_grad, w_grad, two_threads):
+        d_x, d_w, _ = self.taped_backward(x_grad, w_grad)
+        assert two_threads == []
+        assert (d_x is not None, d_w is not None) == (x_grad, w_grad)
 
 
 class TestElementwise:
@@ -166,6 +197,59 @@ class TestAdam:
                 assert np.array_equal(state.first_moment[name], expected[name][1]), name
                 assert np.array_equal(state.second_moment[name], expected[name][2]), name
         assert state.step_count == 5
+
+    @staticmethod
+    def split_params(rng):
+        """A small tensor, one of 3.5 blocks and another small one: with the
+        split forced, the worker updates blocks 2 and 3 of the large one."""
+        dims = {"first": (4, 3), "big": (7 * ng.ADAM_BLOCK // 256, 128), "later": (5,)}
+        assert np.prod(dims["big"]) == 3.5 * ng.ADAM_BLOCK
+        return dims, {name: Tensor(rng.normal(size=d), requires_grad=True) for name, d in dims.items()}
+
+    def test_two_thread_split_matches_reference(self, two_threads, monkeypatch):
+        rng = np.random.default_rng(12)
+        dims, params = self.split_params(rng)
+        expected = {name: (p.data.copy(), np.zeros(p.dims), np.zeros(p.dims)) for name, p in params.items()}
+        state = ng.init_adam(params, learning_rate=3e-3)
+        threads_seen = set()
+        init = Tensor.__init__
+
+        def recording(tensor, *args, **kwargs):
+            threads_seen.add(threading.current_thread())
+            init(tensor, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", recording)
+        for t in range(1, 6):
+            grads = {name: rng.normal(size=d) * 10.0 ** rng.integers(-4, 3) for name, d in dims.items()}
+            grads["big"] = rng.normal(size=(dims["big"][0], 256))[:, 64:192]  # a strided column slice
+            assert not grads["big"].flags.c_contiguous
+            ng.adam_step(params, grads, state)
+            assert len(two_threads) == t  # only "big" is two blocks or more
+            for name, g in grads.items():
+                expected[name] = reference_adam(*expected[name], g, t, 3e-3)
+                assert np.array_equal(params[name].data, expected[name][0]), name
+                assert np.array_equal(state.first_moment[name], expected[name][1]), name
+                assert np.array_equal(state.second_moment[name], expected[name][2]), name
+        assert threads_seen <= {threading.current_thread()}
+
+    def test_non_finite_in_the_worker_range_names_the_tensor(self, two_threads):
+        # as in the serial path: the whole tensor is updated, then the error
+        # names it, and the tensors after it are left as they were
+        rng = np.random.default_rng(13)
+        dims, params = self.split_params(rng)
+        before = {name: p.data.copy() for name, p in params.items()}
+        state = ng.init_adam(params, learning_rate=1e-3)
+        grads = {name: rng.normal(size=d) for name, d in dims.items()}
+        grads["big"].reshape(-1)[3 * ng.ADAM_BLOCK + 5] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match=r"'big'"):
+            ng.adam_step(params, grads, state)
+        assert len(two_threads) == 1
+        for name in ("first", "big"):
+            p, m, v = reference_adam(before[name], 0.0, 0.0, grads[name], 1, 1e-3)
+            assert np.array_equal(params[name].data, p, equal_nan=True), name
+            assert np.array_equal(state.first_moment[name], m, equal_nan=True), name
+        assert np.array_equal(params["later"].data, before["later"])
+        assert not state.first_moment["later"].any() and not state.second_moment["later"].any()
 
     @pytest.mark.parametrize("poison", [np.inf, np.nan])
     def test_non_finite_update_names_the_tensor(self, poison):
