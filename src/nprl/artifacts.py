@@ -104,12 +104,12 @@ def csv_row(cells: Sequence) -> str:
 
 
 @contextmanager
-def atomic_open(path, mode: str = "w"):
-    """Write to ``<path>.tmp`` and move it onto ``path`` only once the block
-    succeeds; if the block raises, the temporary file is removed."""
+def atomic_open(path):
+    """Write text to ``<path>.tmp`` and move it onto ``path`` only once the
+    block succeeds; if the block raises, the temporary file is removed."""
     tmp = f"{os.fspath(path)}.tmp"
     try:
-        with open(tmp, mode, **({} if "b" in mode else {"encoding": "utf-8", "newline": ""})) as fh:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -28,10 +28,10 @@ from . import theory as TH
 from . import train as T
 from .cohort import GeneratorConfig, generate_cohort, read_cohort, write_cohort
 from .errors import ConfigError, FieldError, FormatError, InputError, NprlError
-from .model import ModelConfig, save_checkpoint
+from .model import ModelConfig
 from .util import derive_rng, derive_seed
 
-COMMANDS = ("gen", "extract", "pretrain", "train", "eval", "theory", "all")
+COMMANDS = ("gen", "extract", "eval", "theory", "all")
 
 DEFAULTS: dict[str, dict[str, str]] = {
     "run": {"seed": "7", "out": "", "workers": "1"},
@@ -302,44 +302,6 @@ class Runner:
                 f"{path}: cannot read: {os.strerror(errno.ENOENT)}; run `nprl gen` and `nprl extract` first"
             ) from None
 
-    def _scaled_arrays(self, instances):
-        """The instances stacked, then scaled by their own min-max ranges."""
-        temporal, statics, labels = P.stack_instances(instances)
-        return (*P.apply_minmax(temporal, statics, P.fit_minmax(temporal, statics)), labels)
-
-    def cmd_pretrain(self, data=None):
-        instances, schema = data if data is not None else self._load_instances()
-        temporal, statics, _ = self._scaled_arrays(instances)
-        configs = self.cfg.arm_configs
-        seed = derive_seed(self.seed, "pretrain")
-        params, log = T.nprl_pretrain(temporal, statics, configs.model, schema, configs.pretrain, seed)
-        save_checkpoint(params, self.run_dir / "pretrain.ckpt")
-        # the log opens with an epoch-0 row at the starting parameters
-        model, initial = T.init_pretraining(len(temporal), configs.model, schema, seed)
-        loss0, accuracy0, _ = T.identify(temporal, statics, initial, model)
-        log.epochs.insert(0, T.EpochStats(epoch=0, loss=loss0, accuracy=accuracy0, frob_dist=0.0))
-        log.to_csv(self.run_dir / "pretrain_log.csv", header_comment=self.header)
-        _, accuracy, _ = T.identify(temporal, statics, params, model)
-        self.log(
-            f"pretrained on {len(temporal)} profiles, final identification accuracy "
-            f"{accuracy:.4f} -> pretrain.ckpt"
-        )
-        return params
-
-    def cmd_train(self, data=None):
-        instances, schema = data if data is not None else self._load_instances()
-        temporal, statics, labels = self._scaled_arrays(instances)
-        configs = self.cfg.arm_configs
-        rows = P.resample_training(labels, configs.resample_target, derive_seed(self.seed, "resample"))
-        seed = derive_seed(self.seed, "train")
-        params, log = T.train_baseline(
-            temporal[rows], statics[rows], labels[rows], configs.model, schema, configs.baseline, seed
-        )
-        save_checkpoint(params, self.run_dir / "model.ckpt")
-        log.to_csv(self.run_dir / "train_log.csv", header_comment=self.header)
-        self.log(f"trained baseline on {len(rows)} instances -> model.ckpt")
-        return params
-
     def cmd_eval(self, data=None):
         instances, schema = data if data is not None else self._load_instances()
         split = P.stratified_kfold(instances, self.cfg.arm_configs.k_folds, derive_seed(self.seed, "folds"))
@@ -348,6 +310,12 @@ class Runner:
             reports[arm] = E.cross_validate(
                 instances, schema, split, arm, self.cfg.arm_configs, self.seed, n_workers=self.cfg.workers
             )
+            logs = self.run_dir / "logs" / arm
+            logs.mkdir(parents=True, exist_ok=True)
+            for fold in reports[arm].folds:
+                fold.log.to_csv(logs / f"fold{fold.fold_id}.csv", header_comment=self.header)
+                if fold.pretrain_log is not None:
+                    fold.pretrain_log.to_csv(logs / f"fold{fold.fold_id}_pretrain.csv", header_comment=self.header)
             self.log(
                 f"arm {arm}: pooled AUROC {reports[arm].pooled.auroc:.4f}, "
                 f"sensitivity {reports[arm].pooled.sensitivity}, "
@@ -356,7 +324,7 @@ class Runner:
         E.emit_combined_report(
             reports, self.run_dir / "report.csv", self.run_dir / "roc.txt", header_comment=self.header
         )
-        self.log(f"wrote report.csv and roc.txt under {self.run_dir}")
+        self.log(f"wrote report.csv, roc.txt and the fold training logs under {self.run_dir}")
         return reports
 
     def cmd_theory(self, data=None):
@@ -365,8 +333,10 @@ class Runner:
         if len(instances) > cap:
             keep = derive_rng(self.seed, "theory_subset").choice(len(instances), size=cap, replace=False)
             instances = [instances[i] for i in sorted(keep)]
+        temporal, statics, labels = P.stack_instances(instances)
+        temporal, statics = P.apply_minmax(temporal, statics, P.fit_minmax(temporal, statics))
         report = TH.theory_protocol(
-            *self._scaled_arrays(instances), schema, self.cfg.theory, derive_seed(self.seed, "theory")
+            temporal, statics, labels, schema, self.cfg.theory, derive_seed(self.seed, "theory")
         )
         TH.write_theory_report(report, self.run_dir / "theory_report.txt", header_comment=self.header)
         self.log(

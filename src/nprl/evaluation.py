@@ -5,8 +5,8 @@ prediction to report. AUROC is the Mann-Whitney statistic from midranks, so
 ties count half. Confusion counts threshold the probability at 0.5 by
 default. Cross-validation stacks the instances once, then per fold fits
 scaling on the training rows only, resamples per arm, trains and scores the
-untouched test rows. The pooled report scores the folds' concatenated arrays,
-and the ROC is drawn from them.
+untouched test rows, keeping the fold's training logs. The pooled report
+scores the folds' concatenated arrays, and the ROC is drawn from them.
 """
 
 from __future__ import annotations
@@ -68,7 +68,9 @@ def confusion(probs: np.ndarray, labels: np.ndarray, threshold: float = 0.5) -> 
 @dataclass
 class ScoreReport:
     """Held-out scores and their metrics, for one fold or (fold_id None) the
-    pool of every fold."""
+    pool of every fold. A fold's report also carries the training logs of the
+    model that scored it: the outcome training, and for the nprl arm the
+    pretraining; the pooled report has none."""
 
     fold_id: int | None
     probs: np.ndarray
@@ -80,6 +82,8 @@ class ScoreReport:
     auroc: float
     sensitivity: float | None
     specificity: float | None
+    log: T.TrainLog | None = None
+    pretrain_log: T.TrainLog | None = None
 
 
 def score(fold_id: int | None, probs: np.ndarray, labels: np.ndarray, threshold: float = 0.5) -> ScoreReport:
@@ -148,9 +152,11 @@ def _fit_arm(
     schema: FeatureSchema,
     cfg: ArmConfigs,
     seed: int,
-):
-    """Train one arm on one fold's (already scaled) training arrays; every
-    class-balanced loss weights by the ``[eval]`` scheme."""
+) -> tuple[ng.ParamSet, T.TrainLog, T.TrainLog | None]:
+    """Train one arm on one fold's (already scaled) training arrays, giving
+    the parameters, the outcome training log and, for the nprl arm, the
+    pretraining log; every class-balanced loss weights by the ``[eval]``
+    scheme."""
     rows = slice(None)  # every training row, unless the arm resamples
     if arm == "baseline" or (arm == "nprl" and cfg.finetune.resample):
         rows = P.resample_training(labels, cfg.resample_target, derive_seed(seed, "resample"))
@@ -164,12 +170,14 @@ def _fit_arm(
     train_seed = derive_seed(seed, "train")
     if arm == "nprl":
         # pretraining sees every training row and no label
-        theta0, _ = T.nprl_pretrain(temporal, statics, cfg.model, schema, cfg.pretrain, derive_seed(seed, "pretrain"))
-        theta0 = M.replace_head(theta0, cfg.model.head_classes, derive_seed(seed, "head"))
-        params, _ = T.finetune(*data, theta0, cfg.finetune, cfg.model, train_seed, class_weights=weights)
-    else:
-        params, _ = T.train_baseline(*data, cfg.model, schema, cfg.baseline, train_seed, class_weights=weights)
-    return params
+        theta0, pretrain_log = T.nprl_pretrain(
+            temporal, statics, cfg.model, schema, cfg.pretrain, derive_seed(seed, "pretrain")
+        )
+        theta0 = M.replace_head(theta0, M.OUTCOME_CLASSES, derive_seed(seed, "head"))
+        params, log = T.finetune(*data, theta0, cfg.finetune, cfg.model, train_seed, class_weights=weights)
+        return params, log, pretrain_log
+    params, log = T.train_baseline(*data, cfg.model, schema, cfg.baseline, train_seed, class_weights=weights)
+    return params, log, None
 
 
 def _run_fold(args) -> ScoreReport:
@@ -179,9 +187,11 @@ def _run_fold(args) -> ScoreReport:
     train_temporal, train_statics = P.apply_minmax(temporal[~test], statics[~test], scaling)
     test_temporal, test_statics = P.apply_minmax(temporal[test], statics[test], scaling)
     fold_seed = derive_seed(seed, arm, "fold", fold)
-    params = _fit_arm(arm, train_temporal, train_statics, labels[~test], schema, cfg, fold_seed)
+    params, log, pretrain_log = _fit_arm(arm, train_temporal, train_statics, labels[~test], schema, cfg, fold_seed)
     probs = M.predict_proba(test_temporal, test_statics, params, cfg.model)[:, 1]
-    return score(fold, probs, labels[test], cfg.threshold)
+    report = score(fold, probs, labels[test], cfg.threshold)
+    report.log, report.pretrain_log = log, pretrain_log
+    return report
 
 
 def cross_validate(

@@ -3,25 +3,24 @@ window, a small dense branch for static features, concatenation into a single
 profile representation, and a swappable softmax head.
 
 Also owns everything that treats the parameters as a geometric object:
-Frobenius distances, projection onto a ball around a reference parameter set,
-and the binary checkpoint format.
+Frobenius distances and projection onto a ball around a reference parameter
+set.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from . import artifacts as A
 from . import numgrad as ng
-from .errors import ConfigError, FieldError, FormatError, InputError, NumericError, ShapeError
+from .errors import ConfigError, FieldError, InputError, NumericError, ShapeError
 from .numgrad import Array, ParamSet, Tensor
 
 WINDOW_LEN = 9
 FORWARD_CHUNK = 512  # rows per forward-only pass; equal chunks give bit-equal outputs
+OUTCOME_CLASSES = 2  # the head width of every outcome model: no sepsis onset, onset
 
 
 @dataclass(frozen=True)
@@ -55,14 +54,11 @@ class ModelConfig:
     gru_hidden: int = 256
     static_widths: tuple[int, ...] = (16, 8, 1)
     trunk_widths: tuple[int, ...] = (64,)
-    head_classes: int = 2
     normalize_representation: bool = False
 
     def __post_init__(self):
         if self.gru_hidden < 1:
             raise FieldError("gru_hidden", f"must be >= 1, got {self.gru_hidden}")
-        if self.head_classes < 2:
-            raise FieldError("head_classes", f"must be >= 2, got {self.head_classes}")
         for name in ("static_widths", "trunk_widths"):
             if any(w < 1 for w in getattr(self, name)):
                 raise FieldError(name, f"layer widths must be positive, got {getattr(self, name)}")
@@ -82,8 +78,11 @@ def rep_width(config: ModelConfig, n_static: int) -> int:
 GRU_TENSORS = ("W_zrh", "U_zr", "U_h", "b_zrh")  # one GRU direction, gates in z, r, h order
 
 
-def param_layout(config: ModelConfig, schema: FeatureSchema) -> list[tuple[str, tuple[int, ...]]]:
-    """Ordered (name, dims) pairs for every parameter tensor of the model."""
+def param_layout(
+    config: ModelConfig, schema: FeatureSchema, n_classes: int = OUTCOME_CLASSES
+) -> list[tuple[str, tuple[int, ...]]]:
+    """Ordered (name, dims) pairs for every parameter tensor of the model
+    with an ``n_classes``-way head."""
     t, s, h = schema.n_temporal, schema.n_static, config.gru_hidden
     layout = [
         (f"gru_{direction}.{kind}", dims)
@@ -95,7 +94,7 @@ def param_layout(config: ModelConfig, schema: FeatureSchema) -> list[tuple[str, 
         for i, width in enumerate(widths):
             layout += [(f"{prefix}.{i}.W", (prev, width)), (f"{prefix}.{i}.b", (width,))]
             prev = width
-    layout += [("head.W", (prev, config.head_classes)), ("head.b", (config.head_classes,))]
+    layout += [("head.W", (prev, n_classes)), ("head.b", (n_classes,))]
     return layout
 
 
@@ -135,9 +134,10 @@ def _glorot_params(layout: list[tuple[str, tuple[int, ...]]], seed: int) -> Para
     return {name: Tensor(data, requires_grad=True) for name, data in draw_params(layout, draw).items()}
 
 
-def init_params(config: ModelConfig, schema: FeatureSchema, seed: int) -> ParamSet:
-    """Every tensor of the model: Glorot-uniform weights, zero biases."""
-    return _glorot_params(param_layout(config, schema), seed)
+def init_params(config: ModelConfig, schema: FeatureSchema, seed: int, n_classes: int = OUTCOME_CLASSES) -> ParamSet:
+    """Every tensor of the model with an ``n_classes``-way head: Glorot-uniform
+    weights, zero biases."""
+    return _glorot_params(param_layout(config, schema, n_classes), seed)
 
 
 def is_head(name: str) -> bool:
@@ -387,7 +387,7 @@ def represent(temporal: Array, statics: Array, params: ParamSet, config: ModelCo
     if (n_static > 0) != has_static_params:
         raise ShapeError("static features do not match the model's static branch")
 
-    # hour-major layout [fwd_0, bwd_0, fwd_1, ...], fixed for checkpoints
+    # hour-major layout [fwd_0, bwd_0, fwd_1, ...], the row order of the first trunk weight
     per_hour = gru_layer(Tensor(temporal.transpose(1, 0, 2)), params)
     rep = ng.reshape(per_hour, (batch, WINDOW_LEN * per_hour.dims[2]))
     if n_static > 0:
@@ -497,74 +497,3 @@ def project_to_ball(theta: ParamSet, theta0: ParamSet, gamma: float) -> ParamSet
         name: Tensor(theta0[name].data + diffs[name] * scale, requires_grad=True) if name in diffs else p
         for name, p in theta.items()
     }
-
-
-# ---------------------------------------------------------------------------
-# Checkpoints
-# ---------------------------------------------------------------------------
-
-CHECKPOINT_MAGIC = b"NPRL2"
-_MAX_ELEMENTS = 1 << 32  # guards dims fields against absurd payloads
-
-
-def save_checkpoint(params: ParamSet, path) -> None:
-    """Binary format: magic, u32 tensor count, then per tensor
-    u32 name length, name bytes, u32 rank, u32 dims[], float64-LE payload."""
-    chunks = [CHECKPOINT_MAGIC, struct.pack("<I", len(params))]
-    for name, p in params.items():
-        encoded = name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<I", p.data.ndim))
-        chunks.append(struct.pack(f"<{p.data.ndim}I", *p.dims))
-        chunks.append(p.data.astype("<f8").tobytes())
-    with A.atomic_open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
-
-
-def load_checkpoint(path) -> ParamSet:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise FormatError(f"{path}: cannot read: {exc.strerror or exc}") from None
-    if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise FormatError(f"bad checkpoint magic in {path}")
-    offset = len(CHECKPOINT_MAGIC)
-
-    def take(n: int) -> bytes:
-        nonlocal offset
-        if offset + n > len(blob):
-            raise FormatError(f"truncated checkpoint {path}")
-        piece = blob[offset : offset + n]
-        offset += n
-        return piece
-
-    (count,) = struct.unpack("<I", take(4))
-    params: ParamSet = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<I", take(4))
-        try:
-            name = take(name_len).decode("utf-8")
-        except UnicodeDecodeError:
-            raise FormatError(f"tensor name is not UTF-8 in {path}") from None
-        if name in params:
-            raise FormatError(f"duplicate tensor {name!r} in {path}")
-        (rank,) = struct.unpack("<I", take(4))
-        if rank > 8:
-            raise FormatError(f"implausible tensor rank {rank} in {path}")
-        dims = struct.unpack(f"<{rank}I", take(4 * rank))
-        n_elem = 1
-        for d in dims:
-            n_elem *= d
-        if n_elem > _MAX_ELEMENTS:
-            raise FormatError(f"tensor dims overflow in {path}: {dims}")
-        payload = take(8 * n_elem)
-        data = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
-        try:
-            params[name] = Tensor(data, requires_grad=True)
-        except NumericError:
-            raise FormatError(f"non-finite values in tensor {name!r} in {path}") from None
-    if offset != len(blob):
-        raise FormatError(f"trailing bytes in checkpoint {path}")
-    return params

@@ -9,7 +9,7 @@ its seed as an argument, and batch order and initialization derive from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -194,15 +194,6 @@ def _train(
 # ---------------------------------------------------------------------------
 
 
-def init_pretraining(
-    n_profiles: int, model_config: ModelConfig, schema: FeatureSchema, seed: int
-) -> tuple[ModelConfig, ParamSet]:
-    """The n-way pretraining model (one head class per profile) and its
-    starting parameters."""
-    pretrain_model = replace(model_config, head_classes=n_profiles)
-    return pretrain_model, M.init_params(pretrain_model, schema, seed=seed)
-
-
 def nprl_pretrain(
     temporal: Array,
     statics: Array,
@@ -221,10 +212,8 @@ def nprl_pretrain(
     n = len(temporal)
     if n < 2:
         raise InputError("pretraining needs at least two profiles")
-    pretrain_model, params = init_pretraining(n, model_config, schema, seed)
-    return _train(
-        temporal, statics, np.arange(n, dtype=np.int64), params, pretrain_model, schedule=schedule, seed=seed
-    )
+    params = M.init_params(model_config, schema, seed=seed, n_classes=n)
+    return _train(temporal, statics, np.arange(n, dtype=np.int64), params, model_config, schedule=schedule, seed=seed)
 
 
 def identify(
@@ -271,8 +260,8 @@ def finetune(
     lam * (theta - theta0) is added analytically; in projected mode the
     parameters are projected onto the gamma-ball after every optimizer step.
     """
-    if theta0["head.W"].dims[1] != model_config.head_classes:
-        raise InputError("theta0 head does not match the configured class count; call replace_head first")
+    if theta0["head.W"].dims[1] != M.OUTCOME_CLASSES:
+        raise InputError(f"theta0 head needs {M.OUTCOME_CLASSES} classes; call replace_head first")
     return _train(
         temporal,
         statics,

@@ -4,7 +4,6 @@ bad input, and byte mutations of every artifact kind."""
 import hashlib
 import re
 import shutil
-import struct
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -18,7 +17,6 @@ from nprl import artifacts as A
 from nprl import cli
 from nprl import cohort as C
 from nprl import evaluation as E
-from nprl import model as M
 from nprl import pipeline as P
 from nprl import theory as TH
 from nprl.errors import FormatError, NprlError
@@ -42,8 +40,6 @@ def write_all(d: Path) -> None:
         bound_ok=True, bound_constant=0.37, corollary_tol=0.02, pretrain_accuracy=0.9,
     )
     TH.write_theory_report(theory, d / "theory_report.txt", HEADER)
-    config = M.ModelConfig(gru_hidden=2, static_widths=(2,), trunk_widths=(), head_classes=2)
-    M.save_checkpoint(M.init_params(config, M.FeatureSchema(("a",), ("s",)), seed=0), d / "model.ckpt")
 
 
 READERS = {
@@ -51,7 +47,6 @@ READERS = {
     "instances": (INSTANCE_FILES, lambda d: P.read_instances(d / "instances.csv", d / "instances.schema.txt")),
     "report": (("report.csv",), lambda d: E.read_report(d / "report.csv")),
     "theory": (("theory_report.txt",), lambda d: TH.read_theory_report(d / "theory_report.txt")),
-    "checkpoint": (("model.ckpt",), lambda d: M.load_checkpoint(d / "model.ckpt")),
 }
 
 
@@ -465,38 +460,6 @@ class TestNumberRows:
         assert list(A.number_rows(values)) == expected
 
 
-class TestCheckpointBoundary:
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(FormatError, match=r"model\.ckpt: cannot read"):
-            M.load_checkpoint(tmp_path / "model.ckpt")
-
-    def checkpoint(self, *names: bytes) -> bytes:
-        blob = M.CHECKPOINT_MAGIC + struct.pack("<I", len(names))
-        for name in names:
-            blob += struct.pack("<I", len(name)) + name + struct.pack("<II", 1, 1) + struct.pack("<d", 0.5)
-        return blob
-
-    def test_name_not_utf8(self, tmp_path):
-        (tmp_path / "model.ckpt").write_bytes(self.checkpoint(b"\xffw"))
-        with pytest.raises(FormatError, match=r"model\.ckpt"):
-            M.load_checkpoint(tmp_path / "model.ckpt")
-
-    def test_duplicate_name(self, tmp_path):
-        (tmp_path / "model.ckpt").write_bytes(self.checkpoint(b"w", b"v", b"w"))
-        with pytest.raises(FormatError, match=r"duplicate tensor 'w' in .*model\.ckpt"):
-            M.load_checkpoint(tmp_path / "model.ckpt")
-
-    def test_non_finite_payload(self, tmp_path):  # was NumericError without path or tensor
-        blob = self.checkpoint(b"w").replace(struct.pack("<d", 0.5), struct.pack("<d", float("nan")))
-        (tmp_path / "model.ckpt").write_bytes(blob)
-        with pytest.raises(FormatError, match=r"non-finite values in tensor 'w' in .*model\.ckpt"):
-            M.load_checkpoint(tmp_path / "model.ckpt")
-
-    def test_well_formed_checkpoint_loads(self, tmp_path):
-        (tmp_path / "model.ckpt").write_bytes(self.checkpoint(b"w", b"v"))
-        assert list(M.load_checkpoint(tmp_path / "model.ckpt")) == ["w", "v"]
-
-
 class TestAtomicWrites:
     def test_failed_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -511,17 +474,6 @@ class TestAtomicWrites:
             A.write_table(path, ["a"], rows(), HEADER)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
-
-    def test_failed_binary_write_keeps_previous_file(self, tmp_path, pristine):
-        path = tmp_path / "model.ckpt"
-        M.save_checkpoint(M.load_checkpoint(pristine / "model.ckpt"), path)
-        assert path.read_bytes() == (pristine / "model.ckpt").read_bytes()
-        with pytest.raises(RuntimeError, match="interrupted"):
-            with A.atomic_open(path, "wb") as fh:
-                fh.write(M.CHECKPOINT_MAGIC)
-                raise RuntimeError("interrupted")
-        assert path.read_bytes() == (pristine / "model.ckpt").read_bytes()
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
 
 def test_cli_reports_bad_artifact_without_traceback(tmp_path, capsys):

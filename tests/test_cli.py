@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from nprl import cli
+from nprl import evaluation as E
 from nprl.errors import ConfigError
 
 SMALL_OVERRIDES = [
@@ -23,6 +24,13 @@ SMALL_OVERRIDES = [
     "theory.n_probes=2",
     "theory.n_pairs=300",
 ]
+
+
+def snapshot(run_dir: Path, *names: str) -> dict[str, bytes]:
+    """The bytes of each named file under ``run_dir`` and of every file under
+    its ``logs/``, by path relative to ``run_dir``."""
+    paths = [run_dir / name for name in names] + sorted(p for p in (run_dir / "logs").rglob("*") if p.is_file())
+    return {p.relative_to(run_dir).as_posix(): p.read_bytes() for p in paths}
 
 
 def run_cli(args, out_dir):
@@ -211,10 +219,11 @@ def test_unreadable_config_file_is_one_error_line(tmp_path, capsys, kind):
 
 class TestCommands:
     def test_unknown_command_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["juggle"])
-        assert exc.value.code != 0
-        assert "usage" in capsys.readouterr().err.lower()
+        for command in ("juggle", "pretrain", "train"):  # the last two were commands once
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command])
+            assert exc.value.code != 0
+            assert "usage" in capsys.readouterr().err.lower()
 
     def test_unknown_flag_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -227,7 +236,7 @@ class TestCommands:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["eval", "pretrain", "train", "theory"])
+    @pytest.mark.parametrize("command", ["eval", "theory"])
     def test_missing_instances_hints_at_gen_and_extract(self, tmp_path, capsys, command):
         assert run_cli([command] + set_args(SMALL_OVERRIDES), tmp_path) == 1
         err = capsys.readouterr().err
@@ -257,16 +266,6 @@ class TestCommands:
         assert (run_dirs[0] / "instances.csv").exists()
         assert (run_dirs[0] / "instances.schema.txt").exists()
 
-    def test_epoch_zero_accuracy_near_chance(self, tmp_path):
-        # pretrain_log.csv opens with epoch 0, measured at the starting parameters
-        args = set_args(SMALL_OVERRIDES)
-        for command in ("gen", "extract", "pretrain"):
-            assert run_cli([command] + args, tmp_path) == 0
-        (run_dir,) = tmp_path.iterdir()
-        rows = [line.split(",") for line in (run_dir / "pretrain_log.csv").read_text().splitlines()[2:]]
-        assert [row[0] for row in rows] == ["0", "1", "2"]
-        assert float(rows[0][2]) <= 5.0 / 50.0
-
     def test_header_comment_embeds_hash_and_seed(self, tmp_path):
         run_cli(["gen"] + set_args(SMALL_OVERRIDES), tmp_path)
         run_dir = next(tmp_path.iterdir())
@@ -280,24 +279,47 @@ class TestCommands:
         run_dir = next(tmp_path.iterdir())
         for name in ("report.csv", "roc.txt", "theory_report.txt"):
             assert (run_dir / name).exists(), name
-        snapshots = {
-            name: (run_dir / name).read_bytes()
-            for name in ("report.csv", "roc.txt", "theory_report.txt", "instances.csv")
-        }
+        names = ("report.csv", "roc.txt", "theory_report.txt", "instances.csv")
+        snapshots = snapshot(run_dir, *names)
+        for name in snapshots:
+            (run_dir / name).unlink()  # so the rerun writes every file compared below
         assert run_cli(args, tmp_path) == 0
+        rerun = snapshot(run_dir, *names)
+        assert rerun.keys() == snapshots.keys()
         for name, blob in snapshots.items():
-            assert (run_dir / name).read_bytes() == blob, f"{name} changed between reruns"
+            assert rerun[name] == blob, f"{name} changed between reruns"
 
     def test_eval_with_workers_reuses_serial_extract(self, tmp_path):
         args = set_args(SMALL_OVERRIDES)
         for command in ("gen", "extract", "eval"):
             assert run_cli([command] + args, tmp_path) == 0
         (run_dir,) = tmp_path.iterdir()
-        serial = {name: (run_dir / name).read_bytes() for name in ("report.csv", "roc.txt")}
+        serial = snapshot(run_dir, "report.csv", "roc.txt")
+        for name in serial:
+            (run_dir / name).unlink()  # so --workers 2 writes every file compared below
         assert run_cli(["eval", "--workers", "2"] + args, tmp_path) == 0
         assert [p.name for p in tmp_path.iterdir()] == [run_dir.name]
+        pooled = snapshot(run_dir, "report.csv", "roc.txt")
+        assert pooled.keys() == serial.keys()
         for name, blob in serial.items():
-            assert (run_dir / name).read_bytes() == blob, f"{name} differs under --workers 2"
+            assert pooled[name] == blob, f"{name} differs under --workers 2"
+
+    def test_eval_writes_one_training_log_per_fold(self, tmp_path):
+        # distinct epoch counts tell the three schedules apart
+        epochs = {"pretrain": 3, "finetune": 1, "baseline": 2}
+        overrides = SMALL_OVERRIDES + [f"{section}.epochs={n}" for section, n in epochs.items()]
+        for command in ("gen", "extract", "eval"):
+            assert run_cli([command] + set_args(overrides), tmp_path) == 0
+        (run_dir,) = tmp_path.iterdir()
+        logs = {name: blob.decode().splitlines() for name, blob in snapshot(run_dir).items()}
+        schedules = {f"logs/{arm}/fold{k}.csv": "baseline" for arm in E.ARMS for k in range(3)}
+        schedules |= {f"logs/nprl/fold{k}.csv": "finetune" for k in range(3)}
+        schedules |= {f"logs/nprl/fold{k}_pretrain.csv": "pretrain" for k in range(3)}
+        assert logs.keys() == schedules.keys()
+        header = f"# config_hash={cli.RunConfig.load(None, overrides).config_hash()} seed=7"
+        for name, schedule in schedules.items():
+            assert logs[name][:2] == [header, "epoch,loss,acc,frob_dist"], name
+            assert len(logs[name]) - 2 == epochs[schedule], name
 
     def test_env_output_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NPRL_OUT", str(tmp_path / "envroot"))

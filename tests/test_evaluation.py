@@ -139,7 +139,7 @@ def tiny_dataset(n_patients=24, seed=0):
 
 def tiny_configs():
     return E.ArmConfigs(
-        model=M.ModelConfig(gru_hidden=4, trunk_widths=(8,), head_classes=2),
+        model=M.ModelConfig(gru_hidden=4, trunk_widths=(8,)),
         pretrain=T.Schedule(epochs=2),
         finetune=T.FinetuneConfig(epochs=2),
         baseline=T.Schedule(epochs=2),

@@ -6,12 +6,13 @@ import pytest
 
 from nprl import model as M
 from nprl import numgrad as ng
-from nprl.errors import ConfigError, FormatError, InputError, NumericError, ShapeError
+from nprl.errors import ConfigError, InputError, NumericError, ShapeError
 from nprl.numgrad import Tensor
+from gradcheck import grad_check
 from per_gate import GATES, fuse, fuse_tensors, per_gate
 
 SMALL_SCHEMA = M.FeatureSchema(("a", "b", "c", "d", "e"), ("s1", "s2", "s3"))
-SMALL_CONFIG = M.ModelConfig(gru_hidden=4, static_widths=(3, 2, 1), trunk_widths=(6,), head_classes=2)
+SMALL_CONFIG = M.ModelConfig(gru_hidden=4, static_widths=(3, 2, 1), trunk_widths=(6,))
 
 
 def small_params(seed=0):
@@ -59,7 +60,7 @@ class TestInitParams:
         # then b, each limit from the per-gate dims; fused by column
         # concatenation
         schema = M.FeatureSchema(("a", "b", "c", "d", "e"), tuple(f"s{i}" for i in range(n_static)))
-        config = M.ModelConfig(gru_hidden=hidden, static_widths=(3, 2, 1), trunk_widths=(6,), head_classes=2)
+        config = M.ModelConfig(gru_hidden=hidden, static_widths=(3, 2, 1), trunk_widths=(6,))
         t, h = schema.n_temporal, hidden
         layout = [
             (f"gru_{direction}.{kind}_{gate}", dims)
@@ -86,7 +87,7 @@ class TestInitParams:
         with pytest.raises(ConfigError):
             M.ModelConfig(gru_hidden=0)
         with pytest.raises(ConfigError):
-            M.ModelConfig(head_classes=1)
+            M.ModelConfig(trunk_widths=(0,))
 
 
 def one_step(x, h_prev, params):
@@ -167,7 +168,7 @@ class TestGruCell:
             return weighted_sum(one_step(p["x"], p["h"], p), weights)
 
         # 18 covers every coordinate of the largest tensors, W_zrh and U_zr
-        assert ng.grad_check(fn, params, step=1e-5, max_coords_per_tensor=18) < 1e-6
+        assert grad_check(fn, params, step=1e-5, max_coords_per_tensor=18) < 1e-6
 
 
 def bigru_states(window, params, config):
@@ -180,14 +181,14 @@ def bigru_states(window, params, config):
 class TestBigru:
     def test_paper_dims(self):
         schema = M.FeatureSchema(tuple(f"t{i}" for i in range(11)))
-        config = M.ModelConfig(head_classes=2)
+        config = M.ModelConfig()
         params = M.init_params(config, schema, seed=0)
         out = bigru_states(np.random.default_rng(0).normal(size=(9, 11)), params, config)
         assert out.shape == (9, 512)
         assert out.size == 4608
 
     def test_zero_params_zero_output(self):
-        config = M.ModelConfig(gru_hidden=4, static_widths=(), trunk_widths=(), head_classes=2)
+        config = M.ModelConfig(gru_hidden=4, static_widths=(), trunk_widths=())
         params = M.init_params(config, M.FeatureSchema(("a", "b", "c", "d", "e")), seed=0)
         for name in params:
             if name.startswith("gru_"):
@@ -196,7 +197,7 @@ class TestBigru:
         np.testing.assert_array_equal(out, np.zeros((9, 8)))
 
     def test_time_reversal_swaps_directions(self):
-        config = M.ModelConfig(gru_hidden=4, static_widths=(), trunk_widths=(6,), head_classes=2)
+        config = M.ModelConfig(gru_hidden=4, static_widths=(), trunk_widths=(6,))
         params = M.init_params(config, M.FeatureSchema(("a", "b", "c", "d", "e")), seed=0)
         # make both directions share weights so the symmetry is exact
         for kind in ("W_zrh", "U_zr", "U_h", "b_zrh"):
@@ -270,13 +271,10 @@ class TestForward:
         # checked one tensor per gate block, so each block gets its own 32
         # samples (all of its coordinates here) for any seed
         gates = {name: Tensor(block, requires_grad=True) for name, block in per_gate(params)}
-        assert ng.grad_check(fn, gates, step=step, max_coords_per_tensor=32) < 1e-4
+        assert grad_check(fn, gates, step=step, max_coords_per_tensor=32) < 1e-4
 
     def test_normalized_representation_unit_norm(self):
-        config = M.ModelConfig(
-            gru_hidden=4, static_widths=(3, 2, 1), trunk_widths=(), head_classes=2,
-            normalize_representation=True,
-        )
+        config = M.ModelConfig(gru_hidden=4, static_widths=(3, 2, 1), trunk_widths=(), normalize_representation=True)
         params = M.init_params(config, SMALL_SCHEMA, seed=0)
         temporal, statics = small_batch(n=5)
         _, rep = M.forward_batch(temporal, statics, params, config)
@@ -284,7 +282,7 @@ class TestForward:
 
     def test_no_static_branch(self):
         schema = M.FeatureSchema(("a", "b", "c", "d", "e"))
-        config = M.ModelConfig(gru_hidden=4, trunk_widths=(6,), head_classes=2)
+        config = M.ModelConfig(gru_hidden=4, trunk_widths=(6,))
         params = M.init_params(config, schema, seed=0)
         assert not any(n.startswith("static.") for n in params)
         temporal, _ = small_batch()
@@ -321,7 +319,7 @@ class TestFusedGru:
     @pytest.mark.parametrize("hidden,batch", [(1, 1), (4, 3), (32, 64)])
     def test_matches_per_step_reference(self, hidden, batch):
         schema = M.FeatureSchema(("a", "b", "c", "d", "e"))
-        config = M.ModelConfig(gru_hidden=hidden, trunk_widths=(), head_classes=2)
+        config = M.ModelConfig(gru_hidden=hidden, trunk_widths=())
         params = M.init_params(config, schema, seed=hidden)
         for name, p in params.items():  # nonzero biases exercise every term
             if p.data.ndim == 1:
@@ -336,7 +334,7 @@ class TestFusedGru:
         # gathers gradient from two fused nodes; no relu anywhere, so the
         # central differences can use a small step
         schema = M.FeatureSchema(("a", "b", "c", "d", "e"))
-        config = M.ModelConfig(gru_hidden=4, trunk_widths=(), head_classes=2)
+        config = M.ModelConfig(gru_hidden=4, trunk_widths=())
         params = M.init_params(config, schema, seed=0)
         shared = {
             name: Tensor(block, requires_grad=True)
@@ -356,7 +354,7 @@ class TestFusedGru:
         # checked one tensor per gate block: no block holds more than 32
         # coordinates, so every coordinate of every gate is checked
         assert max(t.data.size for n, t in shared.items() if n.startswith("gru_")) <= 32
-        assert ng.grad_check(fn, shared, step=1e-5, max_coords_per_tensor=32) < 1e-5
+        assert grad_check(fn, shared, step=1e-5, max_coords_per_tensor=32) < 1e-5
 
     @pytest.mark.parametrize("gate", ["z", "r", "h"])
     def test_preactivation_overflow_raises(self, gate):
@@ -498,8 +496,9 @@ class TestReplaceHead:
         assert M.frobenius_distance(params, swapped) == 0.0
 
     def test_head_shape(self):
-        config = M.ModelConfig(gru_hidden=4, static_widths=(3, 2, 1), trunk_widths=(), head_classes=7)
-        params = M.init_params(config, SMALL_SCHEMA, seed=0)
+        config = M.ModelConfig(gru_hidden=4, static_widths=(3, 2, 1), trunk_widths=())
+        params = M.init_params(config, SMALL_SCHEMA, seed=0, n_classes=7)
+        assert params["head.W"].dims == (M.rep_width(config, 3), 7)
         swapped = M.replace_head(params, 2, seed=1)
         assert swapped["head.W"].dims == (M.rep_width(config, 3), 2)
         assert swapped["head.b"].dims == (2,)
@@ -576,51 +575,3 @@ class TestFrobeniusGeometry:
         params = small_params()
         with pytest.raises(InputError):
             M.project_to_ball(params, params, 0.0)
-
-
-class TestCheckpoints:
-    def test_round_trip_bit_exact(self, tmp_path):
-        params = small_params(seed=5)
-        path = tmp_path / "model.ckpt"
-        M.save_checkpoint(params, path)
-        loaded = M.load_checkpoint(path)
-        assert list(loaded) == list(params)
-        for name in params:
-            assert loaded[name].data.tobytes() == params[name].data.tobytes()
-
-    def test_corrupted_magic(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        M.save_checkpoint(small_params(), path)
-        blob = path.read_bytes()
-        flipped = bytes([blob[0] ^ 0xFF]) + blob[1:]
-        per_gate_format = b"NPRL1" + blob[len(M.CHECKPOINT_MAGIC) :]  # the one-tensor-per-gate layout
-        for corrupted in (flipped, per_gate_format):
-            path.write_bytes(corrupted)
-            with pytest.raises(FormatError):
-                M.load_checkpoint(path)
-
-    def test_truncated_file(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        M.save_checkpoint(small_params(), path)
-        path.write_bytes(path.read_bytes()[:-9])
-        with pytest.raises(FormatError):
-            M.load_checkpoint(path)
-
-    def test_file_size_formula(self, tmp_path):
-        params = small_params()
-        path = tmp_path / "model.ckpt"
-        M.save_checkpoint(params, path)
-        expected = len(M.CHECKPOINT_MAGIC) + 4
-        for name, p in params.items():
-            expected += 4 + len(name.encode()) + 4 + 4 * p.data.ndim + 8 * p.data.size
-        assert path.stat().st_size == expected
-
-    def test_shape_overflow_guard(self, tmp_path):
-        import struct
-
-        path = tmp_path / "bad.ckpt"
-        payload = M.CHECKPOINT_MAGIC + struct.pack("<I", 1)
-        payload += struct.pack("<I", 1) + b"w" + struct.pack("<I", 2) + struct.pack("<2I", 1 << 20, 1 << 20)
-        path.write_bytes(payload)
-        with pytest.raises(FormatError):
-            M.load_checkpoint(path)

@@ -6,6 +6,7 @@ import pytest
 from nprl import numgrad as ng
 from nprl.errors import InputError, NumericError, ShapeError
 from nprl.numgrad import Tensor
+from gradcheck import grad_check, total_sum
 
 
 def mul(a, b):
@@ -65,9 +66,9 @@ class TestAffine:
         }
 
         def fn(p):
-            return ng.total_sum(ng.affine(p["x"], p["w"], p["b"]))
+            return total_sum(ng.affine(p["x"], p["w"], p["b"]))
 
-        assert ng.grad_check(fn, params, max_coords_per_tensor=24) < 1e-8
+        assert grad_check(fn, params, max_coords_per_tensor=24) < 1e-8
 
 
     @staticmethod
@@ -79,7 +80,7 @@ class TestAffine:
         w = Tensor(rng.normal(size=(70, 45)), requires_grad=w_grad)
         b = Tensor(rng.normal(size=45), requires_grad=True)
         out = ng.affine(x, w, b)
-        ng.total_sum(mul(out, Tensor(rng.normal(size=out.dims)))).backward()
+        total_sum(mul(out, Tensor(rng.normal(size=out.dims)))).backward()
         return [t.grad for t in (x, w, b)]
 
     def test_two_thread_backward_matches_serial(self, two_threads, monkeypatch):
@@ -110,9 +111,9 @@ class TestElementwise:
 
         def fn(p):
             y = ng.relu(ng.reshape(p["x"], (1, 5)))
-            return ng.total_sum(mul(y, y))
+            return total_sum(mul(y, y))
 
-        assert ng.grad_check(fn, params) < 1e-4
+        assert grad_check(fn, params) < 1e-4
 
 
 class TestSoftmaxXent:
@@ -159,7 +160,7 @@ class TestSoftmaxXent:
         def fn(p):
             return ng.cross_entropy(p["logits"], labels, weights)
 
-        assert ng.grad_check(fn, params, max_coords_per_tensor=12) < 1e-6
+        assert grad_check(fn, params, max_coords_per_tensor=12) < 1e-6
 
 
 def reference_adam(p, m, v, g, t, lr, b1=0.9, b2=0.999, eps=1e-8):
@@ -323,9 +324,9 @@ class TestGradCheck:
         params = {"w": Tensor(rng.normal(size=(4, 3)), requires_grad=True)}
 
         def fn(p):
-            return ng.total_sum(mul(p["w"], p["w"]))
+            return total_sum(mul(p["w"], p["w"]))
 
-        assert ng.grad_check(fn, params, max_coords_per_tensor=12) < 1e-8
+        assert grad_check(fn, params, max_coords_per_tensor=12) < 1e-8
 
     def test_detects_corrupted_backward(self):
         params = {"w": Tensor(np.array([0.7, -0.3]), requires_grad=True)}
@@ -342,13 +343,13 @@ class TestGradCheck:
             out._backward = _bw
             return out
 
-        err = ng.grad_check(lambda p: doubled_square(p["w"]), params)
+        err = grad_check(lambda p: doubled_square(p["w"]), params)
         assert abs(err - 0.5) < 1e-6
 
     def test_rejects_nonpositive_step(self):
         params = {"w": Tensor(np.array([1.0]), requires_grad=True)}
         with pytest.raises(InputError):
-            ng.grad_check(lambda p: ng.total_sum(p["w"]), params, step=0.0)
+            grad_check(lambda p: total_sum(p["w"]), params, step=0.0)
 
     def test_nonfinite_value_raises(self):
         params = {"w": Tensor(np.array([1.0]), requires_grad=True)}
@@ -359,7 +360,7 @@ class TestGradCheck:
             return out
 
         with pytest.raises(NumericError):
-            ng.grad_check(fn, params)
+            grad_check(fn, params)
 
 
 class TestTensorInvariants:
@@ -383,7 +384,7 @@ class TestTensorInvariants:
 
     def test_graph_freed_after_backward(self):
         x = Tensor(np.array([2.0]), requires_grad=True)
-        y = ng.total_sum(mul(x, x))
+        y = total_sum(mul(x, x))
         y.backward()
         assert y._parents == ()
         assert y._backward is None
@@ -412,9 +413,9 @@ class TestConcatReshapeNormalize:
         params = {"x": Tensor(rng.normal(size=(3, 5)), requires_grad=True)}
 
         def fn(p):
-            return ng.total_sum(mul(ng.l2_normalize_rows(p["x"]), Tensor(direction)))
+            return total_sum(mul(ng.l2_normalize_rows(p["x"]), Tensor(direction)))
 
-        assert ng.grad_check(fn, params, max_coords_per_tensor=15) < 1e-6
+        assert grad_check(fn, params, max_coords_per_tensor=15) < 1e-6
 
     def test_composite_graph_gradient(self):
         rng = np.random.default_rng(10)
@@ -435,4 +436,4 @@ class TestConcatReshapeNormalize:
             hidden = ng.relu(ng.affine(Tensor(x), p["w1"], p["b1"]))
             return ng.cross_entropy(ng.affine(hidden, p["w2"], p["b2"]), labels)
 
-        assert ng.grad_check(fn, params, max_coords_per_tensor=20) < 1e-4
+        assert grad_check(fn, params, max_coords_per_tensor=20) < 1e-4

@@ -11,7 +11,7 @@ from per_gate import fuse, per_gate
 
 SCHEMA = M.FeatureSchema(("a", "b", "c"), ())
 NORM_CONFIG = M.ModelConfig(
-    gru_hidden=4, trunk_widths=(), head_classes=2, normalize_representation=True
+    gru_hidden=4, trunk_widths=(), normalize_representation=True
 )
 
 
@@ -80,7 +80,7 @@ class TestEstimateLipschitz:
         # reference: one standard normal draw per gate tensor and per other
         # non-head tensor, in the per-gate order, scaled to norm delta from
         # the per-block sums of squares
-        config = M.ModelConfig(gru_hidden=hidden, static_widths=(3, 1), trunk_widths=(5,), head_classes=2)
+        config = M.ModelConfig(gru_hidden=hidden, static_widths=(3, 1), trunk_widths=(5,))
         params = M.init_params(config, M.FeatureSchema(("a", "b", "c"), ("s1", "s2")), seed=0)
         rng = derive_rng(4, "probe", 1)
         drawn = {name: rng.standard_normal(block.shape) for name, block in per_gate(params) if not M.is_head(name)}
@@ -185,9 +185,9 @@ class TestCheckTheorem1:
         # below what the slack absorbs when the originals are far apart
         data = toy_arrays(n=12, seed=5)
         theta0 = M.init_params(
-            M.ModelConfig(gru_hidden=4, trunk_widths=(), head_classes=2), SCHEMA, seed=4
+            M.ModelConfig(gru_hidden=4, trunk_widths=()), SCHEMA, seed=4
         )
-        config = M.ModelConfig(gru_hidden=4, trunk_widths=(), head_classes=2)
+        config = M.ModelConfig(gru_hidden=4, trunk_widths=())
         # theta*: all GRU weights zeroed, collapsing every representation to 0
         theta_star = {
             name: ng.Tensor(np.zeros(p.dims), requires_grad=True) if not M.is_head(name) else p
@@ -213,7 +213,7 @@ class TestCheckCorollary1:
         assert ok
 
     def test_requires_normalization(self):
-        config = M.ModelConfig(gru_hidden=4, trunk_widths=(), head_classes=2)
+        config = M.ModelConfig(gru_hidden=4, trunk_widths=())
         data = toy_arrays(n=8, seed=7)
         reps = reps_of(data, M.init_params(config, SCHEMA, seed=6), config)
         with pytest.raises(ConfigError):
@@ -276,7 +276,7 @@ class TestTheoryProtocol:
 
     def test_rejects_unnormalized_model(self):
         with pytest.raises(ConfigError):
-            TH.TheoryConfig(model=M.ModelConfig(gru_hidden=4, trunk_widths=(), head_classes=2))
+            TH.TheoryConfig(model=M.ModelConfig(gru_hidden=4, trunk_widths=()))
 
     def test_report_round_trip(self, tmp_path):
         data = toy_arrays(n=30, seed=10)

@@ -11,7 +11,7 @@ from nprl.errors import InputError
 from per_gate import per_gate
 
 SCHEMA = M.FeatureSchema(("a", "b", "c"), ())
-CONFIG = M.ModelConfig(gru_hidden=4, trunk_widths=(8,), head_classes=2)
+CONFIG = M.ModelConfig(gru_hidden=4, trunk_widths=(8,))
 
 
 def toy_arrays(n_pos=6, n_neg=18, seed=0, separable=True):
@@ -105,18 +105,18 @@ class TestPretrain:
         _, log = T.nprl_pretrain(temporal, statics, CONFIG, SCHEMA, T.Schedule(epochs=3), seed=2)
         assert [row.epoch for row in log.epochs] == [1, 2, 3]
 
-    def test_starts_from_init_pretraining(self, monkeypatch):
-        # the epoch-0 row of `nprl pretrain` is measured at init_pretraining's
-        # parameters, so training must start from exactly those
+    def test_starts_from_n_way_init_params(self, monkeypatch):
+        # training starts from init_params with one head class per profile,
+        # drawn from the pretraining seed
         started = []
         monkeypatch.setattr(
             T, "_train", lambda temporal, statics, labels, params, model, **kw: started.append((params, model))
         )
         temporal, statics, _ = toy_arrays(0, 12, seed=9, separable=False)
         T.nprl_pretrain(temporal, statics, CONFIG, SCHEMA, T.Schedule(epochs=1), seed=5)
-        model, initial = T.init_pretraining(len(temporal), CONFIG, SCHEMA, seed=5)
+        initial = M.init_params(CONFIG, SCHEMA, seed=5, n_classes=12)
         ((params, used_model),) = started
-        assert used_model == model and model.head_classes == 12
+        assert used_model == CONFIG and params["head.W"].dims[1] == 12
         assert {n: p.data.tobytes() for n, p in params.items()} == {n: p.data.tobytes() for n, p in initial.items()}
 
     def test_final_diagnostics_match_two_passes(self):
@@ -127,13 +127,12 @@ class TestPretrain:
         assert len(temporal) > M.FORWARD_CHUNK
         params, _ = T.nprl_pretrain(temporal, statics, CONFIG, SCHEMA, T.Schedule(epochs=1), seed=4)
         _, accuracy, final_reps = T.identify(temporal, statics, params, CONFIG)
-        model = M.ModelConfig(gru_hidden=4, trunk_widths=(8,), head_classes=600)
         detached = ng.detach(params)
         correct = 0
         for lo in range(0, 600, 512):
-            logits, _ = M.forward_batch(temporal[lo : lo + 512], statics[lo : lo + 512], detached, model)
+            logits, _ = M.forward_batch(temporal[lo : lo + 512], statics[lo : lo + 512], detached, CONFIG)
             correct += int((logits.data.argmax(axis=1) == np.arange(lo, min(lo + 512, 600))).sum())
-        reps = M.compute_representations(temporal, statics, params, model)
+        reps = M.compute_representations(temporal, statics, params, CONFIG)
         assert accuracy == correct / 600
         assert TH.mean_abs_cosine(final_reps, 4) == TH.mean_abs_cosine(reps, 4)
         np.testing.assert_array_equal(final_reps, reps)  # theory uses them as theta0's
