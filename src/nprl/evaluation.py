@@ -173,7 +173,7 @@ def _fit_arm(
         theta0, pretrain_log = T.nprl_pretrain(
             temporal, statics, cfg.model, schema, cfg.pretrain, derive_seed(seed, "pretrain")
         )
-        theta0 = M.replace_head(theta0, M.OUTCOME_CLASSES, derive_seed(seed, "head"))
+        theta0 = M.replace_head(theta0, derive_seed(seed, "head"))
         params, log = T.finetune(*data, theta0, cfg.finetune, cfg.model, train_seed, class_weights=weights)
         return params, log, pretrain_log
     params, log = T.train_baseline(*data, cfg.model, schema, cfg.baseline, train_seed, class_weights=weights)

@@ -174,7 +174,22 @@ class _Direction:
     its weights and every array that its recurrence (``scan``) and its BPTT
     (``bptt``) write. ``allocate_scan`` and ``allocate_bptt`` allocate them
     in the calling thread, so a second thread running ``scan`` or ``bptt``
-    allocates nothing; both free their scratch arrays when they finish.
+    allocates no array; both free their scratch arrays when they finish.
+
+    NumPy buffers an operand that is a column slice of wider rows, or a
+    broadcast row, and runs such an op 2-5 times slower than on a contiguous
+    block. So a taped pass adds the biases as whole blocks, filled once per
+    pass, and keeps each step's gates gate-major: z and r are one
+    (2, batch, H) block, copied from the sigmoid's [z | r] rows, so every
+    later op on a gate, in the recurrence and in BPTT, reads whole blocks.
+    BPTT copies the outputs' gradient to one contiguous block, forms the
+    gate gradients in contiguous blocks and writes them into the [z | r | c]
+    rows that its GEMMs read. A forward-only pass keeps the gates in the
+    rows and broadcasts the bias rows, as nothing reads its gates after the
+    step. Every GEMM has the operands of the fused layout, with other
+    strides at most, so every result is the same to the bit; a GEMM against
+    a block of U_zr's columns is not (its bits differ at H = 17 or at batch
+    1, for example), so none is split.
 
     states[t + rev] is the state entering step t and states[t + 1 - rev] the
     one leaving it, so both the inputs and the outputs are contiguous runs.
@@ -198,7 +213,11 @@ class _Direction:
         self.states = np.empty((steps + 1, batch, hidden))
         self.states[steps if self.rev else 0] = 0.0 if h0 is None else h0.data
         kept = steps if taped else 1  # forward-only passes reuse one slot
-        self.gates = np.empty((kept, batch, 2 * hidden))  # sigmoid outputs [z | r]
+        self.pre = np.empty((batch, 2 * hidden))  # the gates' pre-activation rows [z | r]
+        rows = batch if taped else 1  # b_zrh repeated per row; a forward-only pass broadcasts one
+        self.b_zr, self.b_c = np.empty((rows, 2 * hidden)), np.empty((rows, hidden))
+        # the sigmoid outputs z, r that BPTT reads; a forward-only pass keeps them in pre
+        self.gates = np.empty((steps, 2, batch, hidden)) if taped else None
         self.cands = np.empty((kept, batch, hidden))  # tanh candidates
         self.reset = np.empty((kept, batch, hidden))  # r * h
         self.zc = np.empty((batch, hidden))  # z * c
@@ -213,42 +232,53 @@ class _Direction:
         """The recurrence, with the input GEMM for all steps hoisted out of
         the loop and one GEMM against U_zr and one against U_h per step:
 
-            [z | r] = sigmoid(x W_zrh[:, :2H] + h U_zr + b_zrh[:2H])
+            z, r = sigmoid(x W_zrh[:, :2H] + h U_zr + b_zrh[:2H])
             c = tanh(x W_zrh[:, 2H:] + (r * h) U_h + b_zrh[2H:])
             h' = (1 - z) * h + z * c
         """
-        hidden, proj, states, rev, u_zr, u_h, zc = (
-            self.hidden, self.proj, self.states, self.rev, self.u_zr, self.u_h, self.zc
+        hidden, proj, states, rev, u_zr, u_h, pre, zc = (
+            self.hidden, self.proj, self.states, self.rev, self.u_zr, self.u_h, self.pre, self.zc
         )
-        finite_zr = self.finite.reshape(zc.shape[0], 2 * hidden)
+        finite_zr = self.finite.reshape(pre.shape)
         finite_c = self.finite[: zc.size].reshape(zc.shape)
+        pre_zr = pre.reshape(pre.shape[0], 2, hidden).transpose(1, 0, 2)  # pre's z and r blocks
         np.matmul(self.x2d, self.w, out=proj.reshape(self.x2d.shape[0], 3 * hidden))
-        b_zr, b_c = self.b[: 2 * hidden], self.b[2 * hidden :]
+        b_zr, b_c = self.b_zr, self.b_c
+        b_zr[:], b_c[:] = self.b[: 2 * hidden], self.b[2 * hidden :]
+        proj_zr, proj_c = proj[:, :, : 2 * hidden], proj[:, :, 2 * hidden :]
+        gate_what, cand_what = f"{self.prefix} gate", f"{self.prefix} candidate"
         for t in self.order:
             k = t if self.taped else 0
-            h, zr, c, rh = states[t + rev], self.gates[k], self.cands[k], self.reset[k]
-            np.matmul(h, u_zr, out=zr)
-            zr += proj[t, :, : 2 * hidden]
-            zr += b_zr
-            _check_finite(zr, finite_zr, f"{self.prefix} gate")
-            _sigmoid_(zr)
-            z, r = zr[:, :hidden], zr[:, hidden:]
+            h, c, rh = states[t + rev], self.cands[k], self.reset[k]
+            np.matmul(h, u_zr, out=pre)
+            pre += proj_zr[t]
+            pre += b_zr
+            _check_finite(pre, finite_zr, gate_what)
+            _sigmoid_(pre)
+            if self.taped:  # gate-major, so that each gate is one block
+                z, r = zr = self.gates[t]
+                np.copyto(zr, pre_zr)
+            else:
+                z, r = pre[:, :hidden], pre[:, hidden:]
             np.multiply(r, h, out=rh)
             np.matmul(rh, u_h, out=c)
-            c += proj[t, :, 2 * hidden :]
+            c += proj_c[t]
             c += b_c
-            _check_finite(c, finite_c, f"{self.prefix} candidate")
+            _check_finite(c, finite_c, cand_what)
             np.tanh(c, out=c)
             h_new = states[t + 1 - rev]
             np.subtract(1.0, z, out=h_new)
             h_new *= h
             h_new += np.multiply(z, c, out=zc)
-        self.proj = self.zc = self.finite = None  # scratch that BPTT does not read
+        # scratch that BPTT does not read
+        self.proj = self.pre = self.b_zr = self.b_c = self.zc = self.finite = None
 
     def allocate_bptt(self, input_grad: bool) -> None:
         steps, batch, hidden = self.outputs.shape
+        self.d_out = np.empty((steps, batch, hidden))  # the outputs' gradient, contiguous
         self.d_proj = np.empty((steps, batch, 3 * hidden))  # pre-activation grads [z | r | c]
-        self.work = np.empty((batch, 2 * hidden))
+        self.d_pre = np.empty((3, batch, hidden))  # d_z and d_r before sigmoid', and scratch
+        self.work = np.empty((2, batch, hidden))
         self.dh = np.zeros((batch, hidden)), np.empty((batch, hidden))  # a state's grad, the one before
         self.d_hu = np.empty((batch, hidden))  # a gate grad times U_zr.T
         self.grads = [np.empty_like(a) for a in (self.w, self.u_zr, self.u_h, self.b)]
@@ -259,35 +289,36 @@ class _Direction:
         of the outputs. The four weight gradients are formed whole after the
         loop, one GEMM or sum each over all steps; the input's gradient goes
         to ``d_x`` when it is allocated, and the initial state's to ``d_h0``."""
-        hidden, states, rev, d_proj, work, u_zr_t, u_h_t = (
-            self.hidden, self.states, self.rev, self.d_proj, self.work, self.u_zr.T, self.u_h.T
+        hidden, states, rev, d_proj, d_pre, work, u_zr_t, u_h_t = (
+            self.hidden, self.states, self.rev, self.d_proj, self.d_pre, self.work, self.u_zr.T, self.u_h.T
         )
+        steps, batch = d_proj.shape[:2]
+        np.copyto(self.d_out, d_out)
         dh, spare = self.dh
+        d_zr_pre, (d_z_pre, d_r_pre, scratch), work_z = d_pre[:2], d_pre, work[0]
+        # each step's [z | r] rows of d_proj, seen as gate-major (2, batch, H)
+        d_zr_rows = d_proj.reshape(steps, batch, 3, hidden)[:, :, :2].transpose(0, 2, 1, 3)
         for t in reversed(self.order):
             h, zr, c = states[t + rev], self.gates[t], self.cands[t]
-            z, r = zr[:, :hidden], zr[:, hidden:]
+            z, r = zr
             d_zr, d_c = d_proj[t, :, : 2 * hidden], d_proj[t, :, 2 * hidden :]
-            d_z, d_r = d_zr[:, :hidden], d_zr[:, hidden:]
-            dh += d_out[t]
+            dh += self.d_out[t]
             # through h' = (1 - z) * h + z * c and c = tanh(.)
-            np.subtract(c, h, out=d_z)
-            d_z *= dh
-            tanh_grad = work[:, :hidden]
-            np.multiply(c, c, out=tanh_grad)
+            np.subtract(c, h, out=d_z_pre)
+            d_z_pre *= dh
+            tanh_grad = np.multiply(c, c, out=work_z)
             np.subtract(1.0, tanh_grad, out=tanh_grad)
-            np.multiply(dh, z, out=d_c)
-            d_c *= tanh_grad
+            np.multiply(dh, z, out=scratch)
+            np.multiply(scratch, tanh_grad, out=d_c)
             d_rh = np.matmul(d_c, u_h_t, out=spare)
-            np.multiply(d_rh, h, out=d_r)
-            np.subtract(1.0, zr, out=work)  # sigmoid' = s * (1 - s), both gates
-            work *= zr
-            d_zr *= work
+            np.multiply(d_rh, h, out=d_r_pre)
+            np.subtract(1.0, zr, out=work)
+            carry = np.multiply(work_z, dh, out=scratch)  # (1 - z) * dh
+            work *= zr  # sigmoid' = s * (1 - s), both gates
+            np.multiply(d_zr_pre, work, out=d_zr_rows[t])
             # the previous state feeds r * h, the carry term and both gates
             dh_prev = d_rh
             dh_prev *= r
-            carry = work[:, :hidden]
-            np.subtract(1.0, z, out=carry)
-            carry *= dh
             dh_prev += carry
             dh_prev += np.matmul(d_zr, u_zr_t, out=self.d_hu)
             dh, spare = dh_prev, dh
@@ -301,7 +332,7 @@ class _Direction:
         np.sum(d_flat, axis=0, out=d_b)
         if self.d_x is not None:
             np.matmul(d_flat, self.w.T, out=self.d_x)
-        self.d_proj = self.work = self.dh = self.d_hu = None
+        self.d_out = self.d_proj = self.d_pre = self.work = self.dh = self.d_hu = None
 
 
 def _run(jobs: list[tuple], threaded: bool) -> None:
@@ -454,12 +485,11 @@ def compute_representations(temporal: Array, statics: Array, params: ParamSet, c
 # ---------------------------------------------------------------------------
 
 
-def replace_head(params: ParamSet, new_classes: int, seed: int) -> ParamSet:
-    """Fresh classification head, every other tensor carried over bit-exactly."""
-    if new_classes < 2:
-        raise InputError(f"head needs at least 2 classes, got {new_classes}")
+def replace_head(params: ParamSet, seed: int) -> ParamSet:
+    """Fresh ``OUTCOME_CLASSES``-way head, every other tensor carried over
+    bit-exactly."""
     in_width = params["head.W"].dims[0]
-    head = _glorot_params([("head.W", (in_width, new_classes)), ("head.b", (new_classes,))], seed)
+    head = _glorot_params([("head.W", (in_width, OUTCOME_CLASSES)), ("head.b", (OUTCOME_CLASSES,))], seed)
     return {name: head.get(name, p) for name, p in params.items()}
 
 

@@ -377,7 +377,7 @@ def init_adam(params: ParamSet, learning_rate: float) -> OptimizerState:
 ADAM_BLOCK = 32768
 # Elements from which a tensor is updated as two block ranges, the second on
 # a second thread; a smaller tensor costs more to start a thread for.
-ADAM_SPLIT = 2**19
+ADAM_SPLIT = 2**18
 
 
 def _adam_scratch(size: int) -> tuple[Array, Array, Array]:

@@ -271,7 +271,7 @@ def theory_protocol(
     _, pretrain_accuracy, reps0 = T.identify(temporal, statics, theta0, config.model)
     # the outcome head replaces the n-way one before the probes, which read
     # no head, so the n-way head is not held through the passes that follow
-    theta0 = M.replace_head(theta0, M.OUTCOME_CLASSES, derive_seed(seed, "head"))
+    theta0 = M.replace_head(theta0, derive_seed(seed, "head"))
     l_hat = estimate_lipschitz(
         theta0,
         temporal,

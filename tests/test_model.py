@@ -1,4 +1,6 @@
+import hashlib
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -486,10 +488,86 @@ class TestTwoThreads:
         assert len(two_threads) == 2
 
 
+# sha256 of the output and every gradient of one taped bidirectional pass,
+# taken when each direction computed its gates as column slices of wider
+# rows; serial and two-thread passes must both reproduce it
+GRU_GRAD_SHA256 = {
+    (1, 1): "1d61baf977b0bcc0527b797599ca0a8e624efbd7a753f509451ce3e4f923c61b",
+    (5, 4): "8291f337ed704ffb440c26ea2f2fc18dec2443bafd72e1aa7a06ef33b92963ea",
+    (64, 32): "299df7c619e89d0247e9bcead2d19a398a181e8689289c7ec17708df34f54211",
+}
+
+
+@pytest.mark.parametrize("batch,hidden", list(GRU_GRAD_SHA256))
+@pytest.mark.parametrize("threads", ["serial", "two_threads"])
+def test_golden_gru_gradients(batch, hidden, threads, request, monkeypatch):
+    if threads == "serial":
+        monkeypatch.setattr(M, "TWO_THREAD_WORK", 2**62)
+    else:
+        started = request.getfixturevalue("two_threads")
+    rng = np.random.default_rng(batch * 1000 + hidden)
+    config = M.ModelConfig(gru_hidden=hidden, trunk_widths=())
+    params = {
+        name: Tensor(rng.normal(size=dims) * 0.5, requires_grad=True)
+        for name, dims in M.param_layout(config, M.FeatureSchema(("a", "b", "c", "d", "e")))
+        if name.startswith("gru_")
+    }
+    x = Tensor(rng.normal(size=(9, batch, 5)), requires_grad=True)
+    h0 = Tensor(rng.uniform(-1.0, 1.0, size=(batch, hidden)), requires_grad=True)
+    out = M.gru_layer(x, params, h0=h0)
+    weighted_sum(out, rng.normal(size=out.dims)).backward()
+    if threads == "two_threads":
+        assert len(started) == 2  # the forward pass and BPTT
+    digest = hashlib.sha256(out.data.tobytes())
+    for name, t in (*params.items(), ("x", x), ("h0", h0)):
+        digest.update(name.encode())
+        digest.update(t.grad.tobytes())
+    assert digest.hexdigest() == GRU_GRAD_SHA256[batch, hidden]
+
+
+def traced_peak_rise(call) -> int:
+    """Bytes by which ``call()`` raises the traced peak above what was
+    allocated when it began; NumPy's buffers are traced too."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("taped", [False, True], ids=["forward_only", "taped"])
+def test_scan_and_bptt_allocate_nothing(taped):
+    # numgrad.run_pair's rule: every array that a direction's scan or BPTT
+    # writes is allocated beforehand, by the calling thread, so a worker
+    # thread allocates less than one (batch, H) block. An op on a strided or
+    # broadcast operand buffers it in at most 8,192 elements (64 kB), so at
+    # this size a block (128 kB) is more than any such buffer
+    steps, batch, hidden = 9, 256, 64
+    rng = np.random.default_rng(4)
+    config = M.ModelConfig(gru_hidden=hidden, trunk_widths=())
+    params = {
+        name: Tensor(rng.normal(size=dims) * 0.3, requires_grad=True)
+        for name, dims in M.param_layout(config, M.FeatureSchema(("a", "b", "c", "d", "e")))
+        if name.startswith("gru_")
+    }
+    x2d = rng.normal(size=(steps * batch, 5))
+    grad = rng.normal(size=(batch, steps, 2 * hidden)).transpose(1, 0, 2)  # as gru_layer's backward
+    for name, cols in (("fwd", slice(0, hidden)), ("bwd", slice(hidden, None))):
+        direction = M._Direction(x2d, steps, params, name)
+        direction.allocate_scan(None, taped)
+        assert traced_peak_rise(direction.scan) < batch * hidden * 8
+        if taped:
+            direction.allocate_bptt(input_grad=True)
+            d_out = grad[:, :, cols]
+            assert traced_peak_rise(lambda: direction.bptt(d_out)) < batch * hidden * 8
+
+
 class TestReplaceHead:
     def test_non_head_tensors_bit_equal(self):
         params = small_params()
-        swapped = M.replace_head(params, 2, seed=9)
+        swapped = M.replace_head(params, seed=9)
         for name in params:
             if not M.is_head(name):
                 assert swapped[name] is params[name]
@@ -499,13 +577,9 @@ class TestReplaceHead:
         config = M.ModelConfig(gru_hidden=4, static_widths=(3, 2, 1), trunk_widths=())
         params = M.init_params(config, SMALL_SCHEMA, seed=0, n_classes=7)
         assert params["head.W"].dims == (M.rep_width(config, 3), 7)
-        swapped = M.replace_head(params, 2, seed=1)
-        assert swapped["head.W"].dims == (M.rep_width(config, 3), 2)
-        assert swapped["head.b"].dims == (2,)
-
-    def test_rejects_single_class(self):
-        with pytest.raises(InputError):
-            M.replace_head(small_params(), 1, seed=0)
+        swapped = M.replace_head(params, seed=1)
+        assert swapped["head.W"].dims == (M.rep_width(config, 3), M.OUTCOME_CLASSES)
+        assert swapped["head.b"].dims == (M.OUTCOME_CLASSES,)
 
 
 class TestFrobeniusGeometry:

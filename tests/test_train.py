@@ -147,7 +147,7 @@ class TestFinetune:
     def _pretrained(self, data, seed=0):
         temporal, statics, _ = data
         theta0, _ = T.nprl_pretrain(temporal, statics, CONFIG, SCHEMA, T.Schedule(epochs=2), seed)
-        return M.replace_head(theta0, 2, seed=seed)
+        return M.replace_head(theta0, seed=seed)
 
     def test_step_zero_distance_is_zero(self):
         data = toy_arrays(6, 10, seed=8)
