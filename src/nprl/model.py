@@ -29,11 +29,8 @@ class FeatureSchema:
 
     temporal_names: tuple[str, ...]
     static_names: tuple[str, ...] = ()
-    window_len: int = WINDOW_LEN
 
     def __post_init__(self):
-        if self.window_len != WINDOW_LEN:
-            raise ConfigError(f"window_len must be {WINDOW_LEN}, got {self.window_len}")
         if len(self.temporal_names) < 1:
             raise ConfigError("at least one temporal feature is required")
         names = self.temporal_names + self.static_names
@@ -450,34 +447,27 @@ def forward_batch(
     return logits, rep
 
 
-def softmax(logits: Array) -> Array:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+def forward_chunks(forward, temporal: Array, statics: Array, params: ParamSet, config: ModelConfig):
+    """Yield ``forward(...)`` (``forward_batch`` or ``represent``) on each run
+    of FORWARD_CHUNK rows in order, without recording a tape: every
+    forward-only pass runs here, so equal chunks give bit-equal outputs."""
+    params = ng.detach(params)
+    for lo in range(0, temporal.shape[0], FORWARD_CHUNK):
+        rows = slice(lo, lo + FORWARD_CHUNK)
+        yield forward(temporal[rows], statics[rows], params, config)
 
 
 def predict_proba(temporal: Array, statics: Array, params: ParamSet, config: ModelConfig) -> Array:
-    """Class probabilities for a stack of instances, evaluated in batches
-    without recording a tape."""
-    params = ng.detach(params)
-    outs = []
-    for lo in range(0, temporal.shape[0], FORWARD_CHUNK):
-        logits, _ = forward_batch(
-            temporal[lo : lo + FORWARD_CHUNK], statics[lo : lo + FORWARD_CHUNK], params, config
-        )
-        outs.append(softmax(logits.data))
-    return np.concatenate(outs, axis=0)
+    """Class probabilities for a stack of instances."""
+    chunks = forward_chunks(forward_batch, temporal, statics, params, config)
+    return np.concatenate([ng.softmax(logits.data) for logits, _ in chunks], axis=0)
 
 
 def compute_representations(temporal: Array, statics: Array, params: ParamSet, config: ModelConfig) -> Array:
-    """Representations for a stack of instances, evaluated in batches without
-    recording a tape or running the trunk and head."""
-    params = ng.detach(params)
-    outs = []
-    for lo in range(0, temporal.shape[0], FORWARD_CHUNK):
-        rep = represent(temporal[lo : lo + FORWARD_CHUNK], statics[lo : lo + FORWARD_CHUNK], params, config)
-        outs.append(rep.data)
-    return np.concatenate(outs, axis=0)
+    """Representations for a stack of instances, without running the trunk
+    and head."""
+    chunks = forward_chunks(represent, temporal, statics, params, config)
+    return np.concatenate([rep.data for rep in chunks], axis=0)
 
 
 # ---------------------------------------------------------------------------

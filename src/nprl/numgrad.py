@@ -275,6 +275,13 @@ def l2_normalize_rows(x: Tensor) -> Tensor:
 LOG_CLAMP = 1e-12
 
 
+def softmax(logits: Array) -> Array:
+    """Row-wise softmax of a 2-d array, stabilized by row-max subtraction."""
+    p = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    return p
+
+
 def softmax_xent(
     logits: Array, labels, weights: Array | None = None
 ) -> tuple[float, Array]:
@@ -303,9 +310,7 @@ def softmax_xent(
         if wv.shape != (n_classes,):
             raise ShapeError(f"weights must have length {n_classes}, got {wv.shape}")
         w = wv[y]
-    z = arr - arr.max(axis=1, keepdims=True)
-    p = np.exp(z)
-    p /= p.sum(axis=1, keepdims=True)
+    p = softmax(arr)
     rows = np.arange(m)
     py = np.maximum(p[rows, y], LOG_CLAMP)
     loss = float(np.mean(w * -np.log(py)))

@@ -30,7 +30,7 @@ from .cohort import (
     day_start,
 )
 from .errors import ConfigError, FormatError, InputError
-from .model import FeatureSchema
+from .model import WINDOW_LEN, FeatureSchema
 from .util import derive_rng
 
 # Temporal feature order is fixed: the six hourly vitals (with MAP derived and
@@ -107,27 +107,12 @@ def locf_impute(values: np.ndarray) -> np.ndarray:
     return np.take_along_axis(values, latest, axis=0)
 
 
-@dataclass
-class CleanRecord:
-    """Hourly grid after MAP derivation and forward filling; NaN marks a gap."""
-
-    patient_id: str
-    admit_ts: datetime
-    statics: np.ndarray
-    hours: np.ndarray  # (n_hours,) datetime64[h], strictly increasing
-    values: np.ndarray  # (n_hours, len(TEMPORAL_FEATURES))
-
-
-def clean_record(record: PatientRecord) -> CleanRecord:
+def clean_values(record: PatientRecord) -> np.ndarray:
+    """The record's (n_hours, len(TEMPORAL_FEATURES)) hourly grid after MAP
+    derivation and forward filling; NaN marks a gap."""
     columns = dict(zip(HOURLY_FIELDS, record.hourly.T))
     columns["map"] = derive_map(columns["dbp"], columns["sbp"])
-    return CleanRecord(
-        patient_id=record.patient_id,
-        admit_ts=record.admit_ts,
-        statics=np.asarray(record.statics, dtype=np.float64),
-        hours=record.hours,
-        values=locf_impute(np.column_stack([columns[name] for name in TEMPORAL_FEATURES])),
-    )
+    return locf_impute(np.column_stack([columns[name] for name in TEMPORAL_FEATURES]))
 
 
 # ---------------------------------------------------------------------------
@@ -175,36 +160,30 @@ def onset_day_index(onset: datetime, admit_ts: datetime) -> int:
 # ---------------------------------------------------------------------------
 
 
-def extract_night_instances(
-    clean: CleanRecord, onset: datetime | None, schema: FeatureSchema
-) -> list[NightInstance]:
-    """One instance per eligible night; instance_index is stamped later."""
-    col_idx = []
-    for name in schema.temporal_names:
-        try:
-            col_idx.append(TEMPORAL_FEATURES.index(name))
-        except ValueError:
-            raise InputError(f"unknown temporal feature {name!r}")
-    statics = clean.statics[: len(schema.static_names)]
-    onset_day = onset_day_index(onset, clean.admit_ts) if onset is not None else None
+def extract_night_instances(record: PatientRecord, onset: datetime | None) -> list[NightInstance]:
+    """One instance per eligible night, with every feature of
+    ``full_schema()``; instance_index is stamped later."""
+    values, hours = clean_values(record), record.hours
+    statics = np.asarray(record.statics, dtype=np.float64)
+    onset_day = onset_day_index(onset, record.admit_ts) if onset is not None else None
 
     instances = []
     for day in range(FIRST_DAY, LAST_DAY + 1):
         if onset_day is not None and day > onset_day:
             break  # nights past the first onset are excluded
-        start = np.datetime64(day_start(clean.admit_ts, day - 1), "h") + NIGHT_START_HOUR
-        first = int(np.searchsorted(clean.hours, start))
-        last = first + schema.window_len - 1
+        start = np.datetime64(day_start(record.admit_ts, day - 1), "h") + NIGHT_START_HOUR
+        first = int(np.searchsorted(hours, start))
+        last = first + WINDOW_LEN - 1
         # hours strictly increase, so the window is whole when its last hour is where it should be
-        if last >= len(clean.hours) or clean.hours[last] != start + (schema.window_len - 1):
+        if last >= len(hours) or hours[last] != start + (WINDOW_LEN - 1):
             continue  # window extends outside the stay
-        temporal = clean.values[first : last + 1, col_idx]
+        temporal = values[first : last + 1].copy()
         if np.isnan(temporal).any():
             continue  # gaps survived forward filling (leading-gap nights)
         label = 1 if onset_day is not None and day == onset_day else 0
         instances.append(
             NightInstance(
-                patient_id=clean.patient_id,
+                patient_id=record.patient_id,
                 day_index=day,
                 instance_index=-1,
                 temporal=temporal,
@@ -215,15 +194,11 @@ def extract_night_instances(
     return instances
 
 
-def extract_instances(
-    records: list[PatientRecord], schema: FeatureSchema | None = None
-) -> list[NightInstance]:
+def extract_instances(records: list[PatientRecord]) -> list[NightInstance]:
     """Label and window every record; indices are dataset-unique and stable."""
-    schema = schema or full_schema()
     out: list[NightInstance] = []
     for record in records:
-        onset = derive_sepsis_labels(record)
-        for inst in extract_night_instances(clean_record(record), onset, schema):
+        for inst in extract_night_instances(record, derive_sepsis_labels(record)):
             inst.instance_index = len(out)
             out.append(inst)
     return out
@@ -245,7 +220,8 @@ def check_subsets(subsets: set[int]) -> None:
 def select_features(
     instances: list[NightInstance], schema: FeatureSchema, subsets: set[int]
 ) -> tuple[list[NightInstance], FeatureSchema]:
-    """Restrict instances to the requested feature subsets.
+    """Restrict instances to the requested feature subsets; the one place
+    that picks feature columns, as extraction keeps every feature.
 
     Subset 1 (hourly vitals) is mandatory and anchors the window; subset 3
     adds the cumulative exposures; subset 2 toggles the static features.
@@ -379,7 +355,7 @@ def undersample_negatives(labels: np.ndarray, target: int = 2600, seed: int = 0)
 def _instance_columns(schema: FeatureSchema) -> list[str]:
     return (
         ["instance_index", "patient_id", "day_index", "label"]
-        + [f"{name}_h{hour}" for hour in range(schema.window_len) for name in schema.temporal_names]
+        + [f"{name}_h{hour}" for hour in range(WINDOW_LEN) for name in schema.temporal_names]
         + list(schema.static_names)
     )
 
@@ -399,7 +375,7 @@ def write_instances(
     )
     A.write_lines(csv_path, _instance_columns(schema), lines, header_comment)
     fields = [
-        ("window_len", schema.window_len),
+        ("window_len", WINDOW_LEN),
         ("temporal_names", ",".join(schema.temporal_names)),
         ("static_names", ",".join(schema.static_names)),
     ] + [(f"subset.{name}", subset_of(name)) for name in schema.temporal_names + schema.static_names]
@@ -409,10 +385,10 @@ def write_instances(
 def read_instances(csv_path, sidecar_path) -> tuple[list[NightInstance], FeatureSchema]:
     fields = A.read_fields(sidecar_path)
     try:
+        window_len = A.number(fields["window_len"], int)
         schema = FeatureSchema(
             temporal_names=tuple(n for n in fields["temporal_names"].split(",") if n),
             static_names=tuple(n for n in fields["static_names"].split(",") if n),
-            window_len=A.number(fields["window_len"], int),
         )
     except KeyError as exc:
         raise FormatError(f"{sidecar_path}: missing key {exc}") from None
@@ -420,8 +396,12 @@ def read_instances(csv_path, sidecar_path) -> tuple[list[NightInstance], Feature
         raise FormatError(f"{sidecar_path}:{fields.line['window_len']}: window_len is not an integer") from None
     except ConfigError as exc:
         raise FormatError(f"{sidecar_path}: {exc}") from None
+    if window_len != WINDOW_LEN:
+        raise FormatError(
+            f"{sidecar_path}:{fields.line['window_len']}: window_len must be {WINDOW_LEN}, got {window_len}"
+        )
 
-    n_temporal = schema.window_len * schema.n_temporal
+    n_temporal = WINDOW_LEN * schema.n_temporal
     instances = []
     first_line: dict[int, int] = {}
     for rows, values, row_ok in A.number_blocks(csv_path, _instance_columns(schema), 4):
@@ -439,7 +419,7 @@ def read_instances(csv_path, sidecar_path) -> tuple[list[NightInstance], Feature
                 raise FormatError(
                     f"{csv_path}:{lineno}: repeated instance_index {instance_index} (first at line {seen})"
                 )
-            temporal = row_values[:n_temporal].reshape(schema.window_len, schema.n_temporal)
+            temporal = row_values[:n_temporal].reshape(WINDOW_LEN, schema.n_temporal)
             instances.append(
                 NightInstance(row[1], day_index, instance_index, temporal, row_values[n_temporal:], label)
             )

@@ -67,8 +67,8 @@ class TheoremCheckReport:
     bound_ok: bool
     bound_constant: float
     corollary_tol: float
-    pretrain_accuracy: float | None = None
-    pretrain_mean_abs_cosine: float | None = None
+    pretrain_accuracy: float
+    pretrain_mean_abs_cosine: float
     note: str = LIPSCHITZ_NOTE
 
 
@@ -326,7 +326,7 @@ def write_theory_report(report: TheoremCheckReport, path, header_comment: str | 
         ("pretrain_accuracy", report.pretrain_accuracy),
         ("pretrain_mean_abs_cosine", report.pretrain_mean_abs_cosine),
     ]
-    A.write_fields(path, [(k, repr(v)) for k, v in items if v is not None], header_comment, note=report.note)
+    A.write_fields(path, [(k, repr(v)) for k, v in items], header_comment, note=report.note)
 
 
 def read_theory_report(path) -> dict[str, str]:

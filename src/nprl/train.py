@@ -220,24 +220,21 @@ def identify(
     temporal: Array, statics: Array, params: ParamSet, model_config: ModelConfig
 ) -> tuple[float, float, Array]:
     """Mean identification loss, accuracy and the representations of the
-    profiles under n-way parameters, from one forward-only pass in the same
-    chunks as ``compute_representations`` (so the representations are
-    bit-equal to it). The head width comes from ``params``."""
+    profiles under n-way parameters, from the chunks of
+    ``model.forward_chunks`` (so the representations are bit-equal to
+    ``compute_representations``). The head width comes from ``params``."""
     n = len(temporal)
     if params["head.W"].dims[1] != n:
         raise InputError(f"an identification head needs {n} classes, got {params['head.W'].dims[1]}")
-    labels = np.arange(n, dtype=np.int64)
-    params = ng.detach(params)
-    total_loss = 0.0
-    correct = 0
-    reps = []
-    for lo in range(0, n, M.FORWARD_CHUNK):
-        rows = slice(lo, lo + M.FORWARD_CHUNK)
-        logits, rep = M.forward_batch(temporal[rows], statics[rows], params, model_config)
-        loss, _ = ng.softmax_xent(logits.data, labels[rows])
-        total_loss += loss * logits.data.shape[0]
-        correct += int((logits.data.argmax(axis=1) == labels[rows]).sum())
+    total_loss, correct, reps = 0.0, 0, []
+    lo = 0
+    for logits, rep in M.forward_chunks(M.forward_batch, temporal, statics, params, model_config):
+        labels = np.arange(lo, lo + rep.dims[0], dtype=np.int64)
+        loss, _ = ng.softmax_xent(logits.data, labels)
+        total_loss += loss * len(labels)
+        correct += int((logits.data.argmax(axis=1) == labels).sum())
         reps.append(rep.data)
+        lo += len(labels)
     return total_loss / n, correct / n, np.concatenate(reps, axis=0)
 
 

@@ -38,6 +38,7 @@ def write_all(d: Path) -> None:
     theory = TH.TheoremCheckReport(
         l_hat=1.5, gamma=0.04, pairs_checked=10, violations=0, worst_margin=0.25, m0=0.01, m_star=0.02,
         bound_ok=True, bound_constant=0.37, corollary_tol=0.02, pretrain_accuracy=0.9,
+        pretrain_mean_abs_cosine=0.125,
     )
     TH.write_theory_report(theory, d / "theory_report.txt", HEADER)
 
@@ -117,6 +118,11 @@ class TestRegressions:
     def test_sidecar_window_len_not_an_integer(self, run):  # was ValueError
         edit_line(run / "instances.schema.txt", 1, "window_len=abc")
         with pytest.raises(FormatError, match=r"instances\.schema\.txt:2: window_len is not an integer"):
+            P.read_instances(run / "instances.csv", run / "instances.schema.txt")
+
+    def test_sidecar_window_len_other_than_nine(self, run):  # had no line number
+        edit_line(run / "instances.schema.txt", 1, "window_len=8")
+        with pytest.raises(FormatError, match=r"instances\.schema\.txt:2: window_len must be 9, got 8"):
             P.read_instances(run / "instances.csv", run / "instances.schema.txt")
 
     def test_comment_only_instances(self, run):  # used to load as []

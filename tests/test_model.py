@@ -379,7 +379,26 @@ class TestFusedGru:
         logits, _ = M.forward_batch(temporal, statics, params, SMALL_CONFIG)
         assert logits.requires_grad
         np.testing.assert_array_equal(
-            M.predict_proba(temporal, statics, params, SMALL_CONFIG), M.softmax(logits.data)
+            M.predict_proba(temporal, statics, params, SMALL_CONFIG), ng.softmax(logits.data)
+        )
+
+    def test_forward_chunks_split_rows_bit_equally(self):
+        # three chunks, the last of 3 rows; each is the forward pass of its
+        # slice, and predict_proba is the softmax of their logits
+        params = small_params()
+        n = 2 * M.FORWARD_CHUNK + 3
+        temporal, statics = small_batch(n=n, seed=4)
+        chunks = list(M.forward_chunks(M.forward_batch, temporal, statics, params, SMALL_CONFIG))
+        assert [logits.dims[0] for logits, _ in chunks] == [M.FORWARD_CHUNK, M.FORWARD_CHUNK, 3]
+        for i, (logits, rep) in enumerate(chunks):
+            rows = slice(i * M.FORWARD_CHUNK, (i + 1) * M.FORWARD_CHUNK)
+            taped_logits, taped_rep = M.forward_batch(temporal[rows], statics[rows], params, SMALL_CONFIG)
+            assert not logits.requires_grad
+            np.testing.assert_array_equal(logits.data, taped_logits.data)
+            np.testing.assert_array_equal(rep.data, taped_rep.data)
+        np.testing.assert_array_equal(
+            M.predict_proba(temporal, statics, params, SMALL_CONFIG),
+            ng.softmax(np.concatenate([logits.data for logits, _ in chunks])),
         )
 
     def test_representations_equal_taped_representation(self):
@@ -496,6 +515,10 @@ GRU_GRAD_SHA256 = {
     (5, 4): "8291f337ed704ffb440c26ea2f2fc18dec2443bafd72e1aa7a06ef33b92963ea",
     (64, 32): "299df7c619e89d0247e9bcead2d19a398a181e8689289c7ec17708df34f54211",
 }
+GOLDEN_SIMD_NOTE = (
+    "golden digests were taken with OpenBLAS's SkylakeX kernels and NumPy's AVX-512 loops;"
+    " see the SIMD level in the pytest header"
+)
 
 
 @pytest.mark.parametrize("batch,hidden", list(GRU_GRAD_SHA256))
@@ -522,7 +545,7 @@ def test_golden_gru_gradients(batch, hidden, threads, request, monkeypatch):
     for name, t in (*params.items(), ("x", x), ("h0", h0)):
         digest.update(name.encode())
         digest.update(t.grad.tobytes())
-    assert digest.hexdigest() == GRU_GRAD_SHA256[batch, hidden]
+    assert digest.hexdigest() == GRU_GRAD_SHA256[batch, hidden], GOLDEN_SIMD_NOTE
 
 
 def traced_peak_rise(call) -> int:

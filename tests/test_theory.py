@@ -247,7 +247,7 @@ class TestTheoryProtocol:
         assert report.gamma == 1.0 / (16.0 * report.l_hat)
         assert report.pairs_checked == 500
         assert report.violations == 0
-        assert report.pretrain_accuracy is not None
+        assert 0.0 <= report.pretrain_accuracy <= 1.0
         assert report.bound_constant == TH.corollary_constant()
         assert "parameter space" in report.note
 

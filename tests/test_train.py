@@ -225,7 +225,10 @@ class TestFinetune:
             for name, values in per_gate(params):
                 digest.update(name.encode())
                 digest.update(values.tobytes())
-        assert digest.hexdigest() == "33f415186c29dd7b8d588e377da565c9efc5d962e79a5dc22d311981e6edb53b"
+        assert digest.hexdigest() == "33f415186c29dd7b8d588e377da565c9efc5d962e79a5dc22d311981e6edb53b", (
+            "the digest was taken with OpenBLAS's SkylakeX kernels and NumPy's AVX-512 loops;"
+            " see the SIMD level in the pytest header"
+        )
 
     def test_head_mismatch_rejected(self):
         data = toy_arrays(6, 10)
