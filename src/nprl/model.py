@@ -183,10 +183,15 @@ class _Direction:
     gate gradients in contiguous blocks and writes them into the [z | r | c]
     rows that its GEMMs read. A forward-only pass keeps the gates in the
     rows and broadcasts the bias rows, as nothing reads its gates after the
-    step. Every GEMM has the operands of the fused layout, with other
-    strides at most, so every result is the same to the bit; a GEMM against
-    a block of U_zr's columns is not (its bits differ at H = 17 or at batch
-    1, for example), so none is split.
+    step, and projects its input one hour at a time into one (batch, 3H)
+    slot instead of holding every hour's projection. A taped pass keeps the
+    input GEMM of all hours, which is faster at training batch sizes. Every
+    other GEMM has the operands of the fused layout, with other strides at
+    most, so every result is the same to the bit; a GEMM against a block of
+    U_zr's columns is not (its bits differ at H = 17 or at batch 1, for
+    example), so none is split. An hour's input GEMM is a row block of the
+    GEMM of all hours, which is the same to the bit at most shapes but not
+    at all (see ``scan``).
 
     states[t + rev] is the state entering step t and states[t + 1 - rev] the
     one leaving it, so both the inputs and the outputs are contiguous runs.
@@ -206,7 +211,11 @@ class _Direction:
     def allocate_scan(self, h0: Tensor | None, taped: bool) -> None:
         steps, batch, hidden = len(self.order), self.x2d.shape[0] // len(self.order), self.hidden
         self.taped = taped
-        self.proj = np.empty((steps, batch, 3 * hidden))  # x W_zrh for every step
+        # a forward-only pass projects one hour at a time, unless that hour is
+        # one row: NumPy runs a one-row product as a GEMV, which sums in
+        # another order than the GEMM of all hours
+        self.hourly = not taped and batch > 1
+        self.proj = np.empty((1 if self.hourly else steps, batch, 3 * hidden))  # x W_zrh
         self.states = np.empty((steps + 1, batch, hidden))
         self.states[steps if self.rev else 0] = 0.0 if h0 is None else h0.data
         kept = steps if taped else 1  # forward-only passes reuse one slot
@@ -226,12 +235,21 @@ class _Direction:
         return self.states[1 - self.rev : len(self.states) - self.rev]
 
     def scan(self) -> None:
-        """The recurrence, with the input GEMM for all steps hoisted out of
-        the loop and one GEMM against U_zr and one against U_h per step:
+        """The recurrence, with one GEMM against U_zr and one against U_h per
+        step, and the input GEMM for all steps hoisted out of the loop, or,
+        in a forward-only pass, one per step:
 
             z, r = sigmoid(x W_zrh[:, :2H] + h U_zr + b_zrh[:2H])
             c = tanh(x W_zrh[:, 2H:] + (r * h) U_h + b_zrh[2H:])
             h' = (1 - z) * h + z * c
+
+        With OpenBLAS 0.3.31 the per-step input GEMM gives the hoisted
+        one's bits at even row counts and H = 4, 32, 160 or 256, on its
+        SkylakeX and Haswell kernels alike. It does not everywhere: with
+        SkylakeX kernels at H = 65, 100 or 255 from about 31 rows, and with
+        Haswell kernels at odd row counts with 8 or more input features.
+        There a forward-only pass can differ from a taped one in the last
+        bit. A one-row pass keeps the hoisted GEMM (see ``allocate_scan``).
         """
         hidden, proj, states, rev, u_zr, u_h, pre, zc = (
             self.hidden, self.proj, self.states, self.rev, self.u_zr, self.u_h, self.pre, self.zc
@@ -239,16 +257,21 @@ class _Direction:
         finite_zr = self.finite.reshape(pre.shape)
         finite_c = self.finite[: zc.size].reshape(zc.shape)
         pre_zr = pre.reshape(pre.shape[0], 2, hidden).transpose(1, 0, 2)  # pre's z and r blocks
-        np.matmul(self.x2d, self.w, out=proj.reshape(self.x2d.shape[0], 3 * hidden))
+        batch, hourly = pre.shape[0], self.hourly
+        if not hourly:
+            np.matmul(self.x2d, self.w, out=proj.reshape(self.x2d.shape[0], 3 * hidden))
         b_zr, b_c = self.b_zr, self.b_c
         b_zr[:], b_c[:] = self.b[: 2 * hidden], self.b[2 * hidden :]
         proj_zr, proj_c = proj[:, :, : 2 * hidden], proj[:, :, 2 * hidden :]
         gate_what, cand_what = f"{self.prefix} gate", f"{self.prefix} candidate"
         for t in self.order:
             k = t if self.taped else 0
+            if hourly:  # this hour's rows of the input GEMM, into the one slot
+                np.matmul(self.x2d[t * batch : (t + 1) * batch], self.w, out=proj[0])
+            slot = 0 if hourly else t
             h, c, rh = states[t + rev], self.cands[k], self.reset[k]
             np.matmul(h, u_zr, out=pre)
-            pre += proj_zr[t]
+            pre += proj_zr[slot]
             pre += b_zr
             _check_finite(pre, finite_zr, gate_what)
             _sigmoid_(pre)
@@ -259,7 +282,7 @@ class _Direction:
                 z, r = pre[:, :hidden], pre[:, hidden:]
             np.multiply(r, h, out=rh)
             np.matmul(rh, u_h, out=c)
-            c += proj_c[t]
+            c += proj_c[slot]
             c += b_c
             _check_finite(c, finite_c, cand_what)
             np.tanh(c, out=c)
@@ -372,8 +395,11 @@ def gru_layer(
     work = batch * dirs[0].hidden ** 2
     threaded = len(dirs) == 2 and work >= TWO_THREAD_WORK and ng.usable_cpus() >= 2
     _run([(partial(d.allocate_scan, h0, taped), d.scan) for d in dirs], threaded)
-    # every state mixes the one before and a tanh, so all are finite
-    out = Tensor(np.concatenate([d.outputs.transpose(1, 0, 2) for d in dirs], axis=-1), checked=True)
+    # every state mixes the one before and a tanh, so all are finite; a
+    # concatenation of the time-major states would be time-major too, and
+    # Tensor would copy it once more to make it batch-major
+    out = np.empty((batch, steps, sum(d.hidden for d in dirs)))
+    out = Tensor(np.concatenate([d.outputs.transpose(1, 0, 2) for d in dirs], axis=-1, out=out), checked=True)
 
     def _bw():
         grad, lo, jobs = out.grad.transpose(1, 0, 2), 0, []
@@ -418,6 +444,7 @@ def represent(temporal: Array, statics: Array, params: ParamSet, config: ModelCo
     # hour-major layout [fwd_0, bwd_0, fwd_1, ...], the row order of the first trunk weight
     per_hour = gru_layer(Tensor(temporal.transpose(1, 0, 2)), params)
     rep = ng.reshape(per_hour, (batch, WINDOW_LEN * per_hour.dims[2]))
+    del per_hour  # held by rep alone, so appending the statics can free it
     if n_static > 0:
         s = Tensor(statics)
         n_layers = len(config.static_widths)
@@ -457,17 +484,40 @@ def forward_chunks(forward, temporal: Array, statics: Array, params: ParamSet, c
         yield forward(temporal[rows], statics[rows], params, config)
 
 
+def stack_rows(blocks, rows: int, width: int) -> Array:
+    """The (rows, width) stack of the row blocks ``blocks``, in order. A
+    single block that holds every row is the stack as it is; more are
+    written into one array allocated at the first of them, not gathered and
+    concatenated."""
+    out, lo = None, 0
+    for block in blocks:
+        if out is None and len(block) == rows:
+            out = block
+        else:
+            if out is None:
+                out = np.empty((rows, width))
+            out[lo : lo + len(block)] = block
+        lo += len(block)
+    return np.empty((0, width)) if out is None else out
+
+
+def rep_width_for(statics: Array, config: ModelConfig) -> int:
+    """``rep_width`` for instances with these statics."""
+    return rep_width(config, statics.shape[1] if np.ndim(statics) == 2 else 0)  # represent rejects other dims
+
+
 def predict_proba(temporal: Array, statics: Array, params: ParamSet, config: ModelConfig) -> Array:
-    """Class probabilities for a stack of instances."""
+    """Class probabilities for a stack of instances, (rows, classes)."""
     chunks = forward_chunks(forward_batch, temporal, statics, params, config)
-    return np.concatenate([ng.softmax(logits.data) for logits, _ in chunks], axis=0)
+    probs = (ng.softmax(logits.data) for logits, _ in chunks)
+    return stack_rows(probs, len(temporal), params["head.W"].dims[1])
 
 
 def compute_representations(temporal: Array, statics: Array, params: ParamSet, config: ModelConfig) -> Array:
-    """Representations for a stack of instances, without running the trunk
-    and head."""
+    """Representations for a stack of instances, (rows, ``rep_width``),
+    without running the trunk and head."""
     chunks = forward_chunks(represent, temporal, statics, params, config)
-    return np.concatenate([rep.data for rep in chunks], axis=0)
+    return stack_rows((rep.data for rep in chunks), len(temporal), rep_width_for(statics, config))
 
 
 # ---------------------------------------------------------------------------

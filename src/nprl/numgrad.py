@@ -16,8 +16,10 @@ Ownership: :func:`adam_step` is the one function that writes into arrays
 a tensor already holds. It overwrites ``.data`` of every tensor in the
 parameter set it is given and the moment arrays of its
 :class:`OptimizerState`, and only reads the gradients. Its caller must own
-that parameter set: ``train._train`` copies its starting parameters once,
-so a pretrained set, theta0 and any tensor they share stay fixed. For a
+that parameter set: ``train._train`` trains the set it is handed in place,
+pretraining and the baseline hand it the set they drew, and fine-tuning a
+copy of theta0, so a pretrained set, theta0 and any tensor they share stay
+fixed. For a
 tensor of at least ``ADAM_SPLIT`` elements it writes two disjoint block
 ranges at once, the second from a short-lived thread (:func:`run_pair`).
 :func:`detach` shares arrays, so a detached set sees later updates.

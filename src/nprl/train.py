@@ -95,8 +95,13 @@ def _loss_and_grads(batch, params, config, class_weights):
     temporal, statics, labels = batch
     if temporal.shape[0] == 0:
         raise InputError("empty batch")
-    ng.reset_grads(params)
     logits, _ = M.forward_batch(temporal, statics, params, config)
+    # the last step's gradients are released only now, after the forward
+    # pass has allocated its activations, so the backward pass reuses their
+    # blocks; released before it, they are freed at the top of the heap,
+    # where glibc gives them back to the system and faults them in again
+    # every step
+    ng.reset_grads(params)
     out = ng.cross_entropy(logits, labels, class_weights)
     predictions = logits.data.argmax(axis=1)
     loss = out.item()
@@ -153,10 +158,15 @@ def _train(
     added analytically to the non-head gradients, or (``gamma`` set) the
     parameters are projected back onto the ball around theta0 after every step.
     """
-    reference = theta0 if theta0 is not None else params
-    # adam_step writes in place: train a copy, so the caller's parameters,
-    # theta0 and the reference (which may all share arrays) stay fixed
-    params = {name: ng.Tensor(p.data.copy(), requires_grad=True) for name, p in params.items()}
+    # adam_step writes ``params`` in place, so the caller hands over a set
+    # it owns. frob_dist is measured from theta0, or else from a copy of the
+    # starting non-head values; the head is never compared, so the reference
+    # holds the live head tensors rather than a copy of them
+    reference = theta0
+    if reference is None:
+        reference = {
+            name: p if M.is_head(name) else ng.Tensor(p.data.copy(), checked=True) for name, p in params.items()
+        }
     state = ng.init_adam(params, schedule.learning_rate)
     log = TrainLog()
     n = temporal.shape[0]
@@ -174,6 +184,7 @@ def _train(
                     if not M.is_head(name):
                         grads[name] = grads[name] + lam * (p.data - theta0[name].data)
             ng.adam_step(params, grads, state)
+            del grads  # the parameters' .grad are now the only references
             if theta0 is not None and gamma is not None:
                 params = M.project_to_ball(params, theta0, gamma)
             epoch_loss += loss * len(idx)
@@ -226,16 +237,21 @@ def identify(
     n = len(temporal)
     if params["head.W"].dims[1] != n:
         raise InputError(f"an identification head needs {n} classes, got {params['head.W'].dims[1]}")
-    total_loss, correct, reps = 0.0, 0, []
-    lo = 0
-    for logits, rep in M.forward_chunks(M.forward_batch, temporal, statics, params, model_config):
-        labels = np.arange(lo, lo + rep.dims[0], dtype=np.int64)
-        loss, _ = ng.softmax_xent(logits.data, labels)
-        total_loss += loss * len(labels)
-        correct += int((logits.data.argmax(axis=1) == labels).sum())
-        reps.append(rep.data)
-        lo += len(labels)
-    return total_loss / n, correct / n, np.concatenate(reps, axis=0)
+    total_loss, correct = 0.0, 0
+
+    def scored_reps():
+        nonlocal total_loss, correct
+        lo = 0
+        for logits, rep in M.forward_chunks(M.forward_batch, temporal, statics, params, model_config):
+            labels = np.arange(lo, lo + rep.dims[0], dtype=np.int64)
+            loss, _ = ng.softmax_xent(logits.data, labels)
+            total_loss += loss * len(labels)
+            correct += int((logits.data.argmax(axis=1) == labels).sum())
+            lo += len(labels)
+            yield rep.data
+
+    reps = M.stack_rows(scored_reps(), n, M.rep_width_for(statics, model_config))
+    return total_loss / n, correct / n, reps
 
 
 def finetune(
@@ -259,11 +275,13 @@ def finetune(
     """
     if theta0["head.W"].dims[1] != M.OUTCOME_CLASSES:
         raise InputError(f"theta0 head needs {M.OUTCOME_CLASSES} classes; call replace_head first")
+    # _train writes the set it trains in place, and theta0 is the caller's
+    params = {name: ng.Tensor(p.data.copy(), requires_grad=True) for name, p in theta0.items()}
     return _train(
         temporal,
         statics,
         labels,
-        theta0,
+        params,
         model_config,
         schedule=config,
         seed=seed,

@@ -1,40 +1,19 @@
-import ctypes
-import glob
 import os
 
-import numpy as np
 import pytest
 from hypothesis import settings
+
+from simd import describe, simd_level
 
 # CI runs with --hypothesis-profile=ci: the same examples on every run, and no
 # per-example deadline, so a property test cannot flake on a slow runner.
 settings.register_profile("ci", derandomize=True, deadline=None)
 
 
-def openblas_corename() -> str:
-    """The kernel set OpenBLAS chose at load time (SkylakeX, Haswell, ...),
-    read from the library bundled with NumPy."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "*openblas*")):
-        lib = ctypes.CDLL(path)
-        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_", "openblas_get_corename"):
-            fn = getattr(lib, symbol, None)
-            if fn is not None:
-                fn.argtypes, fn.restype = [], ctypes.c_char_p
-                return fn().decode()
-    return "unknown"
-
-
 def pytest_report_header(config):
     """The SIMD level the run computes at: the golden digests of the model
-    and training tests hold at one level only."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__ as features
-    except ImportError:  # NumPy 1.x
-        from numpy.core._multiarray_umath import __cpu_features__ as features
-    # NumPy's AVX-512 dispatch groups; with either off, NumPy runs other loops
-    groups = ", ".join(f"{name} {'on' if features.get(name) else 'off'}" for name in ("X86_V4", "AVX512_ICL"))
-    return f"SIMD level: OpenBLAS core {openblas_corename()}; NumPy {groups}"
+    and training tests are looked up by it."""
+    return f"SIMD level: {describe(simd_level())}"
 
 
 @pytest.fixture

@@ -1,6 +1,5 @@
 import hashlib
 import threading
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +11,8 @@ from nprl.errors import ConfigError, InputError, NumericError, ShapeError
 from nprl.numgrad import Tensor
 from gradcheck import grad_check
 from per_gate import GATES, fuse, fuse_tensors, per_gate
+from simd import HASWELL, KATMAI, SANDYBRIDGE, SKYLAKEX, SKYLAKEX_AVX2, describe, golden, simd_level
+from traced import traced_peak_rise
 
 SMALL_SCHEMA = M.FeatureSchema(("a", "b", "c", "d", "e"), ("s1", "s2", "s3"))
 SMALL_CONFIG = M.ModelConfig(gru_hidden=4, static_widths=(3, 2, 1), trunk_widths=(6,))
@@ -412,6 +413,14 @@ class TestFusedGru:
         body = {n: p for n, p in params.items() if not (M.is_head(n) or n.startswith("trunk."))}
         np.testing.assert_array_equal(M.compute_representations(temporal, statics, body, SMALL_CONFIG), reps)
 
+    def test_one_row_pass_equals_taped_pass(self):
+        # a one-row forward-only pass keeps the input GEMM of all hours: one
+        # row per hour would run as a GEMV, whose bits differ
+        params = small_params()
+        temporal, statics = small_batch(n=1, seed=6)
+        _, rep = M.forward_batch(temporal, statics, params, SMALL_CONFIG)
+        np.testing.assert_array_equal(M.compute_representations(temporal, statics, params, SMALL_CONFIG), rep.data)
+
     def test_detached_forward_records_nothing(self):
         params = small_params()
         detached = ng.detach(params)
@@ -508,20 +517,40 @@ class TestTwoThreads:
 
 
 # sha256 of the output and every gradient of one taped bidirectional pass,
-# taken when each direction computed its gates as column slices of wider
-# rows; serial and two-thread passes must both reproduce it
+# per SIMD level (see tests/simd.py): the SkylakeX ones were taken when each
+# direction computed its gates as column slices of wider rows, the others
+# from the code before forward-only passes projected their input per hour;
+# serial and two-thread passes must both reproduce them
 GRU_GRAD_SHA256 = {
-    (1, 1): "1d61baf977b0bcc0527b797599ca0a8e624efbd7a753f509451ce3e4f923c61b",
-    (5, 4): "8291f337ed704ffb440c26ea2f2fc18dec2443bafd72e1aa7a06ef33b92963ea",
-    (64, 32): "299df7c619e89d0247e9bcead2d19a398a181e8689289c7ec17708df34f54211",
+    SKYLAKEX: {
+        (1, 1): "1d61baf977b0bcc0527b797599ca0a8e624efbd7a753f509451ce3e4f923c61b",
+        (5, 4): "8291f337ed704ffb440c26ea2f2fc18dec2443bafd72e1aa7a06ef33b92963ea",
+        (64, 32): "299df7c619e89d0247e9bcead2d19a398a181e8689289c7ec17708df34f54211",
+    },
+    SKYLAKEX_AVX2: {
+        (1, 1): "be0365da99ac8312ffa6e941eebf0131709cea2a562cd72be106c40bfe7959cc",
+        (5, 4): "befe2df9073f0db9f20a7bc3a6133ab441152a1868dac4dca741686e76e00709",
+        (64, 32): "ac87ca2bc2a5266f806024516e3e735a07ae877660386450eea9ad314503dc8d",
+    },
+    HASWELL: {
+        (1, 1): "29b168bb6dedbb4f8c8064be94d4866dc8b2ed6fa84f3b62bcf8ba290c904928",
+        (5, 4): "3ab3fa95733b164e3b061b22cad1ad5a8a38e8d63490be22a7b7b9adb9b480db",
+        (64, 32): "271d41ff7de7b0b05a7adf1ec6f06333291ece04a3fadb6fcdd917420be1bc14",
+    },
+    SANDYBRIDGE: {
+        (1, 1): "c439eb0e232b284cfc392b81738e3eefa87e2966da670300d5bf9eb9e1c45054",
+        (5, 4): "0dfef01976544b1429e4cc9c6d82787efbd150694d0be2586d74397de3b2ba29",
+        (64, 32): "1bf5047fed56d1d2fdfc7b6160f14ff826f243b276c86e81e6ad236ea65ac5bf",
+    },
+    KATMAI: {
+        (1, 1): "f51a2222b629ebe094dccfc6498eb09283e7f6f036967ea7dde01e1e016a321e",
+        (5, 4): "8cca3b45048ca9711d0c415e33c0c18c82f06c46c791a6630a22e2145a70dee3",
+        (64, 32): "f8b35b86236bf9e2351a2cc5d8ad3c8fc6821e1e3b93b3826e6b9080c52c6e21",
+    },
 }
-GOLDEN_SIMD_NOTE = (
-    "golden digests were taken with OpenBLAS's SkylakeX kernels and NumPy's AVX-512 loops;"
-    " see the SIMD level in the pytest header"
-)
 
 
-@pytest.mark.parametrize("batch,hidden", list(GRU_GRAD_SHA256))
+@pytest.mark.parametrize("batch,hidden", list(GRU_GRAD_SHA256[SKYLAKEX]))
 @pytest.mark.parametrize("threads", ["serial", "two_threads"])
 def test_golden_gru_gradients(batch, hidden, threads, request, monkeypatch):
     if threads == "serial":
@@ -545,19 +574,7 @@ def test_golden_gru_gradients(batch, hidden, threads, request, monkeypatch):
     for name, t in (*params.items(), ("x", x), ("h0", h0)):
         digest.update(name.encode())
         digest.update(t.grad.tobytes())
-    assert digest.hexdigest() == GRU_GRAD_SHA256[batch, hidden], GOLDEN_SIMD_NOTE
-
-
-def traced_peak_rise(call) -> int:
-    """Bytes by which ``call()`` raises the traced peak above what was
-    allocated when it began; NumPy's buffers are traced too."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        call()
-        return tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
+    assert digest.hexdigest() == golden(GRU_GRAD_SHA256)[batch, hidden], f"at {describe(simd_level())}"
 
 
 @pytest.mark.parametrize("taped", [False, True], ids=["forward_only", "taped"])
@@ -585,6 +602,33 @@ def test_scan_and_bptt_allocate_nothing(taped):
             direction.allocate_bptt(input_grad=True)
             d_out = grad[:, :, cols]
             assert traced_peak_rise(lambda: direction.bptt(d_out)) < batch * hidden * 8
+
+
+@pytest.mark.parametrize("threads", ["serial", "two_threads"])
+def test_representation_pass_holds_few_result_sized_arrays(threads, request, monkeypatch):
+    # one 500-row chunk at H=64 with statics, normalized: the pass holds the
+    # GRU's states, its output and the representation's steps, but neither
+    # every hour's input projection nor a stacked copy of its one chunk
+    if threads == "serial":
+        monkeypatch.setattr(M, "TWO_THREAD_WORK", 2**62)
+    else:
+        request.getfixturevalue("two_threads")
+    rng = np.random.default_rng(5)
+    schema = M.FeatureSchema(tuple(f"t{i}" for i in range(8)), tuple(f"s{i}" for i in range(5)))
+    config = M.ModelConfig(gru_hidden=64, static_widths=(4, 3), trunk_widths=(), normalize_representation=True)
+    params = M.init_params(config, schema, seed=1)
+    temporal, statics = rng.uniform(size=(500, 9, 8)), rng.uniform(size=(500, 5))
+    reps = []
+    rise = traced_peak_rise(lambda: reps.append(M.compute_representations(temporal, statics, params, config)))
+    assert rise <= 3.0 * reps[0].nbytes
+
+
+def test_zero_rows_give_empty_stacks():
+    params = small_params()
+    temporal, statics = np.empty((0, 9, 5)), np.empty((0, 3))
+    assert M.predict_proba(temporal, statics, params, SMALL_CONFIG).shape == (0, M.OUTCOME_CLASSES)
+    reps = M.compute_representations(temporal, statics, params, SMALL_CONFIG)
+    assert reps.shape == (0, M.rep_width(SMALL_CONFIG, 3))
 
 
 class TestReplaceHead:

@@ -9,6 +9,8 @@ from nprl import theory as TH
 from nprl import train as T
 from nprl.errors import InputError
 from per_gate import per_gate
+from simd import HASWELL, KATMAI, SANDYBRIDGE, SKYLAKEX, SKYLAKEX_AVX2, describe, golden, simd_level
+from traced import traced_peak_rise
 
 SCHEMA = M.FeatureSchema(("a", "b", "c"), ())
 CONFIG = M.ModelConfig(gru_hidden=4, trunk_widths=(8,))
@@ -119,6 +121,19 @@ class TestPretrain:
         assert used_model == CONFIG and params["head.W"].dims[1] == 12
         assert {n: p.data.tobytes() for n, p in params.items()} == {n: p.data.tobytes() for n, p in initial.items()}
 
+    def test_holds_four_head_sized_arrays(self):
+        # the parameters, Adam's two moments and one step's gradient: no
+        # starting copy, and the last step's gradient goes before the next
+        # backward pass. At H=32 with no trunk the head dominates
+        n = 1500
+        rng = np.random.default_rng(7)
+        schema, config = M.FeatureSchema(("a", "b", "c")), M.ModelConfig(gru_hidden=32, trunk_widths=())
+        temporal, statics = rng.uniform(size=(n, 9, 3)), np.empty((n, 0))
+        head_bytes = M.rep_width(config, 0) * n * 8
+        pretrain = lambda: T.nprl_pretrain(temporal, statics, config, schema, T.Schedule(epochs=1), seed=0)
+        rise = traced_peak_rise(pretrain)
+        assert rise <= 5.5 * head_bytes
+
     def test_final_diagnostics_match_two_passes(self):
         # identify's accuracy and representations come from one forward pass;
         # they must equal a separate accuracy pass plus
@@ -141,6 +156,17 @@ class TestPretrain:
         temporal, statics, _ = toy_arrays(0, 5, separable=False)
         with pytest.raises(InputError, match="needs 5 classes, got 2"):
             T.identify(temporal, statics, M.init_params(CONFIG, SCHEMA, seed=0), CONFIG)
+
+
+# sha256 of test_golden_parameter_values's parameter sets, per SIMD level
+# (see tests/simd.py)
+PARAMETER_SHA256 = {
+    SKYLAKEX: "33f415186c29dd7b8d588e377da565c9efc5d962e79a5dc22d311981e6edb53b",
+    SKYLAKEX_AVX2: "e78912faec8ae2cf2b528f245911c854047b63bb37704fa47ff0620166395b1e",
+    HASWELL: "c61a29be022937fd8021647123f272d401a9dc12a93ece47c20ef45ae9f6b3d3",
+    SANDYBRIDGE: "e977421f40e63336178a9db2147dc83ec86fcc679f8e25c07283111ac63ac65d",
+    KATMAI: "923da6f90180a42c490a0563b52a58558ed22e21f4fd1535694553bc82871350",
+}
 
 
 class TestFinetune:
@@ -225,10 +251,7 @@ class TestFinetune:
             for name, values in per_gate(params):
                 digest.update(name.encode())
                 digest.update(values.tobytes())
-        assert digest.hexdigest() == "33f415186c29dd7b8d588e377da565c9efc5d962e79a5dc22d311981e6edb53b", (
-            "the digest was taken with OpenBLAS's SkylakeX kernels and NumPy's AVX-512 loops;"
-            " see the SIMD level in the pytest header"
-        )
+        assert digest.hexdigest() == golden(PARAMETER_SHA256), f"at {describe(simd_level())}"
 
     def test_head_mismatch_rejected(self):
         data = toy_arrays(6, 10)
@@ -292,14 +315,12 @@ class TestBaseline:
             np.testing.assert_array_equal(a[name].data, b[name].data)
         assert [e.loss for e in log_a.epochs] == [e.loss for e in log_b.epochs]
 
-    def test_initial_params_left_unchanged(self):
-        # the training loop trains a copy of the parameters it starts from
+    def test_frob_dist_measured_from_init_params(self):
+        # the training loop trains the set init_params drew in place; the
+        # log's distance is still measured from the starting values
         data = toy_arrays(6, 14, seed=18)
-        initial = M.init_params(CONFIG, SCHEMA, seed=5)
-        before = {name: p.data.tobytes() for name, p in initial.items()}
-        params, log = T._train(*data, initial, CONFIG, T.Schedule(epochs=2, learning_rate=1e-2), seed=2)
-        assert {name: p.data.tobytes() for name, p in initial.items()} == before
-        distance = M.frobenius_distance(params, initial)
+        params, log = T.train_baseline(*data, CONFIG, SCHEMA, T.Schedule(epochs=2, learning_rate=1e-2), seed=5)
+        distance = M.frobenius_distance(params, M.init_params(CONFIG, SCHEMA, seed=5))
         assert distance > 0.0 and log.epochs[-1].frob_dist == distance
 
     def test_loss_decreases_on_separable_data(self):
