@@ -183,15 +183,12 @@ class _Direction:
     gate gradients in contiguous blocks and writes them into the [z | r | c]
     rows that its GEMMs read. A forward-only pass keeps the gates in the
     rows and broadcasts the bias rows, as nothing reads its gates after the
-    step, and projects its input one hour at a time into one (batch, 3H)
-    slot instead of holding every hour's projection. A taped pass keeps the
-    input GEMM of all hours, which is faster at training batch sizes. Every
-    other GEMM has the operands of the fused layout, with other strides at
-    most, so every result is the same to the bit; a GEMM against a block of
-    U_zr's columns is not (its bits differ at H = 17 or at batch 1, for
-    example), so none is split. An hour's input GEMM is a row block of the
-    GEMM of all hours, which is the same to the bit at most shapes but not
-    at all (see ``scan``).
+    step. Every pass projects its input one hour at a time into one
+    (batch, 3H) slot, as BPTT reads no projection. Every GEMM has the
+    operands of the fused layout, with other strides at most, so every
+    result is the same to the bit, and a forward-only pass gives a taped
+    one's bits; a GEMM against a block of U_zr's columns is not (its bits
+    differ at H = 17 or at batch 1, for example), so none is split.
 
     states[t + rev] is the state entering step t and states[t + 1 - rev] the
     one leaving it, so both the inputs and the outputs are contiguous runs.
@@ -211,11 +208,7 @@ class _Direction:
     def allocate_scan(self, h0: Tensor | None, taped: bool) -> None:
         steps, batch, hidden = len(self.order), self.x2d.shape[0] // len(self.order), self.hidden
         self.taped = taped
-        # a forward-only pass projects one hour at a time, unless that hour is
-        # one row: NumPy runs a one-row product as a GEMV, which sums in
-        # another order than the GEMM of all hours
-        self.hourly = not taped and batch > 1
-        self.proj = np.empty((1 if self.hourly else steps, batch, 3 * hidden))  # x W_zrh
+        self.proj = np.empty((batch, 3 * hidden))  # this hour's x W_zrh
         self.states = np.empty((steps + 1, batch, hidden))
         self.states[steps if self.rev else 0] = 0.0 if h0 is None else h0.data
         kept = steps if taped else 1  # forward-only passes reuse one slot
@@ -235,21 +228,12 @@ class _Direction:
         return self.states[1 - self.rev : len(self.states) - self.rev]
 
     def scan(self) -> None:
-        """The recurrence, with one GEMM against U_zr and one against U_h per
-        step, and the input GEMM for all steps hoisted out of the loop, or,
-        in a forward-only pass, one per step:
+        """The recurrence, with three GEMMs per step: this hour's input
+        against W_zrh, the state against U_zr and r * h against U_h:
 
             z, r = sigmoid(x W_zrh[:, :2H] + h U_zr + b_zrh[:2H])
             c = tanh(x W_zrh[:, 2H:] + (r * h) U_h + b_zrh[2H:])
             h' = (1 - z) * h + z * c
-
-        With OpenBLAS 0.3.31 the per-step input GEMM gives the hoisted
-        one's bits at even row counts and H = 4, 32, 160 or 256, on its
-        SkylakeX and Haswell kernels alike. It does not everywhere: with
-        SkylakeX kernels at H = 65, 100 or 255 from about 31 rows, and with
-        Haswell kernels at odd row counts with 8 or more input features.
-        There a forward-only pass can differ from a taped one in the last
-        bit. A one-row pass keeps the hoisted GEMM (see ``allocate_scan``).
         """
         hidden, proj, states, rev, u_zr, u_h, pre, zc = (
             self.hidden, self.proj, self.states, self.rev, self.u_zr, self.u_h, self.pre, self.zc
@@ -257,21 +241,17 @@ class _Direction:
         finite_zr = self.finite.reshape(pre.shape)
         finite_c = self.finite[: zc.size].reshape(zc.shape)
         pre_zr = pre.reshape(pre.shape[0], 2, hidden).transpose(1, 0, 2)  # pre's z and r blocks
-        batch, hourly = pre.shape[0], self.hourly
-        if not hourly:
-            np.matmul(self.x2d, self.w, out=proj.reshape(self.x2d.shape[0], 3 * hidden))
+        batch = pre.shape[0]
         b_zr, b_c = self.b_zr, self.b_c
         b_zr[:], b_c[:] = self.b[: 2 * hidden], self.b[2 * hidden :]
-        proj_zr, proj_c = proj[:, :, : 2 * hidden], proj[:, :, 2 * hidden :]
+        proj_zr, proj_c = proj[:, : 2 * hidden], proj[:, 2 * hidden :]
         gate_what, cand_what = f"{self.prefix} gate", f"{self.prefix} candidate"
         for t in self.order:
             k = t if self.taped else 0
-            if hourly:  # this hour's rows of the input GEMM, into the one slot
-                np.matmul(self.x2d[t * batch : (t + 1) * batch], self.w, out=proj[0])
-            slot = 0 if hourly else t
+            np.matmul(self.x2d[t * batch : (t + 1) * batch], self.w, out=proj)
             h, c, rh = states[t + rev], self.cands[k], self.reset[k]
             np.matmul(h, u_zr, out=pre)
-            pre += proj_zr[slot]
+            pre += proj_zr
             pre += b_zr
             _check_finite(pre, finite_zr, gate_what)
             _sigmoid_(pre)
@@ -282,7 +262,7 @@ class _Direction:
                 z, r = pre[:, :hidden], pre[:, hidden:]
             np.multiply(r, h, out=rh)
             np.matmul(rh, u_h, out=c)
-            c += proj_c[slot]
+            c += proj_c
             c += b_c
             _check_finite(c, finite_c, cand_what)
             np.tanh(c, out=c)

@@ -254,9 +254,25 @@ def reshape(x: Tensor, dims: tuple[int, ...]) -> Tensor:
     return attach(out, (x,), _bw)
 
 
+NORM_BLOCK = 32768  # elements of x * x that _row_norms squares at once
+
+
+def _row_norms(x: Array) -> Array:
+    """The bits of ``np.linalg.norm(x, axis=1, keepdims=True)`` for a
+    C-contiguous 2-d x, squaring a block of rows at a time, not all of x:
+    each row's squares are summed on their own, so no sum changes."""
+    rows, width = x.shape
+    step = max(1, NORM_BLOCK // max(width, 1))
+    squares, sums = np.empty((min(step, rows), width)), np.empty(rows)
+    for lo in range(0, rows, step):
+        block = x[lo : lo + step]
+        np.add.reduce(np.multiply(block, block, out=squares[: len(block)]), axis=1, out=sums[lo : lo + len(block)])
+    return np.sqrt(sums, out=sums).reshape(rows, 1)
+
+
 def l2_normalize_rows(x: Tensor) -> Tensor:
     """Scale each row of a 2-d tensor to unit euclidean norm."""
-    norms = np.linalg.norm(x.data, axis=1, keepdims=True)
+    norms = _row_norms(x.data)
     if np.any(norms == 0.0):
         raise NumericError("cannot normalize a zero row")
     out = Tensor(x.data / norms)

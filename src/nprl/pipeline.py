@@ -307,8 +307,10 @@ def stratified_kfold(instances: list[NightInstance], k: int = 5, seed: int = 0) 
         raise InputError(f"k must be at least 2, got {k}")
     pos = [inst.instance_index for inst in instances if inst.label == 1]
     neg = [inst.instance_index for inst in instances if inst.label == 0]
-    if len(pos) < k:
-        raise InputError(f"need at least {k} positive instances, got {len(pos)}")
+    # every fold's test rows need both classes for AUROC
+    for class_name, indices in (("positive", pos), ("negative", neg)):
+        if len(indices) < k:
+            raise InputError(f"need at least {k} {class_name} instances, got {len(indices)}")
     fold_of: dict[int, int] = {}
     for class_name, indices in (("pos", pos), ("neg", neg)):
         rng = derive_rng(seed, "kfold", class_name)

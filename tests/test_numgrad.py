@@ -7,6 +7,7 @@ from nprl import numgrad as ng
 from nprl.errors import InputError, NumericError, ShapeError
 from nprl.numgrad import Tensor
 from gradcheck import grad_check, total_sum
+from traced import traced_peak_rise
 
 
 def mul(a, b):
@@ -406,6 +407,18 @@ class TestConcatReshapeNormalize:
         rng = np.random.default_rng(8)
         out = ng.l2_normalize_rows(Tensor(rng.normal(size=(4, 6))))
         np.testing.assert_allclose(np.linalg.norm(out.data, axis=1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("rows,width", [(512, 4624), (33, 1155), (7, 3)])
+    def test_row_norms_are_linalg_norms_without_a_squared_copy(self, rows, width):
+        # the representation widths of the theory runs at H=256 and H=64 with
+        # statics, and a block of many short rows; squaring all of x at once,
+        # as np.linalg.norm does, would hold one more array of x's size
+        rng = np.random.default_rng(rows)
+        x = rng.normal(size=(rows, width)) * rng.uniform(0.1, 100.0, size=(rows, 1))
+        norms = []
+        rise = traced_peak_rise(lambda: norms.append(ng._row_norms(x)))
+        assert norms[0].tobytes() == np.linalg.norm(x, axis=1, keepdims=True).tobytes()
+        assert rise <= 8 * ng.NORM_BLOCK + 2 * norms[0].nbytes
 
     def test_l2_normalize_gradient(self):
         rng = np.random.default_rng(9)

@@ -390,6 +390,11 @@ class TestStratifiedKfold:
         with pytest.raises(InputError):
             P.stratified_kfold(synthetic_instances(3, 50), k=5, seed=0)
 
+    @pytest.mark.parametrize("n_neg", [0, 1, 4])
+    def test_too_few_negatives(self, n_neg):
+        with pytest.raises(InputError, match=f"need at least 5 negative instances, got {n_neg}$"):
+            P.stratified_kfold(synthetic_instances(50, n_neg), k=5, seed=0)
+
 
 def labels_of(instances):
     return np.array([inst.label for inst in instances])
