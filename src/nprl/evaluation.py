@@ -11,7 +11,6 @@ scores the folds' concatenated arrays, and the ROC is drawn from them.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,7 +217,10 @@ def cross_validate(
     jobs = [(*arrays, fold_of, schema, arm, configs, seed, fold) for fold in range(split.k)]
     if n_workers > 1:
         # each fold worker counts only its share of the CPUs, so the workers
-        # together run no more busy threads than there are CPUs
+        # together run no more busy threads than there are CPUs; the pool
+        # module is imported only here, as a serial run never needs it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_workers, initializer=ng.share_cpus, initargs=(n_workers,)) as pool:
             folds = list(pool.map(_run_fold, jobs))
     else:

@@ -270,10 +270,14 @@ class _Direction:
             np.subtract(1.0, z, out=h_new)
             h_new *= h
             h_new += np.multiply(z, c, out=zc)
-        # scratch that BPTT does not read
+        # scratch that BPTT does not read, and without BPTT every slot
         self.proj = self.pre = self.b_zr = self.b_c = self.zc = self.finite = None
+        if not self.taped:
+            self.cands = self.reset = None
 
-    def allocate_bptt(self, input_grad: bool) -> None:
+    def allocate_bptt(self, input_grad: bool, grads: list[Array]) -> None:
+        """``grads``: the arrays to form the four weight gradients in, from
+        ``numgrad.grad_arrays``."""
         steps, batch, hidden = self.outputs.shape
         self.d_out = np.empty((steps, batch, hidden))  # the outputs' gradient, contiguous
         self.d_proj = np.empty((steps, batch, 3 * hidden))  # pre-activation grads [z | r | c]
@@ -281,7 +285,7 @@ class _Direction:
         self.work = np.empty((2, batch, hidden))
         self.dh = np.zeros((batch, hidden)), np.empty((batch, hidden))  # a state's grad, the one before
         self.d_hu = np.empty((batch, hidden))  # a gate grad times U_zr.T
-        self.grads = [np.empty_like(a) for a in (self.w, self.u_zr, self.u_h, self.b)]
+        self.grads = grads
         self.d_x = np.empty_like(self.x2d) if input_grad else None
 
     def bptt(self, d_out: Array) -> None:
@@ -351,11 +355,22 @@ def _run(jobs: list[tuple], threaded: bool) -> None:
 
 
 def gru_layer(
-    x: Tensor, params: ParamSet, directions: tuple[str, ...] = ("fwd", "bwd"), h0: Tensor | None = None
-) -> Tensor:
+    x: Tensor,
+    params: ParamSet,
+    directions: tuple[str, ...] = ("fwd", "bwd"),
+    h0: Tensor | None = None,
+    block_width: int | None = None,
+) -> Tensor | Array:
     """GRU directions over a time-major (steps, batch, T) input, as a single
     tape node; returns their states batch-major and side by side per step,
     (batch, steps, len(directions) * H), in the order given.
+
+    A forward-only pass (no parent on the tape) may ask for rows of
+    ``block_width`` columns instead. It then returns a (batch, block_width)
+    array, not a tensor: the leading steps * len(directions) * H columns
+    hold the states in the same order, and the rest are the caller's to
+    fill. Like the tensor, the array is allocated after the recurrences
+    have freed their scratch arrays.
 
     The "bwd" direction runs from the last step to the first; every
     direction starts at ``h0`` (zeros when omitted). When a parent is on the
@@ -370,7 +385,8 @@ def gru_layer(
     steps, batch, t_features = x.dims
     x2d = x.data.reshape(steps * batch, t_features)
     dirs = [_Direction(x2d, steps, params, name) for name in directions]
-    parents = (x, *(p for d in dirs for p in d.weights)) + ((h0,) if h0 is not None else ())
+    weights = [p for d in dirs for p in d.weights]
+    parents = (x, *weights) + ((h0,) if h0 is not None else ())
     taped = any(p.requires_grad for p in parents)
     work = batch * dirs[0].hidden ** 2
     threaded = len(dirs) == 2 and work >= TWO_THREAD_WORK and ng.usable_cpus() >= 2
@@ -378,14 +394,23 @@ def gru_layer(
     # every state mixes the one before and a tanh, so all are finite; a
     # concatenation of the time-major states would be time-major too, and
     # Tensor would copy it once more to make it batch-major
-    out = np.empty((batch, steps, sum(d.hidden for d in dirs)))
-    out = Tensor(np.concatenate([d.outputs.transpose(1, 0, 2) for d in dirs], axis=-1, out=out), checked=True)
+    width = sum(d.hidden for d in dirs)
+    if block_width is not None:
+        block = np.empty((batch, block_width))
+        states = block[:, : steps * width].reshape(batch, steps, width)  # a view: no copy
+        np.concatenate([d.outputs.transpose(1, 0, 2) for d in dirs], axis=-1, out=states)
+        return block
+    states = np.empty((batch, steps, width))
+    np.concatenate([d.outputs.transpose(1, 0, 2) for d in dirs], axis=-1, out=states)
+    out = Tensor(states, checked=True)
 
     def _bw():
         grad, lo, jobs = out.grad.transpose(1, 0, 2), 0, []
+        buffers = iter(ng.grad_arrays(weights))  # a weight both directions share gets one buffer
         for d in dirs:  # each direction's block of the output's columns
             d_out, lo = grad[:, :, lo : lo + d.hidden], lo + d.hidden
-            jobs.append((partial(d.allocate_bptt, x.requires_grad), partial(d.bptt, d_out)))
+            grads = [next(buffers) for _ in GRU_TENSORS]
+            jobs.append((partial(d.allocate_bptt, x.requires_grad, grads), partial(d.bptt, d_out)))
         _run(jobs, threaded)
         for d in dirs:
             for p, g in zip(d.weights, d.grads):
@@ -405,6 +430,12 @@ def represent(temporal: Array, statics: Array, params: ParamSet, config: ModelCo
     temporal has dims (batch, 9, T) and statics (batch, S) with S possibly 0.
     The representation is the concatenation feeding the trunk, normalized to
     unit rows when the config says so.
+
+    A taped pass builds it from tape nodes. A forward-only pass (no tensor
+    it reads is on the tape) fills one (batch, ``rep_width``) block: the
+    GRU's states are its leading columns, the static branch writes the
+    tail, and normalization divides the block in place, so the pass holds
+    no concatenated and no second, normalized copy. Both give the same bits.
     """
     temporal = np.asarray(temporal, dtype=np.float64)
     statics = np.asarray(statics, dtype=np.float64)
@@ -422,23 +453,34 @@ def represent(temporal: Array, statics: Array, params: ParamSet, config: ModelCo
         raise ShapeError("static features do not match the model's static branch")
 
     # hour-major layout [fwd_0, bwd_0, fwd_1, ...], the row order of the first trunk weight
-    per_hour = gru_layer(Tensor(temporal.transpose(1, 0, 2)), params)
-    rep = ng.reshape(per_hour, (batch, WINDOW_LEN * per_hour.dims[2]))
-    del per_hour  # held by rep alone, so appending the statics can free it
-    if n_static > 0:
+    gru_width = WINDOW_LEN * sum(params[f"gru_{d}.U_h"].dims[0] for d in ("fwd", "bwd"))
+    n_layers = len(config.static_widths) if n_static > 0 else 0
+    width = gru_width + (params[f"static.{n_layers - 1}.W"].dims[1] if n_layers else 0)
+    expected = rep_width(config, n_static)
+    if width != expected:
+        raise ShapeError(f"representation width {width} != expected {expected}")
+    x = Tensor(temporal.transpose(1, 0, 2))
+
+    def static_branch() -> Tensor:
         s = Tensor(statics)
-        n_layers = len(config.static_widths)
         for i in range(n_layers):
             s = ng.affine(s, params[f"static.{i}.W"], params[f"static.{i}.b"])
             if i < n_layers - 1:  # final static unit stays linear
                 s = ng.relu(s)
-        rep = ng.concat_cols([rep, s])
-    expected = rep_width(config, n_static)
-    if rep.dims[1] != expected:
-        raise ShapeError(f"representation width {rep.dims[1]} != expected {expected}")
+        return s
+
+    if any(p.requires_grad for name, p in params.items() if name.startswith(("gru_", "static."))):
+        rep = ng.reshape(gru_layer(x, params), (batch, gru_width))
+        if n_static > 0:
+            rep = ng.concat_cols([rep, static_branch()])
+        return ng.l2_normalize_rows(rep) if config.normalize_representation else rep
+    block = gru_layer(x, params, block_width=width)
+    if n_static > 0:
+        block[:, gru_width:] = static_branch().data
     if config.normalize_representation:
-        rep = ng.l2_normalize_rows(rep)
-    return rep
+        ng.normalize_rows_(block)
+    # the states and the static outputs were checked, and unit rows are finite
+    return Tensor(block, checked=True)
 
 
 def forward_batch(

@@ -7,13 +7,20 @@ graph once in reverse topological order, accumulates gradients into the
 leaves, and frees the graph, so a graph lives for exactly one batch.
 
 Everything is 64-bit. Values are checked to be finite on construction
-(reshapes and concatenations of checked tensors, and the GRU's states, skip
-the rescan); NaN/Inf anywhere is an error state, never a value. Gradient
-accumulation never updates arrays in place, which keeps views produced by
-backward closures safe to hand out.
+(reshapes and concatenations of checked tensors, the GRU's states and
+normalized rows skip the rescan); NaN/Inf anywhere is an error state, never
+a value.
 
-Ownership: :func:`adam_step` is the one function that writes into arrays
-a tensor already holds. It overwrites ``.data`` of every tensor in the
+Ownership: gradient accumulation never updates arrays in place, which keeps
+views produced by backward closures safe to hand out. The one exception is a
+gradient buffer (:func:`gradient_buffers`): while the training loop runs,
+each parameter it owns holds one array, and a leaf's first gradient
+contribution of a backward pass is formed in it with ``out=`` and becomes
+its ``.grad``, so a step allocates no parameter-sized array. A later
+contribution of the same pass, as from a weight both GRU directions share,
+is a fresh array, and so is every gradient outside the loop.
+:func:`adam_step` is the one function that writes into arrays a tensor
+already holds. It overwrites ``.data`` of every tensor in the
 parameter set it is given and the moment arrays of its
 :class:`OptimizerState`, and only reads the gradients. Its caller must own
 that parameter set: ``train._train`` trains the set it is handed in place,
@@ -28,6 +35,7 @@ ranges at once, the second from a short-lived thread (:func:`run_pair`).
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from threading import Thread
@@ -46,7 +54,7 @@ Gradients = dict[str, Array]
 class Tensor:
     """A dense float64 array plus the bookkeeping for reverse-mode autodiff."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "grad_buffer", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, *, checked: bool = False):
         # ``checked``: data its producer knows to be finite, such as a
@@ -57,6 +65,7 @@ class Tensor:
             raise NumericError("non-finite values in tensor")
         self.data = arr
         self.grad: Array | None = None
+        self.grad_buffer: Array | None = None  # see gradient_buffers
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
@@ -106,6 +115,36 @@ class Tensor:
 def accumulate(t: Tensor, g: Array) -> None:
     # No in-place adds: closures may hand out views of a consumer's grad.
     t.grad = g if t.grad is None else t.grad + g
+
+
+def grad_arrays(tensors) -> list[Array]:
+    """An array to form each tensor's gradient contribution in, in order: its
+    gradient buffer when it holds one and no contribution of this backward
+    pass has reached it, nor been handed its buffer earlier in ``tensors``;
+    else a fresh array. The array becomes the tensor's ``.grad`` when
+    :func:`accumulate` receives it first."""
+    arrays, handed = [], set()
+    for t in tensors:
+        free = t.grad is None and t.grad_buffer is not None and id(t) not in handed
+        handed.add(id(t))
+        arrays.append(t.grad_buffer if free else np.empty(t.dims))
+    return arrays
+
+
+@contextmanager
+def gradient_buffers(params: ParamSet):
+    """Give every tensor of ``params`` one gradient buffer while the block
+    runs, and leave each with neither a buffer nor a gradient after it. A
+    backward pass in the block forms each leaf's first gradient contribution
+    in its buffer, so the gradients it returns are overwritten by the next
+    pass."""
+    for p in params.values():
+        p.grad_buffer = np.empty(p.dims)
+    try:
+        yield
+    finally:
+        for p in params.values():
+            p.grad = p.grad_buffer = None
 
 
 def attach(out: Tensor, parents: tuple[Tensor, ...], backward) -> Tensor:
@@ -195,7 +234,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         g = out.grad
         both = x.requires_grad and w.requires_grad
         if both and x.data.size * w.dims[1] >= AFFINE_SPLIT and usable_cpus() >= 2:
-            d_x, d_w = np.empty(x.dims), np.empty(w.dims)
+            d_x, d_w = grad_arrays((x, w))
             run_pair(partial(np.matmul, g, w.data.T, out=d_x), partial(np.matmul, x.data.T, g, out=d_w))
             accumulate(x, d_x)
             accumulate(w, d_w)
@@ -203,9 +242,9 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             if x.requires_grad:
                 accumulate(x, g @ w.data.T)
             if w.requires_grad:
-                accumulate(w, x.data.T @ g)
+                accumulate(w, np.matmul(x.data.T, g, out=grad_arrays((w,))[0]))
         if b.requires_grad:
-            accumulate(b, g.sum(axis=0))
+            accumulate(b, np.sum(g, axis=0, out=grad_arrays((b,))[0]))
 
     return attach(out, (x, w, b), _bw)
 
@@ -254,10 +293,10 @@ def reshape(x: Tensor, dims: tuple[int, ...]) -> Tensor:
     return attach(out, (x,), _bw)
 
 
-NORM_BLOCK = 32768  # elements of x * x that _row_norms squares at once
+NORM_BLOCK = 32768  # elements of x * x that row_norms squares at once
 
 
-def _row_norms(x: Array) -> Array:
+def row_norms(x: Array) -> Array:
     """The bits of ``np.linalg.norm(x, axis=1, keepdims=True)`` for a
     C-contiguous 2-d x, squaring a block of rows at a time, not all of x:
     each row's squares are summed on their own, so no sum changes."""
@@ -270,12 +309,18 @@ def _row_norms(x: Array) -> Array:
     return np.sqrt(sums, out=sums).reshape(rows, 1)
 
 
-def l2_normalize_rows(x: Tensor) -> Tensor:
-    """Scale each row of a 2-d tensor to unit euclidean norm."""
-    norms = _row_norms(x.data)
+def _positive_row_norms(x: Array) -> Array:
+    norms = row_norms(x)
     if np.any(norms == 0.0):
         raise NumericError("cannot normalize a zero row")
-    out = Tensor(x.data / norms)
+    return norms
+
+
+def l2_normalize_rows(x: Tensor) -> Tensor:
+    """Scale each row of a 2-d tensor to unit euclidean norm."""
+    norms = _positive_row_norms(x.data)
+    # finite rows over positive norms are finite, so no rescan
+    out = Tensor(x.data / norms, checked=True)
 
     def _bw():
         g = out.grad
@@ -284,6 +329,12 @@ def l2_normalize_rows(x: Tensor) -> Tensor:
         accumulate(x, (g - y * (g * y).sum(axis=1, keepdims=True)) / norms)
 
     return attach(out, (x,), _bw)
+
+
+def normalize_rows_(a: Array) -> Array:
+    """``l2_normalize_rows``'s values for an array off the tape, written
+    into ``a`` itself (C-contiguous, 2-d) with the bits of ``a / norms``."""
+    return np.divide(a, _positive_row_norms(a), out=a)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from . import model as M
 from . import train as T
 from .errors import ConfigError, DegenerateError, FieldError, InputError, NumericError
 from .model import FeatureSchema, ModelConfig
-from .numgrad import Array, ParamSet
+from .numgrad import Array, ParamSet, row_norms
 from .util import derive_rng, derive_seed
 
 LIPSCHITZ_NOTE = (
@@ -79,7 +79,7 @@ def mean_abs_cosine(reps: np.ndarray, seed: int) -> float:
     if n > COSINE_ROWS:
         reps = reps[derive_rng(seed, "cosine").choice(n, size=COSINE_ROWS, replace=False)]
         n = COSINE_ROWS
-    norms = np.linalg.norm(reps, axis=1, keepdims=True)
+    norms = row_norms(reps)
     unit = reps / np.where(norms > 0.0, norms, 1.0)
     gram = unit @ unit.T
     return float(np.abs(gram[~np.eye(n, dtype=bool)]).mean())
@@ -139,7 +139,7 @@ def estimate_lipschitz(
         except NumericError as exc:
             raise NumericError(f"probe scale {delta} drove representations non-finite") from exc
         shifted -= base
-        shift = np.linalg.norm(shifted, axis=1)
+        shift = row_norms(shifted)
         del perturbed, shifted  # released before the next probe's pass
         l_hat = max(l_hat, float(shift.max() / delta))
     if l_hat == 0.0:
@@ -212,7 +212,7 @@ def check_corollary1(
 
 
 def _mean_offdiag_inner(reps: np.ndarray) -> float:
-    norms = np.linalg.norm(reps, axis=1)
+    norms = row_norms(reps)
     if np.abs(norms - 1.0).max() > 1e-6:
         raise ConfigError(
             "the inner-product bound requires unit-norm representations (normalize_representation)"

@@ -91,17 +91,14 @@ class TrainLog:
 def _loss_and_grads(batch, params, config, class_weights):
     """Mean (optionally class-weighted) cross-entropy over one batch of
     (temporal, statics, labels), the gradients of every parameter, and the
-    number of correct predictions."""
+    number of correct predictions. The gradients are fresh arrays, except
+    inside ``numgrad.gradient_buffers``, where they are the parameters'
+    buffers, which the next call overwrites."""
     temporal, statics, labels = batch
     if temporal.shape[0] == 0:
         raise InputError("empty batch")
-    logits, _ = M.forward_batch(temporal, statics, params, config)
-    # the last step's gradients are released only now, after the forward
-    # pass has allocated its activations, so the backward pass reuses their
-    # blocks; released before it, they are freed at the top of the heap,
-    # where glibc gives them back to the system and faults them in again
-    # every step
     ng.reset_grads(params)
+    logits, _ = M.forward_batch(temporal, statics, params, config)
     out = ng.cross_entropy(logits, labels, class_weights)
     predictions = logits.data.argmax(axis=1)
     loss = out.item()
@@ -157,6 +154,11 @@ def _train(
     With ``theta0`` set, either a quadratic pull-back of strength ``lam`` is
     added analytically to the non-head gradients, or (``gamma`` set) the
     parameters are projected back onto the ball around theta0 after every step.
+
+    Each parameter keeps one gradient buffer while the loop runs (see
+    ``numgrad.gradient_buffers``), and a projection is copied into the
+    tensors of ``params``, so after the first step a step allocates no
+    parameter-sized array. The parameters come back with no gradient.
     """
     # adam_step writes ``params`` in place, so the caller hands over a set
     # it owns. frob_dist is measured from theta0, or else from a copy of the
@@ -171,32 +173,35 @@ def _train(
     log = TrainLog()
     n = temporal.shape[0]
     batch_size = schedule.batch_size
-    for epoch in range(1, schedule.epochs + 1):
-        order = derive_rng(seed, "epoch", epoch).permutation(n)
-        epoch_loss = 0.0
-        epoch_correct = 0
-        for lo in range(0, n, batch_size):
-            idx = order[lo : lo + batch_size]
-            batch = (temporal[idx], statics[idx], labels[idx])
-            loss, grads, correct = _loss_and_grads(batch, params, config, class_weights)
-            if theta0 is not None and lam > 0.0:
-                for name, p in params.items():
-                    if not M.is_head(name):
-                        grads[name] = grads[name] + lam * (p.data - theta0[name].data)
-            ng.adam_step(params, grads, state)
-            del grads  # the parameters' .grad are now the only references
-            if theta0 is not None and gamma is not None:
-                params = M.project_to_ball(params, theta0, gamma)
-            epoch_loss += loss * len(idx)
-            epoch_correct += correct
-        log.epochs.append(
-            EpochStats(
-                epoch=epoch,
-                loss=epoch_loss / n,
-                accuracy=epoch_correct / n,
-                frob_dist=M.frobenius_distance(params, reference),
+    with ng.gradient_buffers(params):
+        for epoch in range(1, schedule.epochs + 1):
+            order = derive_rng(seed, "epoch", epoch).permutation(n)
+            epoch_loss = 0.0
+            epoch_correct = 0
+            for lo in range(0, n, batch_size):
+                idx = order[lo : lo + batch_size]
+                batch = (temporal[idx], statics[idx], labels[idx])
+                loss, grads, correct = _loss_and_grads(batch, params, config, class_weights)
+                if theta0 is not None and lam > 0.0:
+                    for name, p in params.items():
+                        if not M.is_head(name):
+                            grads[name] = grads[name] + lam * (p.data - theta0[name].data)
+                ng.adam_step(params, grads, state)
+                del grads  # the penalized copies go before the next forward pass
+                if theta0 is not None and gamma is not None:
+                    for name, p in M.project_to_ball(params, theta0, gamma).items():
+                        if p is not params[name]:
+                            np.copyto(params[name].data, p.data)
+                epoch_loss += loss * len(idx)
+                epoch_correct += correct
+            log.epochs.append(
+                EpochStats(
+                    epoch=epoch,
+                    loss=epoch_loss / n,
+                    accuracy=epoch_correct / n,
+                    frob_dist=M.frobenius_distance(params, reference),
+                )
             )
-        )
     return params, log
 
 

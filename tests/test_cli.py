@@ -334,3 +334,11 @@ class TestCommands:
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_import_leaves_the_process_pool_out(self):
+        # only eval with more than one worker starts a process pool, so no
+        # other command pays for importing its module when it starts
+        code = "import sys, nprl.cli; print('concurrent.futures.process' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

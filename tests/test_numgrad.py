@@ -416,7 +416,7 @@ class TestConcatReshapeNormalize:
         rng = np.random.default_rng(rows)
         x = rng.normal(size=(rows, width)) * rng.uniform(0.1, 100.0, size=(rows, 1))
         norms = []
-        rise = traced_peak_rise(lambda: norms.append(ng._row_norms(x)))
+        rise = traced_peak_rise(lambda: norms.append(ng.row_norms(x)))
         assert norms[0].tobytes() == np.linalg.norm(x, axis=1, keepdims=True).tobytes()
         assert rise <= 8 * ng.NORM_BLOCK + 2 * norms[0].nbytes
 

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,18 +122,50 @@ class TestPretrain:
         assert used_model == CONFIG and params["head.W"].dims[1] == 12
         assert {n: p.data.tobytes() for n, p in params.items()} == {n: p.data.tobytes() for n, p in initial.items()}
 
-    def test_holds_four_head_sized_arrays(self):
-        # the parameters, Adam's two moments and one step's gradient: no
-        # starting copy, and the last step's gradient goes before the next
-        # backward pass. At H=32 with no trunk the head dominates
-        n = 1500
+    @staticmethod
+    def wide_head_set(n=1500):
+        """n profiles at H=32 with no trunk, so the n-way head dominates
+        every other tensor, and the bytes of that head."""
         rng = np.random.default_rng(7)
         schema, config = M.FeatureSchema(("a", "b", "c")), M.ModelConfig(gru_hidden=32, trunk_widths=())
         temporal, statics = rng.uniform(size=(n, 9, 3)), np.empty((n, 0))
-        head_bytes = M.rep_width(config, 0) * n * 8
+        return (temporal, statics, config, schema), M.rep_width(config, 0) * n * 8
+
+    def test_holds_four_head_sized_arrays(self):
+        # the parameters, Adam's two moments and one gradient buffer, plus a
+        # step's activations (about 0.8 of the head here): no starting copy
+        # and no second gradient
+        (temporal, statics, config, schema), head_bytes = self.wide_head_set()
         pretrain = lambda: T.nprl_pretrain(temporal, statics, config, schema, T.Schedule(epochs=1), seed=0)
         rise = traced_peak_rise(pretrain)
-        assert rise <= 5.5 * head_bytes
+        assert rise <= 5.0 * head_bytes
+
+    def test_steps_after_the_first_allocate_no_parameter_sized_array(self, monkeypatch):
+        # every gradient is formed in its parameter's buffer, so what the
+        # third step allocates (traced from the end of the second) stays
+        # far below the head; a fresh head gradient would be all of it. A
+        # batch of 16 keeps the logits and their gradients small beside it
+        (temporal, statics, config, schema), head_bytes = self.wide_head_set()
+        adam_step, peaks = ng.adam_step, []
+
+        class ThirdStepDone(Exception):
+            pass
+
+        def traced_step(params, grads, state):
+            adam_step(params, grads, state)
+            if state.step_count == 2:
+                tracemalloc.start()
+            elif state.step_count == 3:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                raise ThirdStepDone
+
+        monkeypatch.setattr(ng, "adam_step", traced_step)
+        try:
+            with pytest.raises(ThirdStepDone):
+                T.nprl_pretrain(temporal, statics, config, schema, T.Schedule(epochs=1, batch_size=16), seed=0)
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] < 0.5 * head_bytes, peaks[0] / head_bytes
 
     def test_final_diagnostics_match_two_passes(self):
         # identify's accuracy and representations come from one forward pass;
@@ -335,6 +368,22 @@ class TestBaseline:
         temporal, statics, _ = data
         probs = M.predict_proba(temporal, statics, params, CONFIG)
         assert (probs[:, 0] > 0.5).all()
+
+    def test_parameters_come_back_without_gradients(self):
+        # every procedure drops its gradient buffers when it ends, so no
+        # trained set carries a step's gradient into the next pass
+        data = toy_arrays(6, 10, seed=19)
+        temporal, statics, _ = data
+        pretrained, _ = T.nprl_pretrain(temporal, statics, CONFIG, SCHEMA, T.Schedule(epochs=1), seed=0)
+        theta0 = M.replace_head(pretrained, seed=1)
+        trained = [pretrained, T.train_baseline(*data, CONFIG, SCHEMA, T.Schedule(epochs=1), seed=2)[0]]
+        for config in (
+            T.FinetuneConfig(mode="regularized", epochs=1),
+            T.FinetuneConfig(mode="projected", gamma=1e-3, learning_rate=1e-2, epochs=1),
+        ):
+            trained.append(T.finetune(*data, theta0, config, CONFIG, seed=3)[0])
+        for params in trained:
+            assert all(p.grad is None and p.grad_buffer is None for p in params.values())
 
     def test_log_to_csv_round_trip(self, tmp_path):
         data = toy_arrays(5, 9, seed=16)
