@@ -360,21 +360,19 @@ def gru_layer(
     directions: tuple[str, ...] = ("fwd", "bwd"),
     h0: Tensor | None = None,
     block_width: int | None = None,
-) -> Tensor | Array:
+) -> Tensor:
     """GRU directions over a time-major (steps, batch, T) input, as a single
-    tape node; returns their states batch-major and side by side per step,
-    (batch, steps, len(directions) * H), in the order given.
-
-    A forward-only pass (no parent on the tape) may ask for rows of
-    ``block_width`` columns instead. It then returns a (batch, block_width)
-    array, not a tensor: the leading steps * len(directions) * H columns
-    hold the states in the same order, and the rest are the caller's to
-    fill. Like the tensor, the array is allocated after the recurrences
-    have freed their scratch arrays.
+    tape node; returns a (batch, block_width) tensor whose leading
+    steps * len(directions) * H columns hold the states batch-major, side by
+    side per step in the order given. ``block_width`` defaults to that
+    width; the columns after it are the caller's to fill, and backward reads
+    only the leading columns of the gradient. The block is allocated after
+    the recurrences have freed their scratch arrays.
 
     The "bwd" direction runs from the last step to the first; every
     direction starts at ``h0`` (zeros when omitted). When a parent is on the
-    tape the gates are cached and backward runs BPTT in one closure.
+    tape the gates are cached and backward runs BPTT in one closure, which
+    reads no value of the block, so the caller may overwrite its columns.
     Directions read the same input and share no state: with two of them and
     batch * H^2 >= TWO_THREAD_WORK on at least two CPUs, the second runs on
     its own thread, forward and BPTT alike. Each direction does the same
@@ -391,21 +389,16 @@ def gru_layer(
     work = batch * dirs[0].hidden ** 2
     threaded = len(dirs) == 2 and work >= TWO_THREAD_WORK and ng.usable_cpus() >= 2
     _run([(partial(d.allocate_scan, h0, taped), d.scan) for d in dirs], threaded)
-    # every state mixes the one before and a tanh, so all are finite; a
-    # concatenation of the time-major states would be time-major too, and
-    # Tensor would copy it once more to make it batch-major
     width = sum(d.hidden for d in dirs)
-    if block_width is not None:
-        block = np.empty((batch, block_width))
-        states = block[:, : steps * width].reshape(batch, steps, width)  # a view: no copy
-        np.concatenate([d.outputs.transpose(1, 0, 2) for d in dirs], axis=-1, out=states)
-        return block
-    states = np.empty((batch, steps, width))
+    block = np.empty((batch, steps * width if block_width is None else block_width))
+    states = block[:, : steps * width].reshape(batch, steps, width)  # a view: no copy
     np.concatenate([d.outputs.transpose(1, 0, 2) for d in dirs], axis=-1, out=states)
-    out = Tensor(states, checked=True)
+    # every state mixes the one before and a tanh, so all are finite
+    out = Tensor(block, checked=True)
 
     def _bw():
-        grad, lo, jobs = out.grad.transpose(1, 0, 2), 0, []
+        grad = out.grad[:, : steps * width].reshape(batch, steps, width).transpose(1, 0, 2)
+        lo, jobs = 0, []
         buffers = iter(ng.grad_arrays(weights))  # a weight both directions share gets one buffer
         for d in dirs:  # each direction's block of the output's columns
             d_out, lo = grad[:, :, lo : lo + d.hidden], lo + d.hidden
@@ -431,11 +424,13 @@ def represent(temporal: Array, statics: Array, params: ParamSet, config: ModelCo
     The representation is the concatenation feeding the trunk, normalized to
     unit rows when the config says so.
 
-    A taped pass builds it from tape nodes. A forward-only pass (no tensor
-    it reads is on the tape) fills one (batch, ``rep_width``) block: the
-    GRU's states are its leading columns, the static branch writes the
-    tail, and normalization divides the block in place, so the pass holds
-    no concatenated and no second, normalized copy. Both give the same bits.
+    Every pass, taped or forward-only, fills one (batch, ``rep_width``)
+    block: the GRU's states are its leading columns, the static branch
+    writes the tail, and normalization divides the block in place, so the
+    pass holds no concatenated and no second, normalized copy. The block
+    becomes one tape node over the GRU output and the static output, whose
+    backward projects the gradient onto the tangent of the unit sphere when
+    the rows were normalized, and hands each parent its columns.
     """
     temporal = np.asarray(temporal, dtype=np.float64)
     statics = np.asarray(statics, dtype=np.float64)
@@ -459,28 +454,33 @@ def represent(temporal: Array, statics: Array, params: ParamSet, config: ModelCo
     expected = rep_width(config, n_static)
     if width != expected:
         raise ShapeError(f"representation width {width} != expected {expected}")
-    x = Tensor(temporal.transpose(1, 0, 2))
 
-    def static_branch() -> Tensor:
+    gru = gru_layer(Tensor(temporal.transpose(1, 0, 2)), params, block_width=width)
+    parents = (gru,)
+    if n_layers:
         s = Tensor(statics)
         for i in range(n_layers):
             s = ng.affine(s, params[f"static.{i}.W"], params[f"static.{i}.b"])
             if i < n_layers - 1:  # final static unit stays linear
                 s = ng.relu(s)
-        return s
-
-    if any(p.requires_grad for name, p in params.items() if name.startswith(("gru_", "static."))):
-        rep = ng.reshape(gru_layer(x, params), (batch, gru_width))
-        if n_static > 0:
-            rep = ng.concat_cols([rep, static_branch()])
-        return ng.l2_normalize_rows(rep) if config.normalize_representation else rep
-    block = gru_layer(x, params, block_width=width)
-    if n_static > 0:
-        block[:, gru_width:] = static_branch().data
-    if config.normalize_representation:
-        ng.normalize_rows_(block)
+        gru.data[:, gru_width:] = s.data
+        parents += (s,)
+    norms = ng.normalize_rows_(gru.data) if config.normalize_representation else None
     # the states and the static outputs were checked, and unit rows are finite
-    return Tensor(block, checked=True)
+    out = Tensor(gru.data, checked=True)
+
+    def _bw():
+        g = out.grad
+        if norms is not None:
+            # d(x/|x|) projects the upstream gradient onto the tangent of the sphere
+            y = out.data
+            g = (g - y * (g * y).sum(axis=1, keepdims=True)) / norms
+        # the GRU's backward reads the states' columns only
+        for parent, cols in zip(parents, (slice(None), slice(gru_width, None))):
+            if parent.requires_grad:
+                ng.accumulate(parent, g[:, cols])
+
+    return ng.attach(out, parents, _bw)
 
 
 def forward_batch(

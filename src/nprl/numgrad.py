@@ -6,10 +6,11 @@ contributions. Calling ``backward()`` on a scalar output walks the recorded
 graph once in reverse topological order, accumulates gradients into the
 leaves, and frees the graph, so a graph lives for exactly one batch.
 
-Everything is 64-bit. Values are checked to be finite on construction
-(reshapes and concatenations of checked tensors, the GRU's states and
-normalized rows skip the rescan); NaN/Inf anywhere is an error state, never
-a value.
+Everything is 64-bit. Values are checked to be finite on construction,
+except where the producer knows them to be (``checked=True``): the GRU's
+states, the representation built from them, the static outputs and unit
+rows, and copies of checked tensors. NaN/Inf anywhere is an error state,
+never a value.
 
 Ownership: gradient accumulation never updates arrays in place, which keeps
 views produced by backward closures safe to hand out. The one exception is a
@@ -19,17 +20,22 @@ contribution of a backward pass is formed in it with ``out=`` and becomes
 its ``.grad``, so a step allocates no parameter-sized array. A later
 contribution of the same pass, as from a weight both GRU directions share,
 is a fresh array, and so is every gradient outside the loop.
-:func:`adam_step` is the one function that writes into arrays a tensor
-already holds. It overwrites ``.data`` of every tensor in the
-parameter set it is given and the moment arrays of its
-:class:`OptimizerState`, and only reads the gradients. Its caller must own
-that parameter set: ``train._train`` trains the set it is handed in place,
-pretraining and the baseline hand it the set they drew, and fine-tuning a
-copy of theta0, so a pretrained set, theta0 and any tensor they share stay
-fixed. For a
+
+Three places write into arrays a tensor already holds.
+``model.represent`` writes the static columns and the normalization into
+the block ``model.gru_layer`` returned, before any op reads it; no
+backward closure reads the block's values from before normalization (the
+GRU's BPTT reads its own cached states). :func:`adam_step` overwrites
+``.data`` of every tensor in the parameter set it is given and the moment
+arrays of its :class:`OptimizerState`, and only reads the gradients; for a
 tensor of at least ``ADAM_SPLIT`` elements it writes two disjoint block
 ranges at once, the second from a short-lived thread (:func:`run_pair`).
-:func:`detach` shares arrays, so a detached set sees later updates.
+Projected fine-tuning copies the projection into the tensors it trains.
+The caller of either must own that parameter set: ``train._train`` trains the set it is
+handed in place, pretraining and the baseline hand it the set they drew,
+and fine-tuning a copy of theta0, so a pretrained set, theta0 and any
+tensor they share stay fixed. :func:`detach` shares arrays, so a detached
+set sees later updates.
 """
 
 from __future__ import annotations
@@ -57,9 +63,9 @@ class Tensor:
     __slots__ = ("data", "grad", "grad_buffer", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, *, checked: bool = False):
-        # ``checked``: data its producer knows to be finite, such as a
-        # rearrangement of tensors that were checked when they were built,
-        # so the finiteness scan would find nothing new
+        # ``checked``: data its producer knows to be finite, such as a copy
+        # of a tensor that was checked when it was built or the GRU's
+        # states, so the finiteness scan would find nothing new
         arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
         if not checked and not np.isfinite(arr).all():
             raise NumericError("non-finite values in tensor")
@@ -259,40 +265,6 @@ def relu(x: Tensor) -> Tensor:
     return attach(out, (x,), _bw)
 
 
-def concat_cols(parts: list[Tensor]) -> Tensor:
-    """Concatenate tensors along the last (feature) axis; the leading dims
-    of every part must agree."""
-    if not parts:
-        raise InputError("concat_cols needs at least one tensor")
-    lead = parts[0].dims[:-1]
-    for p in parts:
-        if p.data.ndim < 2 or p.dims[:-1] != lead:
-            raise ShapeError(f"concat_cols row mismatch: {[p.dims for p in parts]}")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=-1), checked=True)
-    widths = [p.dims[-1] for p in parts]
-
-    def _bw():
-        g = out.grad
-        offset = 0
-        for p, w in zip(parts, widths):
-            if p.requires_grad:
-                accumulate(p, g[..., offset : offset + w])
-            offset += w
-
-    return attach(out, tuple(parts), _bw)
-
-
-def reshape(x: Tensor, dims: tuple[int, ...]) -> Tensor:
-    if int(np.prod(dims)) != x.data.size:
-        raise ShapeError(f"cannot reshape {x.dims} to {dims}")
-    out = Tensor(x.data.reshape(dims), checked=True)
-
-    def _bw():
-        accumulate(x, out.grad.reshape(x.dims))
-
-    return attach(out, (x,), _bw)
-
-
 NORM_BLOCK = 32768  # elements of x * x that row_norms squares at once
 
 
@@ -309,32 +281,16 @@ def row_norms(x: Array) -> Array:
     return np.sqrt(sums, out=sums).reshape(rows, 1)
 
 
-def _positive_row_norms(x: Array) -> Array:
-    norms = row_norms(x)
+def normalize_rows_(a: Array) -> Array:
+    """Scale each row of ``a`` (C-contiguous, 2-d, finite) to unit euclidean
+    norm in place, with the bits of ``a / norms``; returns the (rows, 1)
+    norms. Finite rows over positive norms are finite, so the result needs
+    no finiteness rescan."""
+    norms = row_norms(a)
     if np.any(norms == 0.0):
         raise NumericError("cannot normalize a zero row")
+    np.divide(a, norms, out=a)
     return norms
-
-
-def l2_normalize_rows(x: Tensor) -> Tensor:
-    """Scale each row of a 2-d tensor to unit euclidean norm."""
-    norms = _positive_row_norms(x.data)
-    # finite rows over positive norms are finite, so no rescan
-    out = Tensor(x.data / norms, checked=True)
-
-    def _bw():
-        g = out.grad
-        y = out.data
-        # d(x/|x|) projects the upstream gradient onto the tangent of the sphere
-        accumulate(x, (g - y * (g * y).sum(axis=1, keepdims=True)) / norms)
-
-    return attach(out, (x,), _bw)
-
-
-def normalize_rows_(a: Array) -> Array:
-    """``l2_normalize_rows``'s values for an array off the tape, written
-    into ``a`` itself (C-contiguous, 2-d) with the bits of ``a / norms``."""
-    return np.divide(a, _positive_row_norms(a), out=a)
 
 
 # ---------------------------------------------------------------------------

@@ -55,10 +55,17 @@ def fuse(arrays):
 
 
 def _tensor_cols(parts):
-    if parts[0].data.ndim > 1:
-        return ng.concat_cols(parts)
-    row = ng.concat_cols([ng.reshape(p, (1, p.dims[0])) for p in parts])  # concat_cols needs rows
-    return ng.reshape(row, (row.dims[1],))
+    """Tensors joined along their last axis, as one tape node."""
+    out = ng.Tensor(np.concatenate([p.data for p in parts], axis=-1))
+
+    def _bw():
+        lo = 0
+        for p in parts:
+            if p.requires_grad:
+                ng.accumulate(p, out.grad[..., lo : lo + p.dims[-1]])
+            lo += p.dims[-1]
+
+    return ng.attach(out, tuple(parts), _bw)
 
 
 def fuse_tensors(tensors):

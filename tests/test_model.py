@@ -12,7 +12,7 @@ from nprl.numgrad import Tensor
 from gradcheck import grad_check
 from per_gate import GATES, fuse, fuse_tensors, per_gate
 from simd import HASWELL, KATMAI, SANDYBRIDGE, SKYLAKEX, SKYLAKEX_AVX2, describe, golden, simd_level
-from traced import traced_peak_rise
+from traced import traced_peak_rise, traced_rises
 
 SMALL_SCHEMA = M.FeatureSchema(("a", "b", "c", "d", "e"), ("s1", "s2", "s3"))
 SMALL_CONFIG = M.ModelConfig(gru_hidden=4, static_widths=(3, 2, 1), trunk_widths=(6,))
@@ -93,12 +93,21 @@ class TestInitParams:
             M.ModelConfig(trunk_widths=(0,))
 
 
+def one_hour(x):
+    """x (batch, T) as the time-major (1, batch, T) input of one hour, as a
+    tape node."""
+    out = Tensor(x.data[None])
+
+    def _bw():
+        ng.accumulate(x, out.grad[0])
+
+    return ng.attach(out, (x,), _bw)
+
+
 def one_step(x, h_prev, params):
     """One forward GRU step through ``gru_layer``: x (batch, T) and h_prev
     (batch, H) in, the new (batch, H) state out."""
-    batch = x.dims[0]
-    out = M.gru_layer(ng.reshape(x, (1, batch, x.dims[1])), params, ("fwd",), h0=h_prev)
-    return ng.reshape(out, h_prev.dims)
+    return M.gru_layer(one_hour(x), params, ("fwd",), h0=h_prev)
 
 
 def weighted_sum(x, weights):
@@ -276,6 +285,31 @@ class TestForward:
         gates = {name: Tensor(block, requires_grad=True) for name, block in per_gate(params)}
         assert grad_check(fn, gates, step=step, max_coords_per_tensor=32) < 1e-4
 
+    def test_grad_check_normalized_theory_shape(self):
+        # the theory model's shape: a linear static branch, no trunk, and an
+        # n-way head on the unit rows, so the gradient runs through the
+        # tangent projection and each parent's columns of the one
+        # representation node; no relu anywhere, so no step crosses a kink
+        config = M.ModelConfig(gru_hidden=4, static_widths=(3,), trunk_widths=(), normalize_representation=True)
+        n = 6
+        params = M.init_params(config, SMALL_SCHEMA, seed=5, n_classes=n)
+        temporal, statics = small_batch(n=n, seed=6)
+        _, rep = M.forward_batch(temporal, statics, params, config)
+        assert rep.dims == (n, M.rep_width(config, 3)) == (n, 75)
+        np.testing.assert_allclose(np.linalg.norm(rep.data, axis=1), 1.0, atol=1e-12)
+        with pytest.raises(ShapeError):
+            M.forward_batch(temporal, statics[1:], params, config)
+
+        def fn(p):
+            logits, _ = M.forward_batch(temporal, statics, fuse_tensors(p), config)
+            return ng.cross_entropy(logits, np.arange(n))
+
+        # checked one tensor per gate block: no GRU block or static tensor
+        # holds more than 32 coordinates, so every one of them is checked
+        gates = {name: Tensor(block, requires_grad=True) for name, block in per_gate(params)}
+        assert max(t.data.size for name, t in gates.items() if not M.is_head(name)) <= 32
+        assert grad_check(fn, gates, step=1e-4, max_coords_per_tensor=32) < 1e-5
+
     def test_normalized_representation_unit_norm(self):
         config = M.ModelConfig(gru_hidden=4, static_widths=(3, 2, 1), trunk_widths=(), normalize_representation=True)
         params = M.init_params(config, SMALL_SCHEMA, seed=0)
@@ -422,8 +456,8 @@ class TestFusedGru:
         # kernels, an odd row count with Haswell ones, and one row, whose
         # hourly GEMM runs as a GEMV; every pass projects per hour, so the
         # forward-only pass gives the taped pass's bits at each of them.
-        # Normalized too: the forward-only pass normalizes its one block in
-        # place, the taped pass a concatenation of tape nodes
+        # Normalized too: both passes normalize the GRU's block in place, and
+        # the taped one then records it as one tape node
         schema = M.FeatureSchema(tuple(f"t{i}" for i in range(t_features)), SMALL_SCHEMA.static_names)
         rng = np.random.default_rng(6)
         temporal, statics = rng.normal(size=(rows, 9, t_features)), rng.normal(size=(rows, 3))
@@ -643,6 +677,30 @@ def test_representation_pass_holds_few_result_sized_arrays(threads, request, mon
     assert rise <= 2.25 * reps[0].nbytes
 
 
+def test_taped_representation_holds_one_block():
+    # a taped, normalized pass in the theory model's shape (no trunk, an
+    # n-way head) holds, until its backward, what BPTT reads and one
+    # (batch, rep_width) block: the GRU's states, the static columns and the
+    # normalized rows in one array, and no concatenated or normalized copy
+    batch, hidden, steps = 64, 64, M.WINDOW_LEN
+    rng = np.random.default_rng(5)
+    schema = M.FeatureSchema(tuple(f"t{i}" for i in range(8)), tuple(f"s{i}" for i in range(5)))
+    config = M.ModelConfig(gru_hidden=hidden, static_widths=(16,), trunk_widths=(), normalize_representation=True)
+    params = M.init_params(config, schema, seed=1, n_classes=batch)
+    temporal, statics = rng.uniform(size=(batch, 9, 8)), rng.uniform(size=(batch, 5))
+    passes = []
+    held, _ = traced_rises(lambda: passes.append(M.forward_batch(temporal, statics, params, config)))
+    logits, rep = passes[0]
+    assert logits.requires_grad and rep.dims == (batch, M.rep_width(config, 5))
+    # what BPTT reads, per direction: steps + 1 states, the z and r gates,
+    # the candidates and the reset products, each a (batch, H) block
+    # measured: that plus 1.14 blocks (the input, the static branch and the
+    # logits are the 0.14); concatenating and normalizing by tape nodes held
+    # that plus 3.13 blocks
+    bptt = 2 * (steps + 1 + 4 * steps) * batch * hidden * 8
+    assert held <= bptt + 1.5 * rep.data.nbytes
+
+
 @pytest.mark.parametrize("normalize", [False, True])
 def test_forward_only_representation_is_the_gru_block(normalize, monkeypatch):
     # the array compute_representations returns for one chunk is the block
@@ -658,7 +716,7 @@ def test_forward_only_representation_is_the_gru_block(normalize, monkeypatch):
     config = M.ModelConfig(gru_hidden=4, static_widths=(3, 2, 1), trunk_widths=(), normalize_representation=normalize)
     temporal, statics = small_batch(n=5, seed=8)
     reps = M.compute_representations(temporal, statics, M.init_params(config, SMALL_SCHEMA, seed=2), config)
-    assert len(blocks) == 1 and reps is blocks[0]
+    assert len(blocks) == 1 and reps is blocks[0].data
 
 
 def test_zero_rows_give_empty_stacks():
