@@ -3,10 +3,12 @@ import threading
 import numpy as np
 import pytest
 
+from nprl import model as M
 from nprl import numgrad as ng
 from nprl.errors import InputError, NumericError, ShapeError
 from nprl.numgrad import Tensor
 from gradcheck import grad_check, total_sum
+from per_gate import fuse_tensors, per_gate
 from traced import traced_peak_rise
 
 
@@ -392,7 +394,43 @@ class TestTensorInvariants:
         np.testing.assert_array_equal(x.grad, [4.0])
 
 
+def _theory_model(normalize, seed=0):
+    """A small model of the theory shape (a linear static branch, no trunk)
+    and a batch for it."""
+    schema = M.FeatureSchema(("a", "b", "c", "d", "e"), ("s1", "s2", "s3"))
+    config = M.ModelConfig(gru_hidden=2, static_widths=(3,), trunk_widths=(), normalize_representation=normalize)
+    rng = np.random.default_rng(seed)
+    temporal, statics = rng.normal(size=(4, 9, 5)), rng.normal(size=(4, 3))
+    return config, M.init_params(config, schema, seed=seed), temporal, statics
+
+
 class TestConcatReshapeNormalize:
+    def test_concat_widths(self):
+        # represent's block holds the GRU states, then the static branch's outputs
+        config, params, temporal, statics = _theory_model(normalize=False)
+        rep = M.represent(temporal, statics, params, config)
+        gru = M.gru_layer(Tensor(temporal.transpose(1, 0, 2)), params)
+        static = ng.affine(Tensor(statics), params["static.0.W"], params["static.0.b"])
+        assert rep.dims == (4, gru.dims[1] + static.dims[1]) == (4, M.rep_width(config, 3))
+        np.testing.assert_array_equal(rep.data[:, : gru.dims[1]], gru.data)
+        np.testing.assert_array_equal(rep.data[:, gru.dims[1] :], static.data)
+
+    def test_concat_row_mismatch(self):
+        config, params, temporal, statics = _theory_model(normalize=False)
+        with pytest.raises(ShapeError):
+            M.represent(temporal, statics[1:], params, config)
+
+    def test_l2_normalize_rows_unit_norm(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(4, 6))
+        a = x.copy()
+        norms = ng.normalize_rows_(a)
+        np.testing.assert_allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)
+        assert norms.tobytes() == np.linalg.norm(x, axis=1, keepdims=True).tobytes()
+        assert a.tobytes() == (x / norms).tobytes()
+        with pytest.raises(NumericError):
+            ng.normalize_rows_(np.zeros((2, 3)))
+
     @pytest.mark.parametrize("rows,width", [(512, 4624), (33, 1155), (7, 3)])
     def test_row_norms_are_linalg_norms_without_a_squared_copy(self, rows, width):
         # the representation widths of the theory runs at H=256 and H=64 with
@@ -404,6 +442,19 @@ class TestConcatReshapeNormalize:
         rise = traced_peak_rise(lambda: norms.append(ng.row_norms(x)))
         assert norms[0].tobytes() == np.linalg.norm(x, axis=1, keepdims=True).tobytes()
         assert rise <= 8 * ng.NORM_BLOCK + 2 * norms[0].nbytes
+
+    def test_l2_normalize_gradient(self):
+        # the gradient of the unit rows runs through represent's tangent
+        # projection to the GRU and static tensors; no relu on the way
+        config, params, temporal, statics = _theory_model(normalize=True, seed=9)
+        direction = np.random.default_rng(9).normal(size=(4, M.rep_width(config, 3)))
+
+        def fn(p):
+            rep = M.represent(temporal, statics, fuse_tensors(p), config)
+            return total_sum(mul(rep, Tensor(direction)))
+
+        gates = {name: Tensor(block, requires_grad=True) for name, block in per_gate(params) if not M.is_head(name)}
+        assert grad_check(fn, gates, step=1e-4, max_coords_per_tensor=15) < 1e-6
 
     def test_composite_graph_gradient(self):
         rng = np.random.default_rng(10)
