@@ -489,6 +489,8 @@ def read_cohort(directory) -> list[PatientRecord]:
         pieces = runs.pop(pid)  # so that each block is freed once its last patient is copied
         if not pieces:
             raise FormatError(f"{d / 'hourly.csv'}: patient {pid!r} has no hourly rows")
+        if not rec.sofa:
+            raise FormatError(f"{d / 'sofa.csv'}: patient {pid!r} has no organ-dysfunction scores")
         hours = np.concatenate([h for h, _ in pieces])
         first, last = (EPOCH + int(hour) * HOUR for hour in hours[[0, -1]])
         if first < rec.admit_ts:

@@ -248,6 +248,8 @@ def select_features(
 # Scaling
 # ---------------------------------------------------------------------------
 
+CLAMP_LO, CLAMP_HI = -0.5, 1.5  # where test-fold values outside the fitted range stop
+
 
 @dataclass(frozen=True)
 class ScalingParams:
@@ -255,8 +257,6 @@ class ScalingParams:
     temporal_max: np.ndarray
     static_min: np.ndarray
     static_max: np.ndarray
-    clamp_lo: float = -0.5
-    clamp_hi: float = 1.5
 
 
 def fit_minmax(temporal: np.ndarray, statics: np.ndarray) -> ScalingParams:
@@ -272,11 +272,11 @@ def fit_minmax(temporal: np.ndarray, statics: np.ndarray) -> ScalingParams:
     )
 
 
-def _scale(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, params: ScalingParams) -> np.ndarray:
+def _scale(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     span = hi - lo
     with np.errstate(invalid="ignore", divide="ignore"):
         scaled = np.where(span > 0.0, (values - lo) / np.where(span > 0.0, span, 1.0), 0.0)
-    return np.clip(scaled, params.clamp_lo, params.clamp_hi, out=scaled)
+    return np.clip(scaled, CLAMP_LO, CLAMP_HI, out=scaled)
 
 
 def apply_minmax(
@@ -285,8 +285,8 @@ def apply_minmax(
     """Map to [0, 1] by the fitted ranges; constant features go to 0; values
     outside the fitted range (test folds) are clamped to [-0.5, 1.5]."""
     return (
-        _scale(temporal, params.temporal_min, params.temporal_max, params),
-        _scale(statics, params.static_min, params.static_max, params),
+        _scale(temporal, params.temporal_min, params.temporal_max),
+        _scale(statics, params.static_min, params.static_max),
     )
 
 
@@ -425,4 +425,6 @@ def read_instances(csv_path, sidecar_path) -> tuple[list[NightInstance], Feature
             instances.append(
                 NightInstance(row[1], day_index, instance_index, temporal, row_values[n_temporal:], label)
             )
+    if not instances:
+        raise FormatError(f"{csv_path}: no instance rows")
     return instances, schema

@@ -130,6 +130,20 @@ class TestRegressions:
         with pytest.raises(FormatError, match=r"instances\.csv: missing header row"):
             P.read_instances(run / "instances.csv", run / "instances.schema.txt")
 
+    def test_header_only_instances(self, run):  # used to load as [], then fail naming no file
+        path = run / "instances.csv"
+        path.write_text("\n".join(path.read_text().splitlines()[:2]) + "\n")
+        with pytest.raises(FormatError, match=r"instances\.csv: no instance rows"):
+            P.read_instances(path, run / "instances.schema.txt")
+
+    def test_patient_without_sofa_rows(self, run):  # used to load, then fail in extract naming no file
+        path = run / "sofa.csv"
+        lines = path.read_text().splitlines()
+        pid = lines[2].split(",")[0]
+        path.write_text("\n".join(line for line in lines if not line.startswith(pid + ",")) + "\n")
+        with pytest.raises(FormatError, match=rf"sofa\.csv: patient '{pid}' has no organ-dysfunction scores"):
+            C.read_cohort(run)
+
     @pytest.mark.parametrize("name", ["hourly.csv", "instances.csv"])
     def test_commented_out_data_row(self, run, name):  # used to be dropped
         path = run / name

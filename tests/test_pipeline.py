@@ -302,9 +302,9 @@ class TestMinMax:
         out_temporal, out_statics = P.apply_minmax(temporal, statics, params)
         assert out_temporal.shape == temporal.shape and out_statics.shape == statics.shape
         for row in range(6):
-            expected = P._scale(temporal[row], params.temporal_min, params.temporal_max, params)
+            expected = P._scale(temporal[row], params.temporal_min, params.temporal_max)
             np.testing.assert_array_equal(out_temporal[row], expected)
-            expected = P._scale(statics[row], params.static_min, params.static_max, params)
+            expected = P._scale(statics[row], params.static_min, params.static_max)
             np.testing.assert_array_equal(out_statics[row], expected)
         empty_temporal, empty_statics = P.apply_minmax(temporal[:0], statics[:0], params)
         assert empty_temporal.shape == (0, 9, 4) and empty_statics.shape == (0, n_static)

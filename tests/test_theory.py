@@ -114,7 +114,7 @@ class TestMeanAbsCosine:
         temporal, statics, _ = toy_arrays(n=30, seed=7)
         params, _ = T.nprl_pretrain(temporal, statics, NORM_CONFIG, SCHEMA, T.Schedule(epochs=2), seed=3)
         _, _, reps = T.identify(temporal, statics, params, NORM_CONFIG)
-        mean_abs_cosine = TH.mean_abs_cosine(reps, seed=3)
+        mean_abs_cosine = TH.mean_abs_cosine(TH.gram(reps))
         gram = reps @ reps.T  # unit-norm rows
         mean_cosine = (gram.sum() - np.trace(gram)) / (30 * 29)
         assert -1.0 <= mean_cosine <= 1.0
@@ -124,21 +124,22 @@ class TestMeanAbsCosine:
         reps = np.random.default_rng(7).normal(size=(12, 5))
         unit = reps / np.linalg.norm(reps, axis=1, keepdims=True)
         cosines = [abs(unit[i] @ unit[j]) for i in range(12) for j in range(12) if i != j]
-        assert abs(TH.mean_abs_cosine(reps, seed=0) - np.mean(cosines)) < 1e-12
+        assert abs(TH.mean_abs_cosine(TH.gram(reps)) - np.mean(cosines)) < 1e-12
 
-    def test_samples_at_most_the_row_cap(self):
-        reps = np.random.default_rng(8).normal(size=(TH.COSINE_ROWS + 50, 3))
-        value = TH.mean_abs_cosine(reps, seed=4)
-        assert 0.0 <= value <= 1.0 and value == TH.mean_abs_cosine(reps, seed=4)
-        sample = reps[derive_rng(4, "cosine").choice(len(reps), size=TH.COSINE_ROWS, replace=False)]
-        assert value == TH.mean_abs_cosine(sample, seed=4)
+    def test_averages_over_every_row(self):
+        # no row sample however many rows there are: each row's cosines with
+        # all the others, one row at a time
+        reps = np.random.default_rng(8).normal(size=(1074, 3))
+        unit = reps / np.linalg.norm(reps, axis=1, keepdims=True)
+        cosines = np.concatenate([np.abs(np.delete(unit, i, axis=0) @ unit[i]) for i in range(len(unit))])
+        assert abs(TH.mean_abs_cosine(TH.gram(reps)) - cosines.mean()) < 1e-12
 
 
 class TestCheckTheorem1:
     def test_identical_parameters_never_violate(self):
         data = toy_arrays(n=16, seed=2)
         reps = reps_of(data, M.init_params(NORM_CONFIG, SCHEMA, seed=1))
-        pairs, violations, worst = TH.check_theorem1(reps, reps, n_pairs=None)
+        pairs, violations, worst = TH.check_theorem1(TH.gram(reps), TH.gram(reps), n_pairs=None)
         assert violations == 0
         assert pairs == 16 * 15 // 2
         assert worst > 0.0  # slack terms keep the margin strictly positive
@@ -146,7 +147,7 @@ class TestCheckTheorem1:
     def test_margin_formula_for_equal_params(self):
         data = toy_arrays(n=10, seed=3)
         reps = reps_of(data, M.init_params(NORM_CONFIG, SCHEMA, seed=2))
-        _, _, worst = TH.check_theorem1(reps, reps, n_pairs=None)
+        _, _, worst = TH.check_theorem1(TH.gram(reps), TH.gram(reps), n_pairs=None)
         d0 = [
             np.linalg.norm(reps[i] - reps[j])
             for i in range(len(data[0]))
@@ -155,30 +156,35 @@ class TestCheckTheorem1:
         expected = min(d / 2.0 + 1.0 / 32.0 for d in d0)
         assert abs(worst - expected) < 1e-12
 
-    def test_blocked_pairs_match_one_pass(self):
-        data = toy_arrays(n=40, seed=6)  # 780 pairs, several blocks
+    def test_gram_margins_match_direct_differences(self):
+        data = toy_arrays(n=40, seed=6)  # 780 pairs
         reps0 = reps_of(data, M.init_params(NORM_CONFIG, SCHEMA, seed=5))
         reps_star = reps_of(data, M.init_params(NORM_CONFIG, SCHEMA, seed=6))
+        gram0, gram_star = TH.gram(reps0), TH.gram(reps_star)
         pairs = TH._sample_pairs(len(data[0]), None, 0)
-        assert len(pairs) > TH.PAIR_BLOCK
         d0 = np.linalg.norm(reps0[pairs[:, 0]] - reps0[pairs[:, 1]], axis=1)
         d_star_sq = np.sum((reps_star[pairs[:, 0]] - reps_star[pairs[:, 1]]) ** 2, axis=1)
         margins = d_star_sq - (d0 * d0 - d0 / 2.0 - 1.0 / 32.0)
-        result = TH.check_theorem1(reps0, reps_star, n_pairs=None)
-        assert result == (len(pairs), int((margins < 0.0).sum()), float(margins.min()))
+        n_pairs, violations, worst = TH.check_theorem1(gram0, gram_star, n_pairs=None)
+        assert (n_pairs, violations) == (len(pairs), int((margins < 0.0).sum()))
+        assert abs(worst - margins.min()) < 1e-12
+        # each pair's margin on its own: the 2 x 2 Grams of its two rows
+        for (i, j), margin in zip(pairs, margins):
+            rows = np.ix_([i, j], [i, j])
+            assert abs(TH.check_theorem1(gram0[rows], gram_star[rows], n_pairs=None)[2] - margin) < 1e-12
 
     def test_pair_sampling_counts(self):
         data = toy_arrays(n=30, seed=4)
         reps = reps_of(data, M.init_params(NORM_CONFIG, SCHEMA, seed=3))
-        pairs, _, _ = TH.check_theorem1(reps, reps, n_pairs=100)
+        pairs, _, _ = TH.check_theorem1(TH.gram(reps), TH.gram(reps), n_pairs=100)
         assert pairs == 100
 
     def test_fewer_than_two_representations(self):
         reps = reps_of(toy_arrays(n=1, seed=4), M.init_params(NORM_CONFIG, SCHEMA, seed=3))
         with pytest.raises(InputError, match="at least 2 representations.*got 1"):
-            TH.check_theorem1(reps, reps, n_pairs=None)
+            TH.check_theorem1(TH.gram(reps), TH.gram(reps), n_pairs=None)
         with pytest.raises(InputError, match="one shape"):
-            TH.check_theorem1(reps, np.vstack([reps, reps]), n_pairs=None)
+            TH.check_theorem1(TH.gram(reps), TH.gram(np.vstack([reps, reps])), n_pairs=None)
 
     def test_detects_planted_violation(self):
         # scaling all representations toward zero shrinks pairwise distances
@@ -198,7 +204,7 @@ class TestCheckTheorem1:
             np.linalg.norm(reps0[i] - reps0[j]) for i in range(12) for j in range(i + 1, 12)
         )
         reps_star = reps_of(data, theta_star, config)
-        _, violations, worst = TH.check_theorem1(reps0, reps_star, n_pairs=None)
+        _, violations, worst = TH.check_theorem1(TH.gram(reps0), TH.gram(reps_star), n_pairs=None)
         if d0_max**2 - d0_max / 2.0 - 1.0 / 32.0 > 0:
             assert violations > 0
             assert worst < 0
@@ -208,7 +214,7 @@ class TestCheckCorollary1:
     def test_identical_parameters_satisfy(self):
         data = toy_arrays(n=14, seed=6)
         reps = reps_of(data, M.init_params(NORM_CONFIG, SCHEMA, seed=5))
-        m0, m_star, ok = TH.check_corollary1(reps, reps)
+        m0, m_star, ok = TH.check_corollary1(TH.gram(reps), TH.gram(reps))
         assert m0 == m_star
         assert ok
 
@@ -217,19 +223,19 @@ class TestCheckCorollary1:
         data = toy_arrays(n=8, seed=7)
         reps = reps_of(data, M.init_params(config, SCHEMA, seed=6), config)
         with pytest.raises(ConfigError):
-            TH.check_corollary1(reps, reps)
+            TH.check_corollary1(TH.gram(reps), TH.gram(reps))
 
     def test_budget_uses_measured_m0(self):
         data = toy_arrays(n=10, seed=8)
         reps = reps_of(data, M.init_params(NORM_CONFIG, SCHEMA, seed=7))
-        m0, m_star, ok = TH.check_corollary1(reps, reps, tol=0.0)
+        m0, m_star, ok = TH.check_corollary1(TH.gram(reps), TH.gram(reps), tol=0.0)
         # m_star == m0 <= 0.37 + |m0| always holds for unit vectors
         assert ok
 
     def test_fewer_than_two_representations(self):
         reps = reps_of(toy_arrays(n=1, seed=8), M.init_params(NORM_CONFIG, SCHEMA, seed=7))
         with pytest.raises(InputError, match="at least 2 representations.*got 1"):
-            TH.check_corollary1(reps, reps)
+            TH.check_corollary1(TH.gram(reps), TH.gram(reps))
 
 
 class TestTheoryProtocol:
@@ -273,6 +279,27 @@ class TestTheoryProtocol:
         TH.theory_protocol(*toy_arrays(n=30, seed=10), SCHEMA, config, seed=12)
         # the pretrained parameters, each probe, and theta*
         assert passes == [30] * (config.n_probes + 2)
+
+    def test_one_gram_per_parameter_set(self, monkeypatch):
+        shapes = []
+        gram = TH.gram
+
+        def counting(reps):
+            result = gram(reps)
+            shapes.append(result.shape)
+            return result
+
+        monkeypatch.setattr(TH, "gram", counting)
+        config = TH.TheoryConfig(
+            model=NORM_CONFIG,
+            pretrain=T.Schedule(epochs=2),
+            finetune=T.Schedule(epochs=1, learning_rate=1e-4),
+            n_probes=2,
+            n_pairs=200,
+        )
+        TH.theory_protocol(*toy_arrays(n=30, seed=10), SCHEMA, config, seed=12)
+        # theta0 and theta*
+        assert shapes == [(30, 30)] * 2
 
     def test_rejects_unnormalized_model(self):
         with pytest.raises(ConfigError):

@@ -182,7 +182,7 @@ class TestPretrain:
             correct += int((logits.data.argmax(axis=1) == np.arange(lo, min(lo + 512, 600))).sum())
         reps = M.compute_representations(temporal, statics, params, CONFIG)
         assert accuracy == correct / 600
-        assert TH.mean_abs_cosine(final_reps, 4) == TH.mean_abs_cosine(reps, 4)
+        assert TH.mean_abs_cosine(TH.gram(final_reps)) == TH.mean_abs_cosine(TH.gram(reps))
         np.testing.assert_array_equal(final_reps, reps)  # theory uses them as theta0's
 
     def test_identify_needs_one_head_class_per_profile(self):
