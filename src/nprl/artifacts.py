@@ -19,6 +19,7 @@ import itertools
 import os
 from contextlib import contextmanager
 from math import isfinite, isnan
+from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -105,8 +106,9 @@ def csv_row(cells: Sequence) -> str:
 
 @contextmanager
 def atomic_open(path):
-    """Write text to ``<path>.tmp`` and move it onto ``path`` only once the
-    block succeeds; if the block raises, the temporary file is removed."""
+    """Write text to ``<path>.tmp``, its directory made if missing; move it onto
+    ``path`` only once the block succeeds, and remove it if the block raises."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:

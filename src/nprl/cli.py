@@ -2,12 +2,13 @@
 the comparison arms under cross-validation, and run the geometry checks.
 
 Configuration is flat INI (section.key = value). Every value has a built-in
-default in ``DEFAULTS``, the only copy of the defaults; a config file and
-repeatable ``--set section.key=value`` overrides layer on top. Loading parses
-and checks every value before any stage runs. Each run writes its artifacts under ``<out>/run-<seed>-<hash>``,
-where the hash covers the fully resolved configuration, and every text output
-starts with a comment line embedding that hash and the master seed, so rerun
-outputs are byte-identical.
+default in ``DEFAULTS``, the only copy of the defaults, as the config
+dataclasses declare none: a library caller gets the resolved defaults from
+``RunConfig.load(None, [])``. A config file and repeatable ``--set
+section.key=value`` overrides layer on top; loading checks every value before
+any stage runs. Each run writes under ``<out>/run-<seed>-<hash>``, the hash
+covering the fully resolved configuration, and every text output starts with
+a comment line of that hash and the master seed, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -80,6 +81,8 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "gru_hidden": "32",
         "static_widths": "16",
         "max_instances": "500",
+        # far above pretrain.epochs: accuracy saturates in ~30 epochs, but the representations
+        # spread toward mutual orthogonality late in training, over thousands of steps
         "pretrain_epochs": "800",
         "pretrain_batch_size": "32",
         "pretrain_learning_rate": "0.003",
@@ -225,15 +228,14 @@ class RunConfig:
         return self.parse(section, key, "bool")
 
     def bind(self, cls, section: str, prefix: str = "", **fixed):
-        """The frozen dataclass ``cls`` built from ``[section]``: a field not in
-        ``fixed`` takes the value of key ``prefix + <field name>``, parsed by
-        the field's annotation, or its default when the section has no such
-        key. A value the dataclass rejects is reported under its key."""
+        """The frozen dataclass ``cls`` built from ``[section]``: an init field
+        not in ``fixed`` takes the value of key ``prefix + <field name>``,
+        parsed by the field's annotation. A value the dataclass rejects is
+        reported under its key."""
         kwargs = dict(fixed)
         for f in fields(cls):
-            key = prefix + _KEYS.get(f.name, f.name)
-            if f.name not in fixed and key in self.values[section]:
-                kwargs[f.name] = self.parse(section, key, f.type)
+            if f.init and f.name not in fixed:
+                kwargs[f.name] = self.parse(section, prefix + _KEYS.get(f.name, f.name), f.type)
         try:
             return cls(**kwargs)
         except FieldError as exc:
@@ -262,8 +264,8 @@ class Runner:
         self.cfg = cfg
         self.seed = cfg.seed
         root = out_root or cfg.get("run", "out") or os.environ.get("NPRL_OUT") or "runs"
+        # made by the first write: a command that fails on its input leaves none behind
         self.run_dir = Path(root) / f"run-{self.seed}-{cfg.config_hash()[:8]}"
-        self.run_dir.mkdir(parents=True, exist_ok=True)
         self.header = f"config_hash={cfg.config_hash()} seed={self.seed}"
 
     def log(self, message: str) -> None:
@@ -275,8 +277,20 @@ class Runner:
         self.log(f"wrote cohort of {len(records)} patients to {self.run_dir / 'cohort'}")
         return records
 
+    @staticmethod
+    def _read_input(read, path: Path, first: str):
+        """``read()``; if it fails with ``path`` missing, the error names it and the commands to run ``first``."""
+        try:
+            return read()
+        except FormatError:
+            if path.exists():
+                raise
+            raise FormatError(f"{path}: cannot read: {os.strerror(errno.ENOENT)}; run {first} first") from None
+
     def cmd_extract(self, records=None):
-        records = records if records is not None else read_cohort(self.run_dir / "cohort")
+        if records is None:
+            cohort = self.run_dir / "cohort"
+            records = self._read_input(lambda: read_cohort(cohort), cohort / "patients.csv", "`nprl gen`")
         instances = P.extract_instances(records)
         instances, schema = P.select_features(instances, P.full_schema(), self.cfg.subsets)
         P.write_instances(
@@ -292,15 +306,10 @@ class Runner:
 
     def _load_instances(self):
         path = self.run_dir / "instances.csv"
-        try:
-            return P.read_instances(path, self.run_dir / "instances.schema.txt")
-        except FormatError:
-            if path.exists():
-                raise
-            # the sidecar is read first, so name the file the user knows
-            raise FormatError(
-                f"{path}: cannot read: {os.strerror(errno.ENOENT)}; run `nprl gen` and `nprl extract` first"
-            ) from None
+        # the sidecar is read first, so the error names the file the user knows
+        return self._read_input(
+            lambda: P.read_instances(path, self.run_dir / "instances.schema.txt"), path, "`nprl gen` and `nprl extract`"
+        )
 
     def cmd_eval(self, data=None):
         instances, schema = data if data is not None else self._load_instances()
@@ -311,7 +320,6 @@ class Runner:
                 instances, schema, split, arm, self.cfg.arm_configs, self.seed, n_workers=self.cfg.workers
             )
             logs = self.run_dir / "logs" / arm
-            logs.mkdir(parents=True, exist_ok=True)
             for fold in reports[arm].folds:
                 fold.log.to_csv(logs / f"fold{fold.fold_id}.csv", header_comment=self.header)
                 if fold.pretrain_log is not None:

@@ -137,17 +137,17 @@ class GeneratorConfig:
     """
 
     n_patients: int
-    sepsis_fraction: float = 0.17
-    missing_rate: float = 0.05
-    onset_day_min: int = 3
-    onset_day_max: int = 14
-    los_day_min: int = 5
-    los_day_max: int = 20
-    drift_heart_rate: float = 20.0
-    drift_temperature: float = 1.2
-    drift_resp_rate: float = 6.0
-    ar_coeff: float | None = None  # None keeps the per-vital coefficients
-    noise_mult: float = 1.0
+    sepsis_fraction: float
+    missing_rate: float
+    onset_day_min: int
+    onset_day_max: int
+    los_day_min: int
+    los_day_max: int
+    drift_heart_rate: float
+    drift_temperature: float
+    drift_resp_rate: float
+    ar_coeff: float | None  # None keeps the per-vital coefficients
+    noise_mult: float
     vitals: dict[str, VitalParams] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -384,7 +384,6 @@ CULTURES_HEADER = ("patient_id", "ts", "positive")
 def write_cohort(records: list[PatientRecord], directory, header_comment: str | None = None) -> None:
     """Write patients/hourly/sofa/cultures CSVs; empty cell means missing."""
     d = Path(directory)
-    d.mkdir(parents=True, exist_ok=True)
     patients = ([r.patient_id, r.admit_ts.isoformat()] + [repr(float(v)) for v in r.statics] for r in records)
     hourly = (
         f"{head}{ts},{values}"

@@ -46,7 +46,7 @@ def auroc(probs: np.ndarray, labels: np.ndarray) -> float:
     return u / (n_pos * n_neg)
 
 
-def confusion(probs: np.ndarray, labels: np.ndarray, threshold: float = 0.5) -> dict:
+def confusion(probs: np.ndarray, labels: np.ndarray, threshold: float) -> dict:
     """Counts and rates when predicting positive iff prob >= threshold; a
     rate is None when undefined."""
     predicted, positive = probs >= threshold, labels == 1
@@ -85,7 +85,7 @@ class ScoreReport:
     pretrain_log: T.TrainLog | None = None
 
 
-def score(fold_id: int | None, probs: np.ndarray, labels: np.ndarray, threshold: float = 0.5) -> ScoreReport:
+def score(fold_id: int | None, probs: np.ndarray, labels: np.ndarray, threshold: float) -> ScoreReport:
     """The report of one set of held-out scores."""
     return ScoreReport(fold_id, probs, labels, auroc=auroc(probs, labels), **confusion(probs, labels, threshold))
 
@@ -96,7 +96,7 @@ class AggregateReport:
     pooled: ScoreReport
 
 
-def aggregate(folds: list[ScoreReport], threshold: float = 0.5) -> AggregateReport:
+def aggregate(folds: list[ScoreReport], threshold: float) -> AggregateReport:
     """Every fold's report plus the report of their concatenated scores."""
     probs = np.concatenate([f.probs for f in folds])
     labels = np.concatenate([f.labels for f in folds])
@@ -112,19 +112,19 @@ def aggregate(folds: list[ScoreReport], threshold: float = 0.5) -> AggregateRepo
 
 @dataclass(frozen=True)
 class ArmConfigs:
-    """The ``[eval]`` section: everything one arm needs, and the folds and arms
-    of a cross-validated comparison."""
+    """The ``[eval]`` section and the four sections one arm trains with: the
+    folds and arms of a cross-validated comparison, and each arm's configs."""
 
     model: ModelConfig
-    pretrain: T.Schedule = T.Schedule(epochs=30)
-    finetune: T.FinetuneConfig = T.FinetuneConfig()
-    baseline: T.Schedule = T.Schedule(epochs=15)
-    resample_target: int = 2600
-    threshold: float = 0.5
-    weight_scheme: str = "inverse_frequency"
-    effective_beta: float = 0.999
-    k_folds: int = 5
-    arms: tuple[str, ...] = ARMS  # the arms `nprl eval` runs, in order
+    pretrain: T.Schedule
+    finetune: T.FinetuneConfig
+    baseline: T.Schedule
+    resample_target: int
+    threshold: float
+    weight_scheme: str
+    effective_beta: float
+    k_folds: int
+    arms: tuple[str, ...]  # the arms `nprl eval` runs, in order
 
     def __post_init__(self):
         if self.k_folds < 2:
@@ -200,7 +200,7 @@ def cross_validate(
     arm: str,
     configs: ArmConfigs,
     seed: int,
-    n_workers: int = 1,
+    n_workers: int,
 ) -> AggregateReport:
     """Train and score one arm across every fold of the split.
 

@@ -48,10 +48,10 @@ class FeatureSchema:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    gru_hidden: int = 256
-    static_widths: tuple[int, ...] = (16, 8, 1)
-    trunk_widths: tuple[int, ...] = (64,)
-    normalize_representation: bool = False
+    gru_hidden: int
+    static_widths: tuple[int, ...]
+    trunk_widths: tuple[int, ...]
+    normalize_representation: bool
 
     def __post_init__(self):
         if self.gru_hidden < 1:

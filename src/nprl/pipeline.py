@@ -301,7 +301,7 @@ class DatasetSplit:
     k: int
 
 
-def stratified_kfold(instances: list[NightInstance], k: int = 5, seed: int = 0) -> DatasetSplit:
+def stratified_kfold(instances: list[NightInstance], k: int, seed: int) -> DatasetSplit:
     """Shuffle each class separately and deal round-robin into k folds."""
     if k < 2:
         raise InputError(f"k must be at least 2, got {k}")
@@ -320,7 +320,7 @@ def stratified_kfold(instances: list[NightInstance], k: int = 5, seed: int = 0) 
     return DatasetSplit(fold_of=fold_of, k=k)
 
 
-def resample_training(labels: np.ndarray, target: int = 2600, seed: int = 0) -> np.ndarray:
+def resample_training(labels: np.ndarray, target: int, seed: int) -> np.ndarray:
     """Rows that balance a training set to ``target`` per class.
 
     Negatives are sampled without replacement down to the target (all kept if
@@ -338,7 +338,7 @@ def resample_training(labels: np.ndarray, target: int = 2600, seed: int = 0) -> 
     return combined[rng.permutation(len(combined))]
 
 
-def undersample_negatives(labels: np.ndarray, target: int = 2600, seed: int = 0) -> np.ndarray:
+def undersample_negatives(labels: np.ndarray, target: int, seed: int) -> np.ndarray:
     """Rows that cut the majority class to ``target``, leaving positives
     untouched."""
     pos = np.flatnonzero(labels == 1)

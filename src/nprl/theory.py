@@ -27,7 +27,7 @@ parameter set (``gram``): a squared distance is G[i,i] + G[j,j] - 2 G[i,j].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -172,9 +172,7 @@ def _check_gram_pair(gram0: np.ndarray, gram_star: np.ndarray) -> None:
         raise InputError(f"need at least 2 representations to form a pair, got {len(gram0)}")
 
 
-def check_theorem1(
-    gram0: np.ndarray, gram_star: np.ndarray, n_pairs: int | None = 10000, seed: int = 0
-) -> tuple[int, int, float]:
+def check_theorem1(gram0: np.ndarray, gram_star: np.ndarray, n_pairs: int | None, seed: int) -> tuple[int, int, float]:
     """Count violations of the pairwise-distance preservation inequality
     between the rows of the pretrained and the fine-tuned representations,
     given as their Gram matrices; the rows need not be unit-norm.
@@ -192,9 +190,7 @@ def check_theorem1(
     return len(margins), violations, float(margins.min())
 
 
-def check_corollary1(
-    gram0: np.ndarray, gram_star: np.ndarray, tol: float = 0.02
-) -> tuple[float, float, bool]:
+def check_corollary1(gram0: np.ndarray, gram_star: np.ndarray, tol: float) -> tuple[float, float, bool]:
     """Mean pairwise inner products before and after fine-tuning.
 
     The printed bound assumes the pretrained mean is exactly zero; finite
@@ -219,19 +215,18 @@ def _mean_offdiag_inner(gram: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class TheoryConfig:
-    # The pretraining budget here is deliberately much longer than the
-    # supervised default: classification accuracy saturates within ~30 epochs,
-    # but the spreading of the representations toward mutual orthogonality
-    # happens in the terminal phase of training and needs thousands of steps.
+    """The ``[theory]`` section; its model and its two schedules read the
+    section's own keys, the schedules' under ``pretrain_`` and ``finetune_``."""
+
     model: ModelConfig
-    pretrain: T.Schedule = T.Schedule(epochs=800, batch_size=32, learning_rate=3e-3)
-    finetune: T.Schedule = T.Schedule(epochs=15, learning_rate=1e-4)  # projected; the protocol sets the radius
-    n_probes: int = 8
-    probe_scale: float = 1e-3
-    safety: float = 2.0
-    n_pairs: int = 10000
-    corollary_tol: float = 0.02
-    max_instances: int = 500  # `nprl theory` runs on a seeded subset of at most this many
+    pretrain: T.Schedule
+    finetune: T.Schedule  # projected; the protocol sets the radius
+    n_probes: int
+    probe_scale: float
+    safety: float
+    n_pairs: int
+    corollary_tol: float
+    max_instances: int  # `nprl theory` runs on a seeded subset of at most this many
 
     def __post_init__(self):
         if not self.model.normalize_representation:
@@ -280,9 +275,9 @@ def theory_protocol(
     )
     del reps0  # gram0 stands in for the rows from here on
     gamma = 1.0 / (8.0 * l_hat * config.safety)
-    schedule = config.finetune
+    # no penalty, plain loss and every row: the ball alone keeps theta* near theta0
     projected = T.FinetuneConfig(
-        schedule.epochs, schedule.batch_size, schedule.learning_rate, mode="projected", gamma=gamma
+        **asdict(config.finetune), mode="projected", lam=0.0, gamma=gamma, loss="plain", resample=False
     )
     theta_star, _ = T.finetune(
         temporal, statics, labels, theta0, projected, config.model, derive_seed(seed, "finetune")

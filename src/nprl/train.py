@@ -29,8 +29,8 @@ class Schedule:
     :class:`FinetuneConfig`."""
 
     epochs: int
-    batch_size: int = 64
-    learning_rate: float = 1e-3
+    batch_size: int
+    learning_rate: float
 
     def __post_init__(self):
         for name in ("epochs", "batch_size"):
@@ -44,13 +44,11 @@ class Schedule:
 class FinetuneConfig(Schedule):
     """The ``[finetune]`` config section: a schedule that stays near theta0."""
 
-    epochs: int = 15
-    learning_rate: float = 1e-4  # deliberately below the pretraining rate
-    mode: str = "regularized"  # or "projected"
-    lam: float = 1e-2  # penalty coefficient, regularized mode
-    gamma: float = 0.0  # ball radius, projected mode
-    loss: str = "plain"  # or "class_balanced"; the harness picks the weights
-    resample: bool = True  # consumed by the harness, not by finetune itself
+    mode: str  # "regularized" or "projected"
+    lam: float  # penalty coefficient, regularized mode
+    gamma: float  # ball radius, projected mode
+    loss: str  # "plain" or "class_balanced"; the harness picks the weights
+    resample: bool  # consumed by the harness, not by finetune itself
 
     def __post_init__(self):
         if self.mode not in ("regularized", "projected"):
@@ -106,9 +104,7 @@ def _loss_and_grads(batch, params, config, class_weights):
     return loss, ng.collect_grads(params), int((predictions == labels).sum())
 
 
-def class_balanced_weights(
-    labels: Array, scheme: str = "inverse_frequency", beta: float | None = None
-) -> Array:
+def class_balanced_weights(labels: Array, scheme: str, beta: float | None = None) -> Array:
     """Per-class loss weights for the two classes of a 0/1 label array.
 
     inverse_frequency: w_c = n / (C * n_c).

@@ -15,6 +15,7 @@ from nprl import evaluation as E
 from nprl import model as M
 from nprl import numgrad as ng
 from nprl import pipeline as P
+from defaults import default
 from gradcheck import grad_check
 from per_gate import fuse_tensors, per_gate
 
@@ -33,7 +34,8 @@ def verdict(criterion: str, ok: bool, detail: str) -> None:
 
 def test_c01_gradient_correctness():
     schema = M.FeatureSchema(tuple(f"t{i}" for i in range(11)), tuple(f"s{i}" for i in range(15)))
-    config = M.ModelConfig()  # 256 GRU units, 16/8/1 statics, 64 trunk
+    # the paper's reference width H=256, with the default 16/8/1 statics and 64 trunk
+    config = default("arm_configs.model", gru_hidden=256)
     params = M.init_params(config, schema, seed=0)
     rng = np.random.default_rng(1)
     temporal = rng.uniform(0.0, 1.0, size=(4, 9, 11))
@@ -71,13 +73,13 @@ def test_c01_gradient_correctness():
 
 
 # ---------------------------------------------------------------------------
-# C2: architecture shapes at reference defaults
+# C2: architecture shapes at the paper's reference width, H=256
 # ---------------------------------------------------------------------------
 
 
 def test_c02_architecture_shapes():
     schema = M.FeatureSchema(tuple(f"t{i}" for i in range(11)), tuple(f"s{i}" for i in range(15)))
-    config = M.ModelConfig()
+    config = default("arm_configs.model", gru_hidden=256)  # the paper's reference width
     params = M.init_params(config, schema, seed=0)
 
     temporal = np.random.default_rng(1).uniform(size=(1, 9, 11))
@@ -248,7 +250,7 @@ def test_c06_metric_consistency():
     specificity = 15602 / 25481
     probs = np.repeat([0.9, 0.1, 0.1, 0.9], [390, 471 - 390, 15602, 25481 - 15602])
     labels = np.repeat([1, 1, 0, 0], [390, 471 - 390, 15602, 25481 - 15602])
-    counts = E.confusion(probs, labels)
+    counts = E.confusion(probs, labels, 0.5)
     ok = (
         abs(counts["sensitivity"] - 0.8280) < 5e-4
         and abs(counts["specificity"] - 0.6123) < 5e-4

@@ -20,6 +20,7 @@ from nprl import evaluation as E
 from nprl import pipeline as P
 from nprl import theory as TH
 from nprl.errors import FormatError, NprlError
+from defaults import default
 
 HEADER = "config_hash=abc seed=1"
 COHORT_FILES = ("patients.csv", "hourly.csv", "sofa.csv", "cultures.csv")
@@ -28,12 +29,12 @@ INSTANCE_FILES = ("instances.csv", "instances.schema.txt")
 
 def write_all(d: Path) -> None:
     """One small artifact of every kind under ``d``."""
-    records = C.generate_cohort(C.GeneratorConfig(n_patients=3, missing_rate=0.1, los_day_min=5, los_day_max=6), 5)
+    records = C.generate_cohort(default("generator", n_patients=3, missing_rate=0.1, los_day_min=5, los_day_max=6), 5)
     C.write_cohort(records, d, header_comment=HEADER)
     instances, schema = P.select_features(P.extract_instances(records), P.full_schema(), {1, 2})
     P.write_instances(instances[:4], schema, d / "instances.csv", d / "instances.schema.txt", HEADER)
     probs, labels = np.array([0.9, 0.2, 0.6, 0.4, 0.7]), np.array([1, 0, 1, 0, 0])
-    report = E.aggregate([E.score(i, probs, labels, 0.5) for i in range(2)])
+    report = E.aggregate([E.score(i, probs, labels, 0.5) for i in range(2)], 0.5)
     E.emit_combined_report({"baseline": report}, d / "report.csv", d / "roc.txt", HEADER)
     theory = TH.TheoremCheckReport(
         l_hat=1.5, gamma=0.04, pairs_checked=10, violations=0, worst_margin=0.25, m0=0.01, m_star=0.02,
@@ -351,13 +352,13 @@ class TestBlockReads:
             READERS["cohort" if name == "hourly.csv" else "instances"][1](run)
 
     def test_block_size_does_not_change_what_is_read(self, tmp_path, monkeypatch):
-        records = C.generate_cohort(C.GeneratorConfig(n_patients=6, missing_rate=0.1, sepsis_fraction=0.5), 4)
+        records = C.generate_cohort(default("generator", n_patients=6, missing_rate=0.1, sepsis_fraction=0.5), 4)
         assert any(C.planted_onset(r) is not None for r in records)
         assert np.isnan(np.concatenate([r.hourly for r in records])).any()
         ends = np.cumsum([r.los_hours for r in records])
-        default = A.READ_BLOCK
+        default_block = A.READ_BLOCK
         # one patient's rows straddle the first boundary of default-size blocks
-        assert any(end - r.los_hours < default < end for r, end in zip(records, ends))
+        assert any(end - r.los_hours < default_block < end for r, end in zip(records, ends))
         C.write_cohort(records, tmp_path)
         instances, schema = P.select_features(P.extract_instances(records), P.full_schema(), {1, 2, 3})
         P.write_instances(instances, schema, tmp_path / "instances.csv", tmp_path / "instances.schema.txt")
@@ -375,7 +376,7 @@ class TestBlockReads:
                   bits(i.statics).tolist()) for i in loaded],
             )
 
-        expected = read(default)
+        expected = read(default_block)
         assert len(expected[1]) == len(instances)
         for block in (1, 7):
             assert read(block) == expected, block
@@ -383,7 +384,7 @@ class TestBlockReads:
     def test_read_cohort_peak_memory_follows_the_block(self, tmp_path, monkeypatch):
         # converting the whole of hourly.csv at once peaked at 11.6 times the
         # memory the records keep; block by block it is 1.4 times
-        C.write_cohort(C.generate_cohort(C.GeneratorConfig(n_patients=40, missing_rate=0.05), 3), tmp_path)
+        C.write_cohort(C.generate_cohort(default("generator", n_patients=40, missing_rate=0.05), 3), tmp_path)
         monkeypatch.setattr(A, "READ_BLOCK", 256)
         tracemalloc.start()
         try:
@@ -409,7 +410,7 @@ GOLDEN_SHA256 = {
 
 
 def test_golden_cohort_and_instance_bytes(tmp_path):
-    records = C.generate_cohort(C.GeneratorConfig(n_patients=20, missing_rate=0.05), 3)
+    records = C.generate_cohort(default("generator", n_patients=20, missing_rate=0.05), 3)
     assert sum(C.planted_onset(r) is not None for r in records) == 3
     assert np.isnan(np.concatenate([r.hourly for r in records])).any()
     header = "config_hash=abc seed=3"
@@ -441,7 +442,7 @@ GOLDEN_REPORT_SHA256 = {
 
 def test_golden_report_bytes(tmp_path):
     reports = {
-        arm: E.aggregate([E.score(i, np.array(p), np.array(y)) for i, (p, y) in enumerate(folds)])
+        arm: E.aggregate([E.score(i, np.array(p), np.array(y), 0.5) for i, (p, y) in enumerate(folds)], 0.5)
         for arm, folds in GOLDEN_SCORES.items()
     }
     E.emit_combined_report(reports, tmp_path / "report.csv", tmp_path / "roc.txt", HEADER)

@@ -1,11 +1,16 @@
+import inspect
 import subprocess
 import sys
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 
 import pytest
 
 from nprl import cli
 from nprl import evaluation as E
+from nprl import pipeline as P
+from nprl import theory as TH
+from nprl import train as T
 from nprl.errors import ConfigError
 
 SMALL_OVERRIDES = [
@@ -42,6 +47,21 @@ def set_args(overrides):
     for item in overrides:
         out.extend(["--set", item])
     return out
+
+
+# stage-function parameters that take a config key's value or a seed
+CALLER_SET_PARAMETERS = [
+    (E.confusion, ("threshold",)),
+    (E.score, ("threshold",)),
+    (E.aggregate, ("threshold",)),
+    (P.stratified_kfold, ("k", "seed")),
+    (P.resample_training, ("target", "seed")),
+    (P.undersample_negatives, ("target", "seed")),
+    (T.class_balanced_weights, ("scheme",)),
+    (TH.check_theorem1, ("n_pairs", "seed")),
+    (TH.check_corollary1, ("tol",)),
+    (E.cross_validate, ("n_workers",)),
+]
 
 
 class TestRunConfig:
@@ -114,6 +134,34 @@ class TestRunConfig:
         path.write_text("[DEFAULT]\nseed = 8\n")
         with pytest.raises(ConfigError, match=r"bad\.ini: a \[DEFAULT\] section is not allowed"):
             cli.RunConfig.load(str(path), [])
+
+    def test_bound_configs_declare_no_defaults(self):
+        # cli.DEFAULTS is the one copy of the defaults: a field default of a
+        # dataclass that RunConfig binds would be a second one
+        cfg = cli.RunConfig.load(None, [])
+        bound, todo = set(), [cfg.generator, cfg.arm_configs, cfg.theory]
+        while todo:
+            config = todo.pop()
+            bound.add(type(config))
+            todo += [getattr(config, f.name) for f in fields(config) if is_dataclass(getattr(config, f.name))]
+        assert {cls.__name__ for cls in bound} == {
+            "GeneratorConfig", "ModelConfig", "Schedule", "FinetuneConfig", "ArmConfigs", "TheoryConfig"
+        }
+        defaulted = [
+            f"{cls.__name__}.{f.name}"
+            for cls in bound
+            for f in fields(cls)
+            if f.init and (f.default is not MISSING or f.default_factory is not MISSING)
+        ]
+        assert defaulted == []
+
+    @pytest.mark.parametrize(
+        "function, names", CALLER_SET_PARAMETERS, ids=[f.__name__ for f, _ in CALLER_SET_PARAMETERS]
+    )
+    def test_stage_functions_take_config_values_and_seeds_without_defaults(self, function, names):
+        # a default would repeat DEFAULTS or hide a seed
+        parameters = inspect.signature(function).parameters
+        assert [n for n in names if parameters[n].default is not inspect.Parameter.empty] == []
 
     def test_hash_changes_with_values(self):
         a = cli.RunConfig.load(None, [])
@@ -244,6 +292,31 @@ class TestCommands:
         assert "instances.csv: cannot read: " in err
         assert err.rstrip().endswith("; run `nprl gen` and `nprl extract` first"), err
         assert "Traceback" not in err
+
+    def test_missing_cohort_hints_at_gen(self, tmp_path, capsys):
+        assert run_cli(["extract"] + set_args(SMALL_OVERRIDES), tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "cohort/patients.csv: cannot read: " in err
+        assert err.rstrip().endswith("; run `nprl gen` first"), err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["extract", "eval", "theory"])
+    def test_failed_command_leaves_no_run_directory(self, tmp_path, command):
+        # the run directory is made by a command's first write, so a command
+        # that fails on its missing input leaves the output root empty
+        assert run_cli([command] + set_args(SMALL_OVERRIDES), tmp_path) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_stages_on_in_memory_data_make_the_run_directory(self, tmp_path):
+        cfg = cli.RunConfig.load(None, SMALL_OVERRIDES)
+        records = cli.generate_cohort(cfg.generator, 3)
+        data = P.select_features(P.extract_instances(records), P.full_schema(), cfg.subsets)
+        written = {"cmd_extract": "instances.csv", "cmd_eval": "report.csv", "cmd_theory": "theory_report.txt"}
+        for command, name in written.items():
+            runner = cli.Runner(cfg, str(tmp_path / command))
+            getattr(runner, command)(records if command == "cmd_extract" else data)
+            assert (runner.run_dir / name).is_file(), command
 
     def test_unreadable_instances_keeps_its_own_error(self, tmp_path, capsys):
         args = set_args(SMALL_OVERRIDES)

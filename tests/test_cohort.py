@@ -8,20 +8,19 @@ import pytest
 from nprl import cli
 from nprl import cohort as C
 from nprl.errors import FieldError, FormatError, InputError
+from defaults import default
 from scalar_cohort import generate_cohort as scalar_generate_cohort
 
 THEORY_SET = Path(__file__).resolve().parents[1] / "configs" / "theory_set.ini"
 
 
 def tiny_config(**kwargs):
-    defaults = dict(n_patients=12, missing_rate=0.0)
-    defaults.update(kwargs)
-    return C.GeneratorConfig(**defaults)
+    return default("generator", **{"n_patients": 12, "missing_rate": 0.0, **kwargs})
 
 
 class TestGenerateCohort:
     def test_exact_septic_quota(self):
-        records = C.generate_cohort(C.GeneratorConfig(n_patients=200, sepsis_fraction=0.17, missing_rate=0.0), 7)
+        records = C.generate_cohort(tiny_config(n_patients=200, sepsis_fraction=0.17), 7)
         septic = [r for r in records if C.planted_onset(r) is not None]
         assert len(septic) == 34
 
@@ -78,11 +77,12 @@ class TestGenerateCohort:
 # one group of patients, the jittery theory-set vitals, and no drift at all;
 # each a (config, seed) pair.
 ORACLE_CONFIGS = {
-    "defaults": lambda: (C.GeneratorConfig(n_patients=C.VITAL_GROUP + 6), 11),
+    "defaults": lambda: (default("generator", n_patients=C.VITAL_GROUP + 6), 11),
     "theory_set": lambda: (cli.RunConfig.load(str(THEORY_SET), []).generator, 7),
     "no_drift": lambda: (
-        C.GeneratorConfig(
-            n_patients=40, sepsis_fraction=0.5, drift_heart_rate=0.0, drift_temperature=0.0, drift_resp_rate=0.0
+        default(
+            "generator", n_patients=40, sepsis_fraction=0.5, drift_heart_rate=0.0, drift_temperature=0.0,
+            drift_resp_rate=0.0,
         ),
         5,
     ),

@@ -13,6 +13,7 @@ from nprl import numgrad as ng
 from nprl import pipeline as P
 from nprl import train as T
 from nprl.errors import InputError, LeakageError, UndefinedMetricError
+from defaults import default
 
 
 def arrays(scores):
@@ -76,18 +77,18 @@ class TestAuroc:
 class TestConfusion:
     def test_paper_sensitivity(self):
         scores = [(0.9, 1)] * 390 + [(0.1, 1)] * 81 + [(0.1, 0)] * 10
-        counts = E.confusion(*arrays(scores))
+        counts = E.confusion(*arrays(scores), 0.5)
         assert counts["tp"] == 390
         assert abs(counts["sensitivity"] - 0.8280) < 5e-4
 
     def test_paper_specificity(self):
         scores = [(0.1, 0)] * 15602 + [(0.9, 0)] * 9879 + [(0.9, 1)] * 5
-        counts = E.confusion(*arrays(scores))
+        counts = E.confusion(*arrays(scores), 0.5)
         assert counts["tn"] == 15602
         assert abs(counts["specificity"] - 0.6123) < 5e-4
 
     def test_empty_positive_set_undefined(self):
-        counts = E.confusion(*arrays([(0.2, 0), (0.7, 0)]))
+        counts = E.confusion(*arrays([(0.2, 0), (0.7, 0)]), 0.5)
         assert counts["sensitivity"] is None
         assert counts["specificity"] == 0.5
 
@@ -108,7 +109,7 @@ class TestAggregate:
 
     def test_counts_sum_exactly(self):
         folds = [self._fold(i, i) for i in range(5)]
-        report = E.aggregate(folds)
+        report = E.aggregate(folds, threshold=0.5)
         assert report.pooled.tp == sum(f.tp for f in folds)
         assert report.pooled.fn == sum(f.fn for f in folds)
 
@@ -130,19 +131,20 @@ class TestRocPoints:
 
 
 def tiny_dataset(n_patients=24, seed=0):
-    from nprl.cohort import GeneratorConfig, generate_cohort
+    from nprl.cohort import generate_cohort
 
-    records = generate_cohort(GeneratorConfig(n_patients=n_patients), seed)
+    records = generate_cohort(default("generator", n_patients=n_patients), seed)
     instances = P.extract_instances(records)
     return P.select_features(instances, P.full_schema(), {1, 3})
 
 
 def tiny_configs():
-    return E.ArmConfigs(
-        model=M.ModelConfig(gru_hidden=4, trunk_widths=(8,)),
-        pretrain=T.Schedule(epochs=2),
-        finetune=T.FinetuneConfig(epochs=2),
-        baseline=T.Schedule(epochs=2),
+    return default(
+        "arm_configs",
+        model=default("arm_configs.model", gru_hidden=4, trunk_widths=(8,)),
+        pretrain=default("arm_configs.pretrain", epochs=2),
+        finetune=default("arm_configs.finetune", epochs=2),
+        baseline=default("arm_configs.baseline", epochs=2),
         resample_target=40,
     )
 
@@ -163,8 +165,8 @@ class TestCrossValidate:
         split = P.stratified_kfold(instances, k=4, seed=1)
         configs = tiny_configs()
         for arm in E.ARMS:
-            a = E.cross_validate(instances, schema, split, arm, configs, seed=9)
-            b = E.cross_validate(instances, schema, split, arm, configs, seed=9)
+            a = E.cross_validate(instances, schema, split, arm, configs, seed=9, n_workers=1)
+            b = E.cross_validate(instances, schema, split, arm, configs, seed=9, n_workers=1)
             assert a.pooled.auroc == b.pooled.auroc
             assert [f.tp for f in a.folds] == [f.tp for f in b.folds]
 
@@ -172,20 +174,20 @@ class TestCrossValidate:
         instances, schema = tiny_dataset(seed=2)
         before = _hash_instances(instances)
         split = P.stratified_kfold(instances, k=4, seed=1)
-        E.cross_validate(instances, schema, split, "baseline", tiny_configs(), seed=5)
+        E.cross_validate(instances, schema, split, "baseline", tiny_configs(), seed=5, n_workers=1)
         assert _hash_instances(instances) == before
 
     def test_unknown_arm(self):
         instances, schema = tiny_dataset(seed=3)
         split = P.stratified_kfold(instances, k=4, seed=1)
         with pytest.raises(InputError):
-            E.cross_validate(instances, schema, split, "boosting", tiny_configs(), seed=0)
+            E.cross_validate(instances, schema, split, "boosting", tiny_configs(), seed=0, n_workers=1)
 
     def test_split_must_cover(self):
         instances, schema = tiny_dataset(seed=4)
         split = P.stratified_kfold(instances[:-1], k=4, seed=1)
         with pytest.raises(InputError):
-            E.cross_validate(instances, schema, split, "baseline", tiny_configs(), seed=0)
+            E.cross_validate(instances, schema, split, "baseline", tiny_configs(), seed=0, n_workers=1)
 
     def test_leakage_guard(self):
         instances, schema = tiny_dataset(seed=5)
@@ -201,7 +203,7 @@ class TestCrossValidate:
         )
         corrupted = instances + [clone]
         with pytest.raises(LeakageError):
-            E.cross_validate(corrupted, schema, split, "baseline", tiny_configs(), seed=0)
+            E.cross_validate(corrupted, schema, split, "baseline", tiny_configs(), seed=0, n_workers=1)
 
     def test_nprl_arm_trains_without_forward_only_passes(self, monkeypatch):
         # forward-only passes run on detached parameters; a test fold here is
@@ -218,7 +220,7 @@ class TestCrossValidate:
         monkeypatch.setattr(M, "gru_layer", counting)
         instances, schema = tiny_dataset(seed=10)
         split = P.stratified_kfold(instances, k=3, seed=2)
-        E.cross_validate(instances, schema, split, "nprl", tiny_configs(), seed=3)
+        E.cross_validate(instances, schema, split, "nprl", tiny_configs(), seed=3, n_workers=1)
         assert passes == [2] * split.k
 
     def test_class_balanced_finetune_weighs_by_the_eval_scheme(self, monkeypatch):
@@ -233,7 +235,7 @@ class TestCrossValidate:
         monkeypatch.setattr(T, "finetune", finetune)
         instances, schema = tiny_dataset(seed=11)
         arrays = P.stack_instances(instances)
-        plain = T.FinetuneConfig(epochs=1, resample=False)
+        plain = default("arm_configs.finetune", epochs=1, resample=False)
         balanced = replace(plain, loss="class_balanced")
         runs = ((plain, "effective_number"), (balanced, "inverse_frequency"), (balanced, "effective_number"))
         for finetune_config, scheme in runs:
@@ -241,7 +243,7 @@ class TestCrossValidate:
             E._fit_arm("nprl", *arrays, schema, cfg, seed=4)
         (_, none), (labels, inverse), (_, effective) = seen
         assert none is None
-        np.testing.assert_array_equal(inverse, T.class_balanced_weights(labels))
+        np.testing.assert_array_equal(inverse, T.class_balanced_weights(labels, "inverse_frequency"))
         np.testing.assert_array_equal(effective, T.class_balanced_weights(labels, "effective_number", 0.99))
         assert not np.allclose(inverse, effective)
 
@@ -294,7 +296,7 @@ class TestEmitReport:
     def test_row_count_and_all_marker(self, tmp_path):
         instances, schema = tiny_dataset(seed=7)
         split = P.stratified_kfold(instances, k=4, seed=3)
-        report = E.cross_validate(instances, schema, split, "baseline", tiny_configs(), seed=1)
+        report = E.cross_validate(instances, schema, split, "baseline", tiny_configs(), seed=1, n_workers=1)
         E.emit_combined_report({"baseline": report}, tmp_path / "report.csv", tmp_path / "roc.txt")
         rows = (tmp_path / "report.csv").read_text().splitlines()
         assert len(rows) == 1 + 4 + 1  # header, folds, aggregate
@@ -303,7 +305,7 @@ class TestEmitReport:
     def test_roc_file_endpoints(self, tmp_path):
         instances, schema = tiny_dataset(seed=8)
         split = P.stratified_kfold(instances, k=4, seed=3)
-        report = E.cross_validate(instances, schema, split, "baseline", tiny_configs(), seed=1)
+        report = E.cross_validate(instances, schema, split, "baseline", tiny_configs(), seed=1, n_workers=1)
         E.emit_combined_report({"baseline": report}, tmp_path / "report.csv", tmp_path / "roc.txt")
         lines = [l for l in (tmp_path / "roc.txt").read_text().splitlines() if not l.startswith("#")]
         assert lines[0] == "0.0 0.0"
@@ -312,7 +314,7 @@ class TestEmitReport:
     def test_read_report_round_trip(self, tmp_path):
         instances, schema = tiny_dataset(seed=9)
         split = P.stratified_kfold(instances, k=4, seed=3)
-        report = E.cross_validate(instances, schema, split, "baseline", tiny_configs(), seed=1)
+        report = E.cross_validate(instances, schema, split, "baseline", tiny_configs(), seed=1, n_workers=1)
         E.emit_combined_report({"baseline": report}, tmp_path / "report.csv", tmp_path / "roc.txt")
         parsed = E.read_report(tmp_path / "report.csv")
         assert float(parsed["baseline"]["ALL"]["auroc"]) == report.pooled.auroc

@@ -9,13 +9,14 @@ from nprl import model as M
 from nprl import numgrad as ng
 from nprl.errors import ConfigError, InputError, NumericError, ShapeError
 from nprl.numgrad import Tensor
+from defaults import default
 from gradcheck import grad_check
 from per_gate import GATES, fuse, fuse_tensors, per_gate
 from simd import HASWELL, KATMAI, SANDYBRIDGE, SKYLAKEX, SKYLAKEX_AVX2, describe, golden, simd_level
 from traced import traced_peak_rise, traced_rises
 
 SMALL_SCHEMA = M.FeatureSchema(("a", "b", "c", "d", "e"), ("s1", "s2", "s3"))
-SMALL_CONFIG = M.ModelConfig(gru_hidden=4, static_widths=(3, 2, 1), trunk_widths=(6,))
+SMALL_CONFIG = default("arm_configs.model", gru_hidden=4, static_widths=(3, 2, 1), trunk_widths=(6,))
 
 
 def small_params(seed=0):
@@ -41,10 +42,10 @@ class TestInitParams:
 
     def test_paper_default_rep_width(self):
         schema = M.FeatureSchema(tuple(f"t{i}" for i in range(11)), tuple(f"s{i}" for i in range(15)))
-        assert M.rep_width(M.ModelConfig(), 15) == 4609
+        assert M.rep_width(default("arm_configs.model", gru_hidden=256), 15) == 4609
 
     def test_rep_width_without_statics(self):
-        assert M.rep_width(M.ModelConfig(), 0) == 4608
+        assert M.rep_width(default("arm_configs.model", gru_hidden=256), 0) == 4608
 
     def test_biases_zero_weights_bounded(self):
         # each GRU gate block against the Glorot limit of its own dims
@@ -63,7 +64,7 @@ class TestInitParams:
         # then b, each limit from the per-gate dims; fused by column
         # concatenation
         schema = M.FeatureSchema(("a", "b", "c", "d", "e"), tuple(f"s{i}" for i in range(n_static)))
-        config = M.ModelConfig(gru_hidden=hidden, static_widths=(3, 2, 1), trunk_widths=(6,))
+        config = default("arm_configs.model", gru_hidden=hidden, static_widths=(3, 2, 1), trunk_widths=(6,))
         t, h = schema.n_temporal, hidden
         layout = [
             (f"gru_{direction}.{kind}_{gate}", dims)
@@ -88,9 +89,9 @@ class TestInitParams:
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            M.ModelConfig(gru_hidden=0)
+            default("arm_configs.model", gru_hidden=0)
         with pytest.raises(ConfigError):
-            M.ModelConfig(trunk_widths=(0,))
+            default("arm_configs.model", trunk_widths=(0,))
 
 
 def one_hour(x):
@@ -193,14 +194,14 @@ def bigru_states(window, params, config):
 class TestBigru:
     def test_paper_dims(self):
         schema = M.FeatureSchema(tuple(f"t{i}" for i in range(11)))
-        config = M.ModelConfig()
+        config = default("arm_configs.model", gru_hidden=256)
         params = M.init_params(config, schema, seed=0)
         out = bigru_states(np.random.default_rng(0).normal(size=(9, 11)), params, config)
         assert out.shape == (9, 512)
         assert out.size == 4608
 
     def test_zero_params_zero_output(self):
-        config = M.ModelConfig(gru_hidden=4, static_widths=(), trunk_widths=())
+        config = default("arm_configs.model", gru_hidden=4, static_widths=(), trunk_widths=())
         params = M.init_params(config, M.FeatureSchema(("a", "b", "c", "d", "e")), seed=0)
         for name in params:
             if name.startswith("gru_"):
@@ -209,7 +210,7 @@ class TestBigru:
         np.testing.assert_array_equal(out, np.zeros((9, 8)))
 
     def test_time_reversal_swaps_directions(self):
-        config = M.ModelConfig(gru_hidden=4, static_widths=(), trunk_widths=(6,))
+        config = default("arm_configs.model", gru_hidden=4, static_widths=(), trunk_widths=(6,))
         params = M.init_params(config, M.FeatureSchema(("a", "b", "c", "d", "e")), seed=0)
         # make both directions share weights so the symmetry is exact
         for kind in ("W_zrh", "U_zr", "U_h", "b_zrh"):
@@ -319,7 +320,7 @@ class TestForward:
 
     def test_no_static_branch(self):
         schema = M.FeatureSchema(("a", "b", "c", "d", "e"))
-        config = M.ModelConfig(gru_hidden=4, trunk_widths=(6,))
+        config = default("arm_configs.model", gru_hidden=4, trunk_widths=(6,))
         params = M.init_params(config, schema, seed=0)
         assert not any(n.startswith("static.") for n in params)
         temporal, _ = small_batch()
@@ -356,7 +357,7 @@ class TestFusedGru:
     @pytest.mark.parametrize("hidden,batch", [(1, 1), (4, 3), (32, 64)])
     def test_matches_per_step_reference(self, hidden, batch):
         schema = M.FeatureSchema(("a", "b", "c", "d", "e"))
-        config = M.ModelConfig(gru_hidden=hidden, trunk_widths=())
+        config = default("arm_configs.model", gru_hidden=hidden, trunk_widths=())
         params = M.init_params(config, schema, seed=hidden)
         for name, p in params.items():  # nonzero biases exercise every term
             if p.data.ndim == 1:
@@ -371,7 +372,7 @@ class TestFusedGru:
         # gathers gradient from two fused nodes; no relu anywhere, so the
         # central differences can use a small step
         schema = M.FeatureSchema(("a", "b", "c", "d", "e"))
-        config = M.ModelConfig(gru_hidden=4, trunk_widths=())
+        config = default("arm_configs.model", gru_hidden=4, trunk_widths=())
         params = M.init_params(config, schema, seed=0)
         shared = {
             name: Tensor(block, requires_grad=True)
@@ -610,7 +611,7 @@ def test_golden_gru_gradients(batch, hidden, threads, request, monkeypatch):
     else:
         started = request.getfixturevalue("two_threads")
     rng = np.random.default_rng(batch * 1000 + hidden)
-    config = M.ModelConfig(gru_hidden=hidden, trunk_widths=())
+    config = default("arm_configs.model", gru_hidden=hidden, trunk_widths=())
     params = {
         name: Tensor(rng.normal(size=dims) * 0.5, requires_grad=True)
         for name, dims in M.param_layout(config, M.FeatureSchema(("a", "b", "c", "d", "e")))
@@ -638,7 +639,7 @@ def test_scan_and_bptt_allocate_nothing(taped):
     # this size a block (128 kB) is more than any such buffer
     steps, batch, hidden = 9, 256, 64
     rng = np.random.default_rng(4)
-    config = M.ModelConfig(gru_hidden=hidden, trunk_widths=())
+    config = default("arm_configs.model", gru_hidden=hidden, trunk_widths=())
     params = {
         name: Tensor(rng.normal(size=dims) * 0.3, requires_grad=True)
         for name, dims in M.param_layout(config, M.FeatureSchema(("a", "b", "c", "d", "e")))
@@ -737,7 +738,7 @@ class TestReplaceHead:
         assert M.frobenius_distance(params, swapped) == 0.0
 
     def test_head_shape(self):
-        config = M.ModelConfig(gru_hidden=4, static_widths=(3, 2, 1), trunk_widths=())
+        config = default("arm_configs.model", gru_hidden=4, static_widths=(3, 2, 1), trunk_widths=())
         params = M.init_params(config, SMALL_SCHEMA, seed=0, n_classes=7)
         assert params["head.W"].dims == (M.rep_width(config, 3), 7)
         swapped = M.replace_head(params, seed=1)

@@ -426,7 +426,7 @@ class TestResampling:
 
     def test_needs_both_classes(self):
         with pytest.raises(InputError):
-            P.resample_training(labels_of(synthetic_instances(0, 10)), seed=0)
+            P.resample_training(labels_of(synthetic_instances(0, 10)), target=2600, seed=0)
 
 
 def reference_resample_training(instances, target, seed):

@@ -7,12 +7,11 @@ from nprl import theory as TH
 from nprl import train as T
 from nprl.errors import ConfigError, DegenerateError, InputError
 from nprl.util import derive_rng
+from defaults import default
 from per_gate import fuse, per_gate
 
 SCHEMA = M.FeatureSchema(("a", "b", "c"), ())
-NORM_CONFIG = M.ModelConfig(
-    gru_hidden=4, trunk_widths=(), normalize_representation=True
-)
+NORM_CONFIG = default("arm_configs.model", gru_hidden=4, trunk_widths=(), normalize_representation=True)
 
 
 def reps_of(data, params, config=NORM_CONFIG):
@@ -80,7 +79,7 @@ class TestEstimateLipschitz:
         # reference: one standard normal draw per gate tensor and per other
         # non-head tensor, in the per-gate order, scaled to norm delta from
         # the per-block sums of squares
-        config = M.ModelConfig(gru_hidden=hidden, static_widths=(3, 1), trunk_widths=(5,))
+        config = default("arm_configs.model", gru_hidden=hidden, static_widths=(3, 1), trunk_widths=(5,))
         params = M.init_params(config, M.FeatureSchema(("a", "b", "c"), ("s1", "s2")), seed=0)
         rng = derive_rng(4, "probe", 1)
         drawn = {name: rng.standard_normal(block.shape) for name, block in per_gate(params) if not M.is_head(name)}
@@ -112,7 +111,8 @@ class TestEstimateLipschitz:
 class TestMeanAbsCosine:
     def test_cosine_stats_reported(self):
         temporal, statics, _ = toy_arrays(n=30, seed=7)
-        params, _ = T.nprl_pretrain(temporal, statics, NORM_CONFIG, SCHEMA, T.Schedule(epochs=2), seed=3)
+        schedule = default("arm_configs.pretrain", epochs=2)
+        params, _ = T.nprl_pretrain(temporal, statics, NORM_CONFIG, SCHEMA, schedule, seed=3)
         _, _, reps = T.identify(temporal, statics, params, NORM_CONFIG)
         mean_abs_cosine = TH.mean_abs_cosine(TH.gram(reps))
         gram = reps @ reps.T  # unit-norm rows
@@ -139,7 +139,7 @@ class TestCheckTheorem1:
     def test_identical_parameters_never_violate(self):
         data = toy_arrays(n=16, seed=2)
         reps = reps_of(data, M.init_params(NORM_CONFIG, SCHEMA, seed=1))
-        pairs, violations, worst = TH.check_theorem1(TH.gram(reps), TH.gram(reps), n_pairs=None)
+        pairs, violations, worst = TH.check_theorem1(TH.gram(reps), TH.gram(reps), n_pairs=None, seed=0)
         assert violations == 0
         assert pairs == 16 * 15 // 2
         assert worst > 0.0  # slack terms keep the margin strictly positive
@@ -147,7 +147,7 @@ class TestCheckTheorem1:
     def test_margin_formula_for_equal_params(self):
         data = toy_arrays(n=10, seed=3)
         reps = reps_of(data, M.init_params(NORM_CONFIG, SCHEMA, seed=2))
-        _, _, worst = TH.check_theorem1(TH.gram(reps), TH.gram(reps), n_pairs=None)
+        _, _, worst = TH.check_theorem1(TH.gram(reps), TH.gram(reps), n_pairs=None, seed=0)
         d0 = [
             np.linalg.norm(reps[i] - reps[j])
             for i in range(len(data[0]))
@@ -165,35 +165,35 @@ class TestCheckTheorem1:
         d0 = np.linalg.norm(reps0[pairs[:, 0]] - reps0[pairs[:, 1]], axis=1)
         d_star_sq = np.sum((reps_star[pairs[:, 0]] - reps_star[pairs[:, 1]]) ** 2, axis=1)
         margins = d_star_sq - (d0 * d0 - d0 / 2.0 - 1.0 / 32.0)
-        n_pairs, violations, worst = TH.check_theorem1(gram0, gram_star, n_pairs=None)
+        n_pairs, violations, worst = TH.check_theorem1(gram0, gram_star, n_pairs=None, seed=0)
         assert (n_pairs, violations) == (len(pairs), int((margins < 0.0).sum()))
         assert abs(worst - margins.min()) < 1e-12
         # each pair's margin on its own: the 2 x 2 Grams of its two rows
         for (i, j), margin in zip(pairs, margins):
             rows = np.ix_([i, j], [i, j])
-            assert abs(TH.check_theorem1(gram0[rows], gram_star[rows], n_pairs=None)[2] - margin) < 1e-12
+            assert abs(TH.check_theorem1(gram0[rows], gram_star[rows], n_pairs=None, seed=0)[2] - margin) < 1e-12
 
     def test_pair_sampling_counts(self):
         data = toy_arrays(n=30, seed=4)
         reps = reps_of(data, M.init_params(NORM_CONFIG, SCHEMA, seed=3))
-        pairs, _, _ = TH.check_theorem1(TH.gram(reps), TH.gram(reps), n_pairs=100)
+        pairs, _, _ = TH.check_theorem1(TH.gram(reps), TH.gram(reps), n_pairs=100, seed=0)
         assert pairs == 100
 
     def test_fewer_than_two_representations(self):
         reps = reps_of(toy_arrays(n=1, seed=4), M.init_params(NORM_CONFIG, SCHEMA, seed=3))
         with pytest.raises(InputError, match="at least 2 representations.*got 1"):
-            TH.check_theorem1(TH.gram(reps), TH.gram(reps), n_pairs=None)
+            TH.check_theorem1(TH.gram(reps), TH.gram(reps), n_pairs=None, seed=0)
         with pytest.raises(InputError, match="one shape"):
-            TH.check_theorem1(TH.gram(reps), TH.gram(np.vstack([reps, reps])), n_pairs=None)
+            TH.check_theorem1(TH.gram(reps), TH.gram(np.vstack([reps, reps])), n_pairs=None, seed=0)
 
     def test_detects_planted_violation(self):
         # scaling all representations toward zero shrinks pairwise distances
         # below what the slack absorbs when the originals are far apart
         data = toy_arrays(n=12, seed=5)
         theta0 = M.init_params(
-            M.ModelConfig(gru_hidden=4, trunk_widths=()), SCHEMA, seed=4
+            default("arm_configs.model", gru_hidden=4, trunk_widths=()), SCHEMA, seed=4
         )
-        config = M.ModelConfig(gru_hidden=4, trunk_widths=())
+        config = default("arm_configs.model", gru_hidden=4, trunk_widths=())
         # theta*: all GRU weights zeroed, collapsing every representation to 0
         theta_star = {
             name: ng.Tensor(np.zeros(p.dims), requires_grad=True) if not M.is_head(name) else p
@@ -204,7 +204,7 @@ class TestCheckTheorem1:
             np.linalg.norm(reps0[i] - reps0[j]) for i in range(12) for j in range(i + 1, 12)
         )
         reps_star = reps_of(data, theta_star, config)
-        _, violations, worst = TH.check_theorem1(TH.gram(reps0), TH.gram(reps_star), n_pairs=None)
+        _, violations, worst = TH.check_theorem1(TH.gram(reps0), TH.gram(reps_star), n_pairs=None, seed=0)
         if d0_max**2 - d0_max / 2.0 - 1.0 / 32.0 > 0:
             assert violations > 0
             assert worst < 0
@@ -214,16 +214,16 @@ class TestCheckCorollary1:
     def test_identical_parameters_satisfy(self):
         data = toy_arrays(n=14, seed=6)
         reps = reps_of(data, M.init_params(NORM_CONFIG, SCHEMA, seed=5))
-        m0, m_star, ok = TH.check_corollary1(TH.gram(reps), TH.gram(reps))
+        m0, m_star, ok = TH.check_corollary1(TH.gram(reps), TH.gram(reps), tol=0.02)
         assert m0 == m_star
         assert ok
 
     def test_requires_normalization(self):
-        config = M.ModelConfig(gru_hidden=4, trunk_widths=())
+        config = default("arm_configs.model", gru_hidden=4, trunk_widths=())
         data = toy_arrays(n=8, seed=7)
         reps = reps_of(data, M.init_params(config, SCHEMA, seed=6), config)
         with pytest.raises(ConfigError):
-            TH.check_corollary1(TH.gram(reps), TH.gram(reps))
+            TH.check_corollary1(TH.gram(reps), TH.gram(reps), tol=0.02)
 
     def test_budget_uses_measured_m0(self):
         data = toy_arrays(n=10, seed=8)
@@ -235,16 +235,17 @@ class TestCheckCorollary1:
     def test_fewer_than_two_representations(self):
         reps = reps_of(toy_arrays(n=1, seed=8), M.init_params(NORM_CONFIG, SCHEMA, seed=7))
         with pytest.raises(InputError, match="at least 2 representations.*got 1"):
-            TH.check_corollary1(TH.gram(reps), TH.gram(reps))
+            TH.check_corollary1(TH.gram(reps), TH.gram(reps), tol=0.02)
 
 
 class TestTheoryProtocol:
     def test_end_to_end_small(self):
         data = toy_arrays(n=40, seed=9)
-        config = TH.TheoryConfig(
+        config = default(
+            "theory",
             model=NORM_CONFIG,
-            pretrain=T.Schedule(epochs=3),
-            finetune=T.Schedule(epochs=2, learning_rate=1e-4),
+            pretrain=default("arm_configs.pretrain", epochs=3),
+            finetune=default("theory.finetune", epochs=2),
             n_probes=3,
             n_pairs=500,
             safety=2.0,
@@ -269,10 +270,11 @@ class TestTheoryProtocol:
             return gru_layer(x, params, *args, **kwargs)
 
         monkeypatch.setattr(M, "gru_layer", counting)
-        config = TH.TheoryConfig(
+        config = default(
+            "theory",
             model=NORM_CONFIG,
-            pretrain=T.Schedule(epochs=2),
-            finetune=T.Schedule(epochs=1, learning_rate=1e-4),
+            pretrain=default("arm_configs.pretrain", epochs=2),
+            finetune=default("theory.finetune", epochs=1),
             n_probes=2,
             n_pairs=200,
         )
@@ -290,10 +292,11 @@ class TestTheoryProtocol:
             return result
 
         monkeypatch.setattr(TH, "gram", counting)
-        config = TH.TheoryConfig(
+        config = default(
+            "theory",
             model=NORM_CONFIG,
-            pretrain=T.Schedule(epochs=2),
-            finetune=T.Schedule(epochs=1, learning_rate=1e-4),
+            pretrain=default("arm_configs.pretrain", epochs=2),
+            finetune=default("theory.finetune", epochs=1),
             n_probes=2,
             n_pairs=200,
         )
@@ -303,14 +306,15 @@ class TestTheoryProtocol:
 
     def test_rejects_unnormalized_model(self):
         with pytest.raises(ConfigError):
-            TH.TheoryConfig(model=M.ModelConfig(gru_hidden=4, trunk_widths=()))
+            default("theory", model=default("arm_configs.model", gru_hidden=4, trunk_widths=()))
 
     def test_report_round_trip(self, tmp_path):
         data = toy_arrays(n=30, seed=10)
-        config = TH.TheoryConfig(
+        config = default(
+            "theory",
             model=NORM_CONFIG,
-            pretrain=T.Schedule(epochs=2),
-            finetune=T.Schedule(epochs=1, learning_rate=1e-4),
+            pretrain=default("arm_configs.pretrain", epochs=2),
+            finetune=default("theory.finetune", epochs=1),
             n_probes=2,
             n_pairs=200,
         )

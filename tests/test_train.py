@@ -9,12 +9,13 @@ from nprl import numgrad as ng
 from nprl import theory as TH
 from nprl import train as T
 from nprl.errors import InputError
+from defaults import default
 from per_gate import per_gate
 from simd import HASWELL, KATMAI, SANDYBRIDGE, SKYLAKEX, SKYLAKEX_AVX2, describe, golden, simd_level
 from traced import traced_peak_rise
 
 SCHEMA = M.FeatureSchema(("a", "b", "c"), ())
-CONFIG = M.ModelConfig(gru_hidden=4, trunk_widths=(8,))
+CONFIG = default("arm_configs.model", gru_hidden=4, trunk_widths=(8,))
 
 
 def toy_arrays(n_pos=6, n_neg=18, seed=0, separable=True):
@@ -91,21 +92,21 @@ class TestClassBalancedWeights:
 
     def test_empty_class_rejected(self):
         with pytest.raises(InputError):
-            T.class_balanced_weights(labels_with(0, 10))
+            T.class_balanced_weights(labels_with(0, 10), "inverse_frequency")
 
 
 class TestPretrain:
     def test_tiny_set_reaches_full_identification(self):
         temporal, statics, _ = toy_arrays(0, 40, seed=5, separable=False)
         params, _ = T.nprl_pretrain(
-            temporal, statics, CONFIG, SCHEMA, T.Schedule(epochs=200, learning_rate=3e-3), seed=1
+            temporal, statics, CONFIG, SCHEMA, default("arm_configs.pretrain", epochs=200, learning_rate=3e-3), seed=1
         )
         assert T.identify(temporal, statics, params, CONFIG)[1] == 1.0
         assert params["head.W"].dims[1] == 40
 
     def test_log_holds_only_training_epochs(self):
         temporal, statics, _ = toy_arrays(0, 20, seed=6, separable=False)
-        _, log = T.nprl_pretrain(temporal, statics, CONFIG, SCHEMA, T.Schedule(epochs=3), seed=2)
+        _, log = T.nprl_pretrain(temporal, statics, CONFIG, SCHEMA, default("arm_configs.pretrain", epochs=3), seed=2)
         assert [row.epoch for row in log.epochs] == [1, 2, 3]
 
     def test_starts_from_n_way_init_params(self, monkeypatch):
@@ -116,7 +117,7 @@ class TestPretrain:
             T, "_train", lambda temporal, statics, labels, params, model, **kw: started.append((params, model))
         )
         temporal, statics, _ = toy_arrays(0, 12, seed=9, separable=False)
-        T.nprl_pretrain(temporal, statics, CONFIG, SCHEMA, T.Schedule(epochs=1), seed=5)
+        T.nprl_pretrain(temporal, statics, CONFIG, SCHEMA, default("arm_configs.pretrain", epochs=1), seed=5)
         initial = M.init_params(CONFIG, SCHEMA, seed=5, n_classes=12)
         ((params, used_model),) = started
         assert used_model == CONFIG and params["head.W"].dims[1] == 12
@@ -127,7 +128,7 @@ class TestPretrain:
         """n profiles at H=32 with no trunk, so the n-way head dominates
         every other tensor, and the bytes of that head."""
         rng = np.random.default_rng(7)
-        schema, config = M.FeatureSchema(("a", "b", "c")), M.ModelConfig(gru_hidden=32, trunk_widths=())
+        schema, config = M.FeatureSchema(("a", "b", "c")), default("arm_configs.model", gru_hidden=32, trunk_widths=())
         temporal, statics = rng.uniform(size=(n, 9, 3)), np.empty((n, 0))
         return (temporal, statics, config, schema), M.rep_width(config, 0) * n * 8
 
@@ -136,7 +137,8 @@ class TestPretrain:
         # step's activations (about 0.8 of the head here): no starting copy
         # and no second gradient
         (temporal, statics, config, schema), head_bytes = self.wide_head_set()
-        pretrain = lambda: T.nprl_pretrain(temporal, statics, config, schema, T.Schedule(epochs=1), seed=0)
+        schedule = default("arm_configs.pretrain", epochs=1)
+        pretrain = lambda: T.nprl_pretrain(temporal, statics, config, schema, schedule, seed=0)
         rise = traced_peak_rise(pretrain)
         assert rise <= 5.0 * head_bytes
 
@@ -160,9 +162,10 @@ class TestPretrain:
                 raise ThirdStepDone
 
         monkeypatch.setattr(ng, "adam_step", traced_step)
+        schedule = default("arm_configs.pretrain", epochs=1, batch_size=16)
         try:
             with pytest.raises(ThirdStepDone):
-                T.nprl_pretrain(temporal, statics, config, schema, T.Schedule(epochs=1, batch_size=16), seed=0)
+                T.nprl_pretrain(temporal, statics, config, schema, schedule, seed=0)
         finally:
             tracemalloc.stop()
         assert peaks[0] < 0.5 * head_bytes, peaks[0] / head_bytes
@@ -173,7 +176,8 @@ class TestPretrain:
         # compute_representations, over more rows than one forward chunk
         temporal, statics, _ = toy_arrays(0, 600, seed=8, separable=False)
         assert len(temporal) > M.FORWARD_CHUNK
-        params, _ = T.nprl_pretrain(temporal, statics, CONFIG, SCHEMA, T.Schedule(epochs=1), seed=4)
+        schedule = default("arm_configs.pretrain", epochs=1)
+        params, _ = T.nprl_pretrain(temporal, statics, CONFIG, SCHEMA, schedule, seed=4)
         _, accuracy, final_reps = T.identify(temporal, statics, params, CONFIG)
         detached = ng.detach(params)
         correct = 0
@@ -205,7 +209,7 @@ PARAMETER_SHA256 = {
 class TestFinetune:
     def _pretrained(self, data, seed=0):
         temporal, statics, _ = data
-        theta0, _ = T.nprl_pretrain(temporal, statics, CONFIG, SCHEMA, T.Schedule(epochs=2), seed)
+        theta0, _ = T.nprl_pretrain(temporal, statics, CONFIG, SCHEMA, default("arm_configs.pretrain", epochs=2), seed)
         return M.replace_head(theta0, seed=seed)
 
     def test_step_zero_distance_is_zero(self):
@@ -216,7 +220,7 @@ class TestFinetune:
     def test_huge_penalty_pins_parameters(self):
         data = toy_arrays(6, 10, seed=9)
         theta0 = self._pretrained(data)
-        config = T.FinetuneConfig(mode="regularized", lam=1e6, learning_rate=1e-8, epochs=1)
+        config = default("arm_configs.finetune", mode="regularized", lam=1e6, learning_rate=1e-8, epochs=1)
         params, _ = T.finetune(*data, theta0, config, CONFIG, seed=1)
         assert M.frobenius_distance(params, theta0) < 1e-6
 
@@ -224,7 +228,7 @@ class TestFinetune:
         data = toy_arrays(6, 10, seed=10)
         theta0 = self._pretrained(data)
         gamma = 0.05
-        config = T.FinetuneConfig(mode="projected", gamma=gamma, learning_rate=1e-2, epochs=3)
+        config = default("arm_configs.finetune", mode="projected", gamma=gamma, learning_rate=1e-2, epochs=3)
         params, log = T.finetune(*data, theta0, config, CONFIG, seed=2)
         assert M.frobenius_distance(params, theta0) <= gamma + 1e-9
         assert log.epochs[-1].frob_dist <= gamma + 1e-9
@@ -233,13 +237,13 @@ class TestFinetune:
         data = toy_arrays(6, 10)
         theta0 = self._pretrained(data)
         with pytest.raises(InputError):
-            T.finetune(*data, theta0, T.FinetuneConfig(mode="projected", gamma=0.0), CONFIG, seed=0)
+            T.finetune(*data, theta0, default("arm_configs.finetune", mode="projected", gamma=0.0), CONFIG, seed=0)
 
     def test_lambda_zero_matches_baseline_trajectory(self):
         data = toy_arrays(6, 10, seed=11)
         theta0 = self._pretrained(data, seed=4)
         seed = 123
-        ft_config = T.FinetuneConfig(mode="regularized", lam=0.0, learning_rate=1e-3, epochs=3)
+        ft_config = default("arm_configs.finetune", mode="regularized", lam=0.0, learning_rate=1e-3, epochs=3)
         ft_params, ft_log = T.finetune(*data, theta0, ft_config, CONFIG, seed)
         # the plain training loop from theta0, as a baseline run started there
         schedule = T.Schedule(epochs=3, batch_size=64, learning_rate=1e-3)
@@ -253,8 +257,8 @@ class TestFinetune:
     @pytest.mark.parametrize(
         "config",
         [
-            T.FinetuneConfig(mode="regularized", lam=0.1, learning_rate=1e-2, epochs=2),
-            T.FinetuneConfig(mode="projected", gamma=0.05, learning_rate=1e-2, epochs=2),
+            default("arm_configs.finetune", mode="regularized", lam=0.1, learning_rate=1e-2, epochs=2),
+            default("arm_configs.finetune", mode="projected", gamma=0.05, learning_rate=1e-2, epochs=2),
         ],
         ids=["regularized", "projected"],
     )
@@ -275,10 +279,10 @@ class TestFinetune:
         data = toy_arrays(6, 10, seed=8)
         theta0 = self._pretrained(data)
         projected, _ = T.finetune(
-            *data, theta0, T.FinetuneConfig(mode="projected", gamma=0.05, learning_rate=1e-2, epochs=2),
+            *data, theta0, default("arm_configs.finetune", mode="projected", gamma=0.05, learning_rate=1e-2, epochs=2),
             CONFIG, seed=2,
         )
-        regularized, _ = T.finetune(*data, theta0, T.FinetuneConfig(epochs=2), CONFIG, seed=3)
+        regularized, _ = T.finetune(*data, theta0, default("arm_configs.finetune", epochs=2), CONFIG, seed=3)
         digest = hashlib.sha256()
         for params in (theta0, projected, regularized):
             for name, values in per_gate(params):
@@ -288,9 +292,9 @@ class TestFinetune:
 
     def test_head_mismatch_rejected(self):
         data = toy_arrays(6, 10)
-        theta0, _ = T.nprl_pretrain(*data[:2], CONFIG, SCHEMA, T.Schedule(epochs=1), seed=0)
+        theta0, _ = T.nprl_pretrain(*data[:2], CONFIG, SCHEMA, default("arm_configs.pretrain", epochs=1), seed=0)
         with pytest.raises(InputError):
-            T.finetune(*data, theta0, T.FinetuneConfig(), CONFIG, seed=0)
+            T.finetune(*data, theta0, default("arm_configs.finetune"), CONFIG, seed=0)
 
     def test_regularized_gradient_matches_finite_differences_of_summed_objective(self):
         data = toy_arrays(4, 8, seed=12)
@@ -341,7 +345,7 @@ class TestFinetune:
 class TestBaseline:
     def test_deterministic_per_seed(self):
         data = toy_arrays(6, 14, seed=13)
-        schedule = T.Schedule(epochs=2)
+        schedule = default("arm_configs.baseline", epochs=2)
         a, log_a = T.train_baseline(*data, CONFIG, SCHEMA, schedule, seed=9)
         b, log_b = T.train_baseline(*data, CONFIG, SCHEMA, schedule, seed=9)
         for name in a:
@@ -352,19 +356,22 @@ class TestBaseline:
         # the training loop trains the set init_params drew in place; the
         # log's distance is still measured from the starting values
         data = toy_arrays(6, 14, seed=18)
-        params, log = T.train_baseline(*data, CONFIG, SCHEMA, T.Schedule(epochs=2, learning_rate=1e-2), seed=5)
+        schedule = default("arm_configs.baseline", epochs=2, learning_rate=1e-2)
+        params, log = T.train_baseline(*data, CONFIG, SCHEMA, schedule, seed=5)
         distance = M.frobenius_distance(params, M.init_params(CONFIG, SCHEMA, seed=5))
         assert distance > 0.0 and log.epochs[-1].frob_dist == distance
 
     def test_loss_decreases_on_separable_data(self):
         data = toy_arrays(20, 20, seed=14)
-        _, log = T.train_baseline(*data, CONFIG, SCHEMA, T.Schedule(epochs=5, learning_rate=3e-3), seed=3)
+        schedule = default("arm_configs.baseline", epochs=5, learning_rate=3e-3)
+        _, log = T.train_baseline(*data, CONFIG, SCHEMA, schedule, seed=3)
         losses = [e.loss for e in log.epochs]
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_all_negative_data_collapses_to_always_negative(self):
         data = toy_arrays(0, 30, seed=15, separable=False)
-        params, _ = T.train_baseline(*data, CONFIG, SCHEMA, T.Schedule(epochs=5, learning_rate=3e-3), seed=4)
+        schedule = default("arm_configs.baseline", epochs=5, learning_rate=3e-3)
+        params, _ = T.train_baseline(*data, CONFIG, SCHEMA, schedule, seed=4)
         temporal, statics, _ = data
         probs = M.predict_proba(temporal, statics, params, CONFIG)
         assert (probs[:, 0] > 0.5).all()
@@ -374,12 +381,13 @@ class TestBaseline:
         # trained set carries a step's gradient into the next pass
         data = toy_arrays(6, 10, seed=19)
         temporal, statics, _ = data
-        pretrained, _ = T.nprl_pretrain(temporal, statics, CONFIG, SCHEMA, T.Schedule(epochs=1), seed=0)
+        schedule = default("arm_configs.pretrain", epochs=1)
+        pretrained, _ = T.nprl_pretrain(temporal, statics, CONFIG, SCHEMA, schedule, seed=0)
         theta0 = M.replace_head(pretrained, seed=1)
-        trained = [pretrained, T.train_baseline(*data, CONFIG, SCHEMA, T.Schedule(epochs=1), seed=2)[0]]
+        trained = [pretrained, T.train_baseline(*data, CONFIG, SCHEMA, schedule, seed=2)[0]]
         for config in (
-            T.FinetuneConfig(mode="regularized", epochs=1),
-            T.FinetuneConfig(mode="projected", gamma=1e-3, learning_rate=1e-2, epochs=1),
+            default("arm_configs.finetune", mode="regularized", epochs=1),
+            default("arm_configs.finetune", mode="projected", gamma=1e-3, learning_rate=1e-2, epochs=1),
         ):
             trained.append(T.finetune(*data, theta0, config, CONFIG, seed=3)[0])
         for params in trained:
@@ -387,7 +395,7 @@ class TestBaseline:
 
     def test_log_to_csv_round_trip(self, tmp_path):
         data = toy_arrays(5, 9, seed=16)
-        _, log = T.train_baseline(*data, CONFIG, SCHEMA, T.Schedule(epochs=2), seed=1)
+        _, log = T.train_baseline(*data, CONFIG, SCHEMA, default("arm_configs.baseline", epochs=2), seed=1)
         path = tmp_path / "log.csv"
         log.to_csv(path, header_comment="config_hash=x seed=1")
         lines = path.read_text().splitlines()
